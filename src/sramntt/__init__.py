@@ -14,7 +14,6 @@ from .bitparallel import (
     RowMap,
     bp_add,
     bp_modadd,
-    bp_modmul,
     bp_modsub,
     compile_twiddle_commands,
     resolve_carry_save,
@@ -45,15 +44,15 @@ from .ntt import (
 )
 from .oracle import oracle_intt, oracle_montmul, oracle_ntt, schoolbook_negacyclic
 from .perf import CostModel, SimStats, accumulate, shift_baseline_ratio
-from .subarray import MicroOp, Subarray, create_subarray, parse_trace, replay, serialize_trace
+from .subarray import Subarray, create_subarray, parse_trace, replay, serialize_trace
 
 __all__ = [
     "AddressError", "CapacityError", "CommandStream", "CostModel",
-    "DimensionError", "ExecPolicy", "MicroOp", "MontgomeryContext",
+    "DimensionError", "ExecPolicy", "MontgomeryContext",
     "ObservationError", "ParameterError", "RingParams", "RowMap", "SimError",
     "SimStats", "Subarray", "TileGeometryError", "TileLayout", "TraceIOError",
     "TransformUnit", "TwiddleTable", "VerificationError", "accumulate",
-    "bit_reverse_permute", "bp_add", "bp_modadd", "bp_modmul", "bp_modsub",
+    "bit_reverse_permute", "bp_add", "bp_modadd", "bp_modsub",
     "compile_twiddle_commands", "create_subarray", "find_roots", "layout_plan",
     "oracle_intt", "oracle_montmul", "oracle_ntt", "parse_trace",
     "polymul_negacyclic", "polymul_pipeline", "precompute_twiddles", "replay",

@@ -15,7 +15,7 @@ stays below 2M <= 2**lane, which makes three invariants provable:
 * the half-sum's low bit is 0 before every right shift (Montgomery parity),
 * therefore every bit a global shift pushes across a tile edge is 0.
 
-The executor can check all three on the fly (``verify_observations``).
+``DirectEmitter`` checks the first two before every data shift it executes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .subarray import (
     WRITEBACK,
     XOR,
     Subarray,
-    apply_op,
 )
 
 
@@ -93,7 +92,6 @@ class ExecPolicy:
 
     deterministic: bool = True
     tile_scope_all: bool = False
-    verify_observations: bool = False
 
 
 @dataclass(frozen=True)
@@ -137,23 +135,16 @@ class RowMap:
 
 @dataclass
 class CommandStream:
-    """Compiled micro-op sequence for one multiplication by the constant A."""
+    """Compiled micro-op sequence for one multiplication by the constant A.
+
+    obs_marks maps the index of each data shift to the edge it must find zero
+    ("msb" or "lsb"); step_marks pairs the index of each figure step's last op
+    with its (iteration, step) tag.  Count the ops with ``perf.counts_of_trace``.
+    """
 
     ops: list[tuple]
-    twiddle: int
-    width: int
-    lane_width: int
     obs_marks: dict[int, str] = field(default_factory=dict)
     step_marks: list[tuple[int, tuple]] = field(default_factory=list)
-
-    def count(self, kind: str) -> int:
-        return sum(1 for op in self.ops if op[0] == kind)
-
-    def global_shift_count(self) -> int:
-        return sum(1 for op in self.ops if op[0] == SHIFT and op[2] == GLOBAL)
-
-    def tile_shift_count(self) -> int:
-        return sum(1 for op in self.ops if op[0] == SHIFT and op[2] == TILE)
 
 
 # -- constants setup --------------------------------------------------------
@@ -201,11 +192,11 @@ def load_constants(arr: Subarray, rm: RowMap, ctx: MontgomeryContext) -> None:
     arr.write_row(rm.neg_modulus_row, broadcast_word(neg_m, lane, cols))
 
 
-def default_rowmap(arr_rows: int, ctx: MontgomeryContext, b_row: int | None = None) -> RowMap:
-    """Scratch at the top of the array, constants just below (standalone use)."""
+def default_rowmap(arr_rows: int, tile_width: int, b_row: int | None = None) -> RowMap:
+    """Scratch at the top of the array, constants just below; rows beneath are free."""
     top = arr_rows
     rm = RowMap(
-        tile_width=ctx.lane_width,
+        tile_width=tile_width,
         sum_row=top - 1, carry_row=top - 2, aux1=top - 3, aux2=top - 4,
         aux3=top - 5, mask_row=top - 6,
         zeros=top - 7, ones=top - 8, lsb_mask=top - 9, msb_mask=top - 10,
@@ -238,8 +229,12 @@ class DirectEmitter:
         self.arr.latch_writeback(row)
 
     def shift_data(self, direction: str, obs: str | None = None) -> None:
-        """Arithmetic 1-bit shift; global unless the policy masks everything."""
-        if obs is not None and self.policy.verify_observations:
+        """Arithmetic 1-bit shift; global unless the policy masks everything.
+
+        obs names the lane edge the carry-save invariants promise is zero in
+        the latch; a live bit there raises ObservationError before the shift.
+        """
+        if obs is not None:
             latch = self.arr.latch
             if obs == "msb" and latch & self._full_msb:
                 raise ObservationError("carry word has a live top bit before a left shift")
@@ -296,10 +291,6 @@ class CollectEmitter:
 
     def step(self, tag: tuple) -> None:
         self.step_marks.append((len(self.ops) - 1, tag))
-
-
-ACTIVATE2_KIND = "ACTIVATE2"
-WRITEBACK_KIND = "WRITEBACK"
 
 
 # -- micro-op sequences ------------------------------------------------------
@@ -401,11 +392,41 @@ def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
     which the tile-masked carry word is provably zero); otherwise the loop
     exits on the wired-OR zero test.
     """
-    w = rm.tile_width
     E.act(x_row, y_row, XOR)
     E.wb(tmp_a)
     E.act(x_row, y_row, AND)                   # latch = carry word
-    cur, other = tmp_a, tmp_b
+    _ripple(E, rm, tmp_a, tmp_b, cs_row, dest_row, deterministic)
+
+
+def emit_add3(E, rm: RowMap, x_row: int, y_row: int, z_row: int, dest_row: int,
+              p_row: int, cb_row: int, tmp_a: int, deterministic: bool = True) -> None:
+    """dest := (x + y + z) mod 2^lane; one carry-save layer, then the add loop.
+
+    The two partial carry words are disjoint (x&y vs (x^y)&z), so OR merges
+    them exactly.  Reuses p_row for the second carry and cb_row for the
+    shifted carry inside the loop.
+    """
+    E.act(x_row, y_row, XOR)
+    E.wb(p_row)
+    E.act(p_row, z_row, XOR)
+    E.wb(tmp_a)
+    E.act(p_row, z_row, AND)
+    E.wb(cb_row)
+    E.act(x_row, y_row, AND)
+    E.wb(p_row)
+    E.act(p_row, cb_row, OR)                   # latch = merged carry word
+    _ripple(E, rm, tmp_a, p_row, cb_row, dest_row, deterministic)
+
+
+def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
+            deterministic: bool) -> None:
+    """Fold the carry word in the latch into the partial sum in `cur`.
+
+    Each round shifts the carry one column (tile-masked), half-adds it into
+    the partial sum, and leaves the next carry word in the latch.  `other`
+    and `cs_row` are scratch; the sum ends in dest_row.
+    """
+    w = rm.tile_width
     if deterministic:
         for k in range(w):
             E.shift_mask(LEFT)
@@ -424,51 +445,6 @@ def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
         E.act(cur, cs_row, XOR)
         E.wb(other)
         E.act(cur, cs_row, AND)
-        cur, other = other, cur
-        if E.ztest():
-            break
-    if cur != dest_row:
-        E.act(cur, rm.zeros, OR)
-        E.wb(dest_row)
-
-
-def emit_add3(E, rm: RowMap, x_row: int, y_row: int, z_row: int, dest_row: int,
-              p_row: int, cb_row: int, tmp_a: int, deterministic: bool = True) -> None:
-    """dest := (x + y + z) mod 2^lane; one carry-save layer, then the add loop.
-
-    The two partial carry words are disjoint (x&y vs (x^y)&z), so OR merges
-    them exactly.  Reuses p_row for the second carry and cb_row for the
-    shifted carry inside the loop.
-    """
-    w = rm.tile_width
-    E.act(x_row, y_row, XOR)
-    E.wb(p_row)
-    E.act(p_row, z_row, XOR)
-    E.wb(tmp_a)
-    E.act(p_row, z_row, AND)
-    E.wb(cb_row)
-    E.act(x_row, y_row, AND)
-    E.wb(p_row)
-    E.act(p_row, cb_row, OR)                   # latch = merged carry word
-    cur, other = tmp_a, p_row
-    if deterministic:
-        for k in range(w):
-            E.shift_mask(LEFT)
-            E.wb(cb_row)
-            last = k == w - 1
-            target = dest_row if last else other
-            E.act(cur, cb_row, XOR)
-            E.wb(target)
-            if not last:
-                E.act(cur, cb_row, AND)
-                cur, other = target, cur
-        return
-    for _ in range(w):
-        E.shift_mask(LEFT)
-        E.wb(cb_row)
-        E.act(cur, cb_row, XOR)
-        E.wb(other)
-        E.act(cur, cb_row, AND)
         cur, other = other, cur
         if E.ztest():
             break
@@ -556,39 +532,7 @@ def compile_twiddle_commands(a_value: int, ctx: MontgomeryContext, rm: RowMap,
     rm.validate()
     E = CollectEmitter(rm, policy)
     emit_modmul(E, rm, a_value, ctx.width, b_row)
-    return CommandStream(ops=E.ops, twiddle=a_value, width=ctx.width,
-                         lane_width=ctx.lane_width, obs_marks=E.obs_marks,
-                         step_marks=E.step_marks)
-
-
-def run_stream(arr: Subarray, stream: CommandStream, rm: RowMap,
-               verify: bool = False, step_callback=None) -> None:
-    """Execute a compiled stream; optionally check the shift-edge invariants."""
-    if not verify and step_callback is None:
-        for op in stream.ops:
-            apply_op(arr, op)
-        return
-    lsb_edges, msb_edges = full_tile_edges(arr.cols, rm.tile_width)
-    marks = stream.obs_marks
-    steps = dict(stream.step_marks)
-    for idx, op in enumerate(stream.ops):
-        if verify and idx in marks:
-            obs = marks[idx]
-            latch = arr.latch
-            if obs == "msb" and latch & msb_edges:
-                raise ObservationError("carry word has a live top bit before a left shift")
-            if obs == "lsb" and latch & lsb_edges:
-                raise ObservationError("half-sum has a live low bit before a right shift")
-        apply_op(arr, op)
-        if step_callback is not None and idx in steps:
-            step_callback(steps[idx], arr)
-
-
-def bp_modmul(arr: Subarray, stream: CommandStream, rm: RowMap,
-              verify: bool = False, step_callback=None) -> tuple[int, int]:
-    """Run a compiled twiddle stream; the product lands carry-save in (Sum, Carry)."""
-    run_stream(arr, stream, rm, verify=verify, step_callback=step_callback)
-    return rm.sum_row, rm.carry_row
+    return CommandStream(ops=E.ops, obs_marks=E.obs_marks, step_marks=E.step_marks)
 
 
 def select_m(arr: Subarray, rm: RowMap, policy: ExecPolicy = ExecPolicy()) -> int:

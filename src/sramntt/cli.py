@@ -10,13 +10,26 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import oracle
-from .bitparallel import ExecPolicy
-from .errors import ParameterError, SimError, TraceIOError, VerificationError
-from .ntt import RingParams, TransformUnit, bit_reverse
+from .bitparallel import ExecPolicy, MontgomeryContext
+from .errors import (
+    AddressError,
+    DimensionError,
+    ParameterError,
+    SimError,
+    TileGeometryError,
+    TraceIOError,
+    VerificationError,
+)
+from .ntt import (
+    RingParams,
+    TransformUnit,
+    bit_reverse_permute,
+    layout_plan,
+    polymul_pipeline,
+)
 from .perf import CostModel, accumulate, sweep_bitwidth, sweep_order, sweep_to_csv
 from .subarray import parse_trace, replay, serialize_trace
 
@@ -28,6 +41,8 @@ PRESETS = {
     "q7681-256": (7681, 256, 16),
     "toy-257": (257, 8, 10),
 }
+
+MODES = ("polymul", "roundtrip", "forward")
 
 
 @dataclass
@@ -86,8 +101,11 @@ def _load_poly_file(path: str, order: int, q: int) -> list[int]:
         raise TraceIOError(f"cannot read polynomial file {path}: {exc}") from exc
     if not isinstance(data, list) or len(data) != order:
         raise ParameterError(f"{path}: expected a JSON array of {order} residues")
-    coeffs = [int(c) % q for c in data]
-    return coeffs
+    for c in data:
+        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+        if type(c) is not int or not 0 <= c < q:
+            raise ParameterError(f"{path}: {c!r} is not an integer residue in [0, {q})")
+    return data
 
 
 def _cost_model(cfg: RunConfig) -> CostModel:
@@ -120,12 +138,14 @@ def _state_dict(unit: TransformUnit) -> dict:
 
 def cmd_run(cfg: RunConfig) -> int:
     _apply_preset(cfg)
+    if cfg.mode not in MODES:
+        raise ParameterError(f"unknown mode {cfg.mode!r}")
     ring = RingParams.create(cfg.q, cfg.order, cfg.width)
     policy = ExecPolicy(deterministic=cfg.deterministic_latency,
                         tile_scope_all=cfg.tile_scope_shifts)
     cost = _cost_model(cfg)
-    unit = TransformUnit(ring, cfg.rows, cfg.cols, policy)
-    tiles = unit.layout.tiles
+    lane = MontgomeryContext.create(ring.q, ring.width).lane_width
+    tiles = layout_plan(cfg.rows, cfg.cols, lane, ring.order).tiles
 
     rng = random.Random(cfg.seed)
     if cfg.input_a:
@@ -138,45 +158,31 @@ def cmd_run(cfg: RunConfig) -> int:
     else:
         b_poly = [rng.randrange(cfg.q) for _ in range(cfg.order)]
 
-    unit.load_polynomials(polys)
-    unit.forward()
-    traces = [unit]
-
-    if cfg.mode == "forward":
-        if cfg.verify:
-            spectra = unit.read_polynomials(tiles)
-            bits = ring.log2_order
-            for t, p in enumerate(polys):
-                want = oracle.oracle_ntt(p, ring.q, ring.psi)
-                got = [spectra[t][bit_reverse(i, bits)] for i in range(cfg.order)]
-                if got != want:
-                    raise VerificationError(f"forward spectrum mismatch in tile {t}")
-    elif cfg.mode == "roundtrip":
-        unit.inverse()
-        if cfg.verify:
-            back = unit.read_polynomials(tiles)
-            for t, p in enumerate(polys):
-                if back[t] != p:
-                    raise VerificationError(f"roundtrip mismatch in tile {t}")
-    elif cfg.mode == "polymul":
-        unit_b = TransformUnit(ring, cfg.rows, cfg.cols, policy)
-        unit_b.load_polynomials([b_poly])
-        unit_b.forward()
-        b_hat = unit_b.read_polynomials(1)[0]
-        unit.pointwise_by(b_hat)
-        unit.inverse()
-        traces.append(unit_b)
-        if cfg.verify:
-            products = unit.read_polynomials(tiles)
-            for t, p in enumerate(polys):
-                want = oracle.schoolbook_negacyclic(p, b_poly, ring.q)
-                if products[t] != want:
-                    raise VerificationError(f"product mismatch in tile {t}")
+    if cfg.mode == "polymul":
+        _, unit, unit_b = polymul_pipeline(polys, b_poly, ring, cfg.rows, cfg.cols, policy)
+        units = [unit, unit_b]
     else:
-        raise ParameterError(f"unknown mode {cfg.mode!r}")
+        unit = TransformUnit(ring, cfg.rows, cfg.cols, policy)
+        unit.load_polynomials(polys)
+        unit.forward()
+        units = [unit]
+        if cfg.mode == "roundtrip":
+            unit.inverse()
+
+    if cfg.verify:
+        got = unit.read_polynomials(tiles)
+        for t, p in enumerate(polys):
+            if cfg.mode == "forward":      # the array holds the bit-reversed spectrum
+                want = bit_reverse_permute(oracle.oracle_ntt(p, ring.q, ring.psi))
+            elif cfg.mode == "roundtrip":
+                want = p
+            else:
+                want = oracle.schoolbook_negacyclic(p, b_poly, ring.q)
+            if got[t] != want:
+                raise VerificationError(f"{cfg.mode} mismatch in tile {t}")
 
     trace = []
-    for u in traces:
+    for u in units:
         trace.extend(u.arr.trace or ())
     stats = accumulate(trace, cost, parallel=tiles)
     payload = stats.to_json_dict(config=cfg.semantic_dict())
@@ -193,26 +199,13 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, vary: str, jobs: int = 1) -> int:
+def cmd_sweep(cfg: RunConfig, vary: str) -> int:
     cost = _cost_model(cfg)
     if vary == "bitwidth":
-        widths = list(range(2, 65))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(
-                    lambda w: sweep_bitwidth(cfg.order, [w], cfg.rows, cfg.cols, cost)[0],
-                    widths))
-        else:
-            rows = sweep_bitwidth(cfg.order, widths, cfg.rows, cfg.cols, cost)
+        rows = sweep_bitwidth(cfg.order, range(2, 65), cfg.rows, cfg.cols, cost)
     elif vary == "order":
         orders = [1 << k for k in range(2, 13)]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(
-                    lambda o: sweep_order(cfg.width or 16, [o], cfg.rows, cfg.cols, cost)[0],
-                    orders))
-        else:
-            rows = sweep_order(cfg.width or 16, orders, cfg.rows, cfg.cols, cost)
+        rows = sweep_order(cfg.width or 16, orders, cfg.rows, cfg.cols, cost)
     else:
         raise ParameterError(f"--vary must be bitwidth or order, got {vary!r}")
     csv_text = sweep_to_csv(rows)
@@ -238,7 +231,10 @@ def cmd_trace_replay(trace_path: str, state_path: str) -> int:
         want_latch = int(state["latch"], 16)
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceIOError(f"malformed state file {state_path}") from exc
-    arr = replay(ops, rows, cols)
+    try:
+        arr = replay(ops, rows, cols)
+    except (AddressError, DimensionError, TileGeometryError) as exc:
+        raise TraceIOError(f"{trace_path} does not replay on {state_path}: {exc}") from exc
     if arr.cells != want_cells or arr.latch != want_latch:
         raise VerificationError("replayed final state differs from the recorded state")
     print("replay ok: final state matches")
@@ -258,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cols", type=int, default=256)
     run.add_argument("--preset", choices=sorted(PRESETS), default=None)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--mode", choices=["polymul", "roundtrip", "forward"],
-                     default="polymul")
+    run.add_argument("--mode", choices=MODES, default="polymul")
     run.add_argument("--verify", action="store_true",
                      help="check results against the reference oracles")
     run.add_argument("--data-dependent", action="store_true",
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--width", type=int, default=16)
     sw.add_argument("--rows", type=int, default=256)
     sw.add_argument("--cols", type=int, default=256)
-    sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out", dest="sweep_path", default=None)
     sw.add_argument("--cost-model", dest="cost_model_path", default=None)
 
@@ -310,7 +304,7 @@ def main(argv=None) -> int:
                             rows=args.rows, cols=args.cols,
                             sweep_path=args.sweep_path,
                             cost_model_path=args.cost_model_path)
-            return cmd_sweep(cfg, args.vary, args.jobs)
+            return cmd_sweep(cfg, args.vary)
         if args.command == "trace-replay":
             return cmd_trace_replay(args.trace, args.state)
         raise ParameterError(f"unknown command {args.command!r}")

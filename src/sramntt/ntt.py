@@ -22,6 +22,7 @@ from .bitparallel import (
     ExecPolicy,
     MontgomeryContext,
     RowMap,
+    default_rowmap,
     emit_modadd,
     emit_modmul,
     emit_modsub,
@@ -67,8 +68,11 @@ def is_prime(n: int) -> bool:
 def find_roots(q: int, order: int) -> tuple[int, int]:
     """Smallest psi with psi^order = -1 mod q, plus omega = psi^2.
 
-    psi^order = -1 forces the multiplicative order to be exactly 2*order (a
-    power of two), so any hit is automatically a primitive 2*order-th root.
+    psi^order = -1 holds exactly for the primitive 2*order-th roots of unity.
+    For any g, z = g^((q-1)/(2*order)) has z^order = g^((q-1)/2), the Legendre
+    symbol of g, so the first quadratic non-residue g gives one primitive root
+    z; the others are the odd powers z^k, k < 2*order, and psi is their
+    minimum.  That is O(order) multiplications however large q is.
     """
     if order < 2 or order & (order - 1):
         raise ParameterError(f"order must be a power of two >= 2, got {order}")
@@ -78,10 +82,16 @@ def find_roots(q: int, order: int) -> tuple[int, int]:
         raise ParameterError(
             f"no 2*{order}-th root of unity: {q} != 1 (mod {2 * order})"
         )
-    for psi in range(2, q):
-        if pow(psi, order, q) == q - 1:
-            return psi, psi * psi % q
-    raise ParameterError(f"no root found for q={q}, order={order}")
+    g = 2
+    while pow(g, (q - 1) // 2, q) != q - 1:
+        g += 1
+    z = pow(g, (q - 1) // (2 * order), q)
+    z2 = z * z % q
+    psi = root = z
+    for _ in range(order - 1):
+        root = root * z2 % q
+        psi = min(psi, root)
+    return psi, psi * psi % q
 
 
 def bit_reverse(x: int, bits: int) -> int:
@@ -231,15 +241,7 @@ def layout_plan(rows: int, cols: int, width: int, order: int) -> TileLayout:
     resident = resident_rows(rows, order)
     if resident < 1:
         raise CapacityError("array too small for scratch and constant rows")
-    top = rows
-    rowmap = RowMap(
-        tile_width=width,
-        sum_row=top - 1, carry_row=top - 2, aux1=top - 3, aux2=top - 4,
-        aux3=top - 5, mask_row=top - 6,
-        zeros=top - 7, ones=top - 8, lsb_mask=top - 9, msb_mask=top - 10,
-        modulus_row=top - 11, neg_modulus_row=top - 12,
-    )
-    rowmap.validate()
+    rowmap = default_rowmap(rows, width)
     return TileLayout(
         rows=rows, cols=cols, tile_width=width, tiles=tiles, order=order,
         coeff_rows=tuple(range(resident)), rowmap=rowmap,
@@ -403,18 +405,6 @@ class TransformUnit:
         q = self.ring.q
         r = self.ctx.radix % q
         self._scale_rows([v % q * r % q for v in spectrum])
-
-
-def ntt_forward(unit: TransformUnit) -> None:
-    unit.forward()
-
-
-def ntt_inverse(unit: TransformUnit) -> None:
-    unit.inverse()
-
-
-def pointwise_mul(unit: TransformUnit, spectrum) -> None:
-    unit.pointwise_by(spectrum)
 
 
 def polymul_pipeline(a_polys, b, ring: RingParams, rows: int = 256, cols: int = 256,

@@ -138,10 +138,6 @@ def counts_of_trace(trace) -> dict:
     return counts
 
 
-def counts_of_ops(ops) -> dict:
-    return counts_of_trace(ops)
-
-
 @dataclass
 class SimStats:
     """Aggregated run statistics (counts are exact trace tallies)."""
@@ -232,7 +228,7 @@ _PRIM_CACHE: dict = {}
 def _dummy_env(width: int):
     modulus = (1 << (width - 1)) - 1          # odd, keeps lane == width
     ctx = MontgomeryContext.create(modulus, width)
-    rm = default_rowmap(64, ctx)
+    rm = default_rowmap(64, ctx.lane_width)
     return ctx, rm
 
 
@@ -260,7 +256,7 @@ def primitive_counts(width: int, kind: str, popcount: int = 0) -> dict:
         emit_modsub(E, rm, coeff_a, rm.mask_row, coeff_b, pool)
     else:
         raise ParameterError(f"unknown primitive {kind!r}")
-    counts = counts_of_ops(E.ops)
+    counts = counts_of_trace(E.ops)
     _PRIM_CACHE[key] = counts
     return counts
 

@@ -21,8 +21,6 @@ The serialized trace is line oriented: ``<seq> <KIND> <args...>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AddressError, DimensionError, TileGeometryError, TraceIOError
 
 WRITE_ROW = "WRITE_ROW"
@@ -44,15 +42,6 @@ TILE = "TILE"
 
 MIN_ROWS = 8
 MIN_COLS = 4
-
-
-@dataclass(frozen=True)
-class MicroOp:
-    """Structured view of one trace entry (kind, operands, unit cycle cost)."""
-
-    kind: str
-    args: tuple
-    cycle_cost: int = 1
 
 
 def _tile_edge_masks(cols: int, width: int, origin: int) -> tuple[int, int]:
@@ -270,7 +259,9 @@ def parse_trace_line(line: str) -> tuple:
         if kind == SHIFT:
             if parts[3] == TILE:
                 return (SHIFT, parts[2], TILE, int(parts[4]), int(parts[5]))
-            return (SHIFT, parts[2], GLOBAL, 0, 0)
+            if parts[3] == GLOBAL:
+                return (SHIFT, parts[2], GLOBAL, 0, 0)
+            raise TraceIOError(f"unknown shift scope {parts[3]!r} in line {line!r}")
         if kind == WRITEBACK:
             return (WRITEBACK, int(parts[2]))
         if kind == ZERO_TEST:
@@ -288,11 +279,6 @@ def parse_trace(text: str):
             continue
         ops.append(parse_trace_line(line))
     return ops
-
-
-def microop_view(op: tuple) -> MicroOp:
-    """Trace tuple -> MicroOp dataclass (unit default cost; see perf.CostModel)."""
-    return MicroOp(kind=op[0], args=tuple(op[1:]))
 
 
 def bits_from_list(bits) -> int:

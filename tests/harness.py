@@ -29,13 +29,13 @@ class ModmulBench:
     """Reusable subarray wired for multiplications modulo one fixed modulus."""
 
     def __init__(self, modulus: int, width: int, rows: int = 32, cols: int = 256,
-                 record: bool = False, verify: bool = True):
+                 record: bool = False):
         self.ctx = MontgomeryContext.create(modulus, width)
         self.lane = self.ctx.lane_width
         self.tiles = tiles_in(cols, self.lane)
         self.arr = Subarray(rows, cols, record=record)
-        self.rm = default_rowmap(rows, self.ctx, b_row=B_ROW)
-        self.policy = ExecPolicy(verify_observations=verify)
+        self.rm = default_rowmap(rows, self.lane, b_row=B_ROW)
+        self.policy = ExecPolicy()
         self.emitter = DirectEmitter(self.arr, self.rm, self.policy)
         load_constants(self.arr, self.rm, self.ctx)
 

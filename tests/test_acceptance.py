@@ -28,6 +28,7 @@ from sramntt.oracle import oracle_montmul, schoolbook_negacyclic
 from sramntt.perf import (
     CostModel,
     accumulate,
+    counts_of_trace,
     estimate_forward_ntt,
     shift_baseline_ratio,
     stats_from_counts,
@@ -49,14 +50,15 @@ def report(n, ok, msg):
 
 @pytest.fixture(scope="module")
 def exhaustive_sweep():
-    """Every n in 3..8, every odd M, every (A, B); observation checks armed."""
+    """Every n in 3..8, every odd M, every (A, B); the executor checks the
+    shift-edge invariants on every data shift."""
     mismatches = []
     observation_failures = []
     cases = 0
     for width in range(3, 9):
         r = 1 << width
         for modulus in range(3, r, 2):
-            bench = ModmulBench(modulus, width, cols=256, verify=True)
+            bench = ModmulBench(modulus, width, cols=256)
             step = bench.tiles
             b_all = list(range(r))
             for a in range(r):
@@ -107,7 +109,7 @@ def test_criterion_1_worked_example():
     for lane in (None, 3):                              # auto lane (4) and the literal 3 columns
         ctx = MontgomeryContext.create(7, 3, lane_width=lane)
         arr = Subarray(32, 32)
-        rm = default_rowmap(32, ctx, b_row=B_ROW)
+        rm = default_rowmap(32, ctx.lane_width, b_row=B_ROW)
         load_constants(arr, rm, ctx)
         arr.write_row(B_ROW, broadcast_word(3, ctx.lane_width, arr.cols))
         seen = {}
@@ -123,7 +125,7 @@ def test_criterion_1_worked_example():
                 "mask": unpack_word(a.read_row(rm.mask_row), 0, w),
             }
 
-        E = DirectEmitter(arr, rm, ExecPolicy(verify_observations=True), step_callback=snap)
+        E = DirectEmitter(arr, rm, ExecPolicy(), step_callback=snap)
         emit_modmul(E, rm, 4, 3, b_row=B_ROW)
         # P stays zero through the first two iterations (low bits of A clear)
         assert seen[(1, 7)]["sum"] == 0 and seen[(1, 7)]["carry"] == 0
@@ -135,7 +137,7 @@ def test_criterion_1_worked_example():
         emit_resolve(E, rm, rm.mask_row)
         got = unpack_word(arr.read_row(rm.mask_row), 0, ctx.lane_width)
         assert got == 5
-    report(1, True, "bp_modmul(4,3,7,3) resolves to 5; per-step states match the figure")
+    report(1, True, "modmul(4,3,7,3) resolves to 5; per-step states match the figure")
 
 
 # -- criteria 2 and 4: exhaustive correctness and the shift-edge invariants ---
@@ -159,7 +161,7 @@ def test_criterion_4_observation_invariants(exhaustive_sweep):
     for width in (3, 5, 8, 16):
         modulus = (1 << (width - 1)) - 1
         ctx = MontgomeryContext.create(modulus, width)
-        rm = default_rowmap(64, ctx, b_row=B_ROW)
+        rm = default_rowmap(64, ctx.lane_width, b_row=B_ROW)
         stream = compile_twiddle_commands(rng.randrange(1 << width), ctx, rm)
         for idx, op in enumerate(stream.ops):
             if op[0] == SHIFT and op[2] == GLOBAL and idx not in stream.obs_marks:
@@ -179,7 +181,7 @@ def test_criterion_3_randomized_modmul():
         done = 0
         while done < 10_000:
             modulus = rng.randrange(3, 1 << width) | 1
-            bench = ModmulBench(modulus, width, cols=256, verify=True)
+            bench = ModmulBench(modulus, width, cols=256)
             a = rng.randrange(1 << width)
             bs = [rng.randrange(1 << width) for _ in range(bench.tiles)]
             got = bench.run(a, bs)
@@ -243,11 +245,11 @@ def test_criterion_6_implicit_shift(canonical_run):
     for width in (3, 4, 8, 16, 24):
         modulus = (1 << (width - 1)) - 1
         ctx = MontgomeryContext.create(modulus, width)
-        rm = default_rowmap(64, ctx, b_row=B_ROW)
+        rm = default_rowmap(64, ctx.lane_width, b_row=B_ROW)
         for _ in range(8):
             a = rng.randrange(1 << width)
             stream = compile_twiddle_commands(a, ctx, rm)
-            if stream.global_shift_count() != width + bin(a).count("1"):
+            if counts_of_trace(stream.ops)["SHIFT_GLOBAL"] != width + bin(a).count("1"):
                 count_ok = False
 
     ratio = shift_baseline_ratio(stats, 256, 16)

@@ -11,26 +11,28 @@ from sramntt.bitparallel import (
     MontgomeryContext,
     bp_add,
     bp_modadd,
-    bp_modmul,
     bp_modsub,
     broadcast_word,
     compile_twiddle_commands,
     default_rowmap,
+    emit_modmul,
+    emit_resolve,
     load_constants,
     pack_words,
     resolve_carry_save,
     select_m,
     unpack_word,
 )
-from sramntt.errors import ParameterError
+from sramntt.errors import ObservationError, ParameterError
 from sramntt.oracle import oracle_montmul
+from sramntt.perf import counts_of_trace
 from sramntt.subarray import GLOBAL, OR, SHIFT, Subarray
 
 
 def fresh(modulus, width, cols=32, rows=32, record=True):
     ctx = MontgomeryContext.create(modulus, width)
     arr = Subarray(rows, cols, record=record)
-    rm = default_rowmap(rows, ctx, b_row=B_ROW)
+    rm = default_rowmap(rows, ctx.lane_width, b_row=B_ROW)
     load_constants(arr, rm, ctx)
     return ctx, arr, rm
 
@@ -53,7 +55,7 @@ def test_stream_structure_by_twiddle_bits():
     ctx, _, rm = fresh(7, 3)
 
     s0 = compile_twiddle_commands(0, ctx, rm)
-    assert s0.global_shift_count() == 3               # three halving shifts only
+    assert counts_of_trace(s0.ops)["SHIFT_GLOBAL"] == 3   # three halving shifts only
     assert not [t for _, t in s0.step_marks if t[1] == 1]
 
     s4 = compile_twiddle_commands(4, ctx, rm)
@@ -80,10 +82,10 @@ def test_shift_count_is_width_plus_popcount():
     rng = random.Random(1)
     for _ in range(12):
         a = rng.randrange(1 << 16)
-        stream = compile_twiddle_commands(a, ctx, rm)
-        assert stream.global_shift_count() == 16 + bin(a).count("1")
+        counts = counts_of_trace(compile_twiddle_commands(a, ctx, rm).ops)
+        assert counts["SHIFT_GLOBAL"] == 16 + bin(a).count("1")
         # every data shift is global scope; smears are tile scope
-        assert stream.tile_shift_count() > 0
+        assert counts["SHIFT_TILE"] > 0
 
 
 def test_worked_example_resolves_to_five():
@@ -123,16 +125,28 @@ def test_modmul_simd_independence():
 
 
 def test_bp_modmul_stream_api_and_resolve():
+    """The executor runs exactly the compiled stream; resolve collapses its pair."""
     ctx, arr, rm = fresh(7, 3)
     arr.write_row(B_ROW, broadcast_word(3, ctx.lane_width, arr.cols))
-    stream = compile_twiddle_commands(4, ctx, rm)
-    sum_row, carry_row = bp_modmul(arr, stream, rm, verify=True)
+    start = len(arr.trace)
+    emit_modmul(DirectEmitter(arr, rm, ExecPolicy()), rm, 4, ctx.width)
+    assert arr.trace[start:] == compile_twiddle_commands(4, ctx, rm).ops
     lane = ctx.lane_width
-    s = unpack_word(arr.read_row(sum_row), 0, lane)
-    c = unpack_word(arr.read_row(carry_row), 0, lane)
+    s = unpack_word(arr.read_row(rm.sum_row), 0, lane)
+    c = unpack_word(arr.read_row(rm.carry_row), 0, lane)
     assert s + 2 * c == 5 and s + 2 * c < 2 * 7
     dest = resolve_carry_save(arr, rm, ctx)
     assert unpack_word(arr.read_row(dest), 0, lane) == 5
+
+
+def test_observation_check_fires_on_live_carry_top_bit():
+    """A carry word with its top lane bit set breaks the left-shift invariant."""
+    ctx, arr, rm = fresh(7, 3)
+    lane = ctx.lane_width
+    arr.write_row(rm.carry_row, broadcast_word(1 << (lane - 1), lane, arr.cols))
+    arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
+    with pytest.raises(ObservationError):
+        emit_resolve(DirectEmitter(arr, rm, ExecPolicy()), rm, rm.mask_row)
 
 
 def test_select_m_per_tile():
@@ -156,7 +170,6 @@ def test_resolve_examples_and_random():
         arr.write_row(rm.carry_row, broadcast_word(c, lane, arr.cols))
         arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
         dest = rm.mask_row
-        from sramntt.bitparallel import emit_resolve
         emit_resolve(E, rm, dest)
         return unpack_word(arr.read_row(dest), 0, lane)
 
@@ -225,7 +238,7 @@ def test_modadd_modsub_random_wide():
 def test_modadd_requires_headroom():
     ctx = MontgomeryContext.create(7, 3, lane_width=3)   # forced: no headroom
     arr = Subarray(32, 32)
-    rm = default_rowmap(32, ctx, b_row=B_ROW)
+    rm = default_rowmap(32, ctx.lane_width, b_row=B_ROW)
     load_constants(arr, rm, ctx)
     with pytest.raises(ParameterError):
         bp_modadd(arr, rm, 1, 2, ctx)
@@ -238,7 +251,7 @@ def test_data_dependent_mode_matches_deterministic():
     for _ in range(10):
         a, b = rng.randrange(modulus), rng.randrange(modulus)
         arr = Subarray(32, 32)
-        rm = default_rowmap(32, ctx, b_row=B_ROW)
+        rm = default_rowmap(32, ctx.lane_width, b_row=B_ROW)
         load_constants(arr, rm, ctx)
         lane = ctx.lane_width
         arr.write_row(1, broadcast_word(a, lane, arr.cols))

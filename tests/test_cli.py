@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 from sramntt.cli import RunConfig, cmd_trace_replay, main
-from sramntt.perf import CSV_HEADER
+from sramntt.perf import CSV_HEADER, CostModel, sweep_order, sweep_to_csv
 
 
 def run_cli(args):
@@ -82,6 +84,21 @@ def test_replay_missing_file():
     assert run_cli(["trace-replay", "/no/trace", "/no/state"]) == 5
 
 
+@pytest.mark.parametrize("line,rows", [
+    ("0 WRITEBACK 99", 8),          # row outside the 8-row state
+    ("0 SHIFT UP GLOBAL", 8),       # no such shift direction
+    ("0 ACTIVATE2 0 1 NAND", 8),    # no such logic mode
+    ("0 WRITEBACK 0", 4),           # state smaller than any subarray
+])
+def test_replay_unexecutable_trace_is_io_error(tmp_path, capsys, line, rows):
+    trace = tmp_path / "bad.trace"
+    state = tmp_path / "bad.state"
+    trace.write_text(line + "\n")
+    state.write_text(json.dumps({"rows": rows, "cols": 8, "latch": "0", "cells": ["0"] * rows}))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 5
+    assert "does not replay" in capsys.readouterr().err
+
+
 def test_sweep_bitwidth_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--vary", "bitwidth", "--order", "256",
@@ -91,14 +108,12 @@ def test_sweep_bitwidth_csv(tmp_path):
     assert len(lines) == 1 + 63                        # widths 2..64
 
 
-def test_sweep_order_csv_matches_serial_with_jobs(tmp_path):
-    out1 = tmp_path / "o1.csv"
-    out2 = tmp_path / "o2.csv"
+def test_sweep_order_csv(tmp_path):
+    out = tmp_path / "orders.csv"
     assert run_cli(["sweep", "--vary", "order", "--width", "16",
-                    "--out", str(out1)]) == 0
-    assert run_cli(["sweep", "--vary", "order", "--width", "16",
-                    "--jobs", "4", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+                    "--out", str(out)]) == 0
+    orders = [1 << k for k in range(2, 13)]           # 4..4096
+    assert out.read_text() == sweep_to_csv(sweep_order(16, orders, 256, 256, CostModel()))
 
 
 def test_run_data_dependent_mode(tmp_path):
@@ -147,6 +162,16 @@ def test_run_input_files(tmp_path):
     bad.write_text(json.dumps(a[:-1]))
     assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",
                     "--cols", "64", "--input-a", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("element", [1.9, 2.0, -3, 257, True, False, "5", None, [1]])
+@pytest.mark.parametrize("flag", ["--input-a", "--input-b"])
+def test_run_rejects_non_residue_inputs(tmp_path, capsys, flag, element):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps([element, 1, 2, 3, 4, 5, 6, 7]))
+    assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",
+                    "--cols", "64", "--mode", "forward", flag, str(poly)]) == 2
+    assert "not an integer residue" in capsys.readouterr().err
 
 
 def test_preset_table_is_consistent():

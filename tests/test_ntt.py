@@ -39,6 +39,28 @@ def test_find_roots_smallest_and_deterministic():
     assert find_roots(257, 4) == find_roots(257, 4)
 
 
+def linear_scan_psi(q, order):
+    """The definition of psi, scanned the slow way: the least root of x^order = -1."""
+    return next(x for x in range(2, q) if pow(x, order, q) == q - 1)
+
+
+@pytest.mark.parametrize("q", [257, 7681, 12289, 8380417])
+def test_find_roots_equals_linear_scan(q):
+    orders = [1 << k for k in range(1, 9) if (q - 1) % (1 << (k + 1)) == 0]
+    assert orders
+    for order in orders:
+        psi, omega = find_roots(q, order)
+        assert psi == linear_scan_psi(q, order), order
+        assert omega == psi * psi % q
+
+
+def test_find_roots_large_prime_is_fast():
+    q = 18014398509404161                    # 54-bit prime, 4096 | q - 1
+    ring = RingParams.create(q, 2048)
+    assert pow(ring.psi, 2048, q) == q - 1
+    assert ring.omega == ring.psi * ring.psi % q
+
+
 def test_twiddle_table_shape_and_scaling():
     ring = RingParams.create(257, 4)
     ctx = MontgomeryContext.create(ring.q, ring.width)

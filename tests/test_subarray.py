@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sramntt.errors import AddressError, DimensionError, TileGeometryError
+from sramntt.errors import AddressError, DimensionError, TileGeometryError, TraceIOError
 from sramntt.subarray import (
     AND,
     GLOBAL,
@@ -189,19 +189,14 @@ def test_trace_grammar_roundtrip():
     assert twin.same_state(arr)
 
 
+def test_parse_rejects_unknown_shift_scope():
+    assert parse_trace("0 SHIFT LEFT GLOBAL\n") == [("SHIFT", LEFT, GLOBAL, 0, 0)]
+    with pytest.raises(TraceIOError):
+        parse_trace("0 SHIFT LEFT BOGUS\n")
+
+
 def test_bits_helpers():
     assert bits_from_list([1, 0, 1]) == 0b101
     assert bits_to_list(0b101, 4) == [1, 0, 1, 0]
     with pytest.raises(AddressError):
         bits_from_list([2])
-
-
-def test_microop_view():
-    from sramntt.subarray import MicroOp, microop_view
-    arr = create_subarray(8, 8)
-    arr.write_row(0, 3)
-    arr.write_row(1, 5)
-    arr.activate_pair(0, 1, XOR)
-    ops = [microop_view(op) for op in arr.trace]
-    assert ops[-1] == MicroOp(kind="ACTIVATE2", args=(0, 1, XOR))
-    assert all(op.cycle_cost == 1 for op in ops)
