@@ -15,14 +15,15 @@ stays below 2M <= 2**lane, which makes three invariants provable:
 * the half-sum's low bit is 0 before every right shift (Montgomery parity),
 * therefore every bit a global shift pushes across a tile edge is 0.
 
-``DirectEmitter`` checks the first two before every data shift it executes.
+Compiled streams mark their data shifts with the first two, and
+``subarray.execute`` checks each mark before the shift runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AddressError, ObservationError, ParameterError, TileGeometryError
+from .errors import AddressError, ParameterError, TileGeometryError
 from .subarray import (
     ACTIVATE2,
     AND,
@@ -35,16 +36,8 @@ from .subarray import (
     WRITEBACK,
     XOR,
     Subarray,
+    execute,
 )
-
-
-def full_tile_edges(cols: int, lane: int) -> tuple[int, int]:
-    """LSB/MSB column masks of the full lanes only (remainder zone excluded)."""
-    lsb = msb = 0
-    for t in range(cols // lane):
-        lsb |= 1 << (t * lane)
-        msb |= 1 << (t * lane + lane - 1)
-    return lsb, msb
 
 
 @dataclass(frozen=True)
@@ -135,16 +128,50 @@ class RowMap:
 
 @dataclass
 class CommandStream:
-    """Compiled micro-op sequence for one multiplication by the constant A.
+    """Compiled micro-op sequence, such as one multiplication by the constant A.
 
     obs_marks maps the index of each data shift to the edge it must find zero
     ("msb" or "lsb"); step_marks pairs the index of each figure step's last op
-    with its (iteration, step) tag.  Count the ops with ``perf.counts_of_trace``.
+    with its (iteration, step) tag.  A stream compiled with operand
+    placeholders (the negative rows -1, -2, ... for operands 0, 1, ...) lists
+    the ops that name one in `holes`; ``bind`` puts real rows in.  Count the
+    ops with ``perf.counts_of_trace``.
     """
 
     ops: list[tuple]
     obs_marks: dict[int, str] = field(default_factory=dict)
     step_marks: list[tuple[int, tuple]] = field(default_factory=list)
+    holes: list[int] = field(default_factory=list)
+
+    def bind(self, rows) -> list[tuple]:
+        """The ops with placeholder ~k replaced by rows[k]; other ops are shared."""
+        if not self.holes:
+            return self.ops
+        ops = self.ops.copy()
+        for i in self.holes:
+            op = ops[i]
+            if op[0] == WRITEBACK:
+                ops[i] = (WRITEBACK, rows[~op[1]])
+            else:
+                a, b = op[1], op[2]
+                ops[i] = (ACTIVATE2, rows[~a] if a < 0 else a, rows[~b] if b < 0 else b, op[3])
+        return ops
+
+    @classmethod
+    def join(cls, streams) -> "CommandStream":
+        """One stream running `streams` back to back."""
+        out = cls(ops=[])
+        for s in streams:
+            base = len(out.ops)
+            out.ops += s.ops
+            out.obs_marks.update((base + i, edge) for i, edge in s.obs_marks.items())
+            out.step_marks += [(base + i, tag) for i, tag in s.step_marks]
+            out.holes += [base + i for i in s.holes]
+        return out
+
+
+# operand placeholders of compiled primitives: operand k is row ~k
+_OPERANDS = (-1, -2, -3)
 
 
 # -- constants setup --------------------------------------------------------
@@ -210,23 +237,30 @@ def default_rowmap(arr_rows: int, tile_width: int, b_row: int | None = None) -> 
 # -- emitters ---------------------------------------------------------------
 
 class DirectEmitter:
-    """Executes micro-ops on a subarray as they are emitted (array records the trace)."""
+    """Executes emitted micro-ops on a subarray (the array records the trace).
 
-    __slots__ = ("arr", "rm", "policy", "_full_lsb", "_full_msb", "step_callback")
+    An emitter without a step callback keeps `programs`: each primitive that
+    has no zero test compiled once, with its operand rows as placeholders,
+    then bound and run through ``subarray.execute`` at every call.  The
+    programs belong to this emitter and die with it.  Zero-test loops
+    (data-dependent mode), and every op of an emitter with a step callback
+    (`programs` is None), execute one op at a time as they are emitted.
+    """
+
+    __slots__ = ("arr", "rm", "policy", "step_callback", "programs")
 
     def __init__(self, arr: Subarray, rm: RowMap, policy: ExecPolicy, step_callback=None):
         self.arr = arr
         self.rm = rm
         self.policy = policy
         self.step_callback = step_callback
-        # Edge masks over full tiles only; the partial remainder zone holds no data.
-        self._full_lsb, self._full_msb = full_tile_edges(arr.cols, rm.tile_width)
+        self.programs: dict | None = {} if step_callback is None else None
 
     def act(self, a: int, b: int, mode: str) -> None:
-        self.arr.activate_pair(a, b, mode)
+        execute(self.arr, ((ACTIVATE2, a, b, mode),))
 
     def wb(self, row: int) -> None:
-        self.arr.latch_writeback(row)
+        execute(self.arr, ((WRITEBACK, row),))
 
     def shift_data(self, direction: str, obs: str | None = None) -> None:
         """Arithmetic 1-bit shift; global unless the policy masks everything.
@@ -234,20 +268,12 @@ class DirectEmitter:
         obs names the lane edge the carry-save invariants promise is zero in
         the latch; a live bit there raises ObservationError before the shift.
         """
-        if obs is not None:
-            latch = self.arr.latch
-            if obs == "msb" and latch & self._full_msb:
-                raise ObservationError("carry word has a live top bit before a left shift")
-            if obs == "lsb" and latch & self._full_lsb:
-                raise ObservationError("half-sum has a live low bit before a right shift")
-        if self.policy.tile_scope_all:
-            self.arr.shift_latch(direction, TILE, self.rm.tile_width, self.rm.tile_origin)
-        else:
-            self.arr.shift_latch(direction, GLOBAL)
+        op = _data_shift(self.policy, self.rm, direction)
+        execute(self.arr, (op,), {0: obs} if obs else None, self.rm.tile_width)
 
     def shift_mask(self, direction: str) -> None:
         """Predication-mask smear shift; always tile-masked."""
-        self.arr.shift_latch(direction, TILE, self.rm.tile_width, self.rm.tile_origin)
+        execute(self.arr, ((SHIFT, direction, TILE, self.rm.tile_width, self.rm.tile_origin),))
 
     def ztest(self) -> bool:
         return self.arr.latch_is_zero()
@@ -256,11 +282,27 @@ class DirectEmitter:
         if self.step_callback is not None:
             self.step_callback(tag, self.arr)
 
+    def compiled(self, body, rm: RowMap, operands: int, *static) -> CommandStream:
+        """body(E, rm, *placeholders, *static) compiled once for this emitter."""
+        key = (body, rm, static)
+        stream = self.programs.get(key)
+        if stream is None:
+            C = CollectEmitter(rm, self.policy)
+            body(C, rm, *_OPERANDS[:operands], *static)
+            stream = self.programs[key] = C.stream()
+        return stream
+
+    def run(self, stream: CommandStream, rows=()) -> None:
+        """Execute a compiled stream with its operand placeholders bound to `rows`."""
+        execute(self.arr, stream.bind(rows), stream.obs_marks, self.rm.tile_width)
+
 
 class CollectEmitter:
     """Builds a CommandStream instead of touching an array (deterministic flows only)."""
 
     __slots__ = ("rm", "policy", "ops", "obs_marks", "step_marks")
+
+    programs = None                 # it compiles; it never runs compiled programs
 
     def __init__(self, rm: RowMap, policy: ExecPolicy):
         self.rm = rm
@@ -278,10 +320,7 @@ class CollectEmitter:
     def shift_data(self, direction: str, obs: str | None = None) -> None:
         if obs is not None:
             self.obs_marks[len(self.ops)] = obs
-        if self.policy.tile_scope_all:
-            self.ops.append((SHIFT, direction, TILE, self.rm.tile_width, self.rm.tile_origin))
-        else:
-            self.ops.append((SHIFT, direction, GLOBAL, 0, 0))
+        self.ops.append(_data_shift(self.policy, self.rm, direction))
 
     def shift_mask(self, direction: str) -> None:
         self.ops.append((SHIFT, direction, TILE, self.rm.tile_width, self.rm.tile_origin))
@@ -291,6 +330,20 @@ class CollectEmitter:
 
     def step(self, tag: tuple) -> None:
         self.step_marks.append((len(self.ops) - 1, tag))
+
+    def stream(self) -> CommandStream:
+        """The ops collected so far, with the indices of those naming a placeholder."""
+        holes = [i for i, op in enumerate(self.ops)
+                 if op[0] == WRITEBACK and op[1] < 0
+                 or op[0] == ACTIVATE2 and (op[1] < 0 or op[2] < 0)]
+        return CommandStream(ops=self.ops, obs_marks=self.obs_marks,
+                             step_marks=self.step_marks, holes=holes)
+
+
+def _data_shift(policy: ExecPolicy, rm: RowMap, direction: str) -> tuple:
+    if policy.tile_scope_all:
+        return (SHIFT, direction, TILE, rm.tile_width, rm.tile_origin)
+    return (SHIFT, direction, GLOBAL, 0, 0)
 
 
 # -- micro-op sequences ------------------------------------------------------
@@ -336,52 +389,80 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = Non
     followed by the m-selection and halving block.  Invariant between
     iterations: the last writeback was Carry, so the latch already holds the
     word the next left shift needs.
+
+    An emitter with programs compiles each block once, joins the blocks once
+    per constant and binds b_row at run time, so a constant used once costs
+    a join, not a compilation.
     """
     if b_row is None:
         b_row = rm.b_row
     if b_row is None:
         raise AddressError("no multiplicand row bound")
+    if E.programs is None:
+        _modmul_prologue(E, rm)
+        for i in range(width):
+            if (a_value >> i) & 1:
+                _modmul_add_b(E, rm, b_row, i)
+            _modmul_halve(E, rm, i)
+        return
+    key = (emit_modmul, rm, a_value, width)
+    stream = E.programs.get(key)
+    if stream is None:
+        blocks = [E.compiled(_modmul_prologue, rm, 0)]
+        for i in range(width):
+            if (a_value >> i) & 1:
+                blocks.append(E.compiled(_modmul_add_b, rm, 1, i))
+            blocks.append(E.compiled(_modmul_halve, rm, 0, i))
+        stream = E.programs[key] = CommandStream.join(blocks)
+    E.run(stream, (b_row,))
+
+
+def _modmul_prologue(E, rm: RowMap) -> None:
     E.act(rm.zeros, rm.ones, AND)
     E.wb(rm.sum_row)
     E.wb(rm.carry_row)
-    for i in range(width):
-        if (a_value >> i) & 1:
-            E.shift_data(LEFT, obs="msb")      # Carry << 1
-            E.wb(rm.carry_row)
-            E.act(rm.sum_row, b_row, AND)      # c1
-            E.wb(rm.aux1)
-            E.act(rm.sum_row, b_row, XOR)      # s1
-            E.wb(rm.aux2)
-            E.step((i, 1))
-            E.act(rm.carry_row, rm.aux2, AND)  # c2
-            E.wb(rm.aux3)
-            E.act(rm.carry_row, rm.aux2, XOR)  # Sum
-            E.wb(rm.sum_row)
-            E.step((i, 2))
-            E.act(rm.aux1, rm.aux3, OR)        # Carry = c1 | c2
-            E.wb(rm.carry_row)
-            E.step((i, 3))
-        emit_select_m(E, rm)
-        E.act(rm.sum_row, rm.mask_row, AND)    # c1
-        E.wb(rm.aux1)
-        E.act(rm.sum_row, rm.mask_row, XOR)    # s1
-        E.wb(rm.aux2)
-        E.shift_data(RIGHT, obs="lsb")         # s1 >> 1
-        E.wb(rm.aux2)
-        E.step((i, 4))
-        E.act(rm.aux2, rm.aux1, AND)           # c2
-        E.wb(rm.aux3)
-        E.act(rm.aux2, rm.aux1, XOR)           # s2 (c1's row is free)
-        E.wb(rm.aux1)
-        E.step((i, 5))
-        E.act(rm.carry_row, rm.aux1, AND)      # c3 (s1's row is free)
-        E.wb(rm.aux2)
-        E.act(rm.carry_row, rm.aux1, XOR)      # Sum
-        E.wb(rm.sum_row)
-        E.step((i, 6))
-        E.act(rm.aux3, rm.aux2, OR)            # Carry = c2 | c3
-        E.wb(rm.carry_row)
-        E.step((i, 7))
+
+
+def _modmul_add_b(E, rm: RowMap, b_row: int, i: int) -> None:
+    E.shift_data(LEFT, obs="msb")      # Carry << 1
+    E.wb(rm.carry_row)
+    E.act(rm.sum_row, b_row, AND)      # c1
+    E.wb(rm.aux1)
+    E.act(rm.sum_row, b_row, XOR)      # s1
+    E.wb(rm.aux2)
+    E.step((i, 1))
+    E.act(rm.carry_row, rm.aux2, AND)  # c2
+    E.wb(rm.aux3)
+    E.act(rm.carry_row, rm.aux2, XOR)  # Sum
+    E.wb(rm.sum_row)
+    E.step((i, 2))
+    E.act(rm.aux1, rm.aux3, OR)        # Carry = c1 | c2
+    E.wb(rm.carry_row)
+    E.step((i, 3))
+
+
+def _modmul_halve(E, rm: RowMap, i: int) -> None:
+    emit_select_m(E, rm)
+    E.act(rm.sum_row, rm.mask_row, AND)    # c1
+    E.wb(rm.aux1)
+    E.act(rm.sum_row, rm.mask_row, XOR)    # s1
+    E.wb(rm.aux2)
+    E.shift_data(RIGHT, obs="lsb")         # s1 >> 1
+    E.wb(rm.aux2)
+    E.step((i, 4))
+    E.act(rm.aux2, rm.aux1, AND)           # c2
+    E.wb(rm.aux3)
+    E.act(rm.aux2, rm.aux1, XOR)           # s2 (c1's row is free)
+    E.wb(rm.aux1)
+    E.step((i, 5))
+    E.act(rm.carry_row, rm.aux1, AND)      # c3 (s1's row is free)
+    E.wb(rm.aux2)
+    E.act(rm.carry_row, rm.aux1, XOR)      # Sum
+    E.wb(rm.sum_row)
+    E.step((i, 6))
+    E.act(rm.aux3, rm.aux2, OR)            # Carry = c2 | c3
+    E.wb(rm.carry_row)
+    E.step((i, 7))
 
 
 def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
@@ -478,6 +559,13 @@ def emit_resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> No
     unambiguous sign bit thanks to the headroom column, and a smeared sign
     mask selects t (u negative) or u.
     """
+    if deterministic and E.programs is not None:
+        E.run(E.compiled(_resolve, rm, 1), (dest_row,))
+    else:
+        _resolve(E, rm, dest_row, deterministic)
+
+
+def _resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> None:
     E.shift_data(LEFT, obs="msb")              # Carry << 1, provably lossless
     E.wb(rm.carry_row)
     emit_add(E, rm, rm.sum_row, rm.carry_row, rm.aux1,
@@ -493,6 +581,14 @@ def emit_resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> No
 def emit_modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
                 pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
     """dest := (a + b) mod M.  Needs the headroom bit (M < 2^(lane-1))."""
+    if deterministic and E.programs is not None:
+        E.run(E.compiled(_modadd, rm, 3, pool), (a_row, b_row, dest_row))
+    else:
+        _modadd(E, rm, a_row, b_row, dest_row, pool, deterministic)
+
+
+def _modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
+            pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
     t_row, u_row, l_row, tmp, cs = pool
     emit_add(E, rm, a_row, b_row, t_row, u_row, l_row, cs, deterministic)
     emit_add(E, rm, t_row, rm.neg_modulus_row, u_row, l_row, tmp, cs, deterministic)
@@ -505,6 +601,14 @@ def emit_modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
 def emit_modsub(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
                 pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
     """dest := (a - b) mod M via two's complement; conditional +M by sign mask."""
+    if deterministic and E.programs is not None:
+        E.run(E.compiled(_modsub, rm, 3, pool), (a_row, b_row, dest_row))
+    else:
+        _modsub(E, rm, a_row, b_row, dest_row, pool, deterministic)
+
+
+def _modsub(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
+            pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
     p1, p2, p3, p4, p5 = pool
     E.act(b_row, rm.ones, XOR)                         # ~b within the lane
     E.wb(p1)
@@ -532,7 +636,7 @@ def compile_twiddle_commands(a_value: int, ctx: MontgomeryContext, rm: RowMap,
     rm.validate()
     E = CollectEmitter(rm, policy)
     emit_modmul(E, rm, a_value, ctx.width, b_row)
-    return CommandStream(ops=E.ops, obs_marks=E.obs_marks, step_marks=E.step_marks)
+    return E.stream()
 
 
 def select_m(arr: Subarray, rm: RowMap, policy: ExecPolicy = ExecPolicy()) -> int:

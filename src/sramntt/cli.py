@@ -231,6 +231,9 @@ def cmd_trace_replay(trace_path: str, state_path: str) -> int:
         want_latch = int(state["latch"], 16)
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceIOError(f"malformed state file {state_path}") from exc
+    if len(want_cells) != rows:
+        raise TraceIOError(f"malformed state file {state_path}: "
+                           f"{len(want_cells)} cells for {rows} rows")
     try:
         arr = replay(ops, rows, cols)
     except (AddressError, DimensionError, TileGeometryError) as exc:

@@ -15,6 +15,7 @@ a residency-only bookkeeping loop.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .bitparallel import (
@@ -122,19 +123,20 @@ def add_counts(into: dict, other: dict, times: int = 1) -> None:
 
 
 def counts_of_trace(trace) -> dict:
+    """Tally a trace by kind and shift scope; each distinct op is classified once."""
     counts = empty_counts()
-    for op in trace:
+    for op, n in Counter(trace).items():
         kind = op[0]
         if kind not in counts:
             raise ParameterError(f"unknown micro-op kind {kind!r}")
-        counts[kind] += 1
+        counts[kind] += n
         if kind == SHIFT:
             if op[2] == GLOBAL:
-                counts["SHIFT_GLOBAL"] += 1
+                counts["SHIFT_GLOBAL"] += n
             elif op[2] == TILE:
-                counts["SHIFT_TILE"] += 1
+                counts["SHIFT_TILE"] += n
             else:
-                counts["SHIFT_ALIGN"] += 1
+                counts["SHIFT_ALIGN"] += n
     return counts
 
 

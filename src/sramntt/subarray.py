@@ -21,7 +21,13 @@ The serialized trace is line oriented: ``<seq> <KIND> <args...>``.
 
 from __future__ import annotations
 
-from .errors import AddressError, DimensionError, TileGeometryError, TraceIOError
+from .errors import (
+    AddressError,
+    DimensionError,
+    ObservationError,
+    TileGeometryError,
+    TraceIOError,
+)
 
 WRITE_ROW = "WRITE_ROW"
 ACTIVATE2 = "ACTIVATE2"
@@ -44,25 +50,32 @@ MIN_ROWS = 8
 MIN_COLS = 4
 
 
-def _tile_edge_masks(cols: int, width: int, origin: int) -> tuple[int, int]:
-    """Bit masks of every tile's lowest column and highest column.
+def _tile_edge_masks(span: int, width: int, origin: int = 0) -> tuple[int, int]:
+    """Bit masks of every tile's lowest column and highest column in [0, span).
 
-    Tiles of `width` columns start at `origin` and repeat up to `cols`; a
-    final partial tile covers any remainder so the whole latch is masked.
+    Tiles of `width` columns start at `origin` and repeat up to `span`; a
+    final partial tile covers any remainder.  A tile-scoped shift takes the
+    whole latch (span = cols), so the remainder is masked too; the
+    observation check takes the full lanes only (span = cols - cols % width),
+    because the partial remainder zone holds no data.
     """
     if width < 2:
         raise TileGeometryError(f"tile width must be >= 2, got {width}")
-    if not 0 <= origin < cols:
-        raise TileGeometryError(f"tile origin {origin} outside [0,{cols})")
+    if not 0 <= origin < max(span, 1):
+        raise TileGeometryError(f"tile origin {origin} outside [0,{span})")
     lsb = 0
     msb = 0
     start = origin
-    while start < cols:
-        end = min(start + width, cols)
+    while start < span:
+        end = min(start + width, span)
         lsb |= 1 << start
         msb |= 1 << (end - 1)
         start = end
     return lsb, msb
+
+
+# ZERO_TEST records its readout: index by `latch == 0`
+_ZERO_TESTS = ((ZERO_TEST, 0), (ZERO_TEST, 1))
 
 
 class Subarray:
@@ -81,7 +94,7 @@ class Subarray:
         self.cells = [0] * rows
         self.latch = 0
         self.trace: list[tuple] | None = [] if record else None
-        self._edge_cache: dict[tuple[int, int], tuple[int, int]] = {}
+        self._edge_cache: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     # -- addressing ------------------------------------------------------
 
@@ -89,11 +102,13 @@ class Subarray:
         if not 0 <= addr < self.rows:
             raise AddressError(f"row {addr} outside [0,{self.rows})")
 
-    def tile_edges(self, width: int, origin: int = 0) -> tuple[int, int]:
-        key = (width, origin)
+    def tile_edges(self, width: int, origin: int = 0,
+                   span: int | None = None) -> tuple[int, int]:
+        """Edge masks of the tiles in the first `span` columns (default: all)."""
+        key = (self.cols if span is None else span, width, origin)
         masks = self._edge_cache.get(key)
         if masks is None:
-            masks = _tile_edge_masks(self.cols, width, origin)
+            masks = _tile_edge_masks(*key)
             self._edge_cache[key] = masks
         return masks
 
@@ -101,12 +116,7 @@ class Subarray:
 
     def write_row(self, addr: int, bits: int) -> None:
         """Host write of a full row (normal cache store path)."""
-        self._check_addr(addr)
-        if not 0 <= bits <= self.colmask:
-            raise AddressError(f"row value wider than {self.cols} columns")
-        self.cells[addr] = bits
-        if self.trace is not None:
-            self.trace.append((WRITE_ROW, addr, bits))
+        execute(self, ((WRITE_ROW, addr, bits),))
 
     def read_row(self, addr: int) -> int:
         """Host read; non-destructive and not traced (no array state changes)."""
@@ -115,24 +125,7 @@ class Subarray:
 
     def activate_pair(self, a: int, b: int, mode: str) -> None:
         """Activate rows a and b together; the latch captures mode(a, b) per column."""
-        self._check_addr(a)
-        self._check_addr(b)
-        if a == b:
-            raise AddressError(f"activate_pair needs two distinct rows, got {a} twice")
-        ra = self.cells[a]
-        rb = self.cells[b]
-        if mode == AND:
-            self.latch = ra & rb
-        elif mode == XOR:
-            self.latch = ra ^ rb
-        elif mode == OR:
-            self.latch = ra | rb
-        elif mode == NOR:
-            self.latch = ~(ra | rb) & self.colmask
-        else:
-            raise AddressError(f"unknown logic mode {mode!r}")
-        if self.trace is not None:
-            self.trace.append((ACTIVATE2, a, b, mode))
+        execute(self, ((ACTIVATE2, a, b, mode),))
 
     def shift_latch(
         self,
@@ -142,39 +135,16 @@ class Subarray:
         tile_origin: int = 0,
     ) -> None:
         """Move every latch bit one column; zero fill at array (or tile) edges."""
-        if scope == GLOBAL:
-            if direction == LEFT:
-                self.latch = (self.latch << 1) & self.colmask
-            elif direction == RIGHT:
-                self.latch >>= 1
-            else:
-                raise TileGeometryError(f"unknown shift direction {direction!r}")
-        elif scope == TILE:
-            lsb, msb = self.tile_edges(tile_width, tile_origin)
-            if direction == LEFT:
-                self.latch = ((self.latch << 1) & self.colmask) & ~lsb
-            elif direction == RIGHT:
-                self.latch = (self.latch >> 1) & ~msb
-            else:
-                raise TileGeometryError(f"unknown shift direction {direction!r}")
-        else:
-            raise TileGeometryError(f"unknown shift scope {scope!r}")
-        if self.trace is not None:
-            self.trace.append((SHIFT, direction, scope, tile_width, tile_origin))
+        execute(self, ((SHIFT, direction, scope, tile_width, tile_origin),))
 
     def latch_writeback(self, addr: int) -> None:
         """Drive the latch back into a row; the latch keeps its value."""
-        self._check_addr(addr)
-        self.cells[addr] = self.latch
-        if self.trace is not None:
-            self.trace.append((WRITEBACK, addr))
+        execute(self, ((WRITEBACK, addr),))
 
     def latch_is_zero(self) -> bool:
         """Wired-OR readout of the latch; used as a carry-loop termination test."""
-        result = self.latch == 0
-        if self.trace is not None:
-            self.trace.append((ZERO_TEST, 1 if result else 0))
-        return result
+        execute(self, ((ZERO_TEST, 0),))       # records the readout it makes
+        return self.latch == 0
 
     # -- state helpers ---------------------------------------------------
 
@@ -195,30 +165,116 @@ def create_subarray(rows: int, cols: int, record: bool = True) -> Subarray:
     return Subarray(rows, cols, record=record)
 
 
+# -- the executor -----------------------------------------------------------
+
+def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
+            lane: int = 0) -> None:
+    """Run op tuples against the grid and latch: the one definition of the micro-ops.
+
+    Every op is checked before it acts: rows in range, two distinct
+    activation rows, a known mode, direction and scope, and the tile
+    geometry of a tile-scoped shift.  obs_marks maps the index of a shift to
+    the lane edge ("msb" or "lsb") the carry-save invariants promise is zero
+    in the latch; the check runs before that shift, whatever its scope, over
+    the full lanes of `lane` columns.  Each executed op is appended to the
+    trace as the same tuple object, except that a ZERO_TEST records the
+    readout it actually made.
+    """
+    cells = arr.cells
+    nrows = arr.rows
+    colmask = arr.colmask
+    latch = arr.latch
+    trace = arr.trace
+    geometry = None                # (width, origin) of the tile masks in hand
+    lsb = msb = 0
+    try:
+        for i, op in enumerate(ops):
+            kind = op[0]
+            if kind == WRITEBACK:
+                row = op[1]
+                if not 0 <= row < nrows:
+                    raise AddressError(f"row {row} outside [0,{nrows})")
+                cells[row] = latch
+            elif kind == ACTIVATE2:
+                _, a, b, mode = op
+                if not 0 <= a < nrows or not 0 <= b < nrows or a == b:
+                    _bad_pair(nrows, a, b)
+                if mode == AND:
+                    latch = cells[a] & cells[b]
+                elif mode == XOR:
+                    latch = cells[a] ^ cells[b]
+                elif mode == OR:
+                    latch = cells[a] | cells[b]
+                elif mode == NOR:
+                    latch = ~(cells[a] | cells[b]) & colmask
+                else:
+                    raise AddressError(f"unknown logic mode {mode!r}")
+            elif kind == SHIFT:
+                _, direction, scope, width, origin = op
+                if obs_marks and i in obs_marks:
+                    _check_edge(arr, latch, obs_marks[i], lane)
+                if scope == GLOBAL:
+                    if direction == LEFT:
+                        latch = (latch << 1) & colmask
+                    elif direction == RIGHT:
+                        latch >>= 1
+                    else:
+                        raise TileGeometryError(f"unknown shift direction {direction!r}")
+                elif scope == TILE:
+                    if geometry != (width, origin):
+                        lsb, msb = arr.tile_edges(width, origin)
+                        geometry = (width, origin)
+                    if direction == LEFT:
+                        latch = (latch << 1) & colmask & ~lsb
+                    elif direction == RIGHT:
+                        latch = (latch >> 1) & ~msb
+                    else:
+                        raise TileGeometryError(f"unknown shift direction {direction!r}")
+                else:
+                    raise TileGeometryError(f"unknown shift scope {scope!r}")
+            elif kind == WRITE_ROW:
+                _, row, bits = op
+                if not 0 <= row < nrows:
+                    raise AddressError(f"row {row} outside [0,{nrows})")
+                if not 0 <= bits <= colmask:
+                    raise AddressError(f"row value wider than {arr.cols} columns")
+                cells[row] = bits
+            elif kind == ZERO_TEST:
+                op = _ZERO_TESTS[latch == 0]
+            else:
+                raise TraceIOError(f"unknown micro-op kind {kind!r}")
+            if trace is not None:
+                trace.append(op)
+    finally:
+        arr.latch = latch
+
+
+def _bad_pair(nrows: int, a: int, b: int) -> None:
+    for row in (a, b):
+        if not 0 <= row < nrows:
+            raise AddressError(f"row {row} outside [0,{nrows})")
+    raise AddressError(f"activate_pair needs two distinct rows, got {a} twice")
+
+
+def _check_edge(arr: Subarray, latch: int, edge: str, lane: int) -> None:
+    lsb, msb = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
+    if edge == "msb" and latch & msb:
+        raise ObservationError("carry word has a live top bit before a left shift")
+    if edge == "lsb" and latch & lsb:
+        raise ObservationError("half-sum has a live low bit before a right shift")
+
+
 # -- replay and serialization ---------------------------------------------
 
 def apply_op(arr: Subarray, op: tuple) -> None:
-    """Re-execute one trace tuple through the ordinary micro-op methods."""
-    kind = op[0]
-    if kind == ACTIVATE2:
-        arr.activate_pair(op[1], op[2], op[3])
-    elif kind == WRITEBACK:
-        arr.latch_writeback(op[1])
-    elif kind == SHIFT:
-        arr.shift_latch(op[1], op[2], op[3], op[4])
-    elif kind == WRITE_ROW:
-        arr.write_row(op[1], op[2])
-    elif kind == ZERO_TEST:
-        arr.latch_is_zero()
-    else:
-        raise TraceIOError(f"unknown micro-op kind {kind!r}")
+    """Re-execute one trace tuple."""
+    execute(arr, (op,))
 
 
 def replay(ops, rows: int, cols: int) -> Subarray:
     """Pure-logic re-execution of a trace on a fresh grid."""
     arr = Subarray(rows, cols, record=False)
-    for op in ops:
-        apply_op(arr, op)
+    execute(arr, ops)
     return arr
 
 
@@ -247,28 +303,40 @@ def serialize_trace(trace, cols: int) -> str:
 
 
 def parse_trace_line(line: str) -> tuple:
+    """One trace line as an op tuple; a missing or an extra token is malformed."""
     parts = line.split()
-    if len(parts) < 2:
+    n = len(parts)
+    if n < 2:
         raise TraceIOError(f"malformed trace line: {line!r}")
     kind = parts[1]
     try:
-        if kind == WRITE_ROW:
-            return (WRITE_ROW, int(parts[2]), int(parts[3], 16))
-        if kind == ACTIVATE2:
-            return (ACTIVATE2, int(parts[2]), int(parts[3]), parts[4])
-        if kind == SHIFT:
-            if parts[3] == TILE:
-                return (SHIFT, parts[2], TILE, int(parts[4]), int(parts[5]))
-            if parts[3] == GLOBAL:
-                return (SHIFT, parts[2], GLOBAL, 0, 0)
-            raise TraceIOError(f"unknown shift scope {parts[3]!r} in line {line!r}")
         if kind == WRITEBACK:
-            return (WRITEBACK, int(parts[2]))
-        if kind == ZERO_TEST:
-            return (ZERO_TEST, int(parts[2]))
-    except (IndexError, ValueError) as exc:
+            if n == 3:
+                return (WRITEBACK, int(parts[2]))
+        elif kind == ACTIVATE2:
+            if n == 5:
+                return (ACTIVATE2, int(parts[2]), int(parts[3]), parts[4])
+        elif kind == SHIFT:
+            scope = parts[3] if n > 3 else None
+            if scope == GLOBAL:
+                if n == 4:
+                    return (SHIFT, parts[2], GLOBAL, 0, 0)
+            elif scope == TILE:
+                if n == 6:
+                    return (SHIFT, parts[2], TILE, int(parts[4]), int(parts[5]))
+            else:
+                raise TraceIOError(f"unknown shift scope {scope!r} in line {line!r}")
+        elif kind == WRITE_ROW:
+            if n == 4:
+                return (WRITE_ROW, int(parts[2]), int(parts[3], 16))
+        elif kind == ZERO_TEST:
+            if n == 3:
+                return (ZERO_TEST, int(parts[2]))
+        else:
+            raise TraceIOError(f"unknown micro-op kind {kind!r} in line {line!r}")
+    except ValueError as exc:
         raise TraceIOError(f"malformed trace line: {line!r}") from exc
-    raise TraceIOError(f"unknown micro-op kind {kind!r} in line {line!r}")
+    raise TraceIOError(f"malformed trace line: {line!r}")
 
 
 def parse_trace(text: str):

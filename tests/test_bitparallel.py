@@ -15,7 +15,9 @@ from sramntt.bitparallel import (
     broadcast_word,
     compile_twiddle_commands,
     default_rowmap,
+    emit_modadd,
     emit_modmul,
+    emit_modsub,
     emit_resolve,
     load_constants,
     pack_words,
@@ -149,6 +151,53 @@ def test_observation_check_fires_on_live_carry_top_bit():
         emit_resolve(DirectEmitter(arr, rm, ExecPolicy()), rm, rm.mask_row)
 
 
+@pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
+def test_observation_check_fires_on_live_half_sum_low_bit(policy):
+    """An even modulus row leaves the half-sum odd before the halving shift."""
+    ctx, arr, rm = fresh(7, 3)
+    lane = ctx.lane_width
+    arr.write_row(rm.modulus_row, broadcast_word(6, lane, arr.cols))
+    arr.write_row(B_ROW, broadcast_word(3, lane, arr.cols))   # Sum = 3 after bit 0 of A
+    E = DirectEmitter(arr, rm, policy)
+    with pytest.raises(ObservationError, match="low bit"):
+        emit_modmul(E, rm, 1, ctx.width)
+    assert E.programs                                 # the compiled path raised it
+
+
+@pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
+def test_compiled_primitives_run_the_emitted_ops(policy):
+    """Programs compiled once and bound at run time execute exactly the ops
+    that emitting one op at a time executes, aliased operands included."""
+    runs = []
+    for callback in (None, lambda tag, arr: None):    # a step callback runs op by op
+        ctx, arr, rm = fresh(7681, 16, cols=64)
+        rng = random.Random(8)
+        for row in (1, 2, 3):
+            arr.write_row(row, pack_words([rng.randrange(7681) for _ in range(4)],
+                                          ctx.lane_width, arr.cols))
+        E = DirectEmitter(arr, rm, policy, step_callback=callback)
+        pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
+        for a_row, b_row, twiddle in ((1, 2, 0xB5A3), (3, 1, 0x0F0F), (2, 3, 0xB5A3)):
+            emit_modmul(E, rm, twiddle, ctx.width, b_row=b_row)
+            emit_resolve(E, rm, rm.mask_row)
+            emit_modsub(E, rm, a_row, rm.mask_row, b_row, pool)
+            emit_modadd(E, rm, a_row, rm.mask_row, a_row, pool)
+        runs.append((arr.trace, arr.cells, arr.latch, E.programs))
+    assert runs[0][3] and runs[1][3] is None
+    assert runs[0][:3] == runs[1][:3]
+
+
+def test_joined_multiplier_equals_the_compiled_stream():
+    ctx, arr, rm = fresh(7681, 16)
+    E = DirectEmitter(arr, rm, ExecPolicy())
+    for a in (0, 1, 0xFFFF, 0xB5A3):
+        emit_modmul(E, rm, a, ctx.width, b_row=5)
+        joined = E.programs[(emit_modmul, rm, a, ctx.width)]
+        want = compile_twiddle_commands(a, ctx, rm, b_row=5)
+        assert joined.bind((5,)) == want.ops
+        assert (joined.obs_marks, joined.step_marks) == (want.obs_marks, want.step_marks)
+
+
 def test_select_m_per_tile():
     ctx, arr, rm = fresh(7, 3, cols=8)                # two 4-bit lanes (M=7 -> lane 4)
     lane = ctx.lane_width
@@ -277,11 +326,11 @@ def test_cross_tile_injection_is_zero():
     """Replaying a modmul trace, every global shift moves a 0 across lane edges."""
     bench = ModmulBench(251, 8, cols=64, record=True)
     rng = random.Random(17)
-    from sramntt.bitparallel import full_tile_edges
     from sramntt.subarray import LEFT
 
     bench.run(rng.randrange(256), [rng.randrange(251) for _ in range(bench.tiles)])
-    lsb_edges, msb_edges = full_tile_edges(bench.arr.cols, bench.lane)
+    cols = bench.arr.cols
+    lsb_edges, msb_edges = bench.arr.tile_edges(bench.lane, 0, cols - cols % bench.lane)
     twin = Subarray(bench.arr.rows, bench.arr.cols, record=False)
     from sramntt.subarray import apply_op
     for op in bench.arr.trace:

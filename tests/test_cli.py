@@ -99,6 +99,33 @@ def test_replay_unexecutable_trace_is_io_error(tmp_path, capsys, line, rows):
     assert "does not replay" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "0 WRITE_ROW 0 00 junk",
+    "0 ACTIVATE2 0 1 AND junk",
+    "0 SHIFT LEFT GLOBAL junk",
+    "0 SHIFT LEFT TILE 4 0 junk",
+    "0 WRITEBACK 0 junk",
+    "0 ZERO_TEST 1 junk",
+])
+def test_replay_rejects_trailing_tokens(tmp_path, capsys, line):
+    """Each line would replay to the all-zero state if its last token were dropped."""
+    trace = tmp_path / "junk.trace"
+    state = tmp_path / "zero.state"
+    trace.write_text(line + "\n")
+    state.write_text(json.dumps({"rows": 8, "cols": 8, "latch": "0", "cells": ["0"] * 8}))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 5
+    assert "malformed trace line" in capsys.readouterr().err
+
+
+def test_replay_rejects_short_state_file(tmp_path, capsys):
+    trace = tmp_path / "one.trace"
+    state = tmp_path / "short.state"
+    trace.write_text("0 WRITEBACK 0\n")
+    state.write_text(json.dumps({"rows": 8, "cols": 8, "latch": "0", "cells": ["0", "0", "0"]}))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 5
+    assert "malformed state file" in capsys.readouterr().err
+
+
 def test_sweep_bitwidth_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--vary", "bitwidth", "--order", "256",

@@ -6,7 +6,12 @@ import random
 import pytest
 
 from harness import paper_steps
-from sramntt.bitparallel import MontgomeryContext, compile_twiddle_commands, default_rowmap
+from sramntt.bitparallel import (
+    ExecPolicy,
+    MontgomeryContext,
+    compile_twiddle_commands,
+    default_rowmap,
+)
 from sramntt.errors import ParameterError
 from sramntt.ntt import RingParams, TransformUnit
 from sramntt.perf import (
@@ -14,6 +19,7 @@ from sramntt.perf import (
     CostModel,
     accumulate,
     counts_of_trace,
+    empty_counts,
     estimate_forward_ntt,
     shift_baseline_ratio,
     stats_from_counts,
@@ -21,12 +27,12 @@ from sramntt.perf import (
     sweep_order,
     sweep_to_csv,
 )
-from sramntt.subarray import ACTIVATE2, Subarray
+from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, Subarray
 
 
-def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0):
+def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0, policy=ExecPolicy()):
     ring = RingParams.create(q, order)
-    unit = TransformUnit(ring, rows, cols)
+    unit = TransformUnit(ring, rows, cols, policy)
     rng = random.Random(seed)
     polys = [[rng.randrange(q) for _ in range(order)]
              for _ in range(unit.layout.tiles)]
@@ -73,6 +79,37 @@ def test_energy_linearity():
     base = accumulate(unit.arr.trace, cost).energy_nj
     doubled = CostModel(energy_pj={k: 2 * v for k, v in cost.energy_pj.items()})
     assert accumulate(unit.arr.trace, doubled).energy_nj == pytest.approx(2 * base)
+
+
+def reference_counts(trace) -> dict:
+    """One pass over every op, classifying each as it comes."""
+    counts = empty_counts()
+    for op in trace:
+        kind = op[0]
+        if kind not in counts:
+            raise ParameterError(f"unknown micro-op kind {kind!r}")
+        counts[kind] += 1
+        if kind == SHIFT:
+            if op[2] == GLOBAL:
+                counts["SHIFT_GLOBAL"] += 1
+            elif op[2] == TILE:
+                counts["SHIFT_TILE"] += 1
+            else:
+                counts["SHIFT_ALIGN"] += 1
+    return counts
+
+
+def test_counts_of_trace_matches_the_reference_loop():
+    canonical = TransformUnit(RingParams.create(7681, 256, 16))    # the canonical forward
+    rng = random.Random(2024)
+    canonical.load_polynomials([[rng.randrange(7681) for _ in range(256)]
+                                for _ in range(canonical.layout.tiles)])
+    canonical.forward()
+    data_dependent = small_forward_unit(policy=ExecPolicy(deterministic=False))
+    assert reference_counts(data_dependent.arr.trace)["ZERO_TEST"] > 0
+    for trace in (canonical.arr.trace, data_dependent.arr.trace,
+                  [("SHIFT", "LEFT", "ALIGN", 0, 0)]):
+        assert counts_of_trace(trace) == reference_counts(trace)
 
 
 def test_unknown_kind_rejected():

@@ -4,19 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sramntt.errors import AddressError, DimensionError, TileGeometryError, TraceIOError
+from sramntt.errors import (
+    AddressError,
+    DimensionError,
+    SimError,
+    TileGeometryError,
+    TraceIOError,
+)
 from sramntt.subarray import (
+    ACTIVATE2,
     AND,
     GLOBAL,
     LEFT,
     NOR,
     OR,
     RIGHT,
+    SHIFT,
     TILE,
+    WRITE_ROW,
+    WRITEBACK,
     XOR,
+    ZERO_TEST,
+    Subarray,
+    _tile_edge_masks,
+    apply_op,
     bits_from_list,
     bits_to_list,
     create_subarray,
+    execute,
     parse_trace,
     replay,
     serialize_trace,
@@ -200,3 +215,182 @@ def test_bits_helpers():
     assert bits_to_list(0b101, 4) == [1, 0, 1, 0]
     with pytest.raises(AddressError):
         bits_from_list([2])
+
+
+# -- the executor against a reference interpreter ---------------------------
+
+class ReferenceSubarray:
+    """The micro-op semantics as separate per-op methods, one check at a time:
+    the reference the one executor loop is compared against."""
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = rows, cols
+        self.colmask = (1 << cols) - 1
+        self.cells = [0] * rows
+        self.latch = 0
+        self.trace = []
+
+    def check_addr(self, addr):
+        if not 0 <= addr < self.rows:
+            raise AddressError(f"row {addr} outside [0,{self.rows})")
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == ACTIVATE2:
+            a, b, mode = op[1], op[2], op[3]
+            self.check_addr(a)
+            self.check_addr(b)
+            if a == b:
+                raise AddressError("two distinct rows")
+            ra, rb = self.cells[a], self.cells[b]
+            if mode == AND:
+                self.latch = ra & rb
+            elif mode == XOR:
+                self.latch = ra ^ rb
+            elif mode == OR:
+                self.latch = ra | rb
+            elif mode == NOR:
+                self.latch = ~(ra | rb) & self.colmask
+            else:
+                raise AddressError(f"unknown logic mode {mode!r}")
+            self.trace.append((ACTIVATE2, a, b, mode))
+        elif kind == WRITEBACK:
+            self.check_addr(op[1])
+            self.cells[op[1]] = self.latch
+            self.trace.append((WRITEBACK, op[1]))
+        elif kind == SHIFT:
+            direction, scope, width, origin = op[1], op[2], op[3], op[4]
+            if scope == GLOBAL:
+                if direction == LEFT:
+                    self.latch = (self.latch << 1) & self.colmask
+                elif direction == RIGHT:
+                    self.latch >>= 1
+                else:
+                    raise TileGeometryError("direction")
+            elif scope == TILE:
+                lsb, msb = reference_tile_edges(self.cols, width, origin)
+                if direction == LEFT:
+                    self.latch = ((self.latch << 1) & self.colmask) & ~lsb
+                elif direction == RIGHT:
+                    self.latch = (self.latch >> 1) & ~msb
+                else:
+                    raise TileGeometryError("direction")
+            else:
+                raise TileGeometryError("scope")
+            self.trace.append((SHIFT, direction, scope, width, origin))
+        elif kind == WRITE_ROW:
+            self.check_addr(op[1])
+            if not 0 <= op[2] <= self.colmask:
+                raise AddressError("row value too wide")
+            self.cells[op[1]] = op[2]
+            self.trace.append((WRITE_ROW, op[1], op[2]))
+        elif kind == ZERO_TEST:
+            self.trace.append((ZERO_TEST, 1 if self.latch == 0 else 0))
+        else:
+            raise TraceIOError(f"unknown micro-op kind {kind!r}")
+
+
+def reference_tile_edges(cols, width, origin):
+    """Edge masks of tiles repeated over the whole latch, a partial last tile included."""
+    if width < 2:
+        raise TileGeometryError("tile width must be >= 2")
+    if not 0 <= origin < cols:
+        raise TileGeometryError("tile origin outside the array")
+    lsb = msb = 0
+    start = origin
+    while start < cols:
+        end = min(start + width, cols)
+        lsb |= 1 << start
+        msb |= 1 << (end - 1)
+        start = end
+    return lsb, msb
+
+
+def reference_full_tile_edges(cols, lane):
+    """Edge masks of the full lanes only; a partial remainder zone is skipped."""
+    lsb = msb = 0
+    for t in range(cols // lane):
+        lsb |= 1 << (t * lane)
+        msb |= 1 << (t * lane + lane - 1)
+    return lsb, msb
+
+
+ROWS, COLS = 8, 10          # tiles of 4 leave a partial remainder tile of 2 columns
+
+# mostly valid fields, with a bad row, a bad mode and a bad tile geometry now and then
+row_index = st.sampled_from(list(range(ROWS)) * 4 + [-1, ROWS])
+micro_op = st.one_of(
+    st.tuples(st.just(ACTIVATE2), row_index, row_index,
+              st.sampled_from([AND, NOR, OR, XOR] * 4 + ["NAND"])),
+    st.tuples(st.just(WRITEBACK), row_index),
+    st.tuples(st.just(SHIFT), st.sampled_from((LEFT, RIGHT)), st.just(GLOBAL),
+              st.just(0), st.just(0)),
+    st.tuples(st.just(SHIFT), st.sampled_from((LEFT, RIGHT)), st.just(TILE),
+              st.sampled_from([3, 4, 10] * 4 + [1]), st.sampled_from([0, 1] * 6 + [COLS])),
+    st.tuples(st.just(WRITE_ROW), row_index, st.integers(0, 1 << COLS)),
+    st.tuples(st.just(ZERO_TEST), st.integers(0, 1)),
+)
+
+
+row_value = st.integers(0, (1 << COLS) - 1)
+
+
+def fresh_pair(cells, latch):
+    """A subarray and a reference interpreter in the same start state."""
+    arr = Subarray(ROWS, COLS)
+    ref = ReferenceSubarray(ROWS, COLS)
+    for machine in (arr, ref):
+        machine.cells[:] = cells
+        machine.latch = latch
+    return arr, ref
+
+
+@given(st.lists(row_value, min_size=ROWS, max_size=ROWS), row_value,
+       st.lists(micro_op, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_executor_matches_reference_interpreter(cells, latch, ops):
+    arr, ref = fresh_pair(cells, latch)
+    want_error = None
+    for op in ops:
+        try:
+            ref.apply(op)
+        except SimError as exc:
+            want_error = type(exc)
+            break
+    error = None
+    try:
+        execute(arr, ops)
+    except SimError as exc:
+        error = type(exc)
+    assert error is want_error
+    assert arr.trace == ref.trace
+    assert (arr.cells, arr.latch) == (ref.cells, ref.latch)
+    # one op at a time runs the same loop
+    single, _ = fresh_pair(cells, latch)
+    for op in ops[:len(ref.trace)]:
+        apply_op(single, op)
+    assert single.same_state(arr) and single.trace == arr.trace
+
+
+def test_executor_records_the_same_tuples_and_the_readout():
+    arr = Subarray(ROWS, COLS)
+    ops = [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3), (ZERO_TEST, 1)]
+    execute(arr, ops)
+    assert all(got is op for got, op in zip(arr.trace[:3], ops))
+    assert arr.trace[3] == (ZERO_TEST, 0)              # the latch holds 5, not zero
+
+
+def test_tile_edge_masks_merge_both_old_loops():
+    geometries = [(cols, lane) for cols in range(4, 81) for lane in range(2, 31)]
+    geometries.append((256, 24))                     # dilithium: a 16-column remainder
+    for cols, lane in geometries:
+        assert _tile_edge_masks(cols, lane, 0) == reference_tile_edges(cols, lane, 0)
+        full = cols - cols % lane                    # 0 when cols < lane
+        assert _tile_edge_masks(full, lane) == reference_full_tile_edges(cols, lane)
+        arr = Subarray(8, cols, record=False)
+        assert arr.tile_edges(lane) == reference_tile_edges(cols, lane, 0)
+        assert arr.tile_edges(lane, 0, full) == reference_full_tile_edges(cols, lane)
+    with pytest.raises(TileGeometryError):
+        _tile_edge_masks(8, 1)
+    with pytest.raises(TileGeometryError):
+        _tile_edge_masks(8, 4, 8)
