@@ -16,12 +16,15 @@ stays below 2M <= 2**lane, which makes three invariants provable:
 * therefore every bit a global shift pushes across a tile edge is 0.
 
 Compiled streams mark their data shifts with the first two, and
-``subarray.execute`` checks each mark before the shift runs.
+``subarray.execute`` checks each mark before the shift runs.  The
+resolve/modadd/modsub tail marks its global shifts the same way: the sign
+smears ("lsb") and the adds whose sum stays below 2M ("msb").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import AddressError, ParameterError, TileGeometryError
 from .subarray import (
@@ -367,14 +370,22 @@ def emit_smear(E, rm: RowMap, row: int, temp: int, toward_msb: bool) -> None:
     Precondition: the latch still holds `row` (true right after its writeback).
     Doubling needs ceil(log2 w) OR rounds; the hardware shifts one bit per
     micro-op, so a stride-s round costs s shift pulses (w-1 pulses in total).
+
+    A smear toward the LSB spreads a sign bit down from the lane's top
+    column, so before every pulse each lane's lowest set bit is at column
+    >= 1: it shifts as data, global with an "lsb" mark.  The m-selection
+    smear toward the MSB stays tile-masked, which keeps a multiplication's
+    global shifts at exactly n + popcount(A).
     """
     w = rm.tile_width
-    direction = LEFT if toward_msb else RIGHT
     span = 1
     while span < w:
         stride = min(span, w - span)
         for _ in range(stride):
-            E.shift_mask(direction)
+            if toward_msb:
+                E.shift_mask(LEFT)
+            else:
+                E.shift_data(RIGHT, obs="lsb")
         E.wb(temp)
         E.act(row, temp, OR)
         E.wb(row)
@@ -466,17 +477,19 @@ def _modmul_halve(E, rm: RowMap, i: int) -> None:
 
 
 def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
-             tmp_a: int, tmp_b: int, cs_row: int, deterministic: bool = True) -> None:
+             tmp_a: int, tmp_b: int, cs_row: int, deterministic: bool = True,
+             no_wrap: bool = False) -> None:
     """dest := (x + y) mod 2^lane per tile, by iterated half-add + carry shift.
 
     Deterministic mode unrolls the worst case (lane_width iterations, after
-    which the tile-masked carry word is provably zero); otherwise the loop
-    exits on the wired-OR zero test.
+    which the carry word is provably zero); otherwise the loop exits on the
+    wired-OR zero test.  no_wrap promises x + y < 2^lane in every lane: the
+    carry shifts then go global with an "msb" mark (see ``_ripple``).
     """
     E.act(x_row, y_row, XOR)
     E.wb(tmp_a)
     E.act(x_row, y_row, AND)                   # latch = carry word
-    _ripple(E, rm, tmp_a, tmp_b, cs_row, dest_row, deterministic)
+    _ripple(E, rm, tmp_a, tmp_b, cs_row, dest_row, deterministic, no_wrap)
 
 
 def emit_add3(E, rm: RowMap, x_row: int, y_row: int, z_row: int, dest_row: int,
@@ -500,17 +513,23 @@ def emit_add3(E, rm: RowMap, x_row: int, y_row: int, z_row: int, dest_row: int,
 
 
 def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
-            deterministic: bool) -> None:
+            deterministic: bool, no_wrap: bool = False) -> None:
     """Fold the carry word in the latch into the partial sum in `cur`.
 
-    Each round shifts the carry one column (tile-masked), half-adds it into
-    the partial sum, and leaves the next carry word in the latch.  `other`
-    and `cs_row` are scratch; the sum ends in dest_row.
+    Each round shifts the carry one column, half-adds it into the partial
+    sum, and leaves the next carry word in the latch.  `other` and `cs_row`
+    are scratch; the sum ends in dest_row.
+
+    At every round, partial sum + 2 * carry word = x + y, so a live top
+    carry bit means x + y >= 2^lane.  A wrapping add shifts tile-masked; a
+    no_wrap add shifts as data, globally, and the "msb" mark checks the
+    promise live.
     """
     w = rm.tile_width
+    shift = partial(E.shift_data, LEFT, "msb") if no_wrap else partial(E.shift_mask, LEFT)
     if deterministic:
         for k in range(w):
-            E.shift_mask(LEFT)
+            shift()
             E.wb(cs_row)
             last = k == w - 1
             target = dest_row if last else other
@@ -521,7 +540,7 @@ def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
                 cur, other = target, cur
         return
     for _ in range(w):
-        E.shift_mask(LEFT)
+        shift()
         E.wb(cs_row)
         E.act(cur, cs_row, XOR)
         E.wb(other)
@@ -536,18 +555,16 @@ def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
 
 def emit_mask_select(E, rm: RowMap, take_row: int, else_row: int, sel_row: int,
                      tmp: int, dest_row: int) -> None:
-    """dest := (take AND sel) OR (else AND NOT sel); sel is a full-tile mask.
+    """dest := take where sel is set, else `else`, as else ^ ((else ^ take) & sel).
 
-    The complement is an XOR against the tile-masked ones row, so lanes are
-    inverted but no bit appears outside them.
+    Three activations; only tmp and dest are written, and no complement is
+    taken, so no bit appears outside the lanes.
     """
-    E.act(take_row, sel_row, AND)
-    E.wb(take_row)
-    E.act(sel_row, rm.ones, XOR)
+    E.act(else_row, take_row, XOR)
     E.wb(tmp)
-    E.act(else_row, tmp, AND)
-    E.wb(else_row)
-    E.act(take_row, else_row, OR)
+    E.act(tmp, sel_row, AND)
+    E.wb(tmp)
+    E.act(else_row, tmp, XOR)
     E.wb(dest_row)
 
 
@@ -555,9 +572,10 @@ def emit_resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> No
     """dest := ((Sum + 2*Carry) conditionally minus M) per tile, in [0, M).
 
     Precondition: the latch holds Carry (always true right after the modmul
-    loop).  t = Sum + Carry<<1 < 2M fits the lane; u = t - M mod 2^lane has an
-    unambiguous sign bit thanks to the headroom column, and a smeared sign
-    mask selects t (u negative) or u.
+    loop).  t = Sum + Carry<<1 < 2M fits the lane, so its add cannot wrap and
+    shifts globally; u = t - M mod 2^lane has an unambiguous sign bit thanks
+    to the headroom column, and a smeared sign mask selects t (u negative)
+    or u.
     """
     if deterministic and E.programs is not None:
         E.run(E.compiled(_resolve, rm, 1), (dest_row,))
@@ -569,7 +587,7 @@ def _resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> None:
     E.shift_data(LEFT, obs="msb")              # Carry << 1, provably lossless
     E.wb(rm.carry_row)
     emit_add(E, rm, rm.sum_row, rm.carry_row, rm.aux1,
-             rm.aux2, rm.aux3, rm.mask_row, deterministic)          # t
+             rm.aux2, rm.aux3, rm.mask_row, deterministic, no_wrap=True)  # t < 2M
     emit_add(E, rm, rm.aux1, rm.neg_modulus_row, rm.aux2,
              rm.aux3, rm.mask_row, rm.carry_row, deterministic)     # u = t - M
     E.act(rm.aux2, rm.msb_mask, AND)
@@ -590,7 +608,8 @@ def emit_modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
 def _modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
             pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
     t_row, u_row, l_row, tmp, cs = pool
-    emit_add(E, rm, a_row, b_row, t_row, u_row, l_row, cs, deterministic)
+    emit_add(E, rm, a_row, b_row, t_row, u_row, l_row, cs, deterministic,
+             no_wrap=True)                                            # a + b < 2M
     emit_add(E, rm, t_row, rm.neg_modulus_row, u_row, l_row, tmp, cs, deterministic)
     E.act(u_row, rm.msb_mask, AND)
     E.wb(l_row)

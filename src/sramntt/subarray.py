@@ -187,6 +187,7 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     trace = arr.trace
     geometry = None                # (width, origin) of the tile masks in hand
     lsb = msb = 0
+    obs_lsb = obs_msb = None       # full-lane masks, taken at the first marked shift
     try:
         for i, op in enumerate(ops):
             kind = op[0]
@@ -212,7 +213,13 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
             elif kind == SHIFT:
                 _, direction, scope, width, origin = op
                 if obs_marks and i in obs_marks:
-                    _check_edge(arr, latch, obs_marks[i], lane)
+                    if obs_lsb is None:
+                        obs_lsb, obs_msb = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
+                    edge = obs_marks[i]
+                    if edge == "msb" and latch & obs_msb:
+                        raise ObservationError("carry word has a live top bit before a left shift")
+                    if edge == "lsb" and latch & obs_lsb:
+                        raise ObservationError("half-sum has a live low bit before a right shift")
                 if scope == GLOBAL:
                     if direction == LEFT:
                         latch = (latch << 1) & colmask
@@ -254,14 +261,6 @@ def _bad_pair(nrows: int, a: int, b: int) -> None:
         if not 0 <= row < nrows:
             raise AddressError(f"row {row} outside [0,{nrows})")
     raise AddressError(f"activate_pair needs two distinct rows, got {a} twice")
-
-
-def _check_edge(arr: Subarray, latch: int, edge: str, lane: int) -> None:
-    lsb, msb = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
-    if edge == "msb" and latch & msb:
-        raise ObservationError("carry word has a live top bit before a left shift")
-    if edge == "lsb" and latch & lsb:
-        raise ObservationError("half-sum has a live low bit before a right shift")
 
 
 # -- replay and serialization ---------------------------------------------
@@ -340,12 +339,24 @@ def parse_trace_line(line: str) -> tuple:
 
 
 def parse_trace(text: str):
+    """The op tuples of a serialized trace; blank and ``#`` lines are skipped.
+
+    Each distinct text after the sequence number is parsed, and so fully
+    validated, once; later lines with the same text share its tuple.  The
+    sequence numbers themselves are not checked: the first token of a line
+    is skipped whatever it holds.
+    """
     ops = []
+    parsed = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        ops.append(parse_trace_line(line))
+        parts = line.split(None, 1)
+        op = parsed.get(parts[1]) if len(parts) == 2 else None
+        if op is None:
+            op = parsed[parts[1]] = parse_trace_line(line)
+        ops.append(op)
     return ops
 
 

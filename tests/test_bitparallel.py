@@ -6,6 +6,7 @@ import pytest
 
 from harness import B_ROW, ModmulBench, modmul_value
 from sramntt.bitparallel import (
+    CollectEmitter,
     DirectEmitter,
     ExecPolicy,
     MontgomeryContext,
@@ -15,6 +16,8 @@ from sramntt.bitparallel import (
     broadcast_word,
     compile_twiddle_commands,
     default_rowmap,
+    emit_add,
+    emit_mask_select,
     emit_modadd,
     emit_modmul,
     emit_modsub,
@@ -28,7 +31,7 @@ from sramntt.bitparallel import (
 from sramntt.errors import ObservationError, ParameterError
 from sramntt.oracle import oracle_montmul
 from sramntt.perf import counts_of_trace
-from sramntt.subarray import GLOBAL, OR, SHIFT, Subarray
+from sramntt.subarray import ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray
 
 
 def fresh(modulus, width, cols=32, rows=32, record=True):
@@ -347,3 +350,111 @@ def test_stream_serializes_to_trace_grammar():
     from sramntt.subarray import parse_trace, serialize_trace
     text = serialize_trace(stream.ops, 32)
     assert parse_trace(text) == stream.ops
+
+
+# -- the butterfly tail: global shifts where an invariant allows, 3-op select --
+
+POLICIES = [ExecPolicy(), ExecPolicy(tile_scope_all=True),
+            ExecPolicy(deterministic=False),
+            ExecPolicy(deterministic=False, tile_scope_all=True)]
+
+
+@pytest.mark.parametrize("modulus,width", [(7, 4), (7681, 16), (8380417, 24)])
+def test_tail_shift_scopes(modulus, width):
+    """Sign smears and the no-wrap adds shift globally; wrapping adds stay tile-masked."""
+    ctx = MontgomeryContext.create(modulus, width)
+    w = ctx.lane_width
+    assert w == width
+    rm = default_rowmap(64, w)
+    pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
+    want = {"resolve": (2 * w, w), "modadd": (2 * w - 1, w), "modsub": (w - 1, 2 * w)}
+    for policy in (ExecPolicy(), ExecPolicy(tile_scope_all=True)):
+        for name, emit in (("resolve", lambda E: emit_resolve(E, rm, rm.mask_row)),
+                           ("modadd", lambda E: emit_modadd(E, rm, 0, rm.mask_row, 0, pool)),
+                           ("modsub", lambda E: emit_modsub(E, rm, 0, rm.mask_row, 1, pool))):
+            E = CollectEmitter(rm, policy)
+            emit(E)
+            counts = counts_of_trace(E.ops)
+            shifts = (counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"])
+            if policy.tile_scope_all:
+                assert shifts == (0, sum(want[name])), name
+            else:
+                assert shifts == want[name], name
+            # every global shift carries an edge mark that execute checks live
+            marked = {i for i, op in enumerate(E.ops) if op[0] == SHIFT and op[2] == GLOBAL}
+            assert marked <= set(E.obs_marks)
+
+
+def test_mask_select_is_three_activations():
+    ctx, arr, rm = fresh(7681, 16, cols=64)
+    lane = ctx.lane_width
+    take, other, sel = [7, 1234, 0, 7680], [42, 0, 7680, 1], [0xFFFF, 0, 0xFFFF, 0]
+    for row, words in ((1, take), (2, other), (3, sel)):
+        arr.write_row(row, pack_words(words, lane, arr.cols))
+    start = len(arr.trace)
+    emit_mask_select(DirectEmitter(arr, rm, ExecPolicy()), rm, 1, 2, 3, 4, 5)
+    ops = arr.trace[start:]
+    assert sum(op[0] == ACTIVATE2 for op in ops) == 3
+    assert sum(op[0] == WRITEBACK for op in ops) == 3
+    assert [unpack_word(arr.read_row(5), t, lane) for t in range(4)] == [7, 0, 0, 1]
+    assert [unpack_word(arr.read_row(r), 0, lane) for r in (1, 2, 3)] == [7, 42, 0xFFFF]
+
+
+def _residue_batches(pairs, tiles):
+    for lo in range(0, len(pairs), tiles):
+        yield pairs[lo:lo + tiles]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("modulus,width", [(3, 4), (5, 4), (7, 4), (9, 5), (15, 5)])
+def test_modadd_modsub_resolve_exhaustive(policy, modulus, width):
+    """Every residue pair, with M = 2^(lane-1) - 1 among the moduli (a + b and
+    t reach 2^lane - 2), through the compiled and the op-by-op paths."""
+    ctx, arr, rm = fresh(modulus, width, cols=64)
+    lane = ctx.lane_width
+    assert lane == width
+    tiles = arr.cols // lane
+    E = DirectEmitter(arr, rm, policy)
+    pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
+    pairs = [(a, b) for a in range(modulus) for b in range(modulus)]
+    for batch in _residue_batches(pairs, tiles):
+        arr.write_row(1, pack_words([a for a, _ in batch], lane, arr.cols))
+        arr.write_row(2, pack_words([b for _, b in batch], lane, arr.cols))
+        emit_modadd(E, rm, 1, 2, 3, pool, policy.deterministic)
+        emit_modsub(E, rm, 1, 2, 4, pool, policy.deterministic)
+        add_bits, sub_bits = arr.read_row(3), arr.read_row(4)
+        for t, (a, b) in enumerate(batch):
+            assert unpack_word(add_bits, t, lane) == (a + b) % modulus, (a, b)
+            assert unpack_word(sub_bits, t, lane) == (a - b) % modulus, (a, b)
+    # resolve: every carry-save pair the multiplier can leave, Sum + 2*Carry < 2M
+    pairs = [(s, c) for c in range(modulus) for s in range(2 * modulus - 2 * c)]
+    for batch in _residue_batches(pairs, tiles):
+        arr.write_row(rm.sum_row, pack_words([s for s, _ in batch], lane, arr.cols))
+        arr.write_row(rm.carry_row, pack_words([c for _, c in batch], lane, arr.cols))
+        arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
+        emit_resolve(E, rm, 5, policy.deterministic)
+        bits = arr.read_row(5)
+        for t, (s, c) in enumerate(batch):
+            assert unpack_word(bits, t, lane) == (s + 2 * c) % modulus, (s, c)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_no_wrap_add_raises_on_a_carry_out_of_the_lane(deterministic):
+    """A no-wrap add whose x + y reaches 2^lane trips the live "msb" check;
+    the same add unmarked wraps, and a no-wrap add just below 2^lane passes."""
+    ctx, arr, rm = fresh(7681, 16, cols=64)
+    lane = ctx.lane_width
+    policy = ExecPolicy(deterministic=deterministic)
+
+    def add(x, y, no_wrap):
+        arr.write_row(1, pack_words([x, 3, 3, 3], lane, arr.cols))
+        arr.write_row(2, pack_words([y, 4, 4, 4], lane, arr.cols))
+        emit_add(DirectEmitter(arr, rm, policy), rm, 1, 2, 3, rm.aux1, rm.aux2,
+                 rm.mask_row, deterministic, no_wrap=no_wrap)
+        return unpack_word(arr.read_row(3), 0, lane)
+
+    for x, y in ((1 << (lane - 1), 1 << (lane - 1)), ((1 << lane) - 1, 1), (0xBEEF, 0x8000)):
+        assert add(x, y, no_wrap=False) == (x + y) % (1 << lane)
+        with pytest.raises(ObservationError, match="top bit"):
+            add(x, y, no_wrap=True)
+    assert add((1 << lane) - 2, 1, no_wrap=True) == (1 << lane) - 1

@@ -33,6 +33,7 @@ from sramntt.subarray import (
     create_subarray,
     execute,
     parse_trace,
+    parse_trace_line,
     replay,
     serialize_trace,
 )
@@ -208,6 +209,59 @@ def test_parse_rejects_unknown_shift_scope():
     assert parse_trace("0 SHIFT LEFT GLOBAL\n") == [("SHIFT", LEFT, GLOBAL, 0, 0)]
     with pytest.raises(TraceIOError):
         parse_trace("0 SHIFT LEFT BOGUS\n")
+
+
+def _parse_each_line(text):
+    """parse_trace without its memo: every line parsed on its own."""
+    return [parse_trace_line(line.strip()) for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")]
+
+
+def test_memoized_parse_equals_the_per_line_parse_on_the_canonical_trace():
+    import random
+
+    from sramntt.ntt import RingParams, TransformUnit
+
+    unit = TransformUnit(RingParams.create(7681, 256, 16))
+    rng = random.Random(6)
+    unit.load_polynomials([[rng.randrange(7681) for _ in range(256)]
+                           for _ in range(unit.layout.tiles)])
+    unit.forward()
+    text = serialize_trace(unit.arr.trace, unit.arr.cols)
+    ops = parse_trace(text)
+    assert ops == _parse_each_line(text) == unit.arr.trace
+    # one tuple per distinct op text, shared by every line that repeats it
+    assert len({id(op) for op in ops}) == len({line.split(None, 1)[1]
+                                               for line in text.splitlines()})
+
+
+def test_memoized_parse_keys_on_everything_after_the_sequence_number():
+    text = "\n".join([
+        "0\tWRITEBACK 0",
+        "1\tZERO_TEST 0",                 # same first token after a tab
+        "2  WRITEBACK   0",                # repeated spaces
+        "3 WRITEBACK\t0",
+        "# a comment",
+        "",
+        "x SHIFT LEFT TILE 4 0",           # the sequence token is not checked
+        "5 SHIFT LEFT\tTILE 4  0",
+        "6 WRITEBACK 1",
+        "7 WRITE_ROW 2 0f",
+        "8 WRITE_ROW 2 0F",
+        "9 ZERO_TEST 0",
+    ])
+    assert parse_trace(text) == _parse_each_line(text) == [
+        (WRITEBACK, 0), (ZERO_TEST, 0), (WRITEBACK, 0), (WRITEBACK, 0),
+        (SHIFT, LEFT, TILE, 4, 0), (SHIFT, LEFT, TILE, 4, 0), (WRITEBACK, 1),
+        (WRITE_ROW, 2, 15), (WRITE_ROW, 2, 15), (ZERO_TEST, 0),
+    ]
+
+
+@pytest.mark.parametrize("bad", ["WRITEBACK", "0 WRITEBACK", "0 WRITEBACK 0 junk",
+                                 "0 WRITEBACK x", "0 SHIFT LEFT BOGUS"])
+def test_memoized_parse_validates_a_text_seen_only_after_a_good_line(bad):
+    with pytest.raises(TraceIOError):
+        parse_trace(f"0 WRITEBACK 0\n1 WRITEBACK 0\n{bad}\n")
 
 
 def test_bits_helpers():
