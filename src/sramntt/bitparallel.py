@@ -16,13 +16,15 @@ stays below 2M <= 2**lane, which makes three invariants provable:
 * therefore every bit a global shift pushes across a tile edge is 0.
 
 Compiled streams mark their data shifts with the first two, and
-``subarray.execute`` checks each mark before the shift runs.  The
+``subarray.execute`` (or the straight-line function ``subarray.generate``
+makes of a stream) checks each mark before the shift runs.  The
 resolve/modadd/modsub tail marks its global shifts the same way: the sign
 smears ("lsb") and the adds whose sum stays below 2M ("msb").
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -40,6 +42,7 @@ from .subarray import (
     XOR,
     Subarray,
     execute,
+    generate,
 )
 
 
@@ -137,14 +140,17 @@ class CommandStream:
     ("msb" or "lsb"); step_marks pairs the index of each figure step's last op
     with its (iteration, step) tag.  A stream compiled with operand
     placeholders (the negative rows -1, -2, ... for operands 0, 1, ...) lists
-    the ops that name one in `holes`; ``bind`` puts real rows in.  Count the
-    ops with ``perf.counts_of_trace``.
+    the ops that name one in `holes`; ``bind`` puts real rows in.  A stream
+    a DirectEmitter has run more than once holds `program`, the straight-line
+    function ``subarray.generate`` made of its ops for that emitter's array.
+    Count the ops with ``perf.counts_of_trace``.
     """
 
     ops: list[tuple]
     obs_marks: dict[int, str] = field(default_factory=dict)
     step_marks: list[tuple[int, tuple]] = field(default_factory=list)
     holes: list[int] = field(default_factory=list)
+    program: Callable | None = field(default=None, compare=False, repr=False)
 
     def bind(self, rows) -> list[tuple]:
         """The ops with placeholder ~k replaced by rows[k]; other ops are shared."""
@@ -159,18 +165,6 @@ class CommandStream:
                 a, b = op[1], op[2]
                 ops[i] = (ACTIVATE2, rows[~a] if a < 0 else a, rows[~b] if b < 0 else b, op[3])
         return ops
-
-    @classmethod
-    def join(cls, streams) -> "CommandStream":
-        """One stream running `streams` back to back."""
-        out = cls(ops=[])
-        for s in streams:
-            base = len(out.ops)
-            out.ops += s.ops
-            out.obs_marks.update((base + i, edge) for i, edge in s.obs_marks.items())
-            out.step_marks += [(base + i, tag) for i, tag in s.step_marks]
-            out.holes += [base + i for i in s.holes]
-        return out
 
 
 # operand placeholders of compiled primitives: operand k is row ~k
@@ -242,15 +236,17 @@ def default_rowmap(arr_rows: int, tile_width: int, b_row: int | None = None) -> 
 class DirectEmitter:
     """Executes emitted micro-ops on a subarray (the array records the trace).
 
-    An emitter without a step callback keeps `programs`: each primitive that
-    has no zero test compiled once, with its operand rows as placeholders,
-    then bound and run through ``subarray.execute`` at every call.  The
-    programs belong to this emitter and die with it.  Zero-test loops
+    An emitter without a step callback keeps `programs`: each block that has
+    no zero test (a multiplication's prologue, add-B and halving blocks,
+    resolve, modadd, modsub) compiled once, with its operand rows as
+    placeholders, and bound to the real rows at every call (see ``run``).
+    The programs belong to this emitter and die with it.  Zero-test loops
     (data-dependent mode), and every op of an emitter with a step callback
-    (`programs` is None), execute one op at a time as they are emitted.
+    (`programs` is None), run one op at a time through ``subarray.execute``
+    as they are emitted.
     """
 
-    __slots__ = ("arr", "rm", "policy", "step_callback", "programs")
+    __slots__ = ("arr", "rm", "policy", "step_callback", "programs", "generated")
 
     def __init__(self, arr: Subarray, rm: RowMap, policy: ExecPolicy, step_callback=None):
         self.arr = arr
@@ -258,6 +254,8 @@ class DirectEmitter:
         self.policy = policy
         self.step_callback = step_callback
         self.programs: dict | None = {} if step_callback is None else None
+        # (ops, obs marks, operands) -> generated function; None after one run
+        self.generated: dict[tuple, Callable | None] = {}
 
     def act(self, a: int, b: int, mode: str) -> None:
         execute(self.arr, ((ACTIVATE2, a, b, mode),))
@@ -296,8 +294,29 @@ class DirectEmitter:
         return stream
 
     def run(self, stream: CommandStream, rows=()) -> None:
-        """Execute a compiled stream with its operand placeholders bound to `rows`."""
-        execute(self.arr, stream.bind(rows), stream.obs_marks, self.rm.tile_width)
+        """Run a compiled stream with its placeholders bound to `rows`.
+
+        The first run of a block's ops goes through ``execute``.  From the
+        second on, the block runs as the straight-line function
+        ``subarray.generate`` makes of it, one per distinct (ops, obs marks)
+        in this emitter: the halving blocks of a multiplication differ only
+        in their step tags, so they share one.  A block run once, as in a
+        multiplication by a constant on a fresh unit, costs no generation.
+        Either way the trace gets the bound ops.
+        """
+        program = stream.program
+        if program is None:
+            key = (tuple(stream.ops), tuple(stream.obs_marks.items()), len(rows))
+            if key not in self.generated:
+                self.generated[key] = None
+                execute(self.arr, stream.bind(rows), stream.obs_marks, self.rm.tile_width)
+                return
+            program = self.generated[key]
+            if program is None:
+                program = self.generated[key] = generate(
+                    self.arr, stream.ops, stream.obs_marks, self.rm.tile_width, len(rows))
+            stream.program = program
+        program(stream.bind(rows), *rows)
 
 
 class CollectEmitter:
@@ -401,9 +420,9 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = Non
     iterations: the last writeback was Carry, so the latch already holds the
     word the next left shift needs.
 
-    An emitter with programs compiles each block once, joins the blocks once
-    per constant and binds b_row at run time, so a constant used once costs
-    a join, not a compilation.
+    An emitter with programs compiles each block once and keeps, per
+    constant, the list of blocks it runs in order with b_row bound, so a
+    constant used once costs a list, not a compilation.
     """
     if b_row is None:
         b_row = rm.b_row
@@ -417,15 +436,17 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = Non
             _modmul_halve(E, rm, i)
         return
     key = (emit_modmul, rm, a_value, width)
-    stream = E.programs.get(key)
-    if stream is None:
+    blocks = E.programs.get(key)
+    if blocks is None:
         blocks = [E.compiled(_modmul_prologue, rm, 0)]
         for i in range(width):
             if (a_value >> i) & 1:
                 blocks.append(E.compiled(_modmul_add_b, rm, 1, i))
             blocks.append(E.compiled(_modmul_halve, rm, 0, i))
-        stream = E.programs[key] = CommandStream.join(blocks)
-    E.run(stream, (b_row,))
+        E.programs[key] = blocks
+    rows = (b_row,)
+    for stream in blocks:
+        E.run(stream, rows if stream.holes else ())      # only add-B names b_row
 
 
 def _modmul_prologue(E, rm: RowMap) -> None:

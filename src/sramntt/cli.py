@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid parameters, 3 verification mismatch,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -31,7 +32,14 @@ from .ntt import (
     polymul_pipeline,
 )
 from .perf import CostModel, accumulate, sweep_bitwidth, sweep_order, sweep_to_csv
-from .subarray import parse_trace, replay, serialize_trace
+from .subarray import (
+    MAX_COLS,
+    MAX_ROWS,
+    check_size,
+    parse_trace,
+    replay,
+    serialize_trace,
+)
 
 PRESETS = {
     # (q, order, width); width includes the headroom bit for modular add/sub
@@ -140,6 +148,7 @@ def cmd_run(cfg: RunConfig) -> int:
     _apply_preset(cfg)
     if cfg.mode not in MODES:
         raise ParameterError(f"unknown mode {cfg.mode!r}")
+    check_size(cfg.rows, cfg.cols)
     ring = RingParams.create(cfg.q, cfg.order, cfg.width)
     policy = ExecPolicy(deterministic=cfg.deterministic_latency,
                         tile_scope_all=cfg.tile_scope_shifts)
@@ -181,18 +190,18 @@ def cmd_run(cfg: RunConfig) -> int:
             if got[t] != want:
                 raise VerificationError(f"{cfg.mode} mismatch in tile {t}")
 
-    trace = []
-    for u in units:
-        trace.extend(u.arr.trace or ())
-    stats = accumulate(trace, cost, parallel=tiles)
+    stats = accumulate(itertools.chain.from_iterable(u.arr.trace for u in units),
+                       cost, parallel=tiles)
     payload = stats.to_json_dict(config=cfg.semantic_dict())
+    # --trace writes unit a's ops only; in polymul mode `counts` cover unit b too
+    payload["trace_ops"] = len(unit.arr.trace)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.stats_path:
         _write_text(cfg.stats_path, text)
     else:
         sys.stdout.write(text)
     if cfg.trace_path:
-        _write_text(cfg.trace_path, serialize_trace(unit.arr.trace or (), cfg.cols))
+        _write_text(cfg.trace_path, serialize_trace(unit.arr.trace, cfg.cols))
     if cfg.state_path:
         _write_text(cfg.state_path,
                     json.dumps(_state_dict(unit), indent=1, sort_keys=True) + "\n")
@@ -200,6 +209,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, vary: str) -> int:
+    check_size(cfg.rows, cfg.cols)
     cost = _cost_model(cfg)
     if vary == "bitwidth":
         rows = sweep_bitwidth(cfg.order, range(2, 65), cfg.rows, cfg.cols, cost)
@@ -231,6 +241,10 @@ def cmd_trace_replay(trace_path: str, state_path: str) -> int:
         want_latch = int(state["latch"], 16)
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceIOError(f"malformed state file {state_path}") from exc
+    try:
+        check_size(rows, cols)
+    except DimensionError as exc:
+        raise TraceIOError(f"malformed state file {state_path}: {exc}") from exc
     if len(want_cells) != rows:
         raise TraceIOError(f"malformed state file {state_path}: "
                            f"{len(want_cells)} cells for {rows} rows")
@@ -253,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--order", type=int, default=256)
     run.add_argument("--q", type=int, default=7681)
     run.add_argument("--width", type=int, default=None)
-    run.add_argument("--rows", type=int, default=256)
-    run.add_argument("--cols", type=int, default=256)
+    run.add_argument("--rows", type=int, default=256, help=f"at most {MAX_ROWS}")
+    run.add_argument("--cols", type=int, default=256, help=f"at most {MAX_COLS}")
     run.add_argument("--preset", choices=sorted(PRESETS), default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--mode", choices=MODES, default="polymul")
@@ -276,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--vary", choices=["bitwidth", "order"], required=True)
     sw.add_argument("--order", type=int, default=256)
     sw.add_argument("--width", type=int, default=16)
-    sw.add_argument("--rows", type=int, default=256)
-    sw.add_argument("--cols", type=int, default=256)
+    sw.add_argument("--rows", type=int, default=256, help=f"at most {MAX_ROWS}")
+    sw.add_argument("--cols", type=int, default=256, help=f"at most {MAX_COLS}")
     sw.add_argument("--out", dest="sweep_path", default=None)
     sw.add_argument("--cost-model", dest="cost_model_path", default=None)
 

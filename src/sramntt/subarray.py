@@ -25,6 +25,7 @@ from .errors import (
     AddressError,
     DimensionError,
     ObservationError,
+    ParameterError,
     TileGeometryError,
     TraceIOError,
 )
@@ -48,6 +49,10 @@ TILE = "TILE"
 
 MIN_ROWS = 8
 MIN_COLS = 4
+# Upper bounds, checked before anything is sized by rows or cols: a row is one
+# Python int of `cols` bits, and a run allocates per row and per tile.
+MAX_ROWS = 4096
+MAX_COLS = 4096
 
 
 def _tile_edge_masks(span: int, width: int, origin: int = 0) -> tuple[int, int]:
@@ -74,6 +79,9 @@ def _tile_edge_masks(span: int, width: int, origin: int = 0) -> tuple[int, int]:
     return lsb, msb
 
 
+_MSB_FAULT = "carry word has a live top bit before a left shift"
+_LSB_FAULT = "half-sum has a live low bit before a right shift"
+
 # ZERO_TEST records its readout: index by `latch == 0`
 _ZERO_TESTS = ((ZERO_TEST, 0), (ZERO_TEST, 1))
 
@@ -88,6 +96,7 @@ class Subarray:
             raise DimensionError(
                 f"subarray must be at least {MIN_ROWS}x{MIN_COLS}, got {rows}x{cols}"
             )
+        check_size(rows, cols)
         self.rows = rows
         self.cols = cols
         self.colmask = (1 << cols) - 1
@@ -160,6 +169,14 @@ class Subarray:
         )
 
 
+def check_size(rows: int, cols: int) -> None:
+    """Reject an array larger than MAX_ROWS x MAX_COLS, allocating nothing."""
+    if rows > MAX_ROWS or cols > MAX_COLS:
+        raise DimensionError(
+            f"subarray must be at most {MAX_ROWS}x{MAX_COLS}, got {rows}x{cols}"
+        )
+
+
 def create_subarray(rows: int, cols: int, record: bool = True) -> Subarray:
     """Fresh all-zero subarray with an empty trace."""
     return Subarray(rows, cols, record=record)
@@ -179,6 +196,11 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     the full lanes of `lane` columns.  Each executed op is appended to the
     trace as the same tuple object, except that a ZERO_TEST records the
     readout it actually made.
+
+    This loop interprets traces (``replay``), one-op calls, zero-test loops
+    and emitters with a step callback.  Compiled programs run as the
+    straight-line functions ``generate`` makes, which must leave the array
+    exactly as this loop does; the tests hold them to it.
     """
     cells = arr.cells
     nrows = arr.rows
@@ -217,9 +239,9 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
                         obs_lsb, obs_msb = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
                     edge = obs_marks[i]
                     if edge == "msb" and latch & obs_msb:
-                        raise ObservationError("carry word has a live top bit before a left shift")
+                        raise ObservationError(_MSB_FAULT)
                     if edge == "lsb" and latch & obs_lsb:
-                        raise ObservationError("half-sum has a live low bit before a right shift")
+                        raise ObservationError(_LSB_FAULT)
                 if scope == GLOBAL:
                     if direction == LEFT:
                         latch = (latch << 1) & colmask
@@ -263,6 +285,112 @@ def _bad_pair(nrows: int, a: int, b: int) -> None:
     raise AddressError(f"activate_pair needs two distinct rows, got {a} twice")
 
 
+# -- straight-line programs ----------------------------------------------------
+
+_LOGIC = {AND: "c[{}] & c[{}]", XOR: "c[{}] ^ c[{}]", OR: "c[{}] | c[{}]",
+          NOR: "~(c[{}] | c[{}]) & {colmask}"}
+
+
+def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
+             lane: int = 0, params: int = 0):
+    """One Python function running `ops` on arr, a statement per op.
+
+    Rows -1 .. -params are placeholders: the function is
+    ``program(bound, *rows)``, where `bound` is `ops` with placeholder ~k
+    replaced by rows[k], and it leaves arr exactly as
+    ``execute(arr, bound, obs_marks, lane)`` does, raised errors included.
+    Only ACTIVATE2, SHIFT and WRITEBACK can be generated.
+
+    Literal rows, modes, directions, scopes and tile geometry are checked
+    here, once.  At each run the bound rows are checked before any op runs:
+    a row out of range, or an activation pair that names one row twice,
+    hands the whole of `bound` to ``execute``, so the error, state and
+    trace are the executor's own.  Each marked shift tests its lane edge
+    first, as ``execute`` does; a live bit stores the latch, records the ops
+    before the shift and raises ObservationError.
+    """
+    nrows = arr.rows
+    marks = obs_marks or {}
+    names = [f"r{k}" for k in range(params)]
+    guards: list[str] = []
+    obs = None                                  # full-lane (lsb, msb) masks
+
+    def guard(condition: str) -> None:
+        if condition not in guards:
+            guards.append(condition)
+
+    def row(r: int) -> str:
+        if -params <= r < 0:
+            guard(f"0 <= {names[~r]} < {nrows}")
+            return names[~r]
+        if not 0 <= r < nrows:
+            raise AddressError(f"row {r} outside [0,{nrows})")
+        return str(r)
+
+    body = []
+    for i, op in enumerate(ops):
+        kind = op[0]
+        if kind == WRITEBACK:
+            body.append(f"c[{row(op[1])}] = L")
+        elif kind == ACTIVATE2:
+            _, a, b, mode = op
+            ra, rb = row(a), row(b)
+            if a == b and a >= 0:
+                raise AddressError(f"activate_pair needs two distinct rows, got {a} twice")
+            if a < 0 or b < 0:
+                guard(f"{ra} != {rb}")
+            if mode not in _LOGIC:
+                raise AddressError(f"unknown logic mode {mode!r}")
+            body.append("L = " + _LOGIC[mode].format(ra, rb, colmask=arr.colmask))
+        elif kind == SHIFT:
+            _, direction, scope, width, origin = op
+            edge = marks.get(i)
+            if edge in ("msb", "lsb"):
+                if obs is None:
+                    obs = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
+                live, fault = (obs[1], "_MSB") if edge == "msb" else (obs[0], "_LSB")
+                body.append(f"if L & {live:#x}: fail(arr, bound, {i}, L, {fault})")
+            if scope == GLOBAL:
+                left, right = f"L = (L << 1) & {arr.colmask:#x}", "L >>= 1"
+            elif scope == TILE:
+                lsb, msb = arr.tile_edges(width, origin)
+                left = f"L = (L << 1) & {arr.colmask & ~lsb:#x}"
+                right = f"L = (L >> 1) & {~msb:#x}"
+            else:
+                raise TileGeometryError(f"unknown shift scope {scope!r}")
+            if direction not in (LEFT, RIGHT):
+                raise TileGeometryError(f"unknown shift direction {direction!r}")
+            body.append(left if direction == LEFT else right)
+        elif kind in (WRITE_ROW, ZERO_TEST):
+            raise ParameterError(f"{kind} cannot run in a generated program")
+        else:
+            raise TraceIOError(f"unknown micro-op kind {kind!r}")
+    check = (f"    if not ({' and '.join(guards)}):\n"
+             "        return execute(arr, bound, marks, lane)\n") if guards else ""
+    source = (f"def program({', '.join(['bound'] + names)}):\n"
+              f"{check}"
+              "    c = arr.cells\n"
+              "    L = arr.latch\n"
+              + "".join(f"    {line}\n" for line in body) +
+              "    arr.latch = L\n"
+              "    if arr.trace is not None:\n"
+              "        arr.trace.extend(bound)\n")
+    namespace = {"arr": arr, "marks": marks, "lane": lane, "execute": execute,
+                 "fail": _observation_failed, "_MSB": _MSB_FAULT, "_LSB": _LSB_FAULT}
+    exec(compile(source, "<generated micro-op program>", "exec"), namespace)
+    # the function keeps `namespace` as its globals; taking it out of the
+    # namespace leaves no cycle, so the array dies with the last reference
+    return namespace.pop("program")
+
+
+def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) -> None:
+    """Leave arr as execute does when the check before op i fails, then raise."""
+    arr.latch = latch
+    if arr.trace is not None:
+        arr.trace.extend(bound[:i])
+    raise ObservationError(message)
+
+
 # -- replay and serialization ---------------------------------------------
 
 def apply_op(arr: Subarray, op: tuple) -> None:
@@ -278,25 +406,37 @@ def replay(ops, rows: int, cols: int) -> Subarray:
 
 
 def format_op(seq: int, op: tuple, cols: int) -> str:
+    return f"{seq} {_op_text(op, cols)}"
+
+
+def _op_text(op: tuple, cols: int) -> str:
+    """A trace line after its sequence number."""
     kind = op[0]
     if kind == WRITE_ROW:
         digits = (cols + 3) // 4
-        return f"{seq} {WRITE_ROW} {op[1]} {op[2]:0{digits}x}"
+        return f"{WRITE_ROW} {op[1]} {op[2]:0{digits}x}"
     if kind == ACTIVATE2:
-        return f"{seq} {ACTIVATE2} {op[1]} {op[2]} {op[3]}"
+        return f"{ACTIVATE2} {op[1]} {op[2]} {op[3]}"
     if kind == SHIFT:
         if op[2] == TILE:
-            return f"{seq} {SHIFT} {op[1]} {TILE} {op[3]} {op[4]}"
-        return f"{seq} {SHIFT} {op[1]} {GLOBAL}"
+            return f"{SHIFT} {op[1]} {TILE} {op[3]} {op[4]}"
+        return f"{SHIFT} {op[1]} {GLOBAL}"
     if kind == WRITEBACK:
-        return f"{seq} {WRITEBACK} {op[1]}"
+        return f"{WRITEBACK} {op[1]}"
     if kind == ZERO_TEST:
-        return f"{seq} {ZERO_TEST} {op[1]}"
+        return f"{ZERO_TEST} {op[1]}"
     raise TraceIOError(f"unknown micro-op kind {kind!r}")
 
 
 def serialize_trace(trace, cols: int) -> str:
-    lines = [format_op(i, op, cols) for i, op in enumerate(trace)]
+    """The trace as text, one line per op; each distinct op is formatted once."""
+    texts: dict[tuple, str] = {}
+    lines = []
+    for seq, op in enumerate(trace):
+        text = texts.get(op)
+        if text is None:
+            text = texts[op] = _op_text(op, cols)
+        lines.append(f"{seq} {text}")
     lines.append("")
     return "\n".join(lines)
 

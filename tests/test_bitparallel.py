@@ -28,10 +28,12 @@ from sramntt.bitparallel import (
     select_m,
     unpack_word,
 )
-from sramntt.errors import ObservationError, ParameterError
+from sramntt.bitparallel import _modadd, _modmul_add_b, _modmul_halve, _modmul_prologue
+from sramntt.bitparallel import _modsub, _resolve
+from sramntt.errors import ObservationError, ParameterError, SimError
 from sramntt.oracle import oracle_montmul
 from sramntt.perf import counts_of_trace
-from sramntt.subarray import ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray
+from sramntt.subarray import ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, execute
 
 
 def fresh(modulus, width, cols=32, rows=32, record=True):
@@ -190,15 +192,100 @@ def test_compiled_primitives_run_the_emitted_ops(policy):
     assert runs[0][:3] == runs[1][:3]
 
 
-def test_joined_multiplier_equals_the_compiled_stream():
+def test_block_multiplier_equals_the_compiled_stream():
+    """The blocks a multiplication runs, in order, are the stream
+    compile_twiddle_commands compiles: ops, obs marks and step marks."""
     ctx, arr, rm = fresh(7681, 16)
     E = DirectEmitter(arr, rm, ExecPolicy())
     for a in (0, 1, 0xFFFF, 0xB5A3):
+        start = len(arr.trace)
         emit_modmul(E, rm, a, ctx.width, b_row=5)
-        joined = E.programs[(emit_modmul, rm, a, ctx.width)]
+        ops, obs_marks, step_marks = [], {}, []
+        for block in E.programs[(emit_modmul, rm, a, ctx.width)]:
+            base = len(ops)
+            ops += block.bind((5,))
+            obs_marks.update((base + i, edge) for i, edge in block.obs_marks.items())
+            step_marks += [(base + i, tag) for i, tag in block.step_marks]
         want = compile_twiddle_commands(a, ctx, rm, b_row=5)
-        assert joined.bind((5,)) == want.ops
-        assert (joined.obs_marks, joined.step_marks) == (want.obs_marks, want.step_marks)
+        assert ops == want.ops == arr.trace[start:]
+        assert (obs_marks, step_marks) == (want.obs_marks, want.step_marks)
+
+
+@pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
+def test_every_generated_block_runs_like_the_executor(policy):
+    """Each compiled block leaves the array, the trace and any error as
+    execute(arr, stream.bind(rows), stream.obs_marks, lane) does, whether
+    it runs interpreted (its first run) or generated (every later one):
+    lanes 3-24 in 64 columns (partial remainder tiles included), on zero,
+    dense and sparse random states."""
+    rng = random.Random(24)
+
+    def caught(run):
+        try:
+            run()
+        except SimError as exc:
+            return type(exc), str(exc)
+        return None
+
+    for lane in range(3, 25):
+        arr = Subarray(32, 64)
+        rm = default_rowmap(32, lane)
+        E = DirectEmitter(arr, rm, policy)
+        pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
+        blocks = [(E.compiled(_modmul_prologue, rm, 0), 0), (E.compiled(_resolve, rm, 1), 1),
+                  (E.compiled(_modadd, rm, 3, pool), 3), (E.compiled(_modsub, rm, 3, pool), 3)]
+        for i in range(lane):
+            blocks += [(E.compiled(_modmul_add_b, rm, 1, i), 1),
+                       (E.compiled(_modmul_halve, rm, 0, i), 0)]
+        assert len(E.programs) == len(blocks) == 2 * lane + 4
+        for stream, operands in blocks:
+            for density in (0, 1, 3, 0):       # bits set with odds 0, 1/2, 1/8
+                def value():
+                    v = -1 if density else 0
+                    for _ in range(density):
+                        v &= rng.getrandbits(64)
+                    return v
+                cells = [value() for _ in range(32)]
+                latch = value()
+                rows = tuple(rng.sample(range(20), operands))   # below the reserved rows
+                twin = Subarray(32, 64)
+                for machine in (arr, twin):
+                    machine.cells[:] = cells
+                    machine.latch = latch
+                arr.trace = []
+                bound = stream.bind(rows)
+                error = caught(lambda: E.run(stream, rows))
+                assert error == caught(lambda: execute(twin, bound, stream.obs_marks, lane))
+                assert (arr.cells, arr.latch, arr.trace) == (twin.cells, twin.latch, twin.trace)
+                assert density or error is None
+            assert stream.program is not None
+        # one function per distinct block: the add-B and halving blocks differ
+        # only in their step tags
+        assert len({id(stream.program) for stream, _ in blocks}) == len(E.generated) == 6
+
+
+def test_a_dropped_unit_frees_its_array_without_the_cycle_collector():
+    """Generated functions hold their array; nothing may hold them back in a
+    cycle, or every finished unit's trace waits for a full collection."""
+    import gc
+
+    from sramntt.ntt import RingParams, TransformUnit
+
+    def arrays():
+        return sum(isinstance(o, Subarray) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = arrays()
+        unit = TransformUnit(RingParams.create(257, 8), rows=64, cols=64)
+        unit.load_polynomials([[1, 2, 3, 4, 5, 6, 7, 8]])
+        unit.forward()
+        assert unit.emitter.generated and all(unit.emitter.generated.values())
+        del unit
+        assert arrays() == before
+    finally:
+        gc.enable()
 
 
 def test_select_m_per_tile():

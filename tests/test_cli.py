@@ -20,7 +20,7 @@ def test_run_verify_ok(tmp_path):
     assert code == 0
     payload = json.loads(stats.read_text())
     assert set(payload) == {"config", "counts", "cycles", "energy_nJ",
-                            "latency_us", "throughput_knnt_s", "shifts"}
+                            "latency_us", "throughput_knnt_s", "shifts", "trace_ops"}
     assert set(payload["shifts"]) == {"global", "tile", "word_alignment"}
     assert payload["shifts"]["word_alignment"] == 0
     assert set(payload["counts"]) == {"WRITE_ROW", "ACTIVATE2", "SHIFT",
@@ -124,6 +124,45 @@ def test_replay_rejects_short_state_file(tmp_path, capsys):
     state.write_text(json.dumps({"rows": 8, "cols": 8, "latch": "0", "cells": ["0", "0", "0"]}))
     assert run_cli(["trace-replay", str(trace), str(state)]) == 5
     assert "malformed state file" in capsys.readouterr().err
+
+
+def test_trace_ops_key_counts_the_trace_file_in_every_mode(tmp_path):
+    """In polymul mode --trace holds unit a's ops and `trace_ops` says how
+    many; `counts` still cover both units (unit b runs what a forward run does)."""
+    payloads = {}
+    for mode in ("polymul", "roundtrip", "forward"):
+        stats = tmp_path / f"{mode}.json"
+        trace = tmp_path / f"{mode}.trace"
+        assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",
+                        "--cols", "64", "--mode", mode, "--stats", str(stats),
+                        "--trace", str(trace)]) == 0
+        payload = payloads[mode] = json.loads(stats.read_text())
+        assert payload["trace_ops"] == len(trace.read_text().splitlines())
+    for mode in ("roundtrip", "forward"):
+        assert sum(payloads[mode]["counts"].values()) == payloads[mode]["trace_ops"]
+    both = sum(payloads["polymul"]["counts"].values())
+    assert both == payloads["polymul"]["trace_ops"] + payloads["forward"]["trace_ops"]
+    assert both > payloads["polymul"]["trace_ops"]
+
+
+@pytest.mark.parametrize("flags", [["--rows", str(10**12)], ["--cols", str(10**12)]])
+@pytest.mark.parametrize("command", [["run", "--order", "8", "--q", "257"],
+                                     ["sweep", "--vary", "order"],
+                                     ["sweep", "--vary", "bitwidth"]])
+def test_array_size_flags_are_bounded(capsys, command, flags):
+    assert run_cli(command + flags) == 2
+    assert "at most 4096x4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows,cols", [(10**12, 8), (8, 10**12)])
+def test_replay_rejects_an_oversized_state_file(tmp_path, capsys, rows, cols):
+    trace = tmp_path / "one.trace"
+    state = tmp_path / "huge.state"
+    trace.write_text("0 WRITEBACK 0\n")
+    state.write_text(json.dumps({"rows": rows, "cols": cols, "latch": "0",
+                                 "cells": ["0"] * 8}))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 5
+    assert "at most 4096x4096" in capsys.readouterr().err
 
 
 def test_sweep_bitwidth_csv(tmp_path):

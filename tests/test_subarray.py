@@ -1,5 +1,7 @@
 """Subarray micro-op semantics, trace closure, and serialization grammar."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from sramntt.errors import (
     AddressError,
     DimensionError,
+    ObservationError,
     SimError,
     TileGeometryError,
     TraceIOError,
@@ -16,6 +19,8 @@ from sramntt.subarray import (
     AND,
     GLOBAL,
     LEFT,
+    MAX_COLS,
+    MAX_ROWS,
     NOR,
     OR,
     RIGHT,
@@ -32,6 +37,7 @@ from sramntt.subarray import (
     bits_to_list,
     create_subarray,
     execute,
+    generate,
     parse_trace,
     parse_trace_line,
     replay,
@@ -53,6 +59,13 @@ def test_create_too_small():
         create_subarray(2, 4)
     with pytest.raises(DimensionError):
         create_subarray(8, 2)
+
+
+def test_create_too_large_allocates_nothing():
+    create_subarray(MAX_ROWS, MAX_COLS, record=False)
+    for rows, cols in ((10**12, 8), (8, 10**12), (MAX_ROWS + 1, 8), (8, MAX_COLS + 1)):
+        with pytest.raises(DimensionError, match="at most"):
+            create_subarray(rows, cols)
 
 
 def test_write_read_roundtrip():
@@ -288,7 +301,9 @@ class ReferenceSubarray:
         if not 0 <= addr < self.rows:
             raise AddressError(f"row {addr} outside [0,{self.rows})")
 
-    def apply(self, op):
+    def apply(self, op, edge=None):
+        """Run one op; `edge` marks a shift whose "msb" or "lsb" full-lane edge
+        must be zero in the latch."""
         kind = op[0]
         if kind == ACTIVATE2:
             a, b, mode = op[1], op[2], op[3]
@@ -314,6 +329,11 @@ class ReferenceSubarray:
             self.trace.append((WRITEBACK, op[1]))
         elif kind == SHIFT:
             direction, scope, width, origin = op[1], op[2], op[3], op[4]
+            lsb_edge, msb_edge = reference_full_tile_edges(self.cols, LANE)
+            if edge == "msb" and self.latch & msb_edge:
+                raise ObservationError("live top bit")
+            if edge == "lsb" and self.latch & lsb_edge:
+                raise ObservationError("live low bit")
             if scope == GLOBAL:
                 if direction == LEFT:
                     self.latch = (self.latch << 1) & self.colmask
@@ -370,9 +390,11 @@ def reference_full_tile_edges(cols, lane):
 
 
 ROWS, COLS = 8, 10          # tiles of 4 leave a partial remainder tile of 2 columns
+LANE = 4                    # lanes of observation marks: two full lanes in COLS
 
-# mostly valid fields, with a bad row, a bad mode and a bad tile geometry now and then
-row_index = st.sampled_from(list(range(ROWS)) * 4 + [-1, ROWS])
+# mostly valid fields, with a bad row, a bad mode and a bad tile geometry now and
+# then; the generator reads rows -1, -2 and -3 as placeholders
+row_index = st.sampled_from(list(range(ROWS)) * 4 + [-1, -2, -3, ROWS])
 micro_op = st.one_of(
     st.tuples(st.just(ACTIVATE2), row_index, row_index,
               st.sampled_from([AND, NOR, OR, XOR] * 4 + ["NAND"])),
@@ -400,9 +422,10 @@ def fresh_pair(cells, latch):
 
 
 @given(st.lists(row_value, min_size=ROWS, max_size=ROWS), row_value,
-       st.lists(micro_op, max_size=40))
+       st.lists(micro_op, max_size=40), st.lists(row_index, min_size=3, max_size=3),
+       st.lists(st.sampled_from([None, None, "msb", "lsb"]), max_size=40))
 @settings(max_examples=300, deadline=None)
-def test_executor_matches_reference_interpreter(cells, latch, ops):
+def test_executor_matches_reference_interpreter(cells, latch, ops, binding, edges):
     arr, ref = fresh_pair(cells, latch)
     want_error = None
     for op in ops:
@@ -424,6 +447,100 @@ def test_executor_matches_reference_interpreter(cells, latch, ops):
     for op in ops[:len(ref.trace)]:
         apply_op(single, op)
     assert single.same_state(arr) and single.trace == arr.trace
+    # the generated program of the same ops, rows -1..-3 bound to `binding`,
+    # and observation marks on the drawn indices
+    program_ops = [op for op in ops if op[0] in (ACTIVATE2, WRITEBACK, SHIFT)]
+    marks = {i: edge for i, edge in enumerate(edges[:len(program_ops)]) if edge}
+    check_generated_run(cells, latch, program_ops, marks, binding)
+
+
+def bind(ops, rows):
+    """ops with placeholder ~k replaced by rows[k] (CommandStream.bind's rule)."""
+    def row(r):
+        return rows[~r] if r < 0 else r
+    return [(ACTIVATE2, row(op[1]), row(op[2]), op[3]) if op[0] == ACTIVATE2
+            else (WRITEBACK, row(op[1])) if op[0] == WRITEBACK else op for op in ops]
+
+
+def run_and_catch(run):
+    try:
+        run()
+    except SimError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def check_generated_run(cells, latch, ops, marks, binding):
+    """generate() of ops runs like execute() and the reference on the bound ops."""
+    gen, ref = fresh_pair(cells, latch)
+    try:
+        program = generate(gen, ops, marks, LANE, 3)
+    except SimError as exc:
+        # a fault whatever the binding: the first op that fails alone under two
+        # bindings no literal row can meet both of
+        def alone(op, rows):
+            return run_and_catch(lambda: execute(Subarray(ROWS, COLS), bind([op], rows)))
+        static = [alone(op, (0, 1, 2)) for op in ops
+                  if alone(op, (0, 1, 2)) and alone(op, (5, 6, 7))]
+        assert static and static[0] == (type(exc), str(exc))
+        return
+    bound = bind(ops, binding)
+    want_error = None
+    for i, op in enumerate(bound):
+        try:
+            ref.apply(op, marks.get(i))
+        except SimError as exc:
+            want_error = type(exc)
+            break
+    twin, _ = fresh_pair(cells, latch)
+    error = run_and_catch(lambda: program(bound, *binding))
+    assert error == run_and_catch(lambda: execute(twin, bound, marks, LANE))
+    assert (error and error[0]) is want_error
+    assert gen.trace == twin.trace == ref.trace
+    assert all(got is op for got, op in zip(gen.trace, bound))
+    assert (gen.cells, gen.latch) == (twin.cells, twin.latch) == (ref.cells, ref.latch)
+
+
+@pytest.mark.parametrize("ops,marks,binding,error", [
+    ([(ACTIVATE2, -1, 3, AND)], {}, (3, 0, 0), "got 3 twice"),
+    ([(ACTIVATE2, -1, -2, XOR)], {}, (4, 4, 0), "got 4 twice"),
+    ([(WRITEBACK, 1), (WRITEBACK, -3)], {}, (0, 0, ROWS), "row 8 outside"),
+    ([(WRITEBACK, 1), (SHIFT, LEFT, GLOBAL, 0, 0), (WRITEBACK, 2)], {1: "msb"},
+     (0, 0, 0), "live top bit"),
+    ([(WRITEBACK, 1), (SHIFT, RIGHT, TILE, 4, 0), (WRITEBACK, 2)], {1: "lsb"},
+     (0, 0, 0), "live low bit"),
+])
+def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
+    """A bad bound row, a bound same-row pair and a live marked edge bit (in a
+    lane's top or low column) leave the state and trace execute leaves."""
+    cells = list(range(1, ROWS + 1))
+    latch = 0b1000011000        # lane 0's top, lane 1's low and the unchecked remainder
+    gen, twin = Subarray(ROWS, COLS), Subarray(ROWS, COLS)
+    for arr in (gen, twin):
+        arr.cells[:] = cells
+        arr.latch = latch
+    bound = bind(ops, binding)
+    with pytest.raises(SimError, match=error) as raised:
+        generate(gen, ops, marks, LANE, 3)(bound, *binding)
+    with pytest.raises(raised.type, match=re.escape(str(raised.value))):
+        execute(twin, bound, marks, LANE)
+    assert (gen.cells, gen.latch, gen.trace) == (twin.cells, twin.latch, twin.trace)
+
+
+@pytest.mark.parametrize("op,error", [
+    ((ACTIVATE2, 2, 2, AND), "got 2 twice"),
+    ((ACTIVATE2, ROWS, -1, AND), "row 8 outside"),
+    ((WRITEBACK, -4), "row -4 outside"),
+    ((ACTIVATE2, 0, -1, "NAND"), "unknown logic mode"),
+    ((SHIFT, "UP", GLOBAL, 0, 0), "unknown shift direction"),
+    ((SHIFT, LEFT, "SIDEWAYS", 0, 0), "unknown shift scope"),
+    ((SHIFT, LEFT, TILE, 1, 0), "tile width"),
+    ((WRITE_ROW, 0, 1), "cannot run in a generated program"),
+    ((ZERO_TEST, 0), "cannot run in a generated program"),
+])
+def test_generation_rejects_ops_no_binding_can_run(op, error):
+    with pytest.raises(SimError, match=error):
+        generate(Subarray(ROWS, COLS), [(WRITEBACK, 0), op], {}, LANE, 3)
 
 
 def test_executor_records_the_same_tuples_and_the_readout():
