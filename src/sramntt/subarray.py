@@ -405,10 +405,6 @@ def replay(ops, rows: int, cols: int) -> Subarray:
     return arr
 
 
-def format_op(seq: int, op: tuple, cols: int) -> str:
-    return f"{seq} {_op_text(op, cols)}"
-
-
 def _op_text(op: tuple, cols: int) -> str:
     """A trace line after its sequence number."""
     kind = op[0]
