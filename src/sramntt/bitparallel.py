@@ -141,7 +141,7 @@ class CommandStream:
     with its (iteration, step) tag.  A stream compiled with operand
     placeholders (the negative rows -1, -2, ... for operands 0, 1, ...) lists
     the ops that name one in `holes`; ``bind`` puts real rows in.  A stream
-    a DirectEmitter has run more than once holds `program`, the straight-line
+    an Emitter has run more than once holds `program`, the straight-line
     function ``subarray.generate`` made of its ops for that emitter's array.
     Count the ops with ``perf.counts_of_trace``.
     """
@@ -231,37 +231,43 @@ def default_rowmap(arr_rows: int, tile_width: int, b_row: int | None = None) -> 
     return rm
 
 
-# -- emitters ---------------------------------------------------------------
+# -- the emitter ---------------------------------------------------------------
 
-class DirectEmitter:
-    """Executes emitted micro-ops on a subarray (the array records the trace).
+class Emitter:
+    """Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`.
 
-    An emitter without a step callback keeps `programs`: each block that has
-    no zero test (a multiplication's prologue, add-B and halving blocks,
-    resolve, modadd, modsub) compiled once, with its operand rows as
-    placeholders, and bound to the real rows at every call (see ``run``).
-    The programs belong to this emitter and die with it.  Zero-test loops
-    (data-dependent mode), and every op of an emitter with a step callback
-    (`programs` is None), run one op at a time through ``subarray.execute``
-    as they are emitted.
+    Without an array it compiles: it never flushes, and ``stream`` hands
+    the ops over.  With one, ``flush`` runs the pending ops through
+    ``subarray.execute`` (the array records the trace); it flushes at each
+    zero test, before each step callback and before every ``emit_*``
+    returns, so no op is pending when the host touches a row or a compiled
+    block runs.  With an array and no step callback it keeps `programs`:
+    each block without a zero test compiled once per emitter, operand rows
+    as placeholders, and bound to the real rows at every call (see
+    ``block`` and ``run``).
     """
 
-    __slots__ = ("arr", "rm", "policy", "step_callback", "programs", "generated")
+    __slots__ = ("rm", "policy", "arr", "step_callback", "ops", "obs_marks", "step_marks",
+                 "programs", "generated")
 
-    def __init__(self, arr: Subarray, rm: RowMap, policy: ExecPolicy, step_callback=None):
-        self.arr = arr
+    def __init__(self, rm: RowMap, policy: ExecPolicy, arr: Subarray | None = None,
+                 step_callback=None):
         self.rm = rm
         self.policy = policy
+        self.arr = arr
         self.step_callback = step_callback
-        self.programs: dict | None = {} if step_callback is None else None
+        self.ops: list[tuple] = []
+        self.obs_marks: dict[int, str] = {}
+        self.step_marks: list[tuple[int, tuple]] = []
+        self.programs: dict | None = {} if arr is not None and step_callback is None else None
         # (ops, obs marks, operands) -> generated function; None after one run
         self.generated: dict[tuple, Callable | None] = {}
 
     def act(self, a: int, b: int, mode: str) -> None:
-        execute(self.arr, ((ACTIVATE2, a, b, mode),))
+        self.ops.append((ACTIVATE2, a, b, mode))
 
     def wb(self, row: int) -> None:
-        execute(self.arr, ((WRITEBACK, row),))
+        self.ops.append((WRITEBACK, row))
 
     def shift_data(self, direction: str, obs: str | None = None) -> None:
         """Arithmetic 1-bit shift; global unless the policy masks everything.
@@ -269,26 +275,61 @@ class DirectEmitter:
         obs names the lane edge the carry-save invariants promise is zero in
         the latch; a live bit there raises ObservationError before the shift.
         """
-        op = _data_shift(self.policy, self.rm, direction)
-        execute(self.arr, (op,), {0: obs} if obs else None, self.rm.tile_width)
+        if obs is not None:
+            self.obs_marks[len(self.ops)] = obs
+        if self.policy.tile_scope_all:
+            self.shift_mask(direction)
+        else:
+            self.ops.append((SHIFT, direction, GLOBAL, 0, 0))
 
     def shift_mask(self, direction: str) -> None:
         """Predication-mask smear shift; always tile-masked."""
-        execute(self.arr, ((SHIFT, direction, TILE, self.rm.tile_width, self.rm.tile_origin),))
+        self.ops.append((SHIFT, direction, TILE, self.rm.tile_width, self.rm.tile_origin))
 
     def ztest(self) -> bool:
+        if self.arr is None:
+            raise ParameterError("zero-test loops cannot be compiled ahead of time")
+        self.flush()
         return self.arr.latch_is_zero()
 
     def step(self, tag: tuple) -> None:
+        self.step_marks.append((len(self.ops) - 1, tag))
         if self.step_callback is not None:
+            self.flush()
             self.step_callback(tag, self.arr)
+
+    def flush(self) -> None:
+        """Run the pending ops on the array and empty the buffer, even if one raises."""
+        if self.arr is not None and self.ops:
+            ops, obs_marks = self.ops, self.obs_marks
+            self.ops, self.obs_marks, self.step_marks = [], {}, []
+            execute(self.arr, ops, obs_marks, self.rm.tile_width)
+
+    def stream(self) -> CommandStream:
+        """The ops collected so far, with the indices of those naming a placeholder."""
+        holes = [i for i, op in enumerate(self.ops)
+                 if op[0] == WRITEBACK and op[1] < 0
+                 or op[0] == ACTIVATE2 and (op[1] < 0 or op[2] < 0)]
+        return CommandStream(ops=self.ops, obs_marks=self.obs_marks,
+                             step_marks=self.step_marks, holes=holes)
+
+    def block(self, body, rm: RowMap, rows: tuple, *static) -> None:
+        """body(E, rm, *rows, *static), compiled once and run bound to `rows`
+        when this emitter keeps programs and its policy is deterministic (a
+        zero-test loop cannot be compiled); otherwise emitted in place and
+        flushed."""
+        if self.programs is None or not self.policy.deterministic:
+            body(self, rm, *rows, *static)
+            self.flush()
+        else:
+            self.run(self.compiled(body, rm, len(rows), *static), rows)
 
     def compiled(self, body, rm: RowMap, operands: int, *static) -> CommandStream:
         """body(E, rm, *placeholders, *static) compiled once for this emitter."""
         key = (body, rm, static)
         stream = self.programs.get(key)
         if stream is None:
-            C = CollectEmitter(rm, self.policy)
+            C = Emitter(rm, self.policy)
             body(C, rm, *_OPERANDS[:operands], *static)
             stream = self.programs[key] = C.stream()
         return stream
@@ -296,13 +337,14 @@ class DirectEmitter:
     def run(self, stream: CommandStream, rows=()) -> None:
         """Run a compiled stream with its placeholders bound to `rows`.
 
-        The first run of a block's ops goes through ``execute``.  From the
-        second on, the block runs as the straight-line function
-        ``subarray.generate`` makes of it, one per distinct (ops, obs marks)
-        in this emitter: the halving blocks of a multiplication differ only
-        in their step tags, so they share one.  A block run once, as in a
-        multiplication by a constant on a fresh unit, costs no generation.
-        Either way the trace gets the bound ops.
+        No op may be pending: it would run after the stream.  The first run
+        of a block's ops goes through ``execute``.  From the second on, the
+        block runs as the straight-line function ``subarray.generate`` makes
+        of it, one per distinct (ops, obs marks) in this emitter: the halving
+        blocks of a multiplication differ only in their step tags, so they
+        share one.  A block run once, as in a multiplication by a constant on
+        a fresh unit, costs no generation.  Either way the trace gets the
+        bound ops.
         """
         program = stream.program
         if program is None:
@@ -319,55 +361,6 @@ class DirectEmitter:
         program(stream.bind(rows), *rows)
 
 
-class CollectEmitter:
-    """Builds a CommandStream instead of touching an array (deterministic flows only)."""
-
-    __slots__ = ("rm", "policy", "ops", "obs_marks", "step_marks")
-
-    programs = None                 # it compiles; it never runs compiled programs
-
-    def __init__(self, rm: RowMap, policy: ExecPolicy):
-        self.rm = rm
-        self.policy = policy
-        self.ops: list[tuple] = []
-        self.obs_marks: dict[int, str] = {}
-        self.step_marks: list[tuple[int, tuple]] = []
-
-    def act(self, a: int, b: int, mode: str) -> None:
-        self.ops.append((ACTIVATE2, a, b, mode))
-
-    def wb(self, row: int) -> None:
-        self.ops.append((WRITEBACK, row))
-
-    def shift_data(self, direction: str, obs: str | None = None) -> None:
-        if obs is not None:
-            self.obs_marks[len(self.ops)] = obs
-        self.ops.append(_data_shift(self.policy, self.rm, direction))
-
-    def shift_mask(self, direction: str) -> None:
-        self.ops.append((SHIFT, direction, TILE, self.rm.tile_width, self.rm.tile_origin))
-
-    def ztest(self) -> bool:
-        raise ParameterError("zero-test loops cannot be compiled ahead of time")
-
-    def step(self, tag: tuple) -> None:
-        self.step_marks.append((len(self.ops) - 1, tag))
-
-    def stream(self) -> CommandStream:
-        """The ops collected so far, with the indices of those naming a placeholder."""
-        holes = [i for i, op in enumerate(self.ops)
-                 if op[0] == WRITEBACK and op[1] < 0
-                 or op[0] == ACTIVATE2 and (op[1] < 0 or op[2] < 0)]
-        return CommandStream(ops=self.ops, obs_marks=self.obs_marks,
-                             step_marks=self.step_marks, holes=holes)
-
-
-def _data_shift(policy: ExecPolicy, rm: RowMap, direction: str) -> tuple:
-    if policy.tile_scope_all:
-        return (SHIFT, direction, TILE, rm.tile_width, rm.tile_origin)
-    return (SHIFT, direction, GLOBAL, 0, 0)
-
-
 # -- micro-op sequences ------------------------------------------------------
 
 def emit_select_m(E, rm: RowMap) -> None:
@@ -381,6 +374,7 @@ def emit_select_m(E, rm: RowMap) -> None:
     emit_smear(E, rm, rm.mask_row, rm.aux3, toward_msb=True)
     E.act(rm.mask_row, rm.modulus_row, AND)
     E.wb(rm.mask_row)
+    E.flush()
 
 
 def emit_smear(E, rm: RowMap, row: int, temp: int, toward_msb: bool) -> None:
@@ -409,6 +403,7 @@ def emit_smear(E, rm: RowMap, row: int, temp: int, toward_msb: bool) -> None:
         E.act(row, temp, OR)
         E.wb(row)
         span += stride
+    E.flush()
 
 
 def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = None) -> None:
@@ -422,7 +417,8 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = Non
 
     An emitter with programs compiles each block once and keeps, per
     constant, the list of blocks it runs in order with b_row bound, so a
-    constant used once costs a list, not a compilation.
+    constant used once costs a list, not a compilation.  The loop has no
+    zero test, so it runs compiled under either policy.
     """
     if b_row is None:
         b_row = rm.b_row
@@ -434,6 +430,7 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = Non
             if (a_value >> i) & 1:
                 _modmul_add_b(E, rm, b_row, i)
             _modmul_halve(E, rm, i)
+        E.flush()
         return
     key = (emit_modmul, rm, a_value, width)
     blocks = E.programs.get(key)
@@ -498,11 +495,10 @@ def _modmul_halve(E, rm: RowMap, i: int) -> None:
 
 
 def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
-             tmp_a: int, tmp_b: int, cs_row: int, deterministic: bool = True,
-             no_wrap: bool = False) -> None:
+             tmp_a: int, tmp_b: int, cs_row: int, no_wrap: bool = False) -> None:
     """dest := (x + y) mod 2^lane per tile, by iterated half-add + carry shift.
 
-    Deterministic mode unrolls the worst case (lane_width iterations, after
+    A deterministic policy unrolls the worst case (lane_width iterations, after
     which the carry word is provably zero); otherwise the loop exits on the
     wired-OR zero test.  no_wrap promises x + y < 2^lane in every lane: the
     carry shifts then go global with an "msb" mark (see ``_ripple``).
@@ -510,11 +506,12 @@ def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
     E.act(x_row, y_row, XOR)
     E.wb(tmp_a)
     E.act(x_row, y_row, AND)                   # latch = carry word
-    _ripple(E, rm, tmp_a, tmp_b, cs_row, dest_row, deterministic, no_wrap)
+    _ripple(E, rm, tmp_a, tmp_b, cs_row, dest_row, no_wrap)
+    E.flush()
 
 
 def emit_add3(E, rm: RowMap, x_row: int, y_row: int, z_row: int, dest_row: int,
-              p_row: int, cb_row: int, tmp_a: int, deterministic: bool = True) -> None:
+              p_row: int, cb_row: int, tmp_a: int) -> None:
     """dest := (x + y + z) mod 2^lane; one carry-save layer, then the add loop.
 
     The two partial carry words are disjoint (x&y vs (x^y)&z), so OR merges
@@ -530,11 +527,12 @@ def emit_add3(E, rm: RowMap, x_row: int, y_row: int, z_row: int, dest_row: int,
     E.act(x_row, y_row, AND)
     E.wb(p_row)
     E.act(p_row, cb_row, OR)                   # latch = merged carry word
-    _ripple(E, rm, tmp_a, p_row, cb_row, dest_row, deterministic)
+    _ripple(E, rm, tmp_a, p_row, cb_row, dest_row)
+    E.flush()
 
 
 def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
-            deterministic: bool, no_wrap: bool = False) -> None:
+            no_wrap: bool = False) -> None:
     """Fold the carry word in the latch into the partial sum in `cur`.
 
     Each round shifts the carry one column, half-adds it into the partial
@@ -548,7 +546,7 @@ def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
     """
     w = rm.tile_width
     shift = partial(E.shift_data, LEFT, "msb") if no_wrap else partial(E.shift_mask, LEFT)
-    if deterministic:
+    if E.policy.deterministic:
         for k in range(w):
             shift()
             E.wb(cs_row)
@@ -587,9 +585,10 @@ def emit_mask_select(E, rm: RowMap, take_row: int, else_row: int, sel_row: int,
     E.wb(tmp)
     E.act(else_row, tmp, XOR)
     E.wb(dest_row)
+    E.flush()
 
 
-def emit_resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> None:
+def emit_resolve(E, rm: RowMap, dest_row: int) -> None:
     """dest := ((Sum + 2*Carry) conditionally minus M) per tile, in [0, M).
 
     Precondition: the latch holds Carry (always true right after the modmul
@@ -598,19 +597,16 @@ def emit_resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> No
     to the headroom column, and a smeared sign mask selects t (u negative)
     or u.
     """
-    if deterministic and E.programs is not None:
-        E.run(E.compiled(_resolve, rm, 1), (dest_row,))
-    else:
-        _resolve(E, rm, dest_row, deterministic)
+    E.block(_resolve, rm, (dest_row,))
 
 
-def _resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> None:
+def _resolve(E, rm: RowMap, dest_row: int) -> None:
     E.shift_data(LEFT, obs="msb")              # Carry << 1, provably lossless
     E.wb(rm.carry_row)
     emit_add(E, rm, rm.sum_row, rm.carry_row, rm.aux1,
-             rm.aux2, rm.aux3, rm.mask_row, deterministic, no_wrap=True)  # t < 2M
+             rm.aux2, rm.aux3, rm.mask_row, no_wrap=True)  # t < 2M
     emit_add(E, rm, rm.aux1, rm.neg_modulus_row, rm.aux2,
-             rm.aux3, rm.mask_row, rm.carry_row, deterministic)     # u = t - M
+             rm.aux3, rm.mask_row, rm.carry_row)                    # u = t - M
     E.act(rm.aux2, rm.msb_mask, AND)
     E.wb(rm.aux3)
     emit_smear(E, rm, rm.aux3, rm.mask_row, toward_msb=False)       # L = sign(u)
@@ -618,20 +614,16 @@ def _resolve(E, rm: RowMap, dest_row: int, deterministic: bool = True) -> None:
 
 
 def emit_modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
-                pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
+                pool: tuple[int, int, int, int, int]) -> None:
     """dest := (a + b) mod M.  Needs the headroom bit (M < 2^(lane-1))."""
-    if deterministic and E.programs is not None:
-        E.run(E.compiled(_modadd, rm, 3, pool), (a_row, b_row, dest_row))
-    else:
-        _modadd(E, rm, a_row, b_row, dest_row, pool, deterministic)
+    E.block(_modadd, rm, (a_row, b_row, dest_row), pool)
 
 
 def _modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
-            pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
+            pool: tuple[int, int, int, int, int]) -> None:
     t_row, u_row, l_row, tmp, cs = pool
-    emit_add(E, rm, a_row, b_row, t_row, u_row, l_row, cs, deterministic,
-             no_wrap=True)                                            # a + b < 2M
-    emit_add(E, rm, t_row, rm.neg_modulus_row, u_row, l_row, tmp, cs, deterministic)
+    emit_add(E, rm, a_row, b_row, t_row, u_row, l_row, cs, no_wrap=True)  # a + b < 2M
+    emit_add(E, rm, t_row, rm.neg_modulus_row, u_row, l_row, tmp, cs)
     E.act(u_row, rm.msb_mask, AND)
     E.wb(l_row)
     emit_smear(E, rm, l_row, tmp, toward_msb=False)   # set iff a+b < M: keep t
@@ -639,21 +631,18 @@ def _modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
 
 
 def emit_modsub(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
-                pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
+                pool: tuple[int, int, int, int, int]) -> None:
     """dest := (a - b) mod M via two's complement; conditional +M by sign mask."""
-    if deterministic and E.programs is not None:
-        E.run(E.compiled(_modsub, rm, 3, pool), (a_row, b_row, dest_row))
-    else:
-        _modsub(E, rm, a_row, b_row, dest_row, pool, deterministic)
+    E.block(_modsub, rm, (a_row, b_row, dest_row), pool)
 
 
 def _modsub(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
-            pool: tuple[int, int, int, int, int], deterministic: bool = True) -> None:
+            pool: tuple[int, int, int, int, int]) -> None:
     p1, p2, p3, p4, p5 = pool
     E.act(b_row, rm.ones, XOR)                         # ~b within the lane
     E.wb(p1)
-    emit_add3(E, rm, a_row, p1, rm.lsb_mask, p2, p3, p4, p5, deterministic)  # u = a-b
-    emit_add(E, rm, p2, rm.modulus_row, p3, p4, p5, p1, deterministic)       # w = u+M
+    emit_add3(E, rm, a_row, p1, rm.lsb_mask, p2, p3, p4, p5)  # u = a-b
+    emit_add(E, rm, p2, rm.modulus_row, p3, p4, p5, p1)       # w = u+M
     E.act(p2, rm.msb_mask, AND)
     E.wb(p4)
     emit_smear(E, rm, p4, p5, toward_msb=False)        # set iff a < b: take w
@@ -674,14 +663,14 @@ def compile_twiddle_commands(a_value: int, ctx: MontgomeryContext, rm: RowMap,
     if not 0 <= a_value < ctx.radix:
         raise ParameterError(f"twiddle {a_value} outside [0, 2^{ctx.width})")
     rm.validate()
-    E = CollectEmitter(rm, policy)
+    E = Emitter(rm, policy)
     emit_modmul(E, rm, a_value, ctx.width, b_row)
     return E.stream()
 
 
 def select_m(arr: Subarray, rm: RowMap, policy: ExecPolicy = ExecPolicy()) -> int:
     """Standalone m-selection: mask_row := M * LSB(Sum) per tile."""
-    emit_select_m(DirectEmitter(arr, rm, policy), rm)
+    emit_select_m(Emitter(rm, policy, arr), rm)
     return rm.mask_row
 
 
@@ -691,8 +680,7 @@ def resolve_carry_save(arr: Subarray, rm: RowMap, ctx: MontgomeryContext,
     """Collapse (Sum, Carry) to a single row holding the residue < M."""
     if dest_row is None:
         dest_row = rm.mask_row
-    E = DirectEmitter(arr, rm, policy)
-    emit_resolve(E, rm, dest_row, policy.deterministic)
+    emit_resolve(Emitter(rm, policy, arr), rm, dest_row)
     return dest_row
 
 
@@ -701,9 +689,8 @@ def bp_add(arr: Subarray, rm: RowMap, a_row: int, b_row: int,
     """dest := (a + b) mod 2^lane per tile."""
     if dest_row is None:
         dest_row = rm.aux1
-    E = DirectEmitter(arr, rm, policy)
-    emit_add(E, rm, a_row, b_row, dest_row, rm.aux2, rm.aux3, rm.mask_row,
-             policy.deterministic)
+    emit_add(Emitter(rm, policy, arr), rm, a_row, b_row, dest_row,
+             rm.aux2, rm.aux3, rm.mask_row)
     return dest_row
 
 
@@ -722,8 +709,7 @@ def bp_modadd(arr: Subarray, rm: RowMap, a_row: int, b_row: int, ctx: Montgomery
     if dest_row is None:
         dest_row = rm.aux1
     pool = _pool_for(rm, (a_row, b_row, dest_row))
-    E = DirectEmitter(arr, rm, policy)
-    emit_modadd(E, rm, a_row, b_row, dest_row, pool, policy.deterministic)
+    emit_modadd(Emitter(rm, policy, arr), rm, a_row, b_row, dest_row, pool)
     return dest_row
 
 
@@ -734,8 +720,7 @@ def bp_modsub(arr: Subarray, rm: RowMap, a_row: int, b_row: int, ctx: Montgomery
     if dest_row is None:
         dest_row = rm.aux1
     pool = _pool_for(rm, (a_row, b_row, dest_row))
-    E = DirectEmitter(arr, rm, policy)
-    emit_modsub(E, rm, a_row, b_row, dest_row, pool, policy.deterministic)
+    emit_modsub(Emitter(rm, policy, arr), rm, a_row, b_row, dest_row, pool)
     return dest_row
 
 

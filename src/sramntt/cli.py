@@ -28,6 +28,7 @@ from .ntt import (
     RingParams,
     TransformUnit,
     bit_reverse_permute,
+    check_ring,
     layout_plan,
     polymul_pipeline,
 )
@@ -149,12 +150,14 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.mode not in MODES:
         raise ParameterError(f"unknown mode {cfg.mode!r}")
     check_size(cfg.rows, cfg.cols)
-    ring = RingParams.create(cfg.q, cfg.order, cfg.width)
+    width = check_ring(cfg.q, cfg.order, cfg.width)
     policy = ExecPolicy(deterministic=cfg.deterministic_latency,
                         tile_scope_all=cfg.tile_scope_shifts)
     cost = _cost_model(cfg)
-    lane = MontgomeryContext.create(ring.q, ring.width).lane_width
-    tiles = layout_plan(cfg.rows, cfg.cols, lane, ring.order).tiles
+    lane = MontgomeryContext.create(cfg.q, width).lane_width
+    tiles = layout_plan(cfg.rows, cfg.cols, lane, cfg.order).tiles
+    # the root search is O(order): only after the capacity check bounds it
+    ring = RingParams.create(cfg.q, cfg.order, width)
 
     rng = random.Random(cfg.seed)
     if cfg.input_a:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitparallel import (
-    DirectEmitter,
+    Emitter,
     ExecPolicy,
     MontgomeryContext,
     RowMap,
@@ -65,6 +65,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_ring(q: int, order: int, width: int | None = None) -> int:
+    """Check a ring without its O(order) root search; return its coefficient
+    width (by default the residues' width plus a headroom bit)."""
+    if order < 2 or order & (order - 1):
+        raise ParameterError(f"order must be a power of two >= 2, got {order}")
+    if not is_prime(q):
+        raise ParameterError(f"modulus {q} is not prime")
+    if (q - 1) % (2 * order) != 0:
+        raise ParameterError(
+            f"no 2*{order}-th root of unity: {q} != 1 (mod {2 * order})"
+        )
+    min_width = max((q - 1).bit_length(), 3)
+    if width is None:
+        return min_width + 1
+    if width < min_width:
+        raise ParameterError(f"width {width} cannot represent residues mod {q}")
+    return width
+
+
 def find_roots(q: int, order: int) -> tuple[int, int]:
     """Smallest psi with psi^order = -1 mod q, plus omega = psi^2.
 
@@ -74,14 +93,7 @@ def find_roots(q: int, order: int) -> tuple[int, int]:
     z; the others are the odd powers z^k, k < 2*order, and psi is their
     minimum.  That is O(order) multiplications however large q is.
     """
-    if order < 2 or order & (order - 1):
-        raise ParameterError(f"order must be a power of two >= 2, got {order}")
-    if not is_prime(q):
-        raise ParameterError(f"modulus {q} is not prime")
-    if (q - 1) % (2 * order) != 0:
-        raise ParameterError(
-            f"no 2*{order}-th root of unity: {q} != 1 (mod {2 * order})"
-        )
+    check_ring(q, order)
     g = 2
     while pow(g, (q - 1) // 2, q) != q - 1:
         g += 1
@@ -123,14 +135,8 @@ class RingParams:
 
     @classmethod
     def create(cls, q: int, order: int, width: int | None = None) -> "RingParams":
+        width = check_ring(q, order, width)
         psi, omega = find_roots(q, order)
-        min_width = max((q - 1).bit_length(), 3)
-        if width is None:
-            width = min_width + 1      # headroom bit for modular add/sub
-        if width < min_width:
-            raise ParameterError(
-                f"width {width} cannot represent residues mod {q}"
-            )
         return cls(q=q, order=order, psi=psi, omega=omega, width=width)
 
     @property
@@ -218,12 +224,13 @@ def resident_rows(rows: int, order: int) -> int:
 
     In the host-swap regime the direct-mapped slot count must not divide any
     butterfly span (a power of two), or a pair could collide on one slot; one
-    row is dropped to force an odd factor in.
+    row is dropped to force an odd factor in.  A single slot divides every
+    span, so a swapped layout with one slot has no resident rows at all.
     """
     resident = rows - SCRATCH_ROWS - CONSTANT_ROWS
     if order > resident and resident > 1 and resident & (resident - 1) == 0:
         resident -= 1
-    return resident
+    return 0 if order > resident == 1 else resident
 
 
 def layout_plan(rows: int, cols: int, width: int, order: int) -> TileLayout:
@@ -240,7 +247,7 @@ def layout_plan(rows: int, cols: int, width: int, order: int) -> TileLayout:
         )
     resident = resident_rows(rows, order)
     if resident < 1:
-        raise CapacityError("array too small for scratch and constant rows")
+        raise CapacityError(f"{rows} rows leave too few coefficient slots")
     rowmap = default_rowmap(rows, width)
     return TileLayout(
         rows=rows, cols=cols, tile_width=width, tiles=tiles, order=order,
@@ -289,7 +296,7 @@ class TransformUnit:
         self.policy = policy
         self.arr = Subarray(rows, cols, record=record)
         self.rm = self.layout.rowmap
-        self.emitter = DirectEmitter(self.arr, self.rm, policy)
+        self.emitter = Emitter(self.rm, policy, self.arr)
         load_constants(self.arr, self.rm, self.ctx)
         self._host: list[int] = [0] * ring.order        # packed row per coefficient
         self._slot_virt: list[int | None] = [None] * self.layout.resident_rows
@@ -350,7 +357,7 @@ class TransformUnit:
     def _product_into_mask(self, scaled_twiddle: int, b_row: int) -> None:
         E = self.emitter
         emit_modmul(E, self.rm, scaled_twiddle, self.ctx.width, b_row=b_row)
-        emit_resolve(E, self.rm, self.rm.mask_row, self.policy.deterministic)
+        emit_resolve(E, self.rm, self.rm.mask_row)
 
     def _scale_rows(self, scaled_values) -> None:
         """coefficient_row := scaled_values[c] * row * R^-1, for every c."""
@@ -358,39 +365,39 @@ class TransformUnit:
         for c in range(self.ring.order):
             row = self._ensure(c)
             emit_modmul(E, self.rm, scaled_values[c], self.ctx.width, b_row=row)
-            emit_resolve(E, self.rm, row, self.policy.deterministic)
+            emit_resolve(E, self.rm, row)
 
     def forward(self) -> None:
         """In-place forward transform; rows end up holding the bit-reversed spectrum."""
         E = self.emitter
         rm = self.rm
-        det = self.policy.deterministic
         fwd = self.table.forward
         for j, length, k in _forward_schedule(self.ring.order):
             rj = self._ensure(j)
             rl = self._ensure(j + length)
             self._product_into_mask(fwd[k], rl)
-            emit_modsub(E, rm, rj, rm.mask_row, rl, self._pool, det)
-            emit_modadd(E, rm, rj, rm.mask_row, rj, self._pool, det)
+            emit_modsub(E, rm, rj, rm.mask_row, rl, self._pool)
+            emit_modadd(E, rm, rj, rm.mask_row, rj, self._pool)
             self.butterflies += 1
 
     def inverse(self) -> None:
         """Gentleman-Sande inverse on a bit-reversed spectrum; standard order out."""
         E = self.emitter
         rm = self.rm
-        det = self.policy.deterministic
         inv = self.table.inverse
         for j, length, k in _inverse_schedule(self.ring.order):
             rj = self._ensure(j)
             rl = self._ensure(j + length)
-            emit_modsub(E, rm, rj, rl, rm.mask_row, self._pool, det)
-            emit_modadd(E, rm, rj, rl, rj, self._pool, det)
+            emit_modsub(E, rm, rj, rl, rm.mask_row, self._pool)
+            emit_modadd(E, rm, rj, rl, rj, self._pool)
             # park the difference in the now-dead a[j+len] row: the multiply
-            # loop needs mask_row for its own per-iteration predication
+            # loop needs mask_row for its own per-iteration predication; the
+            # flush runs the park before the multiplication's compiled blocks
             E.act(rm.mask_row, rm.zeros, OR)
             E.wb(rl)
+            E.flush()
             emit_modmul(E, rm, inv[k], self.ctx.width, b_row=rl)
-            emit_resolve(E, rm, rl, det)
+            emit_resolve(E, rm, rl)
             self.butterflies += 1
         self._scale_rows([self.table.scale_inv_r] * self.ring.order)
 

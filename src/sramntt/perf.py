@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .bitparallel import (
-    CollectEmitter,
+    Emitter,
     ExecPolicy,
     MontgomeryContext,
     default_rowmap,
@@ -113,7 +113,7 @@ def empty_counts() -> dict:
     counts = {kind: 0 for kind in KINDS}
     counts["SHIFT_GLOBAL"] = 0
     counts["SHIFT_TILE"] = 0
-    counts["SHIFT_ALIGN"] = 0
+    counts["SHIFT_ALIGN"] = 0      # no op shifts for word alignment; kept for the stats key
     return counts
 
 
@@ -136,7 +136,7 @@ def counts_of_trace(trace) -> dict:
             elif op[2] == TILE:
                 counts["SHIFT_TILE"] += n
             else:
-                counts["SHIFT_ALIGN"] += n
+                raise ParameterError(f"unknown shift scope {op[2]!r}")
     return counts
 
 
@@ -245,7 +245,7 @@ def primitive_counts(width: int, kind: str, popcount: int = 0) -> dict:
     if cached is not None:
         return cached
     ctx, rm = _dummy_env(width)
-    E = CollectEmitter(rm, ExecPolicy())
+    E = Emitter(rm, ExecPolicy())
     pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
     coeff_a, coeff_b = 0, 1
     if kind == "modmul":

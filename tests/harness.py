@@ -9,7 +9,7 @@ multiplicands; the oracle value is unchanged by the reduction).
 from __future__ import annotations
 
 from sramntt.bitparallel import (
-    DirectEmitter,
+    Emitter,
     ExecPolicy,
     MontgomeryContext,
     default_rowmap,
@@ -36,7 +36,7 @@ class ModmulBench:
         self.arr = Subarray(rows, cols, record=record)
         self.rm = default_rowmap(rows, self.lane, b_row=B_ROW)
         self.policy = ExecPolicy()
-        self.emitter = DirectEmitter(self.arr, self.rm, self.policy)
+        self.emitter = Emitter(self.rm, self.policy, self.arr)
         load_constants(self.arr, self.rm, self.ctx)
 
     def run(self, a_value: int, b_values) -> list[int]:

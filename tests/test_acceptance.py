@@ -11,7 +11,7 @@ import pytest
 
 from harness import B_ROW, ModmulBench, paper_steps
 from sramntt.bitparallel import (
-    DirectEmitter,
+    Emitter,
     ExecPolicy,
     MontgomeryContext,
     broadcast_word,
@@ -125,7 +125,7 @@ def test_criterion_1_worked_example():
                 "mask": unpack_word(a.read_row(rm.mask_row), 0, w),
             }
 
-        E = DirectEmitter(arr, rm, ExecPolicy(), step_callback=snap)
+        E = Emitter(rm, ExecPolicy(), arr, step_callback=snap)
         emit_modmul(E, rm, 4, 3, b_row=B_ROW)
         # P stays zero through the first two iterations (low bits of A clear)
         assert seen[(1, 7)]["sum"] == 0 and seen[(1, 7)]["carry"] == 0

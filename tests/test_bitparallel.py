@@ -6,8 +6,7 @@ import pytest
 
 from harness import B_ROW, ModmulBench, modmul_value
 from sramntt.bitparallel import (
-    CollectEmitter,
-    DirectEmitter,
+    Emitter,
     ExecPolicy,
     MontgomeryContext,
     bp_add,
@@ -17,11 +16,14 @@ from sramntt.bitparallel import (
     compile_twiddle_commands,
     default_rowmap,
     emit_add,
+    emit_add3,
     emit_mask_select,
     emit_modadd,
     emit_modmul,
     emit_modsub,
     emit_resolve,
+    emit_select_m,
+    emit_smear,
     load_constants,
     pack_words,
     resolve_carry_save,
@@ -136,7 +138,7 @@ def test_bp_modmul_stream_api_and_resolve():
     ctx, arr, rm = fresh(7, 3)
     arr.write_row(B_ROW, broadcast_word(3, ctx.lane_width, arr.cols))
     start = len(arr.trace)
-    emit_modmul(DirectEmitter(arr, rm, ExecPolicy()), rm, 4, ctx.width)
+    emit_modmul(Emitter(rm, ExecPolicy(), arr), rm, 4, ctx.width)
     assert arr.trace[start:] == compile_twiddle_commands(4, ctx, rm).ops
     lane = ctx.lane_width
     s = unpack_word(arr.read_row(rm.sum_row), 0, lane)
@@ -153,7 +155,7 @@ def test_observation_check_fires_on_live_carry_top_bit():
     arr.write_row(rm.carry_row, broadcast_word(1 << (lane - 1), lane, arr.cols))
     arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
     with pytest.raises(ObservationError):
-        emit_resolve(DirectEmitter(arr, rm, ExecPolicy()), rm, rm.mask_row)
+        emit_resolve(Emitter(rm, ExecPolicy(), arr), rm, rm.mask_row)
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
@@ -163,7 +165,7 @@ def test_observation_check_fires_on_live_half_sum_low_bit(policy):
     lane = ctx.lane_width
     arr.write_row(rm.modulus_row, broadcast_word(6, lane, arr.cols))
     arr.write_row(B_ROW, broadcast_word(3, lane, arr.cols))   # Sum = 3 after bit 0 of A
-    E = DirectEmitter(arr, rm, policy)
+    E = Emitter(rm, policy, arr)
     with pytest.raises(ObservationError, match="low bit"):
         emit_modmul(E, rm, 1, ctx.width)
     assert E.programs                                 # the compiled path raised it
@@ -180,7 +182,7 @@ def test_compiled_primitives_run_the_emitted_ops(policy):
         for row in (1, 2, 3):
             arr.write_row(row, pack_words([rng.randrange(7681) for _ in range(4)],
                                           ctx.lane_width, arr.cols))
-        E = DirectEmitter(arr, rm, policy, step_callback=callback)
+        E = Emitter(rm, policy, arr, step_callback=callback)
         pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
         for a_row, b_row, twiddle in ((1, 2, 0xB5A3), (3, 1, 0x0F0F), (2, 3, 0xB5A3)):
             emit_modmul(E, rm, twiddle, ctx.width, b_row=b_row)
@@ -192,11 +194,62 @@ def test_compiled_primitives_run_the_emitted_ops(policy):
     assert runs[0][:3] == runs[1][:3]
 
 
+POLICIES = [ExecPolicy(), ExecPolicy(tile_scope_all=True),
+            ExecPolicy(deterministic=False),
+            ExecPolicy(deterministic=False, tile_scope_all=True)]
+
+
+@pytest.mark.parametrize("callback", [None, lambda tag, arr: None])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_every_emit_returns_with_its_ops_run(policy, callback):
+    """An emitter with an array leaves no op pending when an emit_* returns,
+    so none can run after a compiled block or a host read; under a
+    deterministic policy the array ran exactly the ops a collecting emitter
+    collects for the same call."""
+    ctx, arr, rm = fresh(7681, 16, cols=64)
+    rng = random.Random(12)
+    for row in (1, 2, 3):
+        arr.write_row(row, pack_words([rng.randrange(7681) for _ in range(4)],
+                                      ctx.lane_width, arr.cols))
+    pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
+    emits = [
+        lambda E: emit_modmul(E, rm, 0xB5A3, ctx.width, b_row=1),
+        lambda E: emit_resolve(E, rm, 4),
+        lambda E: emit_modadd(E, rm, 1, 2, 5, pool),
+        lambda E: emit_modsub(E, rm, 1, 2, 6, pool),
+        lambda E: emit_add(E, rm, 1, 2, 7, 8, 9, 10),
+        lambda E: emit_add3(E, rm, 1, 2, 3, 7, 8, 9, 10),
+        lambda E: emit_select_m(E, rm),
+        lambda E: emit_smear(E, rm, 7, 8, toward_msb=True),
+        lambda E: emit_mask_select(E, rm, 1, 2, 3, 8, 9),
+    ]
+    E = Emitter(rm, policy, arr, step_callback=callback)
+    for emit in emits:
+        start = len(arr.trace)
+        emit(E)
+        assert (E.ops, E.obs_marks, E.step_marks) == ([], {}, [])
+        if policy.deterministic:
+            C = Emitter(rm, policy)
+            emit(C)
+            assert arr.trace[start:] == C.ops
+        else:
+            assert len(arr.trace) > start
+
+
+def test_a_collecting_emitter_cannot_zero_test():
+    rm = default_rowmap(32, 16)
+    E = Emitter(rm, ExecPolicy(deterministic=False))
+    with pytest.raises(ParameterError, match="compiled ahead of time"):
+        E.ztest()
+    with pytest.raises(ParameterError, match="compiled ahead of time"):
+        emit_add(E, rm, 1, 2, 3, 4, 5, 6)
+
+
 def test_block_multiplier_equals_the_compiled_stream():
     """The blocks a multiplication runs, in order, are the stream
     compile_twiddle_commands compiles: ops, obs marks and step marks."""
     ctx, arr, rm = fresh(7681, 16)
-    E = DirectEmitter(arr, rm, ExecPolicy())
+    E = Emitter(rm, ExecPolicy(), arr)
     for a in (0, 1, 0xFFFF, 0xB5A3):
         start = len(arr.trace)
         emit_modmul(E, rm, a, ctx.width, b_row=5)
@@ -230,7 +283,7 @@ def test_every_generated_block_runs_like_the_executor(policy):
     for lane in range(3, 25):
         arr = Subarray(32, 64)
         rm = default_rowmap(32, lane)
-        E = DirectEmitter(arr, rm, policy)
+        E = Emitter(rm, policy, arr)
         pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
         blocks = [(E.compiled(_modmul_prologue, rm, 0), 0), (E.compiled(_resolve, rm, 1), 1),
                   (E.compiled(_modadd, rm, 3, pool), 3), (E.compiled(_modsub, rm, 3, pool), 3)]
@@ -302,7 +355,7 @@ def test_select_m_per_tile():
 def test_resolve_examples_and_random():
     ctx, arr, rm = fresh(7, 3)
     lane = ctx.lane_width
-    E = DirectEmitter(arr, rm, ExecPolicy())
+    E = Emitter(rm, ExecPolicy(), arr)
 
     def resolve_pair(s, c):
         arr.write_row(rm.sum_row, broadcast_word(s, lane, arr.cols))
@@ -405,7 +458,7 @@ def test_data_dependent_mode_matches_deterministic():
 def test_tile_scope_all_policy_still_correct():
     bench = ModmulBench(7681, 16)
     bench.policy = ExecPolicy(tile_scope_all=True)
-    bench.emitter = DirectEmitter(bench.arr, bench.rm, bench.policy)
+    bench.emitter = Emitter(bench.rm, bench.policy, bench.arr)
     rng = random.Random(3)
     for _ in range(5):
         a, b = rng.randrange(1 << 16), rng.randrange(7681)
@@ -441,10 +494,6 @@ def test_stream_serializes_to_trace_grammar():
 
 # -- the butterfly tail: global shifts where an invariant allows, 3-op select --
 
-POLICIES = [ExecPolicy(), ExecPolicy(tile_scope_all=True),
-            ExecPolicy(deterministic=False),
-            ExecPolicy(deterministic=False, tile_scope_all=True)]
-
 
 @pytest.mark.parametrize("modulus,width", [(7, 4), (7681, 16), (8380417, 24)])
 def test_tail_shift_scopes(modulus, width):
@@ -459,7 +508,7 @@ def test_tail_shift_scopes(modulus, width):
         for name, emit in (("resolve", lambda E: emit_resolve(E, rm, rm.mask_row)),
                            ("modadd", lambda E: emit_modadd(E, rm, 0, rm.mask_row, 0, pool)),
                            ("modsub", lambda E: emit_modsub(E, rm, 0, rm.mask_row, 1, pool))):
-            E = CollectEmitter(rm, policy)
+            E = Emitter(rm, policy)
             emit(E)
             counts = counts_of_trace(E.ops)
             shifts = (counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"])
@@ -479,7 +528,7 @@ def test_mask_select_is_three_activations():
     for row, words in ((1, take), (2, other), (3, sel)):
         arr.write_row(row, pack_words(words, lane, arr.cols))
     start = len(arr.trace)
-    emit_mask_select(DirectEmitter(arr, rm, ExecPolicy()), rm, 1, 2, 3, 4, 5)
+    emit_mask_select(Emitter(rm, ExecPolicy(), arr), rm, 1, 2, 3, 4, 5)
     ops = arr.trace[start:]
     assert sum(op[0] == ACTIVATE2 for op in ops) == 3
     assert sum(op[0] == WRITEBACK for op in ops) == 3
@@ -501,14 +550,14 @@ def test_modadd_modsub_resolve_exhaustive(policy, modulus, width):
     lane = ctx.lane_width
     assert lane == width
     tiles = arr.cols // lane
-    E = DirectEmitter(arr, rm, policy)
+    E = Emitter(rm, policy, arr)
     pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
     pairs = [(a, b) for a in range(modulus) for b in range(modulus)]
     for batch in _residue_batches(pairs, tiles):
         arr.write_row(1, pack_words([a for a, _ in batch], lane, arr.cols))
         arr.write_row(2, pack_words([b for _, b in batch], lane, arr.cols))
-        emit_modadd(E, rm, 1, 2, 3, pool, policy.deterministic)
-        emit_modsub(E, rm, 1, 2, 4, pool, policy.deterministic)
+        emit_modadd(E, rm, 1, 2, 3, pool)
+        emit_modsub(E, rm, 1, 2, 4, pool)
         add_bits, sub_bits = arr.read_row(3), arr.read_row(4)
         for t, (a, b) in enumerate(batch):
             assert unpack_word(add_bits, t, lane) == (a + b) % modulus, (a, b)
@@ -519,7 +568,7 @@ def test_modadd_modsub_resolve_exhaustive(policy, modulus, width):
         arr.write_row(rm.sum_row, pack_words([s for s, _ in batch], lane, arr.cols))
         arr.write_row(rm.carry_row, pack_words([c for _, c in batch], lane, arr.cols))
         arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
-        emit_resolve(E, rm, 5, policy.deterministic)
+        emit_resolve(E, rm, 5)
         bits = arr.read_row(5)
         for t, (s, c) in enumerate(batch):
             assert unpack_word(bits, t, lane) == (s + 2 * c) % modulus, (s, c)
@@ -536,8 +585,8 @@ def test_no_wrap_add_raises_on_a_carry_out_of_the_lane(deterministic):
     def add(x, y, no_wrap):
         arr.write_row(1, pack_words([x, 3, 3, 3], lane, arr.cols))
         arr.write_row(2, pack_words([y, 4, 4, 4], lane, arr.cols))
-        emit_add(DirectEmitter(arr, rm, policy), rm, 1, 2, 3, rm.aux1, rm.aux2,
-                 rm.mask_row, deterministic, no_wrap=no_wrap)
+        emit_add(Emitter(rm, policy, arr), rm, 1, 2, 3, rm.aux1, rm.aux2,
+                 rm.mask_row, no_wrap=no_wrap)
         return unpack_word(arr.read_row(3), 0, lane)
 
     for x, y in ((1 << (lane - 1), 1 << (lane - 1)), ((1 << lane) - 1, 1), (0xBEEF, 0x8000)):

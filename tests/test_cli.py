@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, stats schema, replay, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,34 @@ def test_run_rejects_capacity(capsys):
     code = run_cli(["run", "--order", "64", "--q", "257", "--rows", "16",
                     "--cols", "32", "--mode", "forward"])
     assert code == 4
+
+
+def test_capacity_is_checked_before_the_root_search(capsys):
+    """The root search is O(order): an order far past capacity exits 4 at once."""
+    start = time.perf_counter()
+    code = run_cli(["run", "--order", str(1 << 26), "--q", "2013265921", "--rows", "64",
+                    "--cols", "64", "--mode", "forward"])
+    assert code == 4 and time.perf_counter() - start < 2
+    assert "exceeds array capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--order", str(3 << 20)], "power of two"),
+    (["--order", str(1 << 26), "--width", "16"], "cannot represent residues"),
+])
+def test_parameter_rules_are_checked_before_capacity(capsys, flags, message):
+    code = run_cli(["run", "--q", "2013265921", "--rows", "64", "--cols", "64",
+                    "--mode", "forward"] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows,code", [(14, 4), (15, 0)])
+def test_a_swapped_layout_needs_two_coefficient_slots(rows, code):
+    """At 14 rows the two slots a swapped tile keeps are cut to one, on which
+    both operands of every butterfly would land."""
+    assert run_cli(["run", "--order", "4", "--q", "17", "--rows", str(rows), "--cols", "8",
+                    "--mode", "roundtrip", "--verify"]) == code
 
 
 def test_missing_input_file_is_io_error():

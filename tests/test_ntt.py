@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sramntt.bitparallel import MontgomeryContext
+from sramntt.bitparallel import ExecPolicy, MontgomeryContext
 from sramntt.errors import CapacityError, ParameterError
 from sramntt.ntt import (
     RingParams,
@@ -12,6 +14,7 @@ from sramntt.ntt import (
     bit_reverse,
     bit_reverse_permute,
     find_roots,
+    is_prime,
     layout_plan,
     polymul_negacyclic,
     polymul_pipeline,
@@ -99,6 +102,15 @@ def test_layout_capacity_claims():
         layout_plan(256, 256, 256, 251)
     with pytest.raises(CapacityError):
         layout_plan(256, 256, 16, 4096)
+
+
+def test_a_swapped_layout_needs_two_slots():
+    """One slot would hold both operands of every butterfly."""
+    assert layout_plan(13, 8, 4, 1).resident_rows == 1         # no swap: fine
+    for rows, order in ((13, 2), (14, 4), (14, 64)):           # 1 slot, or 2 cut to 1
+        with pytest.raises(CapacityError, match="too few coefficient slots"):
+            layout_plan(rows, 64, 4, order)
+    assert layout_plan(15, 64, 4, 4).resident_rows == 3
 
 
 def test_layout_rowmap_disjoint_from_coefficients():
@@ -267,3 +279,50 @@ def test_width_handling():
     unit.forward()
     unit.inverse()
     assert unit.read_polynomials(2) == polys
+
+
+# -- differential: small configurations against the oracles -------------------
+
+# primes q with 2*order | q - 1: every one below 2^14 per order, and two wide ones
+PRIMES = {1 << k: [q for q in range(2 * (1 << k) + 1, 1 << 14, 2 * (1 << k)) if is_prime(q)]
+          for k in range(1, 6)}
+WIDE_PRIMES = (65537, 8380417)
+
+
+@st.composite
+def small_configurations(draw):
+    """A ring with n <= 32, its width with or without a headroom bit, an array
+    that does or does not force host swap, and an execution policy."""
+    order = draw(st.sampled_from(sorted(PRIMES)))
+    q = draw(st.sampled_from(PRIMES[order]) | st.sampled_from(WIDE_PRIMES))
+    min_width = max((q - 1).bit_length(), 3)
+    ring = RingParams.create(q, order, min_width + draw(st.integers(0, 1)))
+    lane = MontgomeryContext.create(q, ring.width).lane_width
+    # 12 rows hold scratch and constants; a tile keeps rows - 12 coefficients,
+    # and a swapped tile at least 3 (2 would be cut to 1, which every span collides on)
+    swap = order > 2 and draw(st.booleans())
+    rows = draw(st.integers(15, order + 11) if swap else st.integers(order + 12, order + 16))
+    tiles = -(-order // (rows - 6)) + draw(st.integers(0, 1))
+    cols = tiles * lane + draw(st.integers(0, lane - 1))
+    policy = ExecPolicy(deterministic=draw(st.booleans()), tile_scope_all=draw(st.booleans()))
+    return ring, rows, cols, policy, swap
+
+
+@given(small_configurations(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_small_configurations_match_the_oracles(config, rng):
+    """Forward, roundtrip and polymul agree with the array-free oracles."""
+    ring, rows, cols, policy, swap = config
+    q, n = ring.q, ring.order
+    unit = TransformUnit(ring, rows, cols, policy)
+    assert unit.layout.swapped == swap
+    polys = [[rng.randrange(q) for _ in range(n)] for _ in range(unit.layout.tiles)]
+    unit.load_polynomials(polys)
+    unit.forward()
+    assert unit.read_polynomials() == [bit_reverse_permute(oracle_ntt(p, q, ring.psi))
+                                       for p in polys]
+    unit.inverse()
+    assert unit.read_polynomials() == polys
+    b = [rng.randrange(q) for _ in range(n)]
+    products, _, _ = polymul_pipeline(polys, b, ring, rows, cols, policy)
+    assert products == [schoolbook_negacyclic(p, b, q) for p in polys]

@@ -1,10 +1,15 @@
-"""The package's public surface."""
+"""The package's public surface and its dependencies."""
+
+import os
+import subprocess
+import sys
 
 import sramntt
+from sramntt import bitparallel, cli, ntt, perf, subarray
 
 REMOVED = ("bp_modmul", "run_stream", "MicroOp", "microop_view", "counts_of_ops",
            "ntt_forward", "ntt_inverse", "pointwise_mul",
-           "ACTIVATE2_KIND", "WRITEBACK_KIND")
+           "ACTIVATE2_KIND", "WRITEBACK_KIND", "DirectEmitter", "CollectEmitter")
 
 
 def test_all_names_resolve():
@@ -14,9 +19,19 @@ def test_all_names_resolve():
 
 
 def test_removed_names_are_gone():
-    modules = [sramntt] + [getattr(sramntt, m) for m in
-                           ("bitparallel", "cli", "ntt", "perf", "subarray")]
+    modules = [sramntt, bitparallel, cli, ntt, perf, subarray]
     for name in REMOVED:
         assert name not in sramntt.__all__
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_no_runtime_dependency_outside_the_standard_library():
+    """Importing the package and its command line loads only stdlib modules."""
+    code = ("import sys; before = set(sys.modules); import sramntt, sramntt.cli; "
+            "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True,
+                         env={**os.environ, "PYTHONPATH": os.path.dirname(sramntt.__path__[0])})
+    foreign = set(out.stdout.split()) - set(sys.stdlib_module_names) - {"sramntt"}
+    assert not foreign, foreign

@@ -95,7 +95,7 @@ def reference_counts(trace) -> dict:
             elif op[2] == TILE:
                 counts["SHIFT_TILE"] += 1
             else:
-                counts["SHIFT_ALIGN"] += 1
+                raise ParameterError(f"unknown shift scope {op[2]!r}")
     return counts
 
 
@@ -107,9 +107,11 @@ def test_counts_of_trace_matches_the_reference_loop():
     canonical.forward()
     data_dependent = small_forward_unit(policy=ExecPolicy(deterministic=False))
     assert reference_counts(data_dependent.arr.trace)["ZERO_TEST"] > 0
-    for trace in (canonical.arr.trace, data_dependent.arr.trace,
-                  [("SHIFT", "LEFT", "ALIGN", 0, 0)]):
+    for trace in (canonical.arr.trace, data_dependent.arr.trace):
         assert counts_of_trace(trace) == reference_counts(trace)
+    # no op shifts for word alignment: execute and parse_trace reject the scope
+    with pytest.raises(ParameterError, match="unknown shift scope"):
+        counts_of_trace([("SHIFT", "LEFT", "ALIGN", 0, 0)])
 
 
 def test_unknown_kind_rejected():
