@@ -44,7 +44,7 @@ from .ntt import (
 )
 from .oracle import oracle_intt, oracle_montmul, oracle_ntt, schoolbook_negacyclic
 from .perf import CostModel, SimStats, accumulate, shift_baseline_ratio
-from .subarray import Subarray, create_subarray, parse_trace, replay, serialize_trace
+from .subarray import Subarray, parse_trace, replay, serialize_trace
 
 __all__ = [
     "AddressError", "CapacityError", "CommandStream", "CostModel",
@@ -53,7 +53,7 @@ __all__ = [
     "SimStats", "Subarray", "TileGeometryError", "TileLayout", "TraceIOError",
     "TransformUnit", "TwiddleTable", "VerificationError", "accumulate",
     "bit_reverse_permute", "bp_add", "bp_modadd", "bp_modsub",
-    "compile_twiddle_commands", "create_subarray", "find_roots", "layout_plan",
+    "compile_twiddle_commands", "find_roots", "layout_plan",
     "oracle_intt", "oracle_montmul", "oracle_ntt", "parse_trace",
     "polymul_negacyclic", "polymul_pipeline", "precompute_twiddles", "replay",
     "resolve_carry_save", "schoolbook_negacyclic", "select_m",

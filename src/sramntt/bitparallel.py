@@ -77,10 +77,6 @@ class MontgomeryContext:
         return 1 << self.width
 
     @property
-    def radix_inverse(self) -> int:
-        return pow(self.radix, -1, self.modulus)
-
-    @property
     def has_headroom(self) -> bool:
         return self.modulus < (1 << (self.lane_width - 1))
 
@@ -113,7 +109,6 @@ class RowMap:
     modulus_row: int
     neg_modulus_row: int
     b_row: int | None = None
-    tile_origin: int = 0
 
     def scratch_rows(self) -> tuple[int, ...]:
         return (self.sum_row, self.carry_row, self.aux1, self.aux2, self.aux3, self.mask_row)
@@ -140,16 +135,18 @@ class CommandStream:
     ("msb" or "lsb"); step_marks pairs the index of each figure step's last op
     with its (iteration, step) tag.  A stream compiled with operand
     placeholders (the negative rows -1, -2, ... for operands 0, 1, ...) lists
-    the ops that name one in `holes`; ``bind`` puts real rows in.  A stream
-    an Emitter has run more than once holds `program`, the straight-line
-    function ``subarray.generate`` made of its ops for that emitter's array.
-    Count the ops with ``perf.counts_of_trace``.
+    the ops that name one in `holes`; ``bind`` puts real rows in.  An
+    Emitter sets `ran` at a stream's first run, and at its second stores
+    `program`, the straight-line function ``subarray.generate`` makes of
+    its ops for that emitter's array.  Count the ops with
+    ``perf.counts_of_trace``.
     """
 
     ops: list[tuple]
     obs_marks: dict[int, str] = field(default_factory=dict)
     step_marks: list[tuple[int, tuple]] = field(default_factory=list)
     holes: list[int] = field(default_factory=list)
+    ran: bool = field(default=False, compare=False, repr=False)
     program: Callable | None = field(default=None, compare=False, repr=False)
 
     def bind(self, rows) -> list[tuple]:
@@ -242,13 +239,14 @@ class Emitter:
     zero test, before each step callback and before every ``emit_*``
     returns, so no op is pending when the host touches a row or a compiled
     block runs.  With an array and no step callback it keeps `programs`:
-    each block without a zero test compiled once per emitter, operand rows
-    as placeholders, and bound to the real rows at every call (see
-    ``block`` and ``run``).
+    one stream per (body, row map, static arguments), each block without a
+    zero test compiled once per emitter with its operand rows as
+    placeholders, and bound to the real rows at every call (see ``block``
+    and ``run``).
     """
 
     __slots__ = ("rm", "policy", "arr", "step_callback", "ops", "obs_marks", "step_marks",
-                 "programs", "generated")
+                 "programs")
 
     def __init__(self, rm: RowMap, policy: ExecPolicy, arr: Subarray | None = None,
                  step_callback=None):
@@ -260,8 +258,6 @@ class Emitter:
         self.obs_marks: dict[int, str] = {}
         self.step_marks: list[tuple[int, tuple]] = []
         self.programs: dict | None = {} if arr is not None and step_callback is None else None
-        # (ops, obs marks, operands) -> generated function; None after one run
-        self.generated: dict[tuple, Callable | None] = {}
 
     def act(self, a: int, b: int, mode: str) -> None:
         self.ops.append((ACTIVATE2, a, b, mode))
@@ -284,7 +280,7 @@ class Emitter:
 
     def shift_mask(self, direction: str) -> None:
         """Predication-mask smear shift; always tile-masked."""
-        self.ops.append((SHIFT, direction, TILE, self.rm.tile_width, self.rm.tile_origin))
+        self.ops.append((SHIFT, direction, TILE, self.rm.tile_width, 0))
 
     def ztest(self) -> bool:
         if self.arr is None:
@@ -338,26 +334,20 @@ class Emitter:
         """Run a compiled stream with its placeholders bound to `rows`.
 
         No op may be pending: it would run after the stream.  The first run
-        of a block's ops goes through ``execute``.  From the second on, the
-        block runs as the straight-line function ``subarray.generate`` makes
-        of it, one per distinct (ops, obs marks) in this emitter: the halving
-        blocks of a multiplication differ only in their step tags, so they
-        share one.  A block run once, as in a multiplication by a constant on
+        of a stream goes through ``execute``; from the second on, it runs as
+        the straight-line function ``subarray.generate`` makes of it.  A
+        stream run once, like the resolve after a one-off multiplication on
         a fresh unit, costs no generation.  Either way the trace gets the
         bound ops.
         """
         program = stream.program
         if program is None:
-            key = (tuple(stream.ops), tuple(stream.obs_marks.items()), len(rows))
-            if key not in self.generated:
-                self.generated[key] = None
+            if not stream.ran:
+                stream.ran = True
                 execute(self.arr, stream.bind(rows), stream.obs_marks, self.rm.tile_width)
                 return
-            program = self.generated[key]
-            if program is None:
-                program = self.generated[key] = generate(
-                    self.arr, stream.ops, stream.obs_marks, self.rm.tile_width, len(rows))
-            stream.program = program
+            program = stream.program = generate(
+                self.arr, stream.ops, stream.obs_marks, self.rm.tile_width, len(rows))
         program(stream.bind(rows), *rows)
 
 
@@ -415,10 +405,11 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = Non
     iterations: the last writeback was Carry, so the latch already holds the
     word the next left shift needs.
 
-    An emitter with programs compiles each block once and keeps, per
-    constant, the list of blocks it runs in order with b_row bound, so a
-    constant used once costs a list, not a compilation.  The loop has no
-    zero test, so it runs compiled under either policy.
+    An emitter with programs runs three compiled streams, the prologue,
+    add-B and halving, in that order per the bits of A; their step tags are
+    never read there, so add-B and halving compile once with no iteration
+    in them.  The loop has no zero test, so it runs compiled under either
+    policy.
     """
     if b_row is None:
         b_row = rm.b_row
@@ -432,18 +423,14 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = Non
             _modmul_halve(E, rm, i)
         E.flush()
         return
-    key = (emit_modmul, rm, a_value, width)
-    blocks = E.programs.get(key)
-    if blocks is None:
-        blocks = [E.compiled(_modmul_prologue, rm, 0)]
-        for i in range(width):
-            if (a_value >> i) & 1:
-                blocks.append(E.compiled(_modmul_add_b, rm, 1, i))
-            blocks.append(E.compiled(_modmul_halve, rm, 0, i))
-        E.programs[key] = blocks
+    add_b = E.compiled(_modmul_add_b, rm, 1, None)
+    halve = E.compiled(_modmul_halve, rm, 0, None)
+    E.run(E.compiled(_modmul_prologue, rm, 0))
     rows = (b_row,)
-    for stream in blocks:
-        E.run(stream, rows if stream.holes else ())      # only add-B names b_row
+    for i in range(width):
+        if (a_value >> i) & 1:
+            E.run(add_b, rows)
+        E.run(halve)
 
 
 def _modmul_prologue(E, rm: RowMap) -> None:

@@ -28,6 +28,7 @@ from .ntt import (
     RingParams,
     TransformUnit,
     bit_reverse_permute,
+    check_order,
     check_ring,
     layout_plan,
     polymul_pipeline,
@@ -78,18 +79,11 @@ class RunConfig:
     input_b: str | None = None
     cost_model_path: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def semantic_dict(self) -> dict:
         """The parameters that determine results; output paths excluded so
         identical seed+config runs produce byte-identical stats files."""
         skip = {"stats_path", "trace_path", "state_path", "sweep_path"}
         return {k: v for k, v in asdict(self).items() if k not in skip}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
 
 
 def _apply_preset(cfg: RunConfig) -> None:
@@ -215,10 +209,11 @@ def cmd_sweep(cfg: RunConfig, vary: str) -> int:
     check_size(cfg.rows, cfg.cols)
     cost = _cost_model(cfg)
     if vary == "bitwidth":
+        check_order(cfg.order)
         rows = sweep_bitwidth(cfg.order, range(2, 65), cfg.rows, cfg.cols, cost)
     elif vary == "order":
         orders = [1 << k for k in range(2, 13)]
-        rows = sweep_order(cfg.width or 16, orders, cfg.rows, cfg.cols, cost)
+        rows = sweep_order(cfg.width, orders, cfg.rows, cfg.cols, cost)
     else:
         raise ParameterError(f"--vary must be bitwidth or order, got {vary!r}")
     csv_text = sweep_to_csv(rows)
@@ -247,13 +242,13 @@ def cmd_trace_replay(trace_path: str, state_path: str) -> int:
     try:
         check_size(rows, cols)
     except DimensionError as exc:
-        raise TraceIOError(f"malformed state file {state_path}: {exc}") from exc
+        raise TraceIOError(f"{trace_path} does not replay on {state_path}: {exc}") from exc
     if len(want_cells) != rows:
         raise TraceIOError(f"malformed state file {state_path}: "
                            f"{len(want_cells)} cells for {rows} rows")
     try:
         arr = replay(ops, rows, cols)
-    except (AddressError, DimensionError, TileGeometryError) as exc:
+    except (AddressError, TileGeometryError) as exc:
         raise TraceIOError(f"{trace_path} does not replay on {state_path}: {exc}") from exc
     if arr.cells != want_cells or arr.latch != want_latch:
         raise VerificationError("replayed final state differs from the recorded state")

@@ -65,11 +65,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_order(order: int) -> None:
+    if order < 2 or order & (order - 1):
+        raise ParameterError(f"order must be a power of two >= 2, got {order}")
+
+
 def check_ring(q: int, order: int, width: int | None = None) -> int:
     """Check a ring without its O(order) root search; return its coefficient
     width (by default the residues' width plus a headroom bit)."""
-    if order < 2 or order & (order - 1):
-        raise ParameterError(f"order must be a power of two >= 2, got {order}")
+    check_order(order)
     if not is_prime(q):
         raise ParameterError(f"modulus {q} is not prime")
     if (q - 1) % (2 * order) != 0:
@@ -155,8 +159,7 @@ class TwiddleTable:
 
     forward: tuple[int, ...]
     inverse: tuple[int, ...]
-    scale_inv_r: tuple[int, ...] | int
-    negacyclic: bool
+    scale_inv_r: int
 
 
 def precompute_twiddles(ring: RingParams, ctx: MontgomeryContext,
@@ -188,7 +191,7 @@ def precompute_twiddles(ring: RingParams, ctx: MontgomeryContext,
     fwd = [z * r % q for z in fwd_plain]
     n_inv = pow(ring.order, -1, q)
     return TwiddleTable(forward=tuple(fwd), inverse=tuple(inv),
-                        scale_inv_r=n_inv * r % q, negacyclic=negacyclic)
+                        scale_inv_r=n_inv * r % q)
 
 
 @dataclass(frozen=True)
@@ -213,10 +216,6 @@ class TileLayout:
     @property
     def swapped(self) -> bool:
         return self.order > self.resident_rows
-
-    def spill_map(self) -> dict[int, int]:
-        """Virtual coefficient -> shared slot, for coefficients past residency."""
-        return {c: c % self.resident_rows for c in range(self.resident_rows, self.order)}
 
 
 def resident_rows(rows: int, order: int) -> int:

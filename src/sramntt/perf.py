@@ -28,8 +28,8 @@ from .bitparallel import (
     emit_modsub,
     emit_resolve,
 )
-from .errors import ParameterError, TraceIOError
-from .ntt import CONSTANT_ROWS, SCRATCH_ROWS, _forward_schedule, resident_rows
+from .errors import CapacityError, ParameterError, TraceIOError
+from .ntt import CONSTANT_ROWS, _forward_schedule, layout_plan
 from .subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, WRITE_ROW, WRITEBACK, ZERO_TEST
 
 KINDS = (WRITE_ROW, ACTIVATE2, SHIFT, WRITEBACK, ZERO_TEST)
@@ -289,17 +289,16 @@ def swap_write_count(order: int, resident: int) -> int:
 
 def estimate_forward_ntt(order: int, width: int, rows: int = 256, cols: int = 256,
                          popcounts=None) -> dict | None:
-    """Micro-op counts of one SIMD forward transform; None if it cannot fit.
+    """Micro-op counts of one SIMD forward transform; None if ``layout_plan``
+    finds that it cannot fit (a width below 3 raises ParameterError).
 
     popcounts: per-twiddle-index set-bit counts of the Montgomery-scaled
     twiddles; defaults to the synthetic average width//2 (used by sweeps at
     widths where no NTT-friendly modulus exists).
     """
-    tiles = cols // width
-    if tiles < 1 or order > tiles * (rows - SCRATCH_ROWS):
-        return None
-    resident = resident_rows(rows, order)
-    if resident < 1:
+    try:
+        resident = layout_plan(rows, cols, width, order).resident_rows
+    except CapacityError:
         return None
     counts = empty_counts()
     counts[WRITE_ROW] += CONSTANT_ROWS + min(order, resident)
@@ -351,11 +350,10 @@ def sweep_order(width: int = 16, orders=None, rows: int = 256, cols: int = 256,
     cost = cost or CostModel()
     if orders is None:
         orders = [1 << k for k in range(2, 13)]
-    parallel = cols // width
     out = []
     for order in orders:
         counts = estimate_forward_ntt(order, width, rows, cols)
-        out.append(_sweep_row(order, counts, parallel, cost))
+        out.append(_sweep_row(order, counts, cols // width, cost))
     return out
 
 

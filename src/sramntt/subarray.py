@@ -92,10 +92,6 @@ class Subarray:
     __slots__ = ("rows", "cols", "colmask", "cells", "latch", "trace", "_edge_cache")
 
     def __init__(self, rows: int = 256, cols: int = 256, record: bool = True):
-        if rows < MIN_ROWS or cols < MIN_COLS:
-            raise DimensionError(
-                f"subarray must be at least {MIN_ROWS}x{MIN_COLS}, got {rows}x{cols}"
-            )
         check_size(rows, cols)
         self.rows = rows
         self.cols = cols
@@ -170,16 +166,16 @@ class Subarray:
 
 
 def check_size(rows: int, cols: int) -> None:
-    """Reject an array larger than MAX_ROWS x MAX_COLS, allocating nothing."""
+    """Reject an array outside MIN_ROWS x MIN_COLS .. MAX_ROWS x MAX_COLS,
+    allocating nothing."""
+    if rows < MIN_ROWS or cols < MIN_COLS:
+        raise DimensionError(
+            f"subarray must be at least {MIN_ROWS}x{MIN_COLS}, got {rows}x{cols}"
+        )
     if rows > MAX_ROWS or cols > MAX_COLS:
         raise DimensionError(
             f"subarray must be at most {MAX_ROWS}x{MAX_COLS}, got {rows}x{cols}"
         )
-
-
-def create_subarray(rows: int, cols: int, record: bool = True) -> Subarray:
-    """Fresh all-zero subarray with an empty trace."""
-    return Subarray(rows, cols, record=record)
 
 
 # -- the executor -----------------------------------------------------------
@@ -392,11 +388,6 @@ def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) 
 
 
 # -- replay and serialization ---------------------------------------------
-
-def apply_op(arr: Subarray, op: tuple) -> None:
-    """Re-execute one trace tuple."""
-    execute(arr, (op,))
-
 
 def replay(ops, rows: int, cols: int) -> Subarray:
     """Pure-logic re-execution of a trace on a fresh grid."""

@@ -6,6 +6,7 @@ import pytest
 
 from harness import B_ROW, ModmulBench, modmul_value
 from sramntt.bitparallel import (
+    CommandStream,
     Emitter,
     ExecPolicy,
     MontgomeryContext,
@@ -246,22 +247,33 @@ def test_a_collecting_emitter_cannot_zero_test():
 
 
 def test_block_multiplier_equals_the_compiled_stream():
-    """The blocks a multiplication runs, in order, are the stream
-    compile_twiddle_commands compiles: ops, obs marks and step marks."""
+    """The prologue, add-B and halving streams, bound and run in order per
+    the bits of A, are the stream compile_twiddle_commands compiles: ops,
+    obs marks, and step marks in position and step number (the compiled
+    streams carry no iteration in their tags)."""
     ctx, arr, rm = fresh(7681, 16)
     E = Emitter(rm, ExecPolicy(), arr)
     for a in (0, 1, 0xFFFF, 0xB5A3):
         start = len(arr.trace)
         emit_modmul(E, rm, a, ctx.width, b_row=5)
+        add_b = E.compiled(_modmul_add_b, rm, 1, None)
+        halve = E.compiled(_modmul_halve, rm, 0, None)
+        blocks = [(E.compiled(_modmul_prologue, rm, 0), ())]
+        for i in range(ctx.width):
+            if (a >> i) & 1:
+                blocks.append((add_b, (5,)))
+            blocks.append((halve, ()))
         ops, obs_marks, step_marks = [], {}, []
-        for block in E.programs[(emit_modmul, rm, a, ctx.width)]:
+        for block, rows in blocks:
             base = len(ops)
-            ops += block.bind((5,))
+            ops += block.bind(rows)
             obs_marks.update((base + i, edge) for i, edge in block.obs_marks.items())
-            step_marks += [(base + i, tag) for i, tag in block.step_marks]
+            step_marks += [(base + i, k) for i, (_, k) in block.step_marks]
         want = compile_twiddle_commands(a, ctx, rm, b_row=5)
         assert ops == want.ops == arr.trace[start:]
-        assert (obs_marks, step_marks) == (want.obs_marks, want.step_marks)
+        assert obs_marks == want.obs_marks
+        assert step_marks == [(i, k) for i, (_, k) in want.step_marks]
+    assert len(E.programs) == 3                       # one stream per body, no per-constant list
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
@@ -285,12 +297,12 @@ def test_every_generated_block_runs_like_the_executor(policy):
         rm = default_rowmap(32, lane)
         E = Emitter(rm, policy, arr)
         pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
-        blocks = [(E.compiled(_modmul_prologue, rm, 0), 0), (E.compiled(_resolve, rm, 1), 1),
+        blocks = [(E.compiled(_modmul_prologue, rm, 0), 0),
+                  (E.compiled(_modmul_add_b, rm, 1, None), 1),
+                  (E.compiled(_modmul_halve, rm, 0, None), 0),
+                  (E.compiled(_resolve, rm, 1), 1),
                   (E.compiled(_modadd, rm, 3, pool), 3), (E.compiled(_modsub, rm, 3, pool), 3)]
-        for i in range(lane):
-            blocks += [(E.compiled(_modmul_add_b, rm, 1, i), 1),
-                       (E.compiled(_modmul_halve, rm, 0, i), 0)]
-        assert len(E.programs) == len(blocks) == 2 * lane + 4
+        assert len(E.programs) == len(blocks) == 6
         for stream, operands in blocks:
             for density in (0, 1, 3, 0):       # bits set with odds 0, 1/2, 1/8
                 def value():
@@ -312,9 +324,37 @@ def test_every_generated_block_runs_like_the_executor(policy):
                 assert (arr.cells, arr.latch, arr.trace) == (twin.cells, twin.latch, twin.trace)
                 assert density or error is None
             assert stream.program is not None
-        # one function per distinct block: the add-B and halving blocks differ
-        # only in their step tags
-        assert len({id(stream.program) for stream, _ in blocks}) == len(E.generated) == 6
+        assert len({id(stream.program) for stream, _ in blocks}) == 6
+
+
+def test_a_forward_keeps_one_stream_per_body():
+    """The canonical forward compiles six streams (prologue, add-B, halving,
+    resolve, modadd, modsub), however many twiddles it multiplies by."""
+    from sramntt.ntt import RingParams, TransformUnit
+
+    unit = TransformUnit(RingParams.create(7681, 256, 16))
+    unit.load_polynomials([list(range(256))])
+    unit.forward()
+    assert len(unit.emitter.programs) == 6
+    assert all(isinstance(s, CommandStream) for s in unit.emitter.programs.values())
+
+
+def test_a_stream_is_generated_at_its_second_run():
+    """The first run interprets a stream, so a one-off multiplication costs
+    no generation; the second generates its function, which later runs reuse."""
+    ctx, arr, rm = fresh(7681, 16)
+    E = Emitter(rm, ExecPolicy(), arr)
+    once = E.compiled(_modmul_prologue, rm, 0)
+    twice = E.compiled(_resolve, rm, 1)
+    E.run(once)
+    E.run(twice, (rm.mask_row,))
+    assert once.ran and once.program is None
+    assert twice.ran and twice.program is None
+    E.run(twice, (rm.mask_row,))
+    program = twice.program
+    assert program is not None and once.program is None
+    E.run(twice, (rm.mask_row,))
+    assert twice.program is program
 
 
 def test_a_dropped_unit_frees_its_array_without_the_cycle_collector():
@@ -334,7 +374,8 @@ def test_a_dropped_unit_frees_its_array_without_the_cycle_collector():
         unit = TransformUnit(RingParams.create(257, 8), rows=64, cols=64)
         unit.load_polynomials([[1, 2, 3, 4, 5, 6, 7, 8]])
         unit.forward()
-        assert unit.emitter.generated and all(unit.emitter.generated.values())
+        assert len(unit.emitter.programs) == 6
+        assert all(s.program for s in unit.emitter.programs.values())
         del unit
         assert arrays() == before
     finally:
@@ -475,12 +516,11 @@ def test_cross_tile_injection_is_zero():
     cols = bench.arr.cols
     lsb_edges, msb_edges = bench.arr.tile_edges(bench.lane, 0, cols - cols % bench.lane)
     twin = Subarray(bench.arr.rows, bench.arr.cols, record=False)
-    from sramntt.subarray import apply_op
     for op in bench.arr.trace:
         if op[0] == SHIFT and op[2] == GLOBAL:
             edge = msb_edges if op[1] == LEFT else lsb_edges
             assert twin.latch & edge == 0
-        apply_op(twin, op)
+        execute(twin, (op,))
     assert twin.same_state(bench.arr)
 
 

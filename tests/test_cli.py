@@ -26,7 +26,7 @@ def test_run_verify_ok(tmp_path):
     assert payload["shifts"]["word_alignment"] == 0
     assert set(payload["counts"]) == {"WRITE_ROW", "ACTIVATE2", "SHIFT",
                                       "WRITEBACK", "ZERO_TEST"}
-    cfg = RunConfig.from_dict(payload["config"])
+    cfg = RunConfig(**payload["config"])
     assert cfg.semantic_dict() == payload["config"]    # config round-trips
 
 
@@ -181,6 +181,25 @@ def test_trace_ops_key_counts_the_trace_file_in_every_mode(tmp_path):
 def test_array_size_flags_are_bounded(capsys, command, flags):
     assert run_cli(command + flags) == 2
     assert "at most 4096x4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["sweep", "--vary", "order", "--width", "0"], "width must be >= 3"),
+    (["sweep", "--vary", "order", "--width", "-5"], "width must be >= 3"),
+    (["sweep", "--vary", "order", "--width", "2"], "width must be >= 3"),
+    (["sweep", "--vary", "bitwidth", "--order", "-8"], "power of two"),
+    (["sweep", "--vary", "bitwidth", "--order", "3"], "power of two"),
+    (["sweep", "--vary", "bitwidth", "--order", "0"], "power of two"),
+    (["sweep", "--vary", "order", "--rows", "4"], "at least 8x4"),
+    (["sweep", "--vary", "order", "--cols", "0"], "at least 8x4"),
+    (["sweep", "--vary", "order", "--rows", "-3"], "at least 8x4"),
+    (["run", "--order", "8", "--q", "257", "--rows", "4"], "at least 8x4"),
+])
+def test_bad_sizes_widths_and_orders_exit_2(capsys, args, message):
+    """No silent default, no all-nan table and no negative capacity: each
+    bad parameter exits 2 and names the rule it breaks."""
+    assert run_cli(args) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rows,cols", [(10**12, 8), (8, 10**12)])

@@ -97,7 +97,7 @@ def test_layout_capacity_claims():
     assert layout_plan(256, 256, 14, 1).capacity == 4500
     plan = layout_plan(256, 256, 16, 256)
     assert plan.tiles == 16
-    assert plan.swapped and plan.spill_map()
+    assert plan.swapped and plan.resident_rows == 244
     with pytest.raises(CapacityError):
         layout_plan(256, 256, 256, 251)
     with pytest.raises(CapacityError):

@@ -1,5 +1,7 @@
 """The package's public surface and its dependencies."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +11,9 @@ from sramntt import bitparallel, cli, ntt, perf, subarray
 
 REMOVED = ("bp_modmul", "run_stream", "MicroOp", "microop_view", "counts_of_ops",
            "ntt_forward", "ntt_inverse", "pointwise_mul",
-           "ACTIVATE2_KIND", "WRITEBACK_KIND", "DirectEmitter", "CollectEmitter")
+           "ACTIVATE2_KIND", "WRITEBACK_KIND", "DirectEmitter", "CollectEmitter",
+           "apply_op", "create_subarray", "radix_inverse", "to_dict", "from_dict",
+           "negacyclic", "tile_origin", "spill_map", "generated")
 
 
 def test_all_names_resolve():
@@ -19,11 +23,18 @@ def test_all_names_resolve():
 
 
 def test_removed_names_are_gone():
+    """No module, and no class of the package (methods, properties, slots and
+    dataclass fields), still has a removed name."""
     modules = [sramntt, bitparallel, cli, ntt, perf, subarray]
+    classes = {cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__.startswith("sramntt")}
     for name in REMOVED:
         assert name not in sramntt.__all__
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
+        for cls in classes:
+            fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else ()
+            assert not hasattr(cls, name) and name not in fields, (cls.__name__, name)
 
 
 def test_no_runtime_dependency_outside_the_standard_library():

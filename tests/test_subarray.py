@@ -32,10 +32,8 @@ from sramntt.subarray import (
     ZERO_TEST,
     Subarray,
     _tile_edge_masks,
-    apply_op,
     bits_from_list,
     bits_to_list,
-    create_subarray,
     execute,
     generate,
     parse_trace,
@@ -46,30 +44,30 @@ from sramntt.subarray import (
 
 
 def test_create_zeroed():
-    arr = create_subarray(256, 256)
+    arr = Subarray(256, 256)
     assert sum(arr.cells) == 0 and arr.latch == 0 and arr.trace == []
     assert arr.rows * arr.cols == 65536
 
-    small = create_subarray(8, 4)
+    small = Subarray(8, 4)
     assert small.rows * small.cols == 32
 
 
 def test_create_too_small():
     with pytest.raises(DimensionError):
-        create_subarray(2, 4)
+        Subarray(2, 4)
     with pytest.raises(DimensionError):
-        create_subarray(8, 2)
+        Subarray(8, 2)
 
 
 def test_create_too_large_allocates_nothing():
-    create_subarray(MAX_ROWS, MAX_COLS, record=False)
+    Subarray(MAX_ROWS, MAX_COLS, record=False)
     for rows, cols in ((10**12, 8), (8, 10**12), (MAX_ROWS + 1, 8), (8, MAX_COLS + 1)):
         with pytest.raises(DimensionError, match="at most"):
-            create_subarray(rows, cols)
+            Subarray(rows, cols)
 
 
 def test_write_read_roundtrip():
-    arr = create_subarray(8, 8)
+    arr = Subarray(8, 8)
     bits = bits_from_list([1, 0, 1, 1, 0, 0, 0, 0])
     arr.write_row(0, bits)
     assert arr.read_row(0) == bits
@@ -81,7 +79,7 @@ def test_write_read_roundtrip():
 
 
 def test_activate_truth_tables():
-    arr = create_subarray(8, 4)
+    arr = Subarray(8, 4)
     arr.write_row(1, 0b1100)
     arr.write_row(2, 0b1010)
     arr.activate_pair(1, 2, AND)
@@ -95,7 +93,7 @@ def test_activate_truth_tables():
 
 
 def test_activate_rejects_same_row():
-    arr = create_subarray(8, 4)
+    arr = Subarray(8, 4)
     with pytest.raises(AddressError):
         arr.activate_pair(3, 3, AND)
     with pytest.raises(AddressError):
@@ -103,7 +101,7 @@ def test_activate_rejects_same_row():
 
 
 def test_activate_non_destructive():
-    arr = create_subarray(8, 4)
+    arr = Subarray(8, 4)
     arr.write_row(0, 0b0110)
     arr.write_row(1, 0b1011)
     before = arr.snapshot()[0]
@@ -113,7 +111,7 @@ def test_activate_non_destructive():
 
 
 def test_shift_semantics():
-    arr = create_subarray(8, 4)
+    arr = Subarray(8, 4)
     arr.latch = 0b0011
     arr.shift_latch(LEFT, TILE, 4, 0)
     assert arr.latch == 0b0110
@@ -129,7 +127,7 @@ def test_shift_semantics():
 
 
 def test_global_edges_zero_fill():
-    arr = create_subarray(8, 4)
+    arr = Subarray(8, 4)
     arr.latch = 0b1001
     arr.shift_latch(LEFT, GLOBAL)
     assert arr.latch == 0b0010
@@ -139,7 +137,7 @@ def test_global_edges_zero_fill():
 
 
 def test_writeback_and_zero_test():
-    arr = create_subarray(8, 4)
+    arr = Subarray(8, 4)
     arr.latch = 0b1010
     arr.latch_writeback(3)
     assert arr.read_row(3) == 0b1010 and arr.latch == 0b1010
@@ -152,13 +150,13 @@ def test_writeback_and_zero_test():
     arr.activate_pair(3, 5, AND)
     assert arr.latch == 0
     assert arr.latch_is_zero()
-    assert create_subarray(8, 4).latch_is_zero()
+    assert Subarray(8, 4).latch_is_zero()
 
 
 @given(a=st.integers(0, 2**16 - 1), b=st.integers(0, 2**16 - 1))
 @settings(max_examples=100, deadline=None)
 def test_de_morgan_consistency(a, b):
-    arr = create_subarray(8, 16, record=False)
+    arr = Subarray(8, 16, record=False)
     arr.write_row(0, a)
     arr.write_row(1, b)
     mask = arr.colmask
@@ -175,7 +173,7 @@ def test_de_morgan_consistency(a, b):
 @given(v=st.integers(0, 2**12 - 1))
 @settings(max_examples=60, deadline=None)
 def test_shift_left_right_restores_interior(v):
-    arr = create_subarray(8, 12, record=False)
+    arr = Subarray(8, 12, record=False)
     arr.latch = v
     arr.shift_latch(LEFT, GLOBAL)
     arr.shift_latch(RIGHT, GLOBAL)
@@ -187,7 +185,7 @@ def test_shift_left_right_restores_interior(v):
 @settings(max_examples=50, deadline=None)
 def test_trace_replay_closure(script):
     """Replaying the recorded trace reproduces the final state bit-exactly."""
-    arr = create_subarray(8, 8)
+    arr = Subarray(8, 8)
     for sel, val in script:
         if sel == 0:
             arr.write_row(val % 8, val)
@@ -204,7 +202,7 @@ def test_trace_replay_closure(script):
 
 
 def test_trace_grammar_roundtrip():
-    arr = create_subarray(8, 8)
+    arr = Subarray(8, 8)
     arr.write_row(2, 0xA5)
     arr.write_row(3, 0x3C)
     arr.activate_pair(2, 3, XOR)
@@ -445,7 +443,7 @@ def test_executor_matches_reference_interpreter(cells, latch, ops, binding, edge
     # one op at a time runs the same loop
     single, _ = fresh_pair(cells, latch)
     for op in ops[:len(ref.trace)]:
-        apply_op(single, op)
+        execute(single, (op,))
     assert single.same_state(arr) and single.trace == arr.trace
     # the generated program of the same ops, rows -1..-3 bound to `binding`,
     # and observation marks on the drawn indices
