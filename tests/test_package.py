@@ -33,8 +33,9 @@ def test_removed_names_are_gone():
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
         for cls in classes:
-            fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else ()
-            assert not hasattr(cls, name) and name not in fields, (cls.__name__, name)
+            fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+            assert not hasattr(cls, name), (cls.__name__, name)
+            assert name not in {f.name for f in fields}, (cls.__name__, name)
 
 
 def test_no_runtime_dependency_outside_the_standard_library():
