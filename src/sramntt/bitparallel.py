@@ -91,9 +91,9 @@ class ExecPolicy:
 
 @dataclass(frozen=True)
 class RowMap:
-    """Row assignment for one multiplication: operands, the six scratch rows
-    (Sum, Carry, three half-adder temporaries, the predication mask m) and the
-    constant rows the micro-op sequences lean on."""
+    """Row assignment of the six scratch rows (Sum, Carry, three half-adder
+    temporaries, the predication mask m) and the constant rows the micro-op
+    sequences lean on; operand rows are arguments of each emit_*."""
 
     tile_width: int
     sum_row: int
@@ -108,7 +108,6 @@ class RowMap:
     msb_mask: int
     modulus_row: int
     neg_modulus_row: int
-    b_row: int | None = None
 
     def scratch_rows(self) -> tuple[int, ...]:
         return (self.sum_row, self.carry_row, self.aux1, self.aux2, self.aux3, self.mask_row)
@@ -119,8 +118,6 @@ class RowMap:
 
     def validate(self) -> None:
         rows = self.scratch_rows() + self.constant_rows()
-        if self.b_row is not None:
-            rows = rows + (self.b_row,)
         if len(set(rows)) != len(rows):
             raise AddressError("row map assigns one row to two roles")
         if self.tile_width < 2:
@@ -133,18 +130,19 @@ class CommandStream:
 
     obs_marks maps the index of each data shift to the edge it must find zero
     ("msb" or "lsb"); step_marks pairs the index of each figure step's last op
-    with its (iteration, step) tag.  A stream compiled with operand
+    with its step number, 1-7 (the multiplication's iteration is the count
+    of step-7 marks before it).  A stream compiled with operand
     placeholders (the negative rows -1, -2, ... for operands 0, 1, ...) lists
     the ops that name one in `holes`; ``bind`` puts real rows in.  An
-    Emitter sets `ran` at a stream's first run, and at its second stores
-    `program`, the straight-line function ``subarray.generate`` makes of
-    its ops for that emitter's array.  Count the ops with
-    ``perf.counts_of_trace``.
+    Emitter with an array sets `ran` at a stream's first run, and at its
+    second stores `program`, the straight-line function
+    ``subarray.generate`` makes of its ops for that emitter's array.  Count
+    the ops with ``perf.counts_of_trace``.
     """
 
     ops: list[tuple]
     obs_marks: dict[int, str] = field(default_factory=dict)
-    step_marks: list[tuple[int, tuple]] = field(default_factory=list)
+    step_marks: list[tuple[int, int]] = field(default_factory=list)
     holes: list[int] = field(default_factory=list)
     ran: bool = field(default=False, compare=False, repr=False)
     program: Callable | None = field(default=None, compare=False, repr=False)
@@ -213,7 +211,7 @@ def load_constants(arr: Subarray, rm: RowMap, ctx: MontgomeryContext) -> None:
     arr.write_row(rm.neg_modulus_row, broadcast_word(neg_m, lane, cols))
 
 
-def default_rowmap(arr_rows: int, tile_width: int, b_row: int | None = None) -> RowMap:
+def default_rowmap(arr_rows: int, tile_width: int) -> RowMap:
     """Scratch at the top of the array, constants just below; rows beneath are free."""
     top = arr_rows
     rm = RowMap(
@@ -222,7 +220,6 @@ def default_rowmap(arr_rows: int, tile_width: int, b_row: int | None = None) -> 
         aux3=top - 5, mask_row=top - 6,
         zeros=top - 7, ones=top - 8, lsb_mask=top - 9, msb_mask=top - 10,
         modulus_row=top - 11, neg_modulus_row=top - 12,
-        b_row=b_row,
     )
     rm.validate()
     return rm
@@ -231,33 +228,29 @@ def default_rowmap(arr_rows: int, tile_width: int, b_row: int | None = None) -> 
 # -- the emitter ---------------------------------------------------------------
 
 class Emitter:
-    """Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`.
+    """Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
+    and keeps `programs`: one stream per (body, row map, static arguments),
+    each compiled once with its operand rows as placeholders (``compiled``)
+    and bound to the real rows at every ``run``.
 
-    Without an array it compiles: it never flushes, and ``stream`` hands
-    the ops over.  With one, ``flush`` runs the pending ops through
-    ``subarray.execute`` (the array records the trace); it flushes at each
-    zero test, before each step callback and before every ``emit_*``
-    returns, so no op is pending when the host touches a row or a compiled
-    block runs.  With an array and no step callback it keeps `programs`:
-    one stream per (body, row map, static arguments), each block without a
-    zero test compiled once per emitter with its operand rows as
-    placeholders, and bound to the real rows at every call (see ``block``
-    and ``run``).
+    Without an array it collects: ``run`` appends a stream's bound ops and
+    marks, and ``stream`` hands them over.  With one it executes: ``run``
+    runs a stream on the array, and ``flush`` runs pending ops through
+    ``subarray.execute`` (the array records the trace).  It flushes at each
+    zero test and before every ``emit_*`` returns, so no op is pending when
+    the host touches a row or a compiled stream runs.
     """
 
-    __slots__ = ("rm", "policy", "arr", "step_callback", "ops", "obs_marks", "step_marks",
-                 "programs")
+    __slots__ = ("rm", "policy", "arr", "ops", "obs_marks", "step_marks", "programs")
 
-    def __init__(self, rm: RowMap, policy: ExecPolicy, arr: Subarray | None = None,
-                 step_callback=None):
+    def __init__(self, rm: RowMap, policy: ExecPolicy, arr: Subarray | None = None):
         self.rm = rm
         self.policy = policy
         self.arr = arr
-        self.step_callback = step_callback
         self.ops: list[tuple] = []
         self.obs_marks: dict[int, str] = {}
-        self.step_marks: list[tuple[int, tuple]] = []
-        self.programs: dict | None = {} if arr is not None and step_callback is None else None
+        self.step_marks: list[tuple[int, int]] = []
+        self.programs: dict = {}
 
     def act(self, a: int, b: int, mode: str) -> None:
         self.ops.append((ACTIVATE2, a, b, mode))
@@ -288,11 +281,9 @@ class Emitter:
         self.flush()
         return self.arr.latch_is_zero()
 
-    def step(self, tag: tuple) -> None:
-        self.step_marks.append((len(self.ops) - 1, tag))
-        if self.step_callback is not None:
-            self.flush()
-            self.step_callback(tag, self.arr)
+    def step(self, k: int) -> None:
+        """Mark the last op as the end of the figure's step k."""
+        self.step_marks.append((len(self.ops) - 1, k))
 
     def flush(self) -> None:
         """Run the pending ops on the array and empty the buffer, even if one raises."""
@@ -310,15 +301,14 @@ class Emitter:
                              step_marks=self.step_marks, holes=holes)
 
     def block(self, body, rm: RowMap, rows: tuple, *static) -> None:
-        """body(E, rm, *rows, *static), compiled once and run bound to `rows`
-        when this emitter keeps programs and its policy is deterministic (a
-        zero-test loop cannot be compiled); otherwise emitted in place and
-        flushed."""
-        if self.programs is None or not self.policy.deterministic:
+        """body(E, rm, *rows, *static): under a deterministic policy its
+        compiled stream runs bound to `rows`; a data-dependent one emits it in
+        place and flushes, since a zero-test loop cannot be compiled."""
+        if self.policy.deterministic:
+            self.run(self.compiled(body, rm, len(rows), *static), rows)
+        else:
             body(self, rm, *rows, *static)
             self.flush()
-        else:
-            self.run(self.compiled(body, rm, len(rows), *static), rows)
 
     def compiled(self, body, rm: RowMap, operands: int, *static) -> CommandStream:
         """body(E, rm, *placeholders, *static) compiled once for this emitter."""
@@ -333,13 +323,20 @@ class Emitter:
     def run(self, stream: CommandStream, rows=()) -> None:
         """Run a compiled stream with its placeholders bound to `rows`.
 
-        No op may be pending: it would run after the stream.  The first run
-        of a stream goes through ``execute``; from the second on, it runs as
-        the straight-line function ``subarray.generate`` makes of it.  A
+        Without an array, append the bound ops and the stream's marks.  With
+        one, no op may be pending: it would run after the stream.  The first
+        run of a stream goes through ``execute``; from the second on, it runs
+        as the straight-line function ``subarray.generate`` makes of it.  A
         stream run once, like the resolve after a one-off multiplication on
         a fresh unit, costs no generation.  Either way the trace gets the
         bound ops.
         """
+        if self.arr is None:
+            base = len(self.ops)
+            self.ops += stream.bind(rows)
+            self.obs_marks.update((base + i, edge) for i, edge in stream.obs_marks.items())
+            self.step_marks += [(base + i, k) for i, k in stream.step_marks]
+            return
         program = stream.program
         if program is None:
             if not stream.ran:
@@ -396,35 +393,18 @@ def emit_smear(E, rm: RowMap, row: int, temp: int, toward_msb: bool) -> None:
     E.flush()
 
 
-def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int | None = None) -> None:
+def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int) -> None:
     """The carry-save Montgomery loop for the compile-time constant A = a_value.
 
-    Emits a 3-op prologue zeroing Sum and Carry (leaving latch == Carry), then
-    per bit position i in [0, width): the add-B block when a_i is 1, always
-    followed by the m-selection and halving block.  Invariant between
-    iterations: the last writeback was Carry, so the latch already holds the
-    word the next left shift needs.
-
-    An emitter with programs runs three compiled streams, the prologue,
-    add-B and halving, in that order per the bits of A; their step tags are
-    never read there, so add-B and halving compile once with no iteration
-    in them.  The loop has no zero test, so it runs compiled under either
-    policy.
+    Runs three compiled streams: a 3-op prologue zeroing Sum and Carry
+    (leaving latch == Carry), then per bit position i in [0, width) the
+    add-B block when a_i is 1, always followed by the m-selection and
+    halving block.  Invariant between iterations: the last writeback was
+    Carry, so the latch already holds the word the next left shift needs.
+    The loop has no zero test, so it runs compiled under either policy.
     """
-    if b_row is None:
-        b_row = rm.b_row
-    if b_row is None:
-        raise AddressError("no multiplicand row bound")
-    if E.programs is None:
-        _modmul_prologue(E, rm)
-        for i in range(width):
-            if (a_value >> i) & 1:
-                _modmul_add_b(E, rm, b_row, i)
-            _modmul_halve(E, rm, i)
-        E.flush()
-        return
-    add_b = E.compiled(_modmul_add_b, rm, 1, None)
-    halve = E.compiled(_modmul_halve, rm, 0, None)
+    add_b = E.compiled(_modmul_add_b, rm, 1)
+    halve = E.compiled(_modmul_halve, rm, 0)
     E.run(E.compiled(_modmul_prologue, rm, 0))
     rows = (b_row,)
     for i in range(width):
@@ -439,25 +419,25 @@ def _modmul_prologue(E, rm: RowMap) -> None:
     E.wb(rm.carry_row)
 
 
-def _modmul_add_b(E, rm: RowMap, b_row: int, i: int) -> None:
+def _modmul_add_b(E, rm: RowMap, b_row: int) -> None:
     E.shift_data(LEFT, obs="msb")      # Carry << 1
     E.wb(rm.carry_row)
     E.act(rm.sum_row, b_row, AND)      # c1
     E.wb(rm.aux1)
     E.act(rm.sum_row, b_row, XOR)      # s1
     E.wb(rm.aux2)
-    E.step((i, 1))
+    E.step(1)
     E.act(rm.carry_row, rm.aux2, AND)  # c2
     E.wb(rm.aux3)
     E.act(rm.carry_row, rm.aux2, XOR)  # Sum
     E.wb(rm.sum_row)
-    E.step((i, 2))
+    E.step(2)
     E.act(rm.aux1, rm.aux3, OR)        # Carry = c1 | c2
     E.wb(rm.carry_row)
-    E.step((i, 3))
+    E.step(3)
 
 
-def _modmul_halve(E, rm: RowMap, i: int) -> None:
+def _modmul_halve(E, rm: RowMap) -> None:
     emit_select_m(E, rm)
     E.act(rm.sum_row, rm.mask_row, AND)    # c1
     E.wb(rm.aux1)
@@ -465,20 +445,20 @@ def _modmul_halve(E, rm: RowMap, i: int) -> None:
     E.wb(rm.aux2)
     E.shift_data(RIGHT, obs="lsb")         # s1 >> 1
     E.wb(rm.aux2)
-    E.step((i, 4))
+    E.step(4)
     E.act(rm.aux2, rm.aux1, AND)           # c2
     E.wb(rm.aux3)
     E.act(rm.aux2, rm.aux1, XOR)           # s2 (c1's row is free)
     E.wb(rm.aux1)
-    E.step((i, 5))
+    E.step(5)
     E.act(rm.carry_row, rm.aux1, AND)      # c3 (s1's row is free)
     E.wb(rm.aux2)
     E.act(rm.carry_row, rm.aux1, XOR)      # Sum
     E.wb(rm.sum_row)
-    E.step((i, 6))
+    E.step(6)
     E.act(rm.aux3, rm.aux2, OR)            # Carry = c2 | c3
     E.wb(rm.carry_row)
-    E.step((i, 7))
+    E.step(7)
 
 
 def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
@@ -639,17 +619,19 @@ def _modsub(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
 # -- public operations -------------------------------------------------------
 
 def compile_twiddle_commands(a_value: int, ctx: MontgomeryContext, rm: RowMap,
-                             b_row: int | None = None,
-                             policy: ExecPolicy = ExecPolicy()) -> CommandStream:
+                             b_row: int, policy: ExecPolicy = ExecPolicy()) -> CommandStream:
     """Compile the multiplication-by-A micro-op stream (A appears only here).
 
     The stream starts with a 3-op prologue establishing Sum = Carry = 0 and
     contains, per bit position, the add-B block exactly when that bit of A is
-    set; no data-dependent test on A remains at runtime.
+    set; no data-dependent test on A remains at runtime.  The multiplicand
+    row b_row may be no scratch or constant row of rm.
     """
     if not 0 <= a_value < ctx.radix:
         raise ParameterError(f"twiddle {a_value} outside [0, 2^{ctx.width})")
     rm.validate()
+    if b_row in rm.scratch_rows() + rm.constant_rows():
+        raise AddressError(f"multiplicand row {b_row} is a scratch or constant row")
     E = Emitter(rm, policy)
     emit_modmul(E, rm, a_value, ctx.width, b_row)
     return E.stream()

@@ -284,7 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input-b", dest="input_b", default=None)
     run.add_argument("--cost-model", dest="cost_model_path", default=None)
 
-    sw = sub.add_parser("sweep", help="emit cost-projection CSV")
+    sw = sub.add_parser(
+        "sweep", help="emit cost-projection CSV",
+        description="Project forward-NTT costs with the analytic estimator. When the "
+                    "order outgrows the resident rows, the host swaps are counted by "
+                    "one O(order log order) replay of the schedule per order; a "
+                    "bitwidth sweep runs it once.")
     sw.add_argument("--vary", choices=["bitwidth", "order"], required=True)
     sw.add_argument("--order", type=int, default=256)
     sw.add_argument("--width", type=int, default=16)

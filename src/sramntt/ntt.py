@@ -88,8 +88,8 @@ def check_ring(q: int, order: int, width: int | None = None) -> int:
     return width
 
 
-def find_roots(q: int, order: int) -> tuple[int, int]:
-    """Smallest psi with psi^order = -1 mod q, plus omega = psi^2.
+def find_roots(q: int, order: int) -> int:
+    """Smallest psi with psi^order = -1 mod q.
 
     psi^order = -1 holds exactly for the primitive 2*order-th roots of unity.
     For any g, z = g^((q-1)/(2*order)) has z^order = g^((q-1)/2), the Legendre
@@ -107,7 +107,7 @@ def find_roots(q: int, order: int) -> tuple[int, int]:
     for _ in range(order - 1):
         root = root * z2 % q
         psi = min(psi, root)
-    return psi, psi * psi % q
+    return psi
 
 
 def bit_reverse(x: int, bits: int) -> int:
@@ -134,14 +134,12 @@ class RingParams:
     q: int
     order: int
     psi: int
-    omega: int
     width: int
 
     @classmethod
     def create(cls, q: int, order: int, width: int | None = None) -> "RingParams":
         width = check_ring(q, order, width)
-        psi, omega = find_roots(q, order)
-        return cls(q=q, order=order, psi=psi, omega=omega, width=width)
+        return cls(q=q, order=order, psi=find_roots(q, order), width=width)
 
     @property
     def log2_order(self) -> int:
@@ -162,25 +160,21 @@ class TwiddleTable:
     scale_inv_r: int
 
 
-def precompute_twiddles(ring: RingParams, ctx: MontgomeryContext,
-                        negacyclic: bool = True) -> TwiddleTable:
-    """Forward table psi^bitrev(k) * R (omega in cyclic mode) and the paired
-    inverse table.
+def precompute_twiddles(ring: RingParams, ctx: MontgomeryContext) -> TwiddleTable:
+    """Forward table psi^bitrev(k) * R and the paired inverse table.
 
     The Gentleman-Sande sweep visits the (length, start) blocks in reverse
     stage order, so inverse index k_i within the per-stage band [L, 2L) pairs
     with forward index k_f = 3L - 1 - k_i; the stored value is the modular
-    inverse of that block's forward twiddle, Montgomery-scaled.  In the
-    negacyclic case this equals the negated forward twiddle at k_i
-    (psi^order = -1).
+    inverse of that block's forward twiddle, Montgomery-scaled, which equals
+    the negated forward twiddle at k_i (psi^order = -1).
     """
     q = ring.q
     r = ctx.radix % q
     bits = ring.log2_order
-    base = ring.psi if negacyclic else ring.omega
     fwd_plain = [0] * ring.order
     for k in range(1, ring.order):
-        fwd_plain[k] = pow(base, bit_reverse(k, bits), q)
+        fwd_plain[k] = pow(ring.psi, bit_reverse(k, bits), q)
     inv = [0] * ring.order
     band = 1
     while band < ring.order:
@@ -284,14 +278,13 @@ class TransformUnit:
     per-tile residency."""
 
     def __init__(self, ring: RingParams, rows: int = 256, cols: int = 256,
-                 policy: ExecPolicy = ExecPolicy(), record: bool = True,
-                 negacyclic: bool = True):
+                 policy: ExecPolicy = ExecPolicy(), record: bool = True):
         self.ring = ring
         # the context widens the lane by one column when the ring width
         # leaves no headroom bit, so modular add/sub always have one
         self.ctx = MontgomeryContext.create(ring.q, ring.width)
         self.layout = layout_plan(rows, cols, self.ctx.lane_width, ring.order)
-        self.table = precompute_twiddles(ring, self.ctx, negacyclic)
+        self.table = precompute_twiddles(ring, self.ctx)
         self.policy = policy
         self.arr = Subarray(rows, cols, record=record)
         self.rm = self.layout.rowmap

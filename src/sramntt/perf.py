@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .bitparallel import (
     Emitter,
@@ -272,8 +273,12 @@ def butterfly_counts(width: int, popcount: int) -> dict:
     return counts
 
 
+@lru_cache(maxsize=16)
 def swap_write_count(order: int, resident: int) -> int:
-    """WRITE_ROW swaps a forward transform needs under direct-mapped residency."""
+    """WRITE_ROW swaps a forward transform needs under direct-mapped residency.
+
+    One O(order log order) replay of the schedule; memoized, since a bitwidth
+    sweep asks for the same (order, resident) at every width."""
     if order <= resident:
         return 0
     slots = [c if c < resident else None for c in range(resident)]

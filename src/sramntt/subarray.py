@@ -153,9 +153,6 @@ class Subarray:
 
     # -- state helpers ---------------------------------------------------
 
-    def snapshot(self) -> tuple[tuple[int, ...], int]:
-        return tuple(self.cells), self.latch
-
     def same_state(self, other: "Subarray") -> bool:
         return (
             self.rows == other.rows
@@ -193,8 +190,9 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     trace as the same tuple object, except that a ZERO_TEST records the
     readout it actually made.
 
-    This loop interprets traces (``replay``), one-op calls, zero-test loops
-    and emitters with a step callback.  Compiled programs run as the
+    This loop interprets traces (``replay``), one-op calls, the ops an
+    emitter emits in place and flushes (zero-test loops among them) and the
+    first run of each compiled stream.  Later runs go through the
     straight-line functions ``generate`` makes, which must leave the array
     exactly as this loop does; the tests hold them to it.
     """
@@ -298,10 +296,11 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     Only ACTIVATE2, SHIFT and WRITEBACK can be generated.
 
     Literal rows, modes, directions, scopes and tile geometry are checked
-    here, once.  At each run the bound rows are checked before any op runs:
-    a row out of range, or an activation pair that names one row twice,
-    hands the whole of `bound` to ``execute``, so the error, state and
-    trace are the executor's own.  Each marked shift tests its lane edge
+    here, once, up to an activation that names one placeholder twice: no
+    binding can run it, so every run goes to ``execute``.  At each run the
+    bound rows are checked before any op runs: a row out of range, or an
+    activation pair that names one row twice, hands the whole of `bound` to
+    ``execute``, so the error, state and trace are the executor's own.  Each marked shift tests its lane edge
     first, as ``execute`` does; a live bit stores the latch, records the ops
     before the shift and raises ObservationError.
     """
@@ -333,6 +332,11 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
             ra, rb = row(a), row(b)
             if a == b and a >= 0:
                 raise AddressError(f"activate_pair needs two distinct rows, got {a} twice")
+            if a == b:
+                # one placeholder twice: every binding is a same-row pair, which
+                # execute reports with the bound row before it reads the mode
+                guard("False")
+                break
             if a < 0 or b < 0:
                 guard(f"{ra} != {rb}")
             if mode not in _LOGIC:
@@ -486,16 +490,3 @@ def parse_trace(text: str):
         ops.append(op)
     return ops
 
-
-def bits_from_list(bits) -> int:
-    """[b0, b1, ...] (index = column) -> row int."""
-    value = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise AddressError("bit values must be 0 or 1")
-        value |= b << i
-    return value
-
-
-def bits_to_list(value: int, cols: int) -> list[int]:
-    return [(value >> i) & 1 for i in range(cols)]

@@ -34,7 +34,7 @@ class ModmulBench:
         self.lane = self.ctx.lane_width
         self.tiles = tiles_in(cols, self.lane)
         self.arr = Subarray(rows, cols, record=record)
-        self.rm = default_rowmap(rows, self.lane, b_row=B_ROW)
+        self.rm = default_rowmap(rows, self.lane)
         self.policy = ExecPolicy()
         self.emitter = Emitter(self.rm, self.policy, self.arr)
         load_constants(self.arr, self.rm, self.ctx)

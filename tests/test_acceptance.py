@@ -17,7 +17,6 @@ from sramntt.bitparallel import (
     broadcast_word,
     compile_twiddle_commands,
     default_rowmap,
-    emit_modmul,
     emit_resolve,
     load_constants,
     unpack_word,
@@ -35,7 +34,7 @@ from sramntt.perf import (
     sweep_bitwidth,
     sweep_order,
 )
-from sramntt.subarray import GLOBAL, SHIFT, Subarray, replay
+from sramntt.subarray import GLOBAL, SHIFT, Subarray, execute, replay
 
 PASS = "ACCEPTANCE {n}: PASS — {msg}"
 FAIL = "ACCEPTANCE {n}: FAIL — {msg}"
@@ -108,25 +107,30 @@ def test_criterion_1_worked_example():
     }
     for lane in (None, 3):                              # auto lane (4) and the literal 3 columns
         ctx = MontgomeryContext.create(7, 3, lane_width=lane)
+        w = ctx.lane_width
         arr = Subarray(32, 32)
-        rm = default_rowmap(32, ctx.lane_width, b_row=B_ROW)
+        rm = default_rowmap(32, w)
         load_constants(arr, rm, ctx)
-        arr.write_row(B_ROW, broadcast_word(3, ctx.lane_width, arr.cols))
+        arr.write_row(B_ROW, broadcast_word(3, w, arr.cols))
+        stream = compile_twiddle_commands(4, ctx, rm, B_ROW)
+        # run the stream one figure step at a time; the iteration of a step
+        # mark is the number of step-7 marks before it
         seen = {}
-
-        def snap(tag, a):
-            w = ctx.lane_width
-            seen[tag] = {
-                "sum": unpack_word(a.read_row(rm.sum_row), 0, w),
-                "carry": unpack_word(a.read_row(rm.carry_row), 0, w),
-                "aux1": unpack_word(a.read_row(rm.aux1), 0, w),
-                "aux2": unpack_word(a.read_row(rm.aux2), 0, w),
-                "aux3": unpack_word(a.read_row(rm.aux3), 0, w),
-                "mask": unpack_word(a.read_row(rm.mask_row), 0, w),
+        start = iteration = 0
+        for end, step in stream.step_marks:
+            marks = {i - start: edge for i, edge in stream.obs_marks.items() if start <= i <= end}
+            execute(arr, stream.ops[start:end + 1], marks, w)
+            start = end + 1
+            seen[iteration, step] = {
+                "sum": unpack_word(arr.read_row(rm.sum_row), 0, w),
+                "carry": unpack_word(arr.read_row(rm.carry_row), 0, w),
+                "aux1": unpack_word(arr.read_row(rm.aux1), 0, w),
+                "aux2": unpack_word(arr.read_row(rm.aux2), 0, w),
+                "aux3": unpack_word(arr.read_row(rm.aux3), 0, w),
+                "mask": unpack_word(arr.read_row(rm.mask_row), 0, w),
             }
-
-        E = Emitter(rm, ExecPolicy(), arr, step_callback=snap)
-        emit_modmul(E, rm, 4, 3, b_row=B_ROW)
+            iteration += step == 7
+        assert start == len(stream.ops) and iteration == 3
         # P stays zero through the first two iterations (low bits of A clear)
         assert seen[(1, 7)]["sum"] == 0 and seen[(1, 7)]["carry"] == 0
         for tag, wants in expected.items():
@@ -134,8 +138,8 @@ def test_criterion_1_worked_example():
                 assert seen[tag][key] == val, (lane, tag, key, seen[tag])
         # final carry-save pair is Sum=001, Carry=010 -> P = 001 + 010<<1 = 5
         assert seen[(2, 7)]["sum"] == 1 and seen[(2, 7)]["carry"] == 2
-        emit_resolve(E, rm, rm.mask_row)
-        got = unpack_word(arr.read_row(rm.mask_row), 0, ctx.lane_width)
+        emit_resolve(Emitter(rm, ExecPolicy(), arr), rm, rm.mask_row)
+        got = unpack_word(arr.read_row(rm.mask_row), 0, w)
         assert got == 5
     report(1, True, "modmul(4,3,7,3) resolves to 5; per-step states match the figure")
 
@@ -161,8 +165,8 @@ def test_criterion_4_observation_invariants(exhaustive_sweep):
     for width in (3, 5, 8, 16):
         modulus = (1 << (width - 1)) - 1
         ctx = MontgomeryContext.create(modulus, width)
-        rm = default_rowmap(64, ctx.lane_width, b_row=B_ROW)
-        stream = compile_twiddle_commands(rng.randrange(1 << width), ctx, rm)
+        rm = default_rowmap(64, ctx.lane_width)
+        stream = compile_twiddle_commands(rng.randrange(1 << width), ctx, rm, B_ROW)
         for idx, op in enumerate(stream.ops):
             if op[0] == SHIFT and op[2] == GLOBAL and idx not in stream.obs_marks:
                 coverage_ok = False
@@ -245,10 +249,10 @@ def test_criterion_6_implicit_shift(canonical_run):
     for width in (3, 4, 8, 16, 24):
         modulus = (1 << (width - 1)) - 1
         ctx = MontgomeryContext.create(modulus, width)
-        rm = default_rowmap(64, ctx.lane_width, b_row=B_ROW)
+        rm = default_rowmap(64, ctx.lane_width)
         for _ in range(8):
             a = rng.randrange(1 << width)
-            stream = compile_twiddle_commands(a, ctx, rm)
+            stream = compile_twiddle_commands(a, ctx, rm, B_ROW)
             if counts_of_trace(stream.ops)["SHIFT_GLOBAL"] != width + bin(a).count("1"):
                 count_ok = False
 
@@ -277,6 +281,8 @@ def test_criterion_7_latency_window(canonical_run):
            f"micro-op accounting {stats.cycles} cycles, "
            f"{stats.latency_us:.1f} us at {stats.freq_mhz:.0f} MHz")
     report(7, ok, msg)
+    # the simulated clock, pinned exactly: a change to any micro-op shows here
+    assert (stats.cycles, steps) == (1_781_678, 317_230)
 
 
 # -- criterion 8: sweep trends -------------------------------------------------

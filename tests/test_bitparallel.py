@@ -33,7 +33,7 @@ from sramntt.bitparallel import (
 )
 from sramntt.bitparallel import _modadd, _modmul_add_b, _modmul_halve, _modmul_prologue
 from sramntt.bitparallel import _modsub, _resolve
-from sramntt.errors import ObservationError, ParameterError, SimError
+from sramntt.errors import AddressError, ObservationError, ParameterError, SimError
 from sramntt.oracle import oracle_montmul
 from sramntt.perf import counts_of_trace
 from sramntt.subarray import ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, execute
@@ -42,9 +42,20 @@ from sramntt.subarray import ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, 
 def fresh(modulus, width, cols=32, rows=32, record=True):
     ctx = MontgomeryContext.create(modulus, width)
     arr = Subarray(rows, cols, record=record)
-    rm = default_rowmap(rows, ctx.lane_width, b_row=B_ROW)
+    rm = default_rowmap(rows, ctx.lane_width)
     load_constants(arr, rm, ctx)
     return ctx, arr, rm
+
+
+def add_iterations(stream):
+    """The iterations whose add-B block ran: the step-1 marks, each numbered
+    by the step-7 marks before it."""
+    iterations, i = [], 0
+    for _, step in stream.step_marks:
+        if step == 1:
+            iterations.append(i)
+        i += step == 7
+    return iterations
 
 
 def test_context_lane_selection():
@@ -64,26 +75,34 @@ def test_stream_structure_by_twiddle_bits():
     """Add-B blocks appear exactly at the set bits of A; the test on A is compile-time."""
     ctx, _, rm = fresh(7, 3)
 
-    s0 = compile_twiddle_commands(0, ctx, rm)
+    s0 = compile_twiddle_commands(0, ctx, rm, B_ROW)
     assert counts_of_trace(s0.ops)["SHIFT_GLOBAL"] == 3   # three halving shifts only
-    assert not [t for _, t in s0.step_marks if t[1] == 1]
+    assert add_iterations(s0) == []
+    assert [k for _, k in s0.step_marks] == [4, 5, 6, 7] * 3
 
-    s4 = compile_twiddle_commands(4, ctx, rm)
-    add_iters = sorted({t[0] for _, t in s4.step_marks if t[1] == 1})
-    assert add_iters == [2]                           # 4 = 100b: adds only in iteration 2
+    s4 = compile_twiddle_commands(4, ctx, rm, B_ROW)
+    assert add_iterations(s4) == [2]                  # 4 = 100b: adds only in iteration 2
 
-    s7 = compile_twiddle_commands(7, ctx, rm)
-    add_iters = {t[0] for _, t in s7.step_marks if t[1] == 1}
-    assert add_iters == {0, 1, 2}                     # popcount(7) = 3 add blocks
+    s7 = compile_twiddle_commands(7, ctx, rm, B_ROW)
+    assert add_iterations(s7) == [0, 1, 2]            # popcount(7) = 3 add blocks
+    assert [k for _, k in s7.step_marks] == [1, 2, 3, 4, 5, 6, 7] * 3
 
     with pytest.raises(ParameterError):
-        compile_twiddle_commands(8, ctx, rm)          # out of range
+        compile_twiddle_commands(8, ctx, rm, B_ROW)   # out of range
+
+
+def test_the_multiplicand_row_is_no_scratch_or_constant_row():
+    ctx, _, rm = fresh(7, 3)
+    for row in rm.scratch_rows() + rm.constant_rows():
+        with pytest.raises(AddressError, match="multiplicand row"):
+            compile_twiddle_commands(4, ctx, rm, row)
+    assert compile_twiddle_commands(4, ctx, rm, 5).ops
 
 
 def test_stream_is_deterministic():
     ctx, _, rm = fresh(11, 4)
-    a = compile_twiddle_commands(9, ctx, rm)
-    b = compile_twiddle_commands(9, ctx, rm)
+    a = compile_twiddle_commands(9, ctx, rm, B_ROW)
+    b = compile_twiddle_commands(9, ctx, rm, B_ROW)
     assert a.ops == b.ops and a.obs_marks == b.obs_marks
 
 
@@ -92,7 +111,7 @@ def test_shift_count_is_width_plus_popcount():
     rng = random.Random(1)
     for _ in range(12):
         a = rng.randrange(1 << 16)
-        counts = counts_of_trace(compile_twiddle_commands(a, ctx, rm).ops)
+        counts = counts_of_trace(compile_twiddle_commands(a, ctx, rm, B_ROW).ops)
         assert counts["SHIFT_GLOBAL"] == 16 + bin(a).count("1")
         # every data shift is global scope; smears are tile scope
         assert counts["SHIFT_TILE"] > 0
@@ -139,8 +158,8 @@ def test_bp_modmul_stream_api_and_resolve():
     ctx, arr, rm = fresh(7, 3)
     arr.write_row(B_ROW, broadcast_word(3, ctx.lane_width, arr.cols))
     start = len(arr.trace)
-    emit_modmul(Emitter(rm, ExecPolicy(), arr), rm, 4, ctx.width)
-    assert arr.trace[start:] == compile_twiddle_commands(4, ctx, rm).ops
+    emit_modmul(Emitter(rm, ExecPolicy(), arr), rm, 4, ctx.width, B_ROW)
+    assert arr.trace[start:] == compile_twiddle_commands(4, ctx, rm, B_ROW).ops
     lane = ctx.lane_width
     s = unpack_word(arr.read_row(rm.sum_row), 0, lane)
     c = unpack_word(arr.read_row(rm.carry_row), 0, lane)
@@ -168,31 +187,49 @@ def test_observation_check_fires_on_live_half_sum_low_bit(policy):
     arr.write_row(B_ROW, broadcast_word(3, lane, arr.cols))   # Sum = 3 after bit 0 of A
     E = Emitter(rm, policy, arr)
     with pytest.raises(ObservationError, match="low bit"):
-        emit_modmul(E, rm, 1, ctx.width)
-    assert E.programs                                 # the compiled path raised it
+        emit_modmul(E, rm, 1, ctx.width, B_ROW)
+
+
+def _butterfly_compiled(E, rm, width, a_row, b_row, twiddle, pool):
+    emit_modmul(E, rm, twiddle, width, b_row)
+    emit_resolve(E, rm, rm.mask_row)
+    emit_modsub(E, rm, a_row, rm.mask_row, b_row, pool)
+    emit_modadd(E, rm, a_row, rm.mask_row, a_row, pool)
+
+
+def _butterfly_op_by_op(E, rm, width, a_row, b_row, twiddle, pool):
+    _modmul_prologue(E, rm)
+    for i in range(width):
+        if (twiddle >> i) & 1:
+            _modmul_add_b(E, rm, b_row)
+        _modmul_halve(E, rm)
+    _resolve(E, rm, rm.mask_row)
+    _modsub(E, rm, a_row, rm.mask_row, b_row, pool)
+    _modadd(E, rm, a_row, rm.mask_row, a_row, pool)
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
 def test_compiled_primitives_run_the_emitted_ops(policy):
     """Programs compiled once and bound at run time execute exactly the ops
-    that emitting one op at a time executes, aliased operands included."""
+    the bodies emit one at a time with the real rows, aliased operands
+    included, run through the executor."""
     runs = []
-    for callback in (None, lambda tag, arr: None):    # a step callback runs op by op
+    for butterfly in (_butterfly_compiled, _butterfly_op_by_op):
         ctx, arr, rm = fresh(7681, 16, cols=64)
         rng = random.Random(8)
         for row in (1, 2, 3):
             arr.write_row(row, pack_words([rng.randrange(7681) for _ in range(4)],
                                           ctx.lane_width, arr.cols))
-        E = Emitter(rm, policy, arr, step_callback=callback)
+        compiled = butterfly is _butterfly_compiled
+        E = Emitter(rm, policy, arr if compiled else None)
         pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
         for a_row, b_row, twiddle in ((1, 2, 0xB5A3), (3, 1, 0x0F0F), (2, 3, 0xB5A3)):
-            emit_modmul(E, rm, twiddle, ctx.width, b_row=b_row)
-            emit_resolve(E, rm, rm.mask_row)
-            emit_modsub(E, rm, a_row, rm.mask_row, b_row, pool)
-            emit_modadd(E, rm, a_row, rm.mask_row, a_row, pool)
-        runs.append((arr.trace, arr.cells, arr.latch, E.programs))
-    assert runs[0][3] and runs[1][3] is None
-    assert runs[0][:3] == runs[1][:3]
+            butterfly(E, rm, ctx.width, a_row, b_row, twiddle, pool)
+        if not compiled:
+            assert not E.programs
+            execute(arr, E.ops, E.obs_marks, ctx.lane_width)
+        runs.append((arr.trace, arr.cells, arr.latch))
+    assert runs[0] == runs[1]
 
 
 POLICIES = [ExecPolicy(), ExecPolicy(tile_scope_all=True),
@@ -200,13 +237,14 @@ POLICIES = [ExecPolicy(), ExecPolicy(tile_scope_all=True),
             ExecPolicy(deterministic=False, tile_scope_all=True)]
 
 
-@pytest.mark.parametrize("callback", [None, lambda tag, arr: None])
+@pytest.mark.parametrize("warm_up", [None, lambda E, emits: [emit(E) for emit in emits]])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_every_emit_returns_with_its_ops_run(policy, callback):
+def test_every_emit_returns_with_its_ops_run(policy, warm_up):
     """An emitter with an array leaves no op pending when an emit_* returns,
     so none can run after a compiled block or a host read; under a
     deterministic policy the array ran exactly the ops a collecting emitter
-    collects for the same call."""
+    collects for the same call.  After a warm-up pass the checked calls run
+    their streams generated, not interpreted."""
     ctx, arr, rm = fresh(7681, 16, cols=64)
     rng = random.Random(12)
     for row in (1, 2, 3):
@@ -214,7 +252,7 @@ def test_every_emit_returns_with_its_ops_run(policy, callback):
                                       ctx.lane_width, arr.cols))
     pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
     emits = [
-        lambda E: emit_modmul(E, rm, 0xB5A3, ctx.width, b_row=1),
+        lambda E: emit_modmul(E, rm, 0xB5A3, ctx.width, 1),
         lambda E: emit_resolve(E, rm, 4),
         lambda E: emit_modadd(E, rm, 1, 2, 5, pool),
         lambda E: emit_modsub(E, rm, 1, 2, 6, pool),
@@ -224,7 +262,9 @@ def test_every_emit_returns_with_its_ops_run(policy, callback):
         lambda E: emit_smear(E, rm, 7, 8, toward_msb=True),
         lambda E: emit_mask_select(E, rm, 1, 2, 3, 8, 9),
     ]
-    E = Emitter(rm, policy, arr, step_callback=callback)
+    E = Emitter(rm, policy, arr)
+    if warm_up is not None:
+        warm_up(E, emits)
     for emit in emits:
         start = len(arr.trace)
         emit(E)
@@ -247,17 +287,16 @@ def test_a_collecting_emitter_cannot_zero_test():
 
 
 def test_block_multiplier_equals_the_compiled_stream():
-    """The prologue, add-B and halving streams, bound and run in order per
-    the bits of A, are the stream compile_twiddle_commands compiles: ops,
-    obs marks, and step marks in position and step number (the compiled
-    streams carry no iteration in their tags)."""
+    """The prologue, add-B and halving streams, bound and concatenated per
+    the bits of A, are the stream compile_twiddle_commands collects (ops, obs
+    marks and step marks) and the trace an executing emitter leaves."""
     ctx, arr, rm = fresh(7681, 16)
     E = Emitter(rm, ExecPolicy(), arr)
     for a in (0, 1, 0xFFFF, 0xB5A3):
         start = len(arr.trace)
-        emit_modmul(E, rm, a, ctx.width, b_row=5)
-        add_b = E.compiled(_modmul_add_b, rm, 1, None)
-        halve = E.compiled(_modmul_halve, rm, 0, None)
+        emit_modmul(E, rm, a, ctx.width, 5)
+        add_b = E.compiled(_modmul_add_b, rm, 1)
+        halve = E.compiled(_modmul_halve, rm, 0)
         blocks = [(E.compiled(_modmul_prologue, rm, 0), ())]
         for i in range(ctx.width):
             if (a >> i) & 1:
@@ -268,11 +307,11 @@ def test_block_multiplier_equals_the_compiled_stream():
             base = len(ops)
             ops += block.bind(rows)
             obs_marks.update((base + i, edge) for i, edge in block.obs_marks.items())
-            step_marks += [(base + i, k) for i, (_, k) in block.step_marks]
-        want = compile_twiddle_commands(a, ctx, rm, b_row=5)
+            step_marks += [(base + i, k) for i, k in block.step_marks]
+        want = compile_twiddle_commands(a, ctx, rm, 5)
         assert ops == want.ops == arr.trace[start:]
         assert obs_marks == want.obs_marks
-        assert step_marks == [(i, k) for i, (_, k) in want.step_marks]
+        assert step_marks == want.step_marks
     assert len(E.programs) == 3                       # one stream per body, no per-constant list
 
 
@@ -298,8 +337,8 @@ def test_every_generated_block_runs_like_the_executor(policy):
         E = Emitter(rm, policy, arr)
         pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
         blocks = [(E.compiled(_modmul_prologue, rm, 0), 0),
-                  (E.compiled(_modmul_add_b, rm, 1, None), 1),
-                  (E.compiled(_modmul_halve, rm, 0, None), 0),
+                  (E.compiled(_modmul_add_b, rm, 1), 1),
+                  (E.compiled(_modmul_halve, rm, 0), 0),
                   (E.compiled(_resolve, rm, 1), 1),
                   (E.compiled(_modadd, rm, 3, pool), 3), (E.compiled(_modsub, rm, 3, pool), 3)]
         assert len(E.programs) == len(blocks) == 6
@@ -471,7 +510,7 @@ def test_modadd_modsub_random_wide():
 def test_modadd_requires_headroom():
     ctx = MontgomeryContext.create(7, 3, lane_width=3)   # forced: no headroom
     arr = Subarray(32, 32)
-    rm = default_rowmap(32, ctx.lane_width, b_row=B_ROW)
+    rm = default_rowmap(32, ctx.lane_width)
     load_constants(arr, rm, ctx)
     with pytest.raises(ParameterError):
         bp_modadd(arr, rm, 1, 2, ctx)
@@ -484,7 +523,7 @@ def test_data_dependent_mode_matches_deterministic():
     for _ in range(10):
         a, b = rng.randrange(modulus), rng.randrange(modulus)
         arr = Subarray(32, 32)
-        rm = default_rowmap(32, ctx.lane_width, b_row=B_ROW)
+        rm = default_rowmap(32, ctx.lane_width)
         load_constants(arr, rm, ctx)
         lane = ctx.lane_width
         arr.write_row(1, broadcast_word(a, lane, arr.cols))
@@ -526,7 +565,7 @@ def test_cross_tile_injection_is_zero():
 
 def test_stream_serializes_to_trace_grammar():
     ctx, _, rm = fresh(11, 4)
-    stream = compile_twiddle_commands(5, ctx, rm)
+    stream = compile_twiddle_commands(5, ctx, rm, B_ROW)
     from sramntt.subarray import parse_trace, serialize_trace
     text = serialize_trace(stream.ops, 32)
     assert parse_trace(text) == stream.ops

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from harness import paper_steps
+from sramntt import perf
 from sramntt.bitparallel import (
     ExecPolicy,
     MontgomeryContext,
@@ -23,6 +24,8 @@ from sramntt.perf import (
     estimate_forward_ntt,
     shift_baseline_ratio,
     stats_from_counts,
+    butterfly_counts,
+    primitive_counts,
     sweep_bitwidth,
     sweep_order,
     sweep_to_csv,
@@ -176,6 +179,37 @@ def test_sweep_bitwidth_monotone_and_parallel_drops():
             assert cur["energy_per_ntt_nJ"] > prev["energy_per_ntt_nJ"]
 
 
+def test_a_bitwidth_sweep_replays_the_host_swaps_once(monkeypatch):
+    """The swap count depends on the order and the resident rows, not the
+    width, so a sweep over 63 widths of one swapped layout replays it once."""
+    calls = []
+    schedule = perf._forward_schedule
+
+    def counted(order):
+        calls.append(order)
+        return schedule(order)
+
+    perf.swap_write_count.cache_clear()
+    monkeypatch.setattr(perf, "_forward_schedule", counted)
+    rows = sweep_bitwidth(order=64, widths=range(2, 65), rows=32, cols=256)
+    assert sum(r["feasible"] for r in rows) == 62
+    assert calls == [64]
+
+
+def test_primitive_costs_at_width_16():
+    """The w = 16 butterfly's primitives, twiddle popcount 8, under the
+    default cost model: (cycles, global shifts, tile-masked shifts)."""
+    cost = CostModel()
+    want = {("modmul", 8): (1_091, 24, 240), ("resolve", 0): (217, 32, 16),
+            ("modsub", 0): (239, 15, 32), ("modadd", 0): (215, 31, 16)}
+    for (kind, popcount), figures in want.items():
+        counts = primitive_counts(16, kind, popcount)
+        got = (stats_from_counts(counts, cost).cycles,
+               counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"])
+        assert got == figures, kind
+    assert stats_from_counts(butterfly_counts(16, 8), cost).cycles == 1_762
+
+
 def test_sweep_order_monotone_and_swap_knee():
     rows = sweep_order(width=16, orders=[1 << k for k in range(2, 13)],
                        rows=256, cols=256)
@@ -236,15 +270,15 @@ def test_paper_steps_rule_clauses():
 
 @pytest.mark.parametrize("width", [3, 4, 8, 16, 24])
 def test_paper_steps_match_figure_steps(width):
-    # 1 prologue step, the figure's steps (i, 1)..(i, 7) as marked by the
+    # 1 prologue step, the figure's steps 1..7 of every iteration as marked by the
     # compiler, and per iteration the predication: LSB isolate, ceil(log2 w)
     # smear ORs and the modulus AND.
     rng = random.Random(width)
     for modulus in ((1 << (width - 1)) - 1, (1 << width) - 1):   # with and without headroom
         ctx = MontgomeryContext.create(modulus, width)
-        rm = default_rowmap(64, ctx.lane_width, b_row=0)
+        rm = default_rowmap(64, ctx.lane_width)
         smear = (ctx.lane_width - 1).bit_length()
         for a in (0, (1 << width) - 1, rng.randrange(1 << width), rng.randrange(1 << width)):
-            stream = compile_twiddle_commands(a, ctx, rm)
+            stream = compile_twiddle_commands(a, ctx, rm, 0)
             assert paper_steps(stream.ops) == (
                 1 + len(stream.step_marks) + width * (2 + smear)), (modulus, a)

@@ -32,8 +32,6 @@ from sramntt.subarray import (
     ZERO_TEST,
     Subarray,
     _tile_edge_masks,
-    bits_from_list,
-    bits_to_list,
     execute,
     generate,
     parse_trace,
@@ -41,6 +39,20 @@ from sramntt.subarray import (
     replay,
     serialize_trace,
 )
+
+
+def bits_from_list(bits) -> int:
+    """[b0, b1, ...] (index = column) -> row int."""
+    value = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise AddressError("bit values must be 0 or 1")
+        value |= b << i
+    return value
+
+
+def bits_to_list(value: int, cols: int) -> list[int]:
+    return [(value >> i) & 1 for i in range(cols)]
 
 
 def test_create_zeroed():
@@ -104,10 +116,10 @@ def test_activate_non_destructive():
     arr = Subarray(8, 4)
     arr.write_row(0, 0b0110)
     arr.write_row(1, 0b1011)
-    before = arr.snapshot()[0]
+    before = list(arr.cells)
     for mode in (AND, NOR, OR, XOR):
         arr.activate_pair(0, 1, mode)
-    assert arr.snapshot()[0] == before
+    assert arr.cells == before
 
 
 def test_shift_semantics():
@@ -507,6 +519,8 @@ def check_generated_run(cells, latch, ops, marks, binding):
 @pytest.mark.parametrize("ops,marks,binding,error", [
     ([(ACTIVATE2, -1, 3, AND)], {}, (3, 0, 0), "got 3 twice"),
     ([(ACTIVATE2, -1, -2, XOR)], {}, (4, 4, 0), "got 4 twice"),
+    ([(ACTIVATE2, -1, -1, "NAND")], {}, (5, 0, 0), "got 5 twice"),
+    ([(ACTIVATE2, -2, -2, AND), (WRITEBACK, ROWS)], {}, (0, 6, 0), "got 6 twice"),
     ([(WRITEBACK, 1), (WRITEBACK, -3)], {}, (0, 0, ROWS), "row 8 outside"),
     ([(WRITEBACK, 1), (SHIFT, LEFT, GLOBAL, 0, 0), (WRITEBACK, 2)], {1: "msb"},
      (0, 0, 0), "live top bit"),
@@ -514,8 +528,9 @@ def check_generated_run(cells, latch, ops, marks, binding):
      (0, 0, 0), "live low bit"),
 ])
 def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
-    """A bad bound row, a bound same-row pair and a live marked edge bit (in a
-    lane's top or low column) leave the state and trace execute leaves."""
+    """A bad bound row, a bound same-row pair (one placeholder named twice
+    among them, whatever follows it) and a live marked edge bit (in a lane's
+    top or low column) leave the state and trace execute leaves."""
     cells = list(range(1, ROWS + 1))
     latch = 0b1000011000        # lane 0's top, lane 1's low and the unchecked remainder
     gen, twin = Subarray(ROWS, COLS), Subarray(ROWS, COLS)
