@@ -519,13 +519,13 @@ def check_generated_run(cells, latch, ops, marks, binding):
 @pytest.mark.parametrize("ops,marks,binding,error", [
     ([(ACTIVATE2, -1, 3, AND)], {}, (3, 0, 0), "got 3 twice"),
     ([(ACTIVATE2, -1, -2, XOR)], {}, (4, 4, 0), "got 4 twice"),
-    ([(ACTIVATE2, -1, -1, "NAND")], {}, (5, 0, 0), "got 5 twice"),
-    ([(ACTIVATE2, -2, -2, AND), (WRITEBACK, ROWS)], {}, (0, 6, 0), "got 6 twice"),
     ([(WRITEBACK, 1), (WRITEBACK, -3)], {}, (0, 0, ROWS), "row 8 outside"),
     ([(WRITEBACK, 1), (SHIFT, LEFT, GLOBAL, 0, 0), (WRITEBACK, 2)], {1: "msb"},
      (0, 0, 0), "live top bit"),
     ([(WRITEBACK, 1), (SHIFT, RIGHT, TILE, 4, 0), (WRITEBACK, 2)], {1: "lsb"},
      (0, 0, 0), "live low bit"),
+    ([(ACTIVATE2, -1, -1, "NAND")], {}, (5, 0, 0), "got 5 twice"),
+    ([(ACTIVATE2, -2, -2, AND), (WRITEBACK, ROWS)], {}, (0, 6, 0), "got 6 twice"),
 ])
 def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
     """A bad bound row, a bound same-row pair (one placeholder named twice
