@@ -12,12 +12,9 @@ from .bitparallel import (
     ExecPolicy,
     MontgomeryContext,
     RowMap,
-    bp_add,
     bp_modadd,
     bp_modsub,
     compile_twiddle_commands,
-    resolve_carry_save,
-    select_m,
 )
 from .errors import (
     AddressError,
@@ -52,10 +49,9 @@ __all__ = [
     "ObservationError", "ParameterError", "RingParams", "RowMap", "SimError",
     "SimStats", "Subarray", "TileGeometryError", "TileLayout", "TraceIOError",
     "TransformUnit", "TwiddleTable", "VerificationError", "accumulate",
-    "bit_reverse_permute", "bp_add", "bp_modadd", "bp_modsub",
+    "bit_reverse_permute", "bp_modadd", "bp_modsub",
     "compile_twiddle_commands", "find_roots", "layout_plan",
     "oracle_intt", "oracle_montmul", "oracle_ntt", "parse_trace",
     "polymul_negacyclic", "polymul_pipeline", "precompute_twiddles", "replay",
-    "resolve_carry_save", "schoolbook_negacyclic", "select_m",
-    "serialize_trace", "shift_baseline_ratio",
+    "schoolbook_negacyclic", "serialize_trace", "shift_baseline_ratio",
 ]

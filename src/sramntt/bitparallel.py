@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import AddressError, ParameterError, TileGeometryError
 from .subarray import (
@@ -131,9 +131,10 @@ class CommandStream:
     obs_marks maps the index of each data shift to the edge it must find zero
     ("msb" or "lsb"); step_marks pairs the index of each figure step's last op
     with its step number, 1-7 (the multiplication's iteration is the count
-    of step-7 marks before it).  A stream compiled with operand
-    placeholders (the negative rows -1, -2, ... for operands 0, 1, ...) lists
-    the ops that name one in `holes`; ``bind`` puts real rows in.  An
+    of step-7 marks before it).  A stream ``Emitter.compiled`` makes with
+    operand placeholders (the negative rows -1, -2, ... for operands 0, 1,
+    ...) lists the ops that name one in `holes`; ``bind`` puts real rows in.
+    Its other rows are those of the emitter's row map.  An
     Emitter with an array sets `ran` at a stream's first run, and at its
     second stores `program`, the straight-line function
     ``subarray.generate`` makes of its ops for that emitter's array.  Count
@@ -228,10 +229,15 @@ def default_rowmap(arr_rows: int, tile_width: int) -> RowMap:
 # -- the emitter ---------------------------------------------------------------
 
 class Emitter:
-    """Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
-    and keeps `programs`: one stream per (body, row map, static arguments),
-    each compiled once with its operand rows as placeholders (``compiled``)
-    and bound to the real rows at every ``run``.
+    """The one handle for emitting a micro-op program.  Every ``emit_*`` and
+    every body takes it first and finds the scratch and constant rows, and
+    the tile width its streams are compiled and checked at, in its row map
+    `rm`; only operand rows are arguments.
+
+    Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
+    and keeps `programs`: one stream per (body, static arguments), each
+    compiled once with its operand rows as placeholders (``compiled``) and
+    bound to the real rows at every ``run``.
 
     Without an array it collects: ``run`` appends a stream's bound ops and
     marks, and ``stream`` hands them over.  With one it executes: ``run``
@@ -300,23 +306,24 @@ class Emitter:
         return CommandStream(ops=self.ops, obs_marks=self.obs_marks,
                              step_marks=self.step_marks, holes=holes)
 
-    def block(self, body, rm: RowMap, rows: tuple, *static) -> None:
-        """body(E, rm, *rows, *static): under a deterministic policy its
-        compiled stream runs bound to `rows`; a data-dependent one emits it in
-        place and flushes, since a zero-test loop cannot be compiled."""
+    def block(self, body, rows: tuple, *static) -> None:
+        """body(E, *rows, *static): under a deterministic policy its compiled
+        stream runs bound to `rows`; a data-dependent one emits it in place
+        and flushes, since a zero-test loop cannot be compiled."""
         if self.policy.deterministic:
-            self.run(self.compiled(body, rm, len(rows), *static), rows)
+            self.run(self.compiled(body, len(rows), *static), rows)
         else:
-            body(self, rm, *rows, *static)
+            body(self, *rows, *static)
             self.flush()
 
-    def compiled(self, body, rm: RowMap, operands: int, *static) -> CommandStream:
-        """body(E, rm, *placeholders, *static) compiled once for this emitter."""
-        key = (body, rm, static)
+    def compiled(self, body, operands: int, *static) -> CommandStream:
+        """body(E, *placeholders, *static) compiled once for this emitter, on
+        a collecting emitter with the same row map and policy."""
+        key = (body, static)
         stream = self.programs.get(key)
         if stream is None:
-            C = Emitter(rm, self.policy)
-            body(C, rm, *_OPERANDS[:operands], *static)
+            C = Emitter(self.rm, self.policy)
+            body(C, *_OPERANDS[:operands], *static)
             stream = self.programs[key] = C.stream()
         return stream
 
@@ -350,21 +357,22 @@ class Emitter:
 
 # -- micro-op sequences ------------------------------------------------------
 
-def emit_select_m(E, rm: RowMap) -> None:
+def emit_select_m(E) -> None:
     """mask_row := M where LSB(Sum)=1, else 0, independently per tile.
 
     Isolates the low bit of Sum, widens it across the tile by shift+OR
     doubling, then masks the modulus row with it.
     """
+    rm = E.rm
     E.act(rm.sum_row, rm.lsb_mask, AND)
     E.wb(rm.mask_row)
-    emit_smear(E, rm, rm.mask_row, rm.aux3, toward_msb=True)
+    emit_smear(E, rm.mask_row, rm.aux3, toward_msb=True)
     E.act(rm.mask_row, rm.modulus_row, AND)
     E.wb(rm.mask_row)
     E.flush()
 
 
-def emit_smear(E, rm: RowMap, row: int, temp: int, toward_msb: bool) -> None:
+def emit_smear(E, row: int, temp: int, toward_msb: bool) -> None:
     """Widen a one-bit-per-tile mask to the whole tile by doubling rounds.
 
     Precondition: the latch still holds `row` (true right after its writeback).
@@ -377,7 +385,7 @@ def emit_smear(E, rm: RowMap, row: int, temp: int, toward_msb: bool) -> None:
     smear toward the MSB stays tile-masked, which keeps a multiplication's
     global shifts at exactly n + popcount(A).
     """
-    w = rm.tile_width
+    w = E.rm.tile_width
     span = 1
     while span < w:
         stride = min(span, w - span)
@@ -393,7 +401,7 @@ def emit_smear(E, rm: RowMap, row: int, temp: int, toward_msb: bool) -> None:
     E.flush()
 
 
-def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int) -> None:
+def emit_modmul(E, a_value: int, width: int, b_row: int) -> None:
     """The carry-save Montgomery loop for the compile-time constant A = a_value.
 
     Runs three compiled streams: a 3-op prologue zeroing Sum and Carry
@@ -403,9 +411,9 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int) -> None:
     Carry, so the latch already holds the word the next left shift needs.
     The loop has no zero test, so it runs compiled under either policy.
     """
-    add_b = E.compiled(_modmul_add_b, rm, 1)
-    halve = E.compiled(_modmul_halve, rm, 0)
-    E.run(E.compiled(_modmul_prologue, rm, 0))
+    add_b = E.compiled(_modmul_add_b, 1)
+    halve = E.compiled(_modmul_halve, 0)
+    E.run(E.compiled(_modmul_prologue, 0))
     rows = (b_row,)
     for i in range(width):
         if (a_value >> i) & 1:
@@ -413,13 +421,15 @@ def emit_modmul(E, rm: RowMap, a_value: int, width: int, b_row: int) -> None:
         E.run(halve)
 
 
-def _modmul_prologue(E, rm: RowMap) -> None:
+def _modmul_prologue(E) -> None:
+    rm = E.rm
     E.act(rm.zeros, rm.ones, AND)
     E.wb(rm.sum_row)
     E.wb(rm.carry_row)
 
 
-def _modmul_add_b(E, rm: RowMap, b_row: int) -> None:
+def _modmul_add_b(E, b_row: int) -> None:
+    rm = E.rm
     E.shift_data(LEFT, obs="msb")      # Carry << 1
     E.wb(rm.carry_row)
     E.act(rm.sum_row, b_row, AND)      # c1
@@ -437,8 +447,9 @@ def _modmul_add_b(E, rm: RowMap, b_row: int) -> None:
     E.step(3)
 
 
-def _modmul_halve(E, rm: RowMap) -> None:
-    emit_select_m(E, rm)
+def _modmul_halve(E) -> None:
+    rm = E.rm
+    emit_select_m(E)
     E.act(rm.sum_row, rm.mask_row, AND)    # c1
     E.wb(rm.aux1)
     E.act(rm.sum_row, rm.mask_row, XOR)    # s1
@@ -461,7 +472,7 @@ def _modmul_halve(E, rm: RowMap) -> None:
     E.step(7)
 
 
-def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
+def emit_add(E, x_row: int, y_row: int, dest_row: int,
              tmp_a: int, tmp_b: int, cs_row: int, no_wrap: bool = False) -> None:
     """dest := (x + y) mod 2^lane per tile, by iterated half-add + carry shift.
 
@@ -473,11 +484,11 @@ def emit_add(E, rm: RowMap, x_row: int, y_row: int, dest_row: int,
     E.act(x_row, y_row, XOR)
     E.wb(tmp_a)
     E.act(x_row, y_row, AND)                   # latch = carry word
-    _ripple(E, rm, tmp_a, tmp_b, cs_row, dest_row, no_wrap)
+    _ripple(E, tmp_a, tmp_b, cs_row, dest_row, no_wrap)
     E.flush()
 
 
-def emit_add3(E, rm: RowMap, x_row: int, y_row: int, z_row: int, dest_row: int,
+def emit_add3(E, x_row: int, y_row: int, z_row: int, dest_row: int,
               p_row: int, cb_row: int, tmp_a: int) -> None:
     """dest := (x + y + z) mod 2^lane; one carry-save layer, then the add loop.
 
@@ -494,11 +505,11 @@ def emit_add3(E, rm: RowMap, x_row: int, y_row: int, z_row: int, dest_row: int,
     E.act(x_row, y_row, AND)
     E.wb(p_row)
     E.act(p_row, cb_row, OR)                   # latch = merged carry word
-    _ripple(E, rm, tmp_a, p_row, cb_row, dest_row)
+    _ripple(E, tmp_a, p_row, cb_row, dest_row)
     E.flush()
 
 
-def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
+def _ripple(E, cur: int, other: int, cs_row: int, dest_row: int,
             no_wrap: bool = False) -> None:
     """Fold the carry word in the latch into the partial sum in `cur`.
 
@@ -511,7 +522,7 @@ def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
     no_wrap add shifts as data, globally, and the "msb" mark checks the
     promise live.
     """
-    w = rm.tile_width
+    w = E.rm.tile_width
     shift = partial(E.shift_data, LEFT, "msb") if no_wrap else partial(E.shift_mask, LEFT)
     if E.policy.deterministic:
         for k in range(w):
@@ -535,11 +546,11 @@ def _ripple(E, rm: RowMap, cur: int, other: int, cs_row: int, dest_row: int,
         if E.ztest():
             break
     if cur != dest_row:
-        E.act(cur, rm.zeros, OR)
+        E.act(cur, E.rm.zeros, OR)
         E.wb(dest_row)
 
 
-def emit_mask_select(E, rm: RowMap, take_row: int, else_row: int, sel_row: int,
+def emit_mask_select(E, take_row: int, else_row: int, sel_row: int,
                      tmp: int, dest_row: int) -> None:
     """dest := take where sel is set, else `else`, as else ^ ((else ^ take) & sel).
 
@@ -555,7 +566,7 @@ def emit_mask_select(E, rm: RowMap, take_row: int, else_row: int, sel_row: int,
     E.flush()
 
 
-def emit_resolve(E, rm: RowMap, dest_row: int) -> None:
+def emit_resolve(E, dest_row: int) -> None:
     """dest := ((Sum + 2*Carry) conditionally minus M) per tile, in [0, M).
 
     Precondition: the latch holds Carry (always true right after the modmul
@@ -564,56 +575,82 @@ def emit_resolve(E, rm: RowMap, dest_row: int) -> None:
     to the headroom column, and a smeared sign mask selects t (u negative)
     or u.
     """
-    E.block(_resolve, rm, (dest_row,))
+    E.block(_resolve, (dest_row,))
 
 
-def _resolve(E, rm: RowMap, dest_row: int) -> None:
+def _resolve(E, dest_row: int) -> None:
+    rm = E.rm
     E.shift_data(LEFT, obs="msb")              # Carry << 1, provably lossless
     E.wb(rm.carry_row)
-    emit_add(E, rm, rm.sum_row, rm.carry_row, rm.aux1,
+    emit_add(E, rm.sum_row, rm.carry_row, rm.aux1,
              rm.aux2, rm.aux3, rm.mask_row, no_wrap=True)  # t < 2M
-    emit_add(E, rm, rm.aux1, rm.neg_modulus_row, rm.aux2,
+    emit_add(E, rm.aux1, rm.neg_modulus_row, rm.aux2,
              rm.aux3, rm.mask_row, rm.carry_row)                    # u = t - M
     E.act(rm.aux2, rm.msb_mask, AND)
     E.wb(rm.aux3)
-    emit_smear(E, rm, rm.aux3, rm.mask_row, toward_msb=False)       # L = sign(u)
-    emit_mask_select(E, rm, rm.aux1, rm.aux2, rm.aux3, rm.mask_row, dest_row)
+    emit_smear(E, rm.aux3, rm.mask_row, toward_msb=False)           # L = sign(u)
+    emit_mask_select(E, rm.aux1, rm.aux2, rm.aux3, rm.mask_row, dest_row)
 
 
-def emit_modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
-                pool: tuple[int, int, int, int, int]) -> None:
-    """dest := (a + b) mod M.  Needs the headroom bit (M < 2^(lane-1))."""
-    E.block(_modadd, rm, (a_row, b_row, dest_row), pool)
+def emit_modadd(E, a_row: int, b_row: int, dest_row: int) -> None:
+    """dest := (a + b) mod M.  Needs the headroom bit (M < 2^(lane-1)).
+
+    Works in the first five scratch rows that are none of a, b and dest.
+    """
+    rows = (a_row, b_row, dest_row)
+    E.block(_modadd, rows, _pool_for(E.rm, rows))
 
 
-def _modadd(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
+def _modadd(E, a_row: int, b_row: int, dest_row: int,
             pool: tuple[int, int, int, int, int]) -> None:
+    rm = E.rm
     t_row, u_row, l_row, tmp, cs = pool
-    emit_add(E, rm, a_row, b_row, t_row, u_row, l_row, cs, no_wrap=True)  # a + b < 2M
-    emit_add(E, rm, t_row, rm.neg_modulus_row, u_row, l_row, tmp, cs)
+    emit_add(E, a_row, b_row, t_row, u_row, l_row, cs, no_wrap=True)  # a + b < 2M
+    emit_add(E, t_row, rm.neg_modulus_row, u_row, l_row, tmp, cs)
     E.act(u_row, rm.msb_mask, AND)
     E.wb(l_row)
-    emit_smear(E, rm, l_row, tmp, toward_msb=False)   # set iff a+b < M: keep t
-    emit_mask_select(E, rm, t_row, u_row, l_row, tmp, dest_row)
+    emit_smear(E, l_row, tmp, toward_msb=False)   # set iff a+b < M: keep t
+    emit_mask_select(E, t_row, u_row, l_row, tmp, dest_row)
 
 
-def emit_modsub(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
-                pool: tuple[int, int, int, int, int]) -> None:
-    """dest := (a - b) mod M via two's complement; conditional +M by sign mask."""
-    E.block(_modsub, rm, (a_row, b_row, dest_row), pool)
+def emit_modsub(E, a_row: int, b_row: int, dest_row: int) -> None:
+    """dest := (a - b) mod M via two's complement; conditional +M by sign mask.
+
+    Works in the first five scratch rows that are none of a, b and dest.
+    """
+    rows = (a_row, b_row, dest_row)
+    E.block(_modsub, rows, _pool_for(E.rm, rows))
 
 
-def _modsub(E, rm: RowMap, a_row: int, b_row: int, dest_row: int,
+def _modsub(E, a_row: int, b_row: int, dest_row: int,
             pool: tuple[int, int, int, int, int]) -> None:
+    rm = E.rm
     p1, p2, p3, p4, p5 = pool
     E.act(b_row, rm.ones, XOR)                         # ~b within the lane
     E.wb(p1)
-    emit_add3(E, rm, a_row, p1, rm.lsb_mask, p2, p3, p4, p5)  # u = a-b
-    emit_add(E, rm, p2, rm.modulus_row, p3, p4, p5, p1)       # w = u+M
+    emit_add3(E, a_row, p1, rm.lsb_mask, p2, p3, p4, p5)  # u = a-b
+    emit_add(E, p2, rm.modulus_row, p3, p4, p5, p1)       # w = u+M
     E.act(p2, rm.msb_mask, AND)
     E.wb(p4)
-    emit_smear(E, rm, p4, p5, toward_msb=False)        # set iff a < b: take w
-    emit_mask_select(E, rm, p3, p2, p4, p5, dest_row)
+    emit_smear(E, p4, p5, toward_msb=False)        # set iff a < b: take w
+    emit_mask_select(E, p3, p2, p4, p5, dest_row)
+
+
+def _pool_for(rm: RowMap, busy: tuple) -> tuple[int, int, int, int, int]:
+    """The first five scratch rows that are none of the operation's operands."""
+    scratch = rm.scratch_rows()
+    return _free_scratch(scratch, frozenset(busy).intersection(scratch))
+
+
+@lru_cache(maxsize=256)
+def _free_scratch(scratch: tuple, taken: frozenset) -> tuple[int, int, int, int, int]:
+    """Memoized on the scratch rows the operands take, not on the operands:
+    every butterfly names other coefficient rows, but nearly all take only
+    the mask row."""
+    free = [r for r in scratch if r not in taken]
+    if len(free) < 5:
+        raise AddressError("not enough free scratch rows for modular add/sub")
+    return tuple(free[:5])
 
 
 # -- public operations -------------------------------------------------------
@@ -633,34 +670,8 @@ def compile_twiddle_commands(a_value: int, ctx: MontgomeryContext, rm: RowMap,
     if b_row in rm.scratch_rows() + rm.constant_rows():
         raise AddressError(f"multiplicand row {b_row} is a scratch or constant row")
     E = Emitter(rm, policy)
-    emit_modmul(E, rm, a_value, ctx.width, b_row)
+    emit_modmul(E, a_value, ctx.width, b_row)
     return E.stream()
-
-
-def select_m(arr: Subarray, rm: RowMap, policy: ExecPolicy = ExecPolicy()) -> int:
-    """Standalone m-selection: mask_row := M * LSB(Sum) per tile."""
-    emit_select_m(Emitter(rm, policy, arr), rm)
-    return rm.mask_row
-
-
-def resolve_carry_save(arr: Subarray, rm: RowMap, ctx: MontgomeryContext,
-                       dest_row: int | None = None,
-                       policy: ExecPolicy = ExecPolicy()) -> int:
-    """Collapse (Sum, Carry) to a single row holding the residue < M."""
-    if dest_row is None:
-        dest_row = rm.mask_row
-    emit_resolve(Emitter(rm, policy, arr), rm, dest_row)
-    return dest_row
-
-
-def bp_add(arr: Subarray, rm: RowMap, a_row: int, b_row: int,
-           dest_row: int | None = None, policy: ExecPolicy = ExecPolicy()) -> int:
-    """dest := (a + b) mod 2^lane per tile."""
-    if dest_row is None:
-        dest_row = rm.aux1
-    emit_add(Emitter(rm, policy, arr), rm, a_row, b_row, dest_row,
-             rm.aux2, rm.aux3, rm.mask_row)
-    return dest_row
 
 
 def _headroom_or_raise(ctx: MontgomeryContext) -> None:
@@ -671,14 +682,16 @@ def _headroom_or_raise(ctx: MontgomeryContext) -> None:
         )
 
 
+# bp_modadd and bp_modsub check, from the MontgomeryContext no emit_* sees,
+# that the lane has the headroom bit modular add and subtract need.
+
 def bp_modadd(arr: Subarray, rm: RowMap, a_row: int, b_row: int, ctx: MontgomeryContext,
               dest_row: int | None = None, policy: ExecPolicy = ExecPolicy()) -> int:
     """dest := (a + b) mod M for residue operands."""
     _headroom_or_raise(ctx)
     if dest_row is None:
         dest_row = rm.aux1
-    pool = _pool_for(rm, (a_row, b_row, dest_row))
-    emit_modadd(Emitter(rm, policy, arr), rm, a_row, b_row, dest_row, pool)
+    emit_modadd(Emitter(rm, policy, arr), a_row, b_row, dest_row)
     return dest_row
 
 
@@ -688,14 +701,5 @@ def bp_modsub(arr: Subarray, rm: RowMap, a_row: int, b_row: int, ctx: Montgomery
     _headroom_or_raise(ctx)
     if dest_row is None:
         dest_row = rm.aux1
-    pool = _pool_for(rm, (a_row, b_row, dest_row))
-    emit_modsub(Emitter(rm, policy, arr), rm, a_row, b_row, dest_row, pool)
+    emit_modsub(Emitter(rm, policy, arr), a_row, b_row, dest_row)
     return dest_row
-
-
-def _pool_for(rm: RowMap, busy) -> tuple[int, int, int, int, int]:
-    """Five scratch rows not aliased with the operation's operands."""
-    free = [r for r in rm.scratch_rows() if r not in busy]
-    if len(free) < 5:
-        raise AddressError("not enough free scratch rows for modular add/sub")
-    return tuple(free[:5])

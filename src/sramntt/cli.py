@@ -210,10 +210,9 @@ def cmd_sweep(cfg: RunConfig, vary: str) -> int:
     cost = _cost_model(cfg)
     if vary == "bitwidth":
         check_order(cfg.order)
-        rows = sweep_bitwidth(cfg.order, range(2, 65), cfg.rows, cfg.cols, cost)
+        rows = sweep_bitwidth(cfg.order, rows=cfg.rows, cols=cfg.cols, cost=cost)
     elif vary == "order":
-        orders = [1 << k for k in range(2, 13)]
-        rows = sweep_order(cfg.width, orders, cfg.rows, cfg.cols, cost)
+        rows = sweep_order(cfg.width, rows=cfg.rows, cols=cfg.cols, cost=cost)
     else:
         raise ParameterError(f"--vary must be bitwidth or order, got {vary!r}")
     csv_text = sweep_to_csv(rows)

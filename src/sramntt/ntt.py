@@ -292,8 +292,6 @@ class TransformUnit:
         load_constants(self.arr, self.rm, self.ctx)
         self._host: list[int] = [0] * ring.order        # packed row per coefficient
         self._slot_virt: list[int | None] = [None] * self.layout.resident_rows
-        self._pool = (self.rm.sum_row, self.rm.carry_row, self.rm.aux1,
-                      self.rm.aux2, self.rm.aux3)
         self.butterflies = 0
 
     # -- residency -----------------------------------------------------
@@ -346,18 +344,13 @@ class TransformUnit:
 
     # -- butterfly kernels ----------------------------------------------
 
-    def _product_into_mask(self, scaled_twiddle: int, b_row: int) -> None:
-        E = self.emitter
-        emit_modmul(E, self.rm, scaled_twiddle, self.ctx.width, b_row=b_row)
-        emit_resolve(E, self.rm, self.rm.mask_row)
-
     def _scale_rows(self, scaled_values) -> None:
         """coefficient_row := scaled_values[c] * row * R^-1, for every c."""
         E = self.emitter
         for c in range(self.ring.order):
             row = self._ensure(c)
-            emit_modmul(E, self.rm, scaled_values[c], self.ctx.width, b_row=row)
-            emit_resolve(E, self.rm, row)
+            emit_modmul(E, scaled_values[c], self.ctx.width, b_row=row)
+            emit_resolve(E, row)
 
     def forward(self) -> None:
         """In-place forward transform; rows end up holding the bit-reversed spectrum."""
@@ -367,9 +360,10 @@ class TransformUnit:
         for j, length, k in _forward_schedule(self.ring.order):
             rj = self._ensure(j)
             rl = self._ensure(j + length)
-            self._product_into_mask(fwd[k], rl)
-            emit_modsub(E, rm, rj, rm.mask_row, rl, self._pool)
-            emit_modadd(E, rm, rj, rm.mask_row, rj, self._pool)
+            emit_modmul(E, fwd[k], self.ctx.width, b_row=rl)
+            emit_resolve(E, rm.mask_row)
+            emit_modsub(E, rj, rm.mask_row, rl)
+            emit_modadd(E, rj, rm.mask_row, rj)
             self.butterflies += 1
 
     def inverse(self) -> None:
@@ -380,16 +374,16 @@ class TransformUnit:
         for j, length, k in _inverse_schedule(self.ring.order):
             rj = self._ensure(j)
             rl = self._ensure(j + length)
-            emit_modsub(E, rm, rj, rl, rm.mask_row, self._pool)
-            emit_modadd(E, rm, rj, rl, rj, self._pool)
+            emit_modsub(E, rj, rl, rm.mask_row)
+            emit_modadd(E, rj, rl, rj)
             # park the difference in the now-dead a[j+len] row: the multiply
             # loop needs mask_row for its own per-iteration predication; the
             # flush runs the park before the multiplication's compiled blocks
             E.act(rm.mask_row, rm.zeros, OR)
             E.wb(rl)
             E.flush()
-            emit_modmul(E, rm, inv[k], self.ctx.width, b_row=rl)
-            emit_resolve(E, rm, rl)
+            emit_modmul(E, inv[k], self.ctx.width, b_row=rl)
+            emit_resolve(E, rl)
             self.butterflies += 1
         self._scale_rows([self.table.scale_inv_r] * self.ring.order)
 

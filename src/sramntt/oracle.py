@@ -10,19 +10,12 @@ from __future__ import annotations
 from .errors import ParameterError
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _egcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
 def modinv(a: int, m: int) -> int:
-    """Inverse of a mod m via extended gcd."""
-    g, x, _ = _egcd(a % m, m)
-    if g != 1:
-        raise ParameterError(f"{a} has no inverse mod {m}")
-    return x % m
+    """Inverse of a mod m."""
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ParameterError(f"{a} has no inverse mod {m}") from None
 
 
 def oracle_montmul(a: int, b: int, modulus: int, width: int) -> int:

@@ -74,15 +74,6 @@ class CostModel:
         if self.freq_mhz <= 0:
             raise ParameterError("frequency must be positive")
 
-    def to_text(self) -> str:
-        lines = [f"freq_mhz={self.freq_mhz}"]
-        for key in sorted(self.cycles):
-            lines.append(f"cycles.{key}={self.cycles[key]}")
-        for key in sorted(self.energy_pj):
-            lines.append(f"energy_pj.{key}={self.energy_pj[key]}")
-        lines.append("")
-        return "\n".join(lines)
-
     @classmethod
     def from_text(cls, text: str) -> "CostModel":
         model = cls()
@@ -225,9 +216,6 @@ def shift_baseline_ratio(stats: SimStats, order: int, width: int) -> float:
 
 # -- analytic micro-op counting (no array execution) -------------------------
 
-_PRIM_CACHE: dict = {}
-
-
 def _dummy_env(width: int):
     modulus = (1 << (width - 1)) - 1          # odd, keeps lane == width
     ctx = MontgomeryContext.create(modulus, width)
@@ -235,33 +223,28 @@ def _dummy_env(width: int):
     return ctx, rm
 
 
+@lru_cache(maxsize=None)
 def primitive_counts(width: int, kind: str, popcount: int = 0) -> dict:
     """Micro-op counts of one compiled primitive at a given lane width.
 
     Compiled through the same emitters the executor uses, so these match
     executed traces exactly.  kind: modmul | resolve | modadd | modsub.
+    Memoized; callers must not change the dict it returns.
     """
-    key = (width, kind, popcount)
-    cached = _PRIM_CACHE.get(key)
-    if cached is not None:
-        return cached
     ctx, rm = _dummy_env(width)
     E = Emitter(rm, ExecPolicy())
-    pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
     coeff_a, coeff_b = 0, 1
     if kind == "modmul":
-        emit_modmul(E, rm, (1 << popcount) - 1, width, b_row=coeff_b)
+        emit_modmul(E, (1 << popcount) - 1, width, b_row=coeff_b)
     elif kind == "resolve":
-        emit_resolve(E, rm, rm.mask_row)
+        emit_resolve(E, rm.mask_row)
     elif kind == "modadd":
-        emit_modadd(E, rm, coeff_a, rm.mask_row, coeff_a, pool)
+        emit_modadd(E, coeff_a, rm.mask_row, coeff_a)
     elif kind == "modsub":
-        emit_modsub(E, rm, coeff_a, rm.mask_row, coeff_b, pool)
+        emit_modsub(E, coeff_a, rm.mask_row, coeff_b)
     else:
         raise ParameterError(f"unknown primitive {kind!r}")
-    counts = counts_of_trace(E.ops)
-    _PRIM_CACHE[key] = counts
-    return counts
+    return counts_of_trace(E.ops)
 
 
 def butterfly_counts(width: int, popcount: int) -> dict:

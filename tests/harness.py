@@ -45,8 +45,8 @@ class ModmulBench:
         reduced = [b % m for b in b_values]
         self.arr.write_row(B_ROW, pack_words(
             reduced + [0] * (self.tiles - len(reduced)), self.lane, self.arr.cols))
-        emit_modmul(self.emitter, self.rm, a_value, self.ctx.width, b_row=B_ROW)
-        emit_resolve(self.emitter, self.rm, self.rm.mask_row)
+        emit_modmul(self.emitter, a_value, self.ctx.width, b_row=B_ROW)
+        emit_resolve(self.emitter, self.rm.mask_row)
         bits = self.arr.read_row(self.rm.mask_row)
         return [unpack_word(bits, t, self.lane) for t in range(len(b_values))]
 

@@ -138,7 +138,7 @@ def test_criterion_1_worked_example():
                 assert seen[tag][key] == val, (lane, tag, key, seen[tag])
         # final carry-save pair is Sum=001, Carry=010 -> P = 001 + 010<<1 = 5
         assert seen[(2, 7)]["sum"] == 1 and seen[(2, 7)]["carry"] == 2
-        emit_resolve(Emitter(rm, ExecPolicy(), arr), rm, rm.mask_row)
+        emit_resolve(Emitter(rm, ExecPolicy(), arr), rm.mask_row)
         got = unpack_word(arr.read_row(rm.mask_row), 0, w)
         assert got == 5
     report(1, True, "modmul(4,3,7,3) resolves to 5; per-step states match the figure")

@@ -10,7 +10,6 @@ from sramntt.bitparallel import (
     Emitter,
     ExecPolicy,
     MontgomeryContext,
-    bp_add,
     bp_modadd,
     bp_modsub,
     broadcast_word,
@@ -27,8 +26,6 @@ from sramntt.bitparallel import (
     emit_smear,
     load_constants,
     pack_words,
-    resolve_carry_save,
-    select_m,
     unpack_word,
 )
 from sramntt.bitparallel import _modadd, _modmul_add_b, _modmul_halve, _modmul_prologue
@@ -158,14 +155,14 @@ def test_bp_modmul_stream_api_and_resolve():
     ctx, arr, rm = fresh(7, 3)
     arr.write_row(B_ROW, broadcast_word(3, ctx.lane_width, arr.cols))
     start = len(arr.trace)
-    emit_modmul(Emitter(rm, ExecPolicy(), arr), rm, 4, ctx.width, B_ROW)
+    emit_modmul(Emitter(rm, ExecPolicy(), arr), 4, ctx.width, B_ROW)
     assert arr.trace[start:] == compile_twiddle_commands(4, ctx, rm, B_ROW).ops
     lane = ctx.lane_width
     s = unpack_word(arr.read_row(rm.sum_row), 0, lane)
     c = unpack_word(arr.read_row(rm.carry_row), 0, lane)
     assert s + 2 * c == 5 and s + 2 * c < 2 * 7
-    dest = resolve_carry_save(arr, rm, ctx)
-    assert unpack_word(arr.read_row(dest), 0, lane) == 5
+    emit_resolve(Emitter(rm, ExecPolicy(), arr), rm.mask_row)
+    assert unpack_word(arr.read_row(rm.mask_row), 0, lane) == 5
 
 
 def test_observation_check_fires_on_live_carry_top_bit():
@@ -175,7 +172,7 @@ def test_observation_check_fires_on_live_carry_top_bit():
     arr.write_row(rm.carry_row, broadcast_word(1 << (lane - 1), lane, arr.cols))
     arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
     with pytest.raises(ObservationError):
-        emit_resolve(Emitter(rm, ExecPolicy(), arr), rm, rm.mask_row)
+        emit_resolve(Emitter(rm, ExecPolicy(), arr), rm.mask_row)
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
@@ -187,25 +184,26 @@ def test_observation_check_fires_on_live_half_sum_low_bit(policy):
     arr.write_row(B_ROW, broadcast_word(3, lane, arr.cols))   # Sum = 3 after bit 0 of A
     E = Emitter(rm, policy, arr)
     with pytest.raises(ObservationError, match="low bit"):
-        emit_modmul(E, rm, 1, ctx.width, B_ROW)
+        emit_modmul(E, 1, ctx.width, B_ROW)
 
 
 def _butterfly_compiled(E, rm, width, a_row, b_row, twiddle, pool):
-    emit_modmul(E, rm, twiddle, width, b_row)
-    emit_resolve(E, rm, rm.mask_row)
-    emit_modsub(E, rm, a_row, rm.mask_row, b_row, pool)
-    emit_modadd(E, rm, a_row, rm.mask_row, a_row, pool)
+    """`pool` goes unused: emit_modsub and emit_modadd work it out."""
+    emit_modmul(E, twiddle, width, b_row)
+    emit_resolve(E, rm.mask_row)
+    emit_modsub(E, a_row, rm.mask_row, b_row)
+    emit_modadd(E, a_row, rm.mask_row, a_row)
 
 
 def _butterfly_op_by_op(E, rm, width, a_row, b_row, twiddle, pool):
-    _modmul_prologue(E, rm)
+    _modmul_prologue(E)
     for i in range(width):
         if (twiddle >> i) & 1:
-            _modmul_add_b(E, rm, b_row)
-        _modmul_halve(E, rm)
-    _resolve(E, rm, rm.mask_row)
-    _modsub(E, rm, a_row, rm.mask_row, b_row, pool)
-    _modadd(E, rm, a_row, rm.mask_row, a_row, pool)
+            _modmul_add_b(E, b_row)
+        _modmul_halve(E)
+    _resolve(E, rm.mask_row)
+    _modsub(E, a_row, rm.mask_row, b_row, pool)
+    _modadd(E, a_row, rm.mask_row, a_row, pool)
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
@@ -250,17 +248,16 @@ def test_every_emit_returns_with_its_ops_run(policy, warm_up):
     for row in (1, 2, 3):
         arr.write_row(row, pack_words([rng.randrange(7681) for _ in range(4)],
                                       ctx.lane_width, arr.cols))
-    pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
     emits = [
-        lambda E: emit_modmul(E, rm, 0xB5A3, ctx.width, 1),
-        lambda E: emit_resolve(E, rm, 4),
-        lambda E: emit_modadd(E, rm, 1, 2, 5, pool),
-        lambda E: emit_modsub(E, rm, 1, 2, 6, pool),
-        lambda E: emit_add(E, rm, 1, 2, 7, 8, 9, 10),
-        lambda E: emit_add3(E, rm, 1, 2, 3, 7, 8, 9, 10),
-        lambda E: emit_select_m(E, rm),
-        lambda E: emit_smear(E, rm, 7, 8, toward_msb=True),
-        lambda E: emit_mask_select(E, rm, 1, 2, 3, 8, 9),
+        lambda E: emit_modmul(E, 0xB5A3, ctx.width, 1),
+        lambda E: emit_resolve(E, 4),
+        lambda E: emit_modadd(E, 1, 2, 5),
+        lambda E: emit_modsub(E, 1, 2, 6),
+        lambda E: emit_add(E, 1, 2, 7, 8, 9, 10),
+        lambda E: emit_add3(E, 1, 2, 3, 7, 8, 9, 10),
+        lambda E: emit_select_m(E),
+        lambda E: emit_smear(E, 7, 8, toward_msb=True),
+        lambda E: emit_mask_select(E, 1, 2, 3, 8, 9),
     ]
     E = Emitter(rm, policy, arr)
     if warm_up is not None:
@@ -283,7 +280,7 @@ def test_a_collecting_emitter_cannot_zero_test():
     with pytest.raises(ParameterError, match="compiled ahead of time"):
         E.ztest()
     with pytest.raises(ParameterError, match="compiled ahead of time"):
-        emit_add(E, rm, 1, 2, 3, 4, 5, 6)
+        emit_add(E, 1, 2, 3, 4, 5, 6)
 
 
 def test_block_multiplier_equals_the_compiled_stream():
@@ -294,10 +291,10 @@ def test_block_multiplier_equals_the_compiled_stream():
     E = Emitter(rm, ExecPolicy(), arr)
     for a in (0, 1, 0xFFFF, 0xB5A3):
         start = len(arr.trace)
-        emit_modmul(E, rm, a, ctx.width, 5)
-        add_b = E.compiled(_modmul_add_b, rm, 1)
-        halve = E.compiled(_modmul_halve, rm, 0)
-        blocks = [(E.compiled(_modmul_prologue, rm, 0), ())]
+        emit_modmul(E, a, ctx.width, 5)
+        add_b = E.compiled(_modmul_add_b, 1)
+        halve = E.compiled(_modmul_halve, 0)
+        blocks = [(E.compiled(_modmul_prologue, 0), ())]
         for i in range(ctx.width):
             if (a >> i) & 1:
                 blocks.append((add_b, (5,)))
@@ -336,11 +333,11 @@ def test_every_generated_block_runs_like_the_executor(policy):
         rm = default_rowmap(32, lane)
         E = Emitter(rm, policy, arr)
         pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
-        blocks = [(E.compiled(_modmul_prologue, rm, 0), 0),
-                  (E.compiled(_modmul_add_b, rm, 1), 1),
-                  (E.compiled(_modmul_halve, rm, 0), 0),
-                  (E.compiled(_resolve, rm, 1), 1),
-                  (E.compiled(_modadd, rm, 3, pool), 3), (E.compiled(_modsub, rm, 3, pool), 3)]
+        blocks = [(E.compiled(_modmul_prologue, 0), 0),
+                  (E.compiled(_modmul_add_b, 1), 1),
+                  (E.compiled(_modmul_halve, 0), 0),
+                  (E.compiled(_resolve, 1), 1),
+                  (E.compiled(_modadd, 3, pool), 3), (E.compiled(_modsub, 3, pool), 3)]
         assert len(E.programs) == len(blocks) == 6
         for stream, operands in blocks:
             for density in (0, 1, 3, 0):       # bits set with odds 0, 1/2, 1/8
@@ -383,8 +380,8 @@ def test_a_stream_is_generated_at_its_second_run():
     no generation; the second generates its function, which later runs reuse."""
     ctx, arr, rm = fresh(7681, 16)
     E = Emitter(rm, ExecPolicy(), arr)
-    once = E.compiled(_modmul_prologue, rm, 0)
-    twice = E.compiled(_resolve, rm, 1)
+    once = E.compiled(_modmul_prologue, 0)
+    twice = E.compiled(_resolve, 1)
     E.run(once)
     E.run(twice, (rm.mask_row,))
     assert once.ran and once.program is None
@@ -426,8 +423,8 @@ def test_select_m_per_tile():
     lane = ctx.lane_width
     assert lane == 4
     arr.write_row(rm.sum_row, pack_words([0b011, 0b010], lane, arr.cols))
-    row = select_m(arr, rm)
-    bits = arr.read_row(row)
+    emit_select_m(Emitter(rm, ExecPolicy(), arr))
+    bits = arr.read_row(rm.mask_row)
     assert unpack_word(bits, 0, lane) == 7            # odd Sum: m = M
     assert unpack_word(bits, 1, lane) == 0            # even Sum: m = 0
 
@@ -442,7 +439,7 @@ def test_resolve_examples_and_random():
         arr.write_row(rm.carry_row, broadcast_word(c, lane, arr.cols))
         arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
         dest = rm.mask_row
-        emit_resolve(E, rm, dest)
+        emit_resolve(E, dest)
         return unpack_word(arr.read_row(dest), 0, lane)
 
     assert resolve_pair(0b001, 0b010) == 5
@@ -459,15 +456,17 @@ def test_resolve_examples_and_random():
 
 
 def test_bp_add_mod_2n():
+    """emit_add, which the removed bp_add wrapped: (a + b) mod 2^lane."""
     ctx, arr, rm = fresh(11, 4)
     lane = ctx.lane_width
+    E = Emitter(rm, ExecPolicy(), arr)
     rng = random.Random(9)
     for _ in range(30):
         x, y = rng.randrange(1 << lane), rng.randrange(1 << lane)
         arr.write_row(1, broadcast_word(x, lane, arr.cols))
         arr.write_row(2, broadcast_word(y, lane, arr.cols))
-        dest = bp_add(arr, rm, 1, 2)
-        assert unpack_word(arr.read_row(dest), 0, lane) == (x + y) % (1 << lane)
+        emit_add(E, 1, 2, rm.aux1, rm.aux2, rm.aux3, rm.mask_row)
+        assert unpack_word(arr.read_row(rm.aux1), 0, lane) == (x + y) % (1 << lane)
 
 
 def test_modadd_modsub_examples():
@@ -581,12 +580,11 @@ def test_tail_shift_scopes(modulus, width):
     w = ctx.lane_width
     assert w == width
     rm = default_rowmap(64, w)
-    pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
     want = {"resolve": (2 * w, w), "modadd": (2 * w - 1, w), "modsub": (w - 1, 2 * w)}
     for policy in (ExecPolicy(), ExecPolicy(tile_scope_all=True)):
-        for name, emit in (("resolve", lambda E: emit_resolve(E, rm, rm.mask_row)),
-                           ("modadd", lambda E: emit_modadd(E, rm, 0, rm.mask_row, 0, pool)),
-                           ("modsub", lambda E: emit_modsub(E, rm, 0, rm.mask_row, 1, pool))):
+        for name, emit in (("resolve", lambda E: emit_resolve(E, rm.mask_row)),
+                           ("modadd", lambda E: emit_modadd(E, 0, rm.mask_row, 0)),
+                           ("modsub", lambda E: emit_modsub(E, 0, rm.mask_row, 1))):
             E = Emitter(rm, policy)
             emit(E)
             counts = counts_of_trace(E.ops)
@@ -607,7 +605,7 @@ def test_mask_select_is_three_activations():
     for row, words in ((1, take), (2, other), (3, sel)):
         arr.write_row(row, pack_words(words, lane, arr.cols))
     start = len(arr.trace)
-    emit_mask_select(Emitter(rm, ExecPolicy(), arr), rm, 1, 2, 3, 4, 5)
+    emit_mask_select(Emitter(rm, ExecPolicy(), arr), 1, 2, 3, 4, 5)
     ops = arr.trace[start:]
     assert sum(op[0] == ACTIVATE2 for op in ops) == 3
     assert sum(op[0] == WRITEBACK for op in ops) == 3
@@ -630,13 +628,12 @@ def test_modadd_modsub_resolve_exhaustive(policy, modulus, width):
     assert lane == width
     tiles = arr.cols // lane
     E = Emitter(rm, policy, arr)
-    pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
     pairs = [(a, b) for a in range(modulus) for b in range(modulus)]
     for batch in _residue_batches(pairs, tiles):
         arr.write_row(1, pack_words([a for a, _ in batch], lane, arr.cols))
         arr.write_row(2, pack_words([b for _, b in batch], lane, arr.cols))
-        emit_modadd(E, rm, 1, 2, 3, pool)
-        emit_modsub(E, rm, 1, 2, 4, pool)
+        emit_modadd(E, 1, 2, 3)
+        emit_modsub(E, 1, 2, 4)
         add_bits, sub_bits = arr.read_row(3), arr.read_row(4)
         for t, (a, b) in enumerate(batch):
             assert unpack_word(add_bits, t, lane) == (a + b) % modulus, (a, b)
@@ -647,7 +644,7 @@ def test_modadd_modsub_resolve_exhaustive(policy, modulus, width):
         arr.write_row(rm.sum_row, pack_words([s for s, _ in batch], lane, arr.cols))
         arr.write_row(rm.carry_row, pack_words([c for _, c in batch], lane, arr.cols))
         arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
-        emit_resolve(E, rm, 5)
+        emit_resolve(E, 5)
         bits = arr.read_row(5)
         for t, (s, c) in enumerate(batch):
             assert unpack_word(bits, t, lane) == (s + 2 * c) % modulus, (s, c)
@@ -664,7 +661,7 @@ def test_no_wrap_add_raises_on_a_carry_out_of_the_lane(deterministic):
     def add(x, y, no_wrap):
         arr.write_row(1, pack_words([x, 3, 3, 3], lane, arr.cols))
         arr.write_row(2, pack_words([y, 4, 4, 4], lane, arr.cols))
-        emit_add(Emitter(rm, policy, arr), rm, 1, 2, 3, rm.aux1, rm.aux2,
+        emit_add(Emitter(rm, policy, arr), 1, 2, 3, rm.aux1, rm.aux2,
                  rm.mask_row, no_wrap=no_wrap)
         return unpack_word(arr.read_row(3), 0, lane)
 
@@ -673,3 +670,48 @@ def test_no_wrap_add_raises_on_a_carry_out_of_the_lane(deterministic):
         with pytest.raises(ObservationError, match="top bit"):
             add(x, y, no_wrap=True)
     assert add((1 << lane) - 2, 1, no_wrap=True) == (1 << lane) - 1
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_modadd_modsub_with_scratch_operands(policy):
+    """emit_modadd and emit_modsub work out their five scratch rows around
+    the operands, so one operand row, or the destination, may be a scratch
+    row; operands that are not the destination keep their values."""
+    modulus = 7681
+    ctx, arr, rm = fresh(modulus, 16, cols=64)
+    lane = ctx.lane_width
+    E = Emitter(rm, policy, arr)
+    rng = random.Random(31)
+    cases = [(1, 2, rm.aux1), (rm.mask_row, 2, 1), (1, rm.mask_row, 1),
+             (rm.sum_row, 2, rm.sum_row), (1, 2, rm.mask_row), (2, rm.aux3, 3)]
+    for emit, want in ((emit_modadd, lambda a, b: (a + b) % modulus),
+                       (emit_modsub, lambda a, b: (a - b) % modulus)):
+        for a_row, b_row, dest in cases:
+            words = {row: [rng.randrange(modulus) for _ in range(4)] for row in (a_row, b_row)}
+            for row, values in words.items():
+                arr.write_row(row, pack_words(values, lane, arr.cols))
+            emit(E, a_row, b_row, dest)
+            got = [unpack_word(arr.read_row(dest), t, lane) for t in range(4)]
+            assert got == [want(a, b) for a, b in zip(words[a_row], words[b_row])], \
+                (emit.__name__, a_row, b_row, dest)
+            for row in {a_row, b_row} - {dest}:
+                assert [unpack_word(arr.read_row(row), t, lane) for t in range(4)] == words[row]
+        with pytest.raises(AddressError, match="free scratch rows"):
+            emit(E, rm.sum_row, rm.aux1, 3)
+
+
+def test_the_emitter_is_the_only_row_map_argument():
+    """No emit_* nor Emitter.block or Emitter.compiled takes a row map, and
+    the modular add and subtract take no scratch pool."""
+    import inspect
+
+    from sramntt import bitparallel
+
+    emits = [fn for name, fn in vars(bitparallel).items() if name.startswith("emit_")]
+    assert len(emits) == 9
+    for fn in emits + [Emitter.block, Emitter.compiled]:
+        params = inspect.signature(fn).parameters
+        assert "rm" not in params, fn.__name__
+        assert list(params)[0] in ("E", "self"), fn.__name__
+    for fn in (emit_modadd, emit_modsub):
+        assert list(inspect.signature(fn).parameters) == ["E", "a_row", "b_row", "dest_row"]

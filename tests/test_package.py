@@ -14,7 +14,8 @@ REMOVED = ("bp_modmul", "run_stream", "MicroOp", "microop_view", "counts_of_ops"
            "ACTIVATE2_KIND", "WRITEBACK_KIND", "DirectEmitter", "CollectEmitter",
            "apply_op", "create_subarray", "radix_inverse", "to_dict", "from_dict",
            "negacyclic", "tile_origin", "spill_map", "generated", "step_callback",
-           "omega", "b_row", "snapshot", "bits_from_list", "bits_to_list")
+           "omega", "b_row", "snapshot", "bits_from_list", "bits_to_list",
+           "select_m", "resolve_carry_save", "bp_add", "to_text")
 
 
 def test_all_names_resolve():

@@ -17,6 +17,8 @@ from sramntt.errors import ParameterError
 from sramntt.ntt import RingParams, TransformUnit
 from sramntt.perf import (
     CSV_HEADER,
+    DEFAULT_CYCLES,
+    DEFAULT_ENERGY_PJ,
     CostModel,
     accumulate,
     counts_of_trace,
@@ -123,14 +125,17 @@ def test_unknown_kind_rejected():
 
 
 def test_cost_model_text_roundtrip():
-    cost = CostModel()
-    cost.cycles["WRITEBACK"] = 2.0
-    cost.energy_pj["SHIFT"] = 0.5
-    cost.freq_mhz = 1000.0
-    again = CostModel.from_text(cost.to_text())
-    assert again.cycles == cost.cycles
-    assert again.energy_pj == cost.energy_pj
-    assert again.freq_mhz == cost.freq_mhz
+    """A `--cost-model` file in README's format sets exactly the keys it names."""
+    text = ("# lines are key=value\n"
+            "freq_mhz=1000\n"
+            "\n"
+            "cycles.WRITEBACK = 2\n"
+            "cycles.TILE_SHIFT_EXTRA=0\n"
+            "  energy_pj.SHIFT=0.5\n")
+    cost = CostModel.from_text(text)
+    assert cost.freq_mhz == 1000.0
+    assert cost.cycles == {**DEFAULT_CYCLES, "WRITEBACK": 2.0, "TILE_SHIFT_EXTRA": 0.0}
+    assert cost.energy_pj == {**DEFAULT_ENERGY_PJ, "SHIFT": 0.5}
 
 
 def test_estimator_matches_real_trace_no_swap():
