@@ -120,6 +120,8 @@ class RowMap:
         rows = self.scratch_rows() + self.constant_rows()
         if len(set(rows)) != len(rows):
             raise AddressError("row map assigns one row to two roles")
+        if min(rows) < 0:
+            raise AddressError(f"row map assigns row {min(rows)}, below 0")
         if self.tile_width < 2:
             raise TileGeometryError("tile width must be >= 2")
 
@@ -135,17 +137,15 @@ class CommandStream:
     operand placeholders (the negative rows -1, -2, ... for operands 0, 1,
     ...) lists the ops that name one in `holes`; ``bind`` puts real rows in.
     Its other rows are those of the emitter's row map.  An
-    Emitter with an array sets `ran` at a stream's first run, and at its
-    second stores `program`, the straight-line function
-    ``subarray.generate`` makes of its ops for that emitter's array.  Count
-    the ops with ``perf.counts_of_trace``.
+    Emitter with an array stores `program` at a stream's first run: the
+    straight-line function ``subarray.generate`` makes of its ops for that
+    array's shape.  Count the ops with ``perf.counts_of_trace``.
     """
 
     ops: list[tuple]
     obs_marks: dict[int, str] = field(default_factory=dict)
     step_marks: list[tuple[int, int]] = field(default_factory=list)
     holes: list[int] = field(default_factory=list)
-    ran: bool = field(default=False, compare=False, repr=False)
     program: Callable | None = field(default=None, compare=False, repr=False)
 
     def bind(self, rows) -> list[tuple]:
@@ -228,6 +228,12 @@ def default_rowmap(arr_rows: int, tile_width: int) -> RowMap:
 
 # -- the emitter ---------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _shared_programs(rm: RowMap, policy: ExecPolicy, rows: int, cols: int) -> dict:
+    """The `programs` table every executing emitter on one array shape shares."""
+    return {}
+
+
 class Emitter:
     """The one handle for emitting a micro-op program.  Every ``emit_*`` and
     every body takes it first and finds the scratch and constant rows, and
@@ -237,7 +243,9 @@ class Emitter:
     Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
     and keeps `programs`: one stream per (body, static arguments), each
     compiled once with its operand rows as placeholders (``compiled``) and
-    bound to the real rows at every ``run``.
+    bound to the real rows at every ``run``.  Executing emitters of one row
+    map, policy and array shape share one table, so a stream is compiled and
+    generated once per shape; a collecting emitter keeps its own.
 
     Without an array it collects: ``run`` appends a stream's bound ops and
     marks, and ``stream`` hands them over.  With one it executes: ``run``
@@ -256,7 +264,7 @@ class Emitter:
         self.ops: list[tuple] = []
         self.obs_marks: dict[int, str] = {}
         self.step_marks: list[tuple[int, int]] = []
-        self.programs: dict = {}
+        self.programs = {} if arr is None else _shared_programs(rm, policy, arr.rows, arr.cols)
 
     def act(self, a: int, b: int, mode: str) -> None:
         self.ops.append((ACTIVATE2, a, b, mode))
@@ -331,12 +339,9 @@ class Emitter:
         """Run a compiled stream with its placeholders bound to `rows`.
 
         Without an array, append the bound ops and the stream's marks.  With
-        one, no op may be pending: it would run after the stream.  The first
-        run of a stream goes through ``execute``; from the second on, it runs
-        as the straight-line function ``subarray.generate`` makes of it.  A
-        stream run once, like the resolve after a one-off multiplication on
-        a fresh unit, costs no generation.  Either way the trace gets the
-        bound ops.
+        one, no op may be pending: it would run after the stream.  The stream
+        runs as the straight-line function ``subarray.generate`` makes of it
+        at its first run, and the trace gets the bound ops.
         """
         if self.arr is None:
             base = len(self.ops)
@@ -346,13 +351,9 @@ class Emitter:
             return
         program = stream.program
         if program is None:
-            if not stream.ran:
-                stream.ran = True
-                execute(self.arr, stream.bind(rows), stream.obs_marks, self.rm.tile_width)
-                return
             program = stream.program = generate(
                 self.arr, stream.ops, stream.obs_marks, self.rm.tile_width, len(rows))
-        program(stream.bind(rows), *rows)
+        program(self.arr, stream.bind(rows), *rows)
 
 
 # -- micro-op sequences ------------------------------------------------------

@@ -69,10 +69,10 @@ class CostModel:
     def validate(self) -> None:
         for table in (self.cycles, self.energy_pj):
             for key, val in table.items():
-                if val < 0:
-                    raise ParameterError(f"negative cost for {key}")
-        if self.freq_mhz <= 0:
-            raise ParameterError("frequency must be positive")
+                if not math.isfinite(val) or val < 0:
+                    raise ParameterError(f"cost for {key} must be finite and >= 0, got {val}")
+        if not math.isfinite(self.freq_mhz) or self.freq_mhz <= 0:
+            raise ParameterError(f"frequency must be finite and positive, got {self.freq_mhz}")
 
     @classmethod
     def from_text(cls, text: str) -> "CostModel":
@@ -89,12 +89,11 @@ class CostModel:
                 value = float(val)
             except ValueError as exc:
                 raise TraceIOError(f"bad cost value in {line!r}") from exc
+            table, _, kind = key.partition(".")
             if key == "freq_mhz":
                 model.freq_mhz = value
-            elif key.startswith("cycles."):
-                model.cycles[key[len("cycles."):]] = value
-            elif key.startswith("energy_pj."):
-                model.energy_pj[key[len("energy_pj."):]] = value
+            elif table in ("cycles", "energy_pj") and kind in DEFAULT_CYCLES:
+                getattr(model, table)[kind] = value
             else:
                 raise TraceIOError(f"unknown cost key {key!r}")
         model.validate()

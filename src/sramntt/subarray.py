@@ -14,7 +14,8 @@ the higher layers compute can bypass these five micro-ops:
     ACTIVATE2  <a> <b> <AND|NOR|OR|XOR>  two-row bitline op, result -> latch
     SHIFT      <LEFT|RIGHT> <GLOBAL|TILE [width origin]>  1-bit latch shift
     WRITEBACK  <addr>                    latch -> row (latch preserved)
-    ZERO_TEST  <0|1>                     wired-OR readout (1 iff latch == 0)
+    ZERO_TEST  <0|1>                     wired-OR readout (1 iff latch == 0),
+                                         checked again when a trace replays
 
 The serialized trace is line oriented: ``<seq> <KIND> <args...>``.
 """
@@ -28,6 +29,7 @@ from .errors import (
     ParameterError,
     TileGeometryError,
     TraceIOError,
+    VerificationError,
 )
 
 WRITE_ROW = "WRITE_ROW"
@@ -148,7 +150,7 @@ class Subarray:
 
     def latch_is_zero(self) -> bool:
         """Wired-OR readout of the latch; used as a carry-loop termination test."""
-        execute(self, ((ZERO_TEST, 0),))       # records the readout it makes
+        execute(self, ((ZERO_TEST, None),))    # records the readout it makes
         return self.latch == 0
 
     # -- state helpers ---------------------------------------------------
@@ -188,13 +190,14 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     in the latch; the check runs before that shift, whatever its scope, over
     the full lanes of `lane` columns.  Each executed op is appended to the
     trace as the same tuple object, except that a ZERO_TEST records the
-    readout it actually made.
+    readout it actually made; a ZERO_TEST that names a readout (as every
+    traced one does) raises VerificationError when the latch gives the other.
 
-    This loop interprets traces (``replay``), one-op calls, the ops an
-    emitter emits in place and flushes (zero-test loops among them) and the
-    first run of each compiled stream.  Later runs go through the
-    straight-line functions ``generate`` makes, which must leave the array
-    exactly as this loop does; the tests hold them to it.
+    This loop runs traces (``replay``), host I/O and the other one-op
+    calls, the ops an emitter emits in place and flushes (zero-test loops
+    among them) and ``generate``'s error fallback.  Compiled streams run as
+    the straight-line functions ``generate`` makes, which must leave the
+    array exactly as this loop does; the tests hold them to it.
     """
     cells = arr.cells
     nrows = arr.rows
@@ -263,7 +266,11 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
                     raise AddressError(f"row value wider than {arr.cols} columns")
                 cells[row] = bits
             elif kind == ZERO_TEST:
-                op = _ZERO_TESTS[latch == 0]
+                readout = _ZERO_TESTS[latch == 0]
+                if op[1] is not None and op[1] != readout[1]:
+                    raise VerificationError(
+                        f"ZERO_TEST at op {i} reads {readout[1]}, recorded {op[1]}")
+                op = readout
             else:
                 raise TraceIOError(f"unknown micro-op kind {kind!r}")
             if trace is not None:
@@ -287,11 +294,12 @@ _LOGIC = {AND: "c[{}] & c[{}]", XOR: "c[{}] ^ c[{}]", OR: "c[{}] | c[{}]",
 
 def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
              lane: int = 0, params: int = 0):
-    """One Python function running `ops` on arr, a statement per op.
+    """One Python function running `ops`, a statement per op, on any array
+    of arr's shape: arr is read for its rows, columns and edge masks only.
 
     Rows -1 .. -params are placeholders: the function is
-    ``program(bound, *rows)``, where `bound` is `ops` with placeholder ~k
-    replaced by rows[k], and it leaves arr exactly as
+    ``program(arr, bound, *rows)``, where `bound` is `ops` with placeholder
+    ~k replaced by rows[k], and it leaves arr exactly as
     ``execute(arr, bound, obs_marks, lane)`` does, raised errors included.
     Only ACTIVATE2, SHIFT and WRITEBACK can be generated.
 
@@ -367,7 +375,7 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
             raise TraceIOError(f"unknown micro-op kind {kind!r}")
     check = (f"    if not ({' and '.join(guards)}):\n"
              "        return execute(arr, bound, marks, lane)\n") if guards else ""
-    source = (f"def program({', '.join(['bound'] + names)}):\n"
+    source = (f"def program({', '.join(['arr', 'bound'] + names)}):\n"
               f"{check}"
               "    c = arr.cells\n"
               "    L = arr.latch\n"
@@ -375,12 +383,10 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
               "    arr.latch = L\n"
               "    if arr.trace is not None:\n"
               "        arr.trace.extend(bound)\n")
-    namespace = {"arr": arr, "marks": marks, "lane": lane, "execute": execute,
+    namespace = {"marks": marks, "lane": lane, "execute": execute,
                  "fail": _observation_failed, "_MSB": _MSB_FAULT, "_LSB": _LSB_FAULT}
     exec(compile(source, "<generated micro-op program>", "exec"), namespace)
-    # the function keeps `namespace` as its globals; taking it out of the
-    # namespace leaves no cycle, so the array dies with the last reference
-    return namespace.pop("program")
+    return namespace["program"]
 
 
 def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) -> None:
@@ -461,7 +467,9 @@ def parse_trace_line(line: str) -> tuple:
                 return (WRITE_ROW, int(parts[2]), int(parts[3], 16))
         elif kind == ZERO_TEST:
             if n == 3:
-                return (ZERO_TEST, int(parts[2]))
+                if parts[2] not in ("0", "1"):
+                    raise TraceIOError(f"zero-test readout is not 0 or 1 in line {line!r}")
+                return _ZERO_TESTS[parts[2] == "1"]
         else:
             raise TraceIOError(f"unknown micro-op kind {kind!r} in line {line!r}")
     except ValueError as exc:

@@ -29,11 +29,20 @@ from sramntt.bitparallel import (
     unpack_word,
 )
 from sramntt.bitparallel import _modadd, _modmul_add_b, _modmul_halve, _modmul_prologue
-from sramntt.bitparallel import _modsub, _resolve
+from sramntt.bitparallel import _modsub, _resolve, _shared_programs
 from sramntt.errors import AddressError, ObservationError, ParameterError, SimError
 from sramntt.oracle import oracle_montmul
 from sramntt.perf import counts_of_trace
-from sramntt.subarray import ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, execute
+from sramntt.subarray import (
+    ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, execute, generate,
+)
+
+
+@pytest.fixture
+def fresh_programs():
+    """Empty the program tables executing emitters share, so a test that
+    counts a table's streams counts its own whatever ran before it."""
+    _shared_programs.cache_clear()
 
 
 def fresh(modulus, width, cols=32, rows=32, record=True):
@@ -94,6 +103,17 @@ def test_the_multiplicand_row_is_no_scratch_or_constant_row():
         with pytest.raises(AddressError, match="multiplicand row"):
             compile_twiddle_commands(4, ctx, rm, row)
     assert compile_twiddle_commands(4, ctx, rm, 5).ops
+
+
+def test_a_row_map_has_no_row_below_0():
+    """Twelve scratch and constant rows need twelve array rows: fewer would
+    put the modulus rows at -1 and -2, which streams read as placeholders."""
+    ctx = MontgomeryContext.create(7, 4)
+    with pytest.raises(AddressError, match="row -2, below 0"):
+        compile_twiddle_commands(5, ctx, default_rowmap(10, 4), b_row=12)
+    with pytest.raises(AddressError, match="row -1, below 0"):
+        default_rowmap(11, 4)
+    assert min(default_rowmap(12, 4).constant_rows()) == 0
 
 
 def test_stream_is_deterministic():
@@ -237,12 +257,13 @@ POLICIES = [ExecPolicy(), ExecPolicy(tile_scope_all=True),
 
 @pytest.mark.parametrize("warm_up", [None, lambda E, emits: [emit(E) for emit in emits]])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_every_emit_returns_with_its_ops_run(policy, warm_up):
+def test_every_emit_returns_with_its_ops_run(policy, warm_up, fresh_programs):
     """An emitter with an array leaves no op pending when an emit_* returns,
     so none can run after a compiled block or a host read; under a
     deterministic policy the array ran exactly the ops a collecting emitter
-    collects for the same call.  After a warm-up pass the checked calls run
-    their streams generated, not interpreted."""
+    collects for the same call.  The checked calls generate their streams
+    at their first run or, after a warm-up on another array of the same
+    shape, run the functions generated there."""
     ctx, arr, rm = fresh(7681, 16, cols=64)
     rng = random.Random(12)
     for row in (1, 2, 3):
@@ -259,9 +280,11 @@ def test_every_emit_returns_with_its_ops_run(policy, warm_up):
         lambda E: emit_smear(E, 7, 8, toward_msb=True),
         lambda E: emit_mask_select(E, 1, 2, 3, 8, 9),
     ]
-    E = Emitter(rm, policy, arr)
     if warm_up is not None:
-        warm_up(E, emits)
+        other = Emitter(rm, policy, fresh(7681, 16, cols=64)[1])
+        warm_up(other, emits)
+        assert all(stream.program for stream in other.programs.values())
+    E = Emitter(rm, policy, arr)
     for emit in emits:
         start = len(arr.trace)
         emit(E)
@@ -283,7 +306,7 @@ def test_a_collecting_emitter_cannot_zero_test():
         emit_add(E, 1, 2, 3, 4, 5, 6)
 
 
-def test_block_multiplier_equals_the_compiled_stream():
+def test_block_multiplier_equals_the_compiled_stream(fresh_programs):
     """The prologue, add-B and halving streams, bound and concatenated per
     the bits of A, are the stream compile_twiddle_commands collects (ops, obs
     marks and step marks) and the trace an executing emitter leaves."""
@@ -313,12 +336,11 @@ def test_block_multiplier_equals_the_compiled_stream():
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
-def test_every_generated_block_runs_like_the_executor(policy):
-    """Each compiled block leaves the array, the trace and any error as
-    execute(arr, stream.bind(rows), stream.obs_marks, lane) does, whether
-    it runs interpreted (its first run) or generated (every later one):
-    lanes 3-24 in 64 columns (partial remainder tiles included), on zero,
-    dense and sparse random states."""
+def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
+    """Each compiled block, run as its generated function, leaves the array,
+    the trace and any error as execute(arr, stream.bind(rows),
+    stream.obs_marks, lane) does: lanes 3-24 in 64 columns (partial
+    remainder tiles included), on zero, dense and sparse random states."""
     rng = random.Random(24)
 
     def caught(run):
@@ -363,7 +385,7 @@ def test_every_generated_block_runs_like_the_executor(policy):
         assert len({id(stream.program) for stream, _ in blocks}) == 6
 
 
-def test_a_forward_keeps_one_stream_per_body():
+def test_a_forward_keeps_one_stream_per_body(fresh_programs):
     """The canonical forward compiles six streams (prologue, add-B, halving,
     resolve, modadd, modsub), however many twiddles it multiplies by."""
     from sramntt.ntt import RingParams, TransformUnit
@@ -375,27 +397,61 @@ def test_a_forward_keeps_one_stream_per_body():
     assert all(isinstance(s, CommandStream) for s in unit.emitter.programs.values())
 
 
-def test_a_stream_is_generated_at_its_second_run():
-    """The first run interprets a stream, so a one-off multiplication costs
-    no generation; the second generates its function, which later runs reuse."""
+def test_a_stream_is_generated_at_its_first_run(fresh_programs):
+    """A compiled stream runs as its generated function from its first run,
+    and later runs reuse it."""
     ctx, arr, rm = fresh(7681, 16)
     E = Emitter(rm, ExecPolicy(), arr)
-    once = E.compiled(_modmul_prologue, 0)
-    twice = E.compiled(_resolve, 1)
-    E.run(once)
-    E.run(twice, (rm.mask_row,))
-    assert once.ran and once.program is None
-    assert twice.ran and twice.program is None
-    E.run(twice, (rm.mask_row,))
-    program = twice.program
-    assert program is not None and once.program is None
-    E.run(twice, (rm.mask_row,))
-    assert twice.program is program
+    stream = E.compiled(_resolve, 1)
+    assert stream.program is None
+    start = len(arr.trace)
+    E.run(stream, (rm.mask_row,))
+    program = stream.program
+    assert program is not None
+    assert arr.trace[start:] == stream.bind((rm.mask_row,))
+    E.run(stream, (rm.mask_row,))
+    assert stream.program is program
 
 
-def test_a_dropped_unit_frees_its_array_without_the_cycle_collector():
-    """Generated functions hold their array; nothing may hold them back in a
-    cycle, or every finished unit's trace waits for a full collection."""
+def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
+    """Executing emitters on one row map, policy and array shape share one
+    table: the first unit generates the six programs, a second unit and both
+    units of a polymul pipeline generate none.  Another rows, cols or policy
+    value gets a table of its own."""
+    from sramntt import bitparallel
+    from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
+
+    calls = []
+    monkeypatch.setattr(bitparallel, "generate",
+                        lambda *args: calls.append(args) or generate(*args))
+    ring = RingParams.create(257, 8)
+    poly = [1, 2, 3, 4, 5, 6, 7, 8]
+
+    def unit(rows=64, cols=64, policy=ExecPolicy()):
+        u = TransformUnit(ring, rows=rows, cols=cols, policy=policy)
+        u.load_polynomials([poly])
+        u.forward()
+        return u
+
+    first = unit()
+    assert len(calls) == len(first.emitter.programs) == 6
+    second = unit()
+    assert second.emitter.programs is first.emitter.programs
+    assert len(calls) == 6
+    _, unit_a, unit_b = polymul_pipeline([poly], poly, ring, rows=64, cols=64)
+    assert unit_a.emitter.programs is unit_b.emitter.programs is first.emitter.programs
+    assert len(calls) == 6
+    others = [unit(rows=72), unit(cols=72), unit(policy=ExecPolicy(tile_scope_all=True))]
+    tables = [first.emitter.programs] + [u.emitter.programs for u in others]
+    assert len({id(t) for t in tables}) == 4
+    assert len(calls) == 4 * 6
+    assert not Emitter(first.rm, ExecPolicy()).programs       # a collecting emitter's own
+
+
+def test_a_dropped_unit_frees_its_array_without_the_cycle_collector(fresh_programs):
+    """The shared tables outlive every unit, so no generated function may hold
+    an array, and nothing may hold one back in a cycle, or every finished
+    unit's trace waits for a full collection."""
     import gc
 
     from sramntt.ntt import RingParams, TransformUnit
@@ -407,12 +463,14 @@ def test_a_dropped_unit_frees_its_array_without_the_cycle_collector():
     gc.disable()
     try:
         before = arrays()
-        unit = TransformUnit(RingParams.create(257, 8), rows=64, cols=64)
-        unit.load_polynomials([[1, 2, 3, 4, 5, 6, 7, 8]])
-        unit.forward()
-        assert len(unit.emitter.programs) == 6
-        assert all(s.program for s in unit.emitter.programs.values())
-        del unit
+        units = [TransformUnit(RingParams.create(257, 8), rows=64, cols=64) for _ in range(2)]
+        for unit in units:
+            unit.load_polynomials([[1, 2, 3, 4, 5, 6, 7, 8]])
+            unit.forward()
+        programs = units[0].emitter.programs
+        assert units[1].emitter.programs is programs
+        assert len(programs) == 6 and all(s.program for s in programs.values())
+        del units, unit
         assert arrays() == before
     finally:
         gc.enable()

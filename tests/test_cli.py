@@ -109,6 +109,34 @@ def test_trace_replay_cycle(tmp_path):
     assert run_cli(["trace-replay", str(trace), str(state)]) == 3
 
 
+def test_trace_replay_checks_the_recorded_readouts(tmp_path, capsys):
+    """Replay finds each zero test's recorded readout in the latch, so a
+    changed readout fails verification although the final state matches."""
+    trace = tmp_path / "run.trace"
+    state = tmp_path / "run.state"
+    assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",
+                    "--cols", "64", "--mode", "forward", "--data-dependent",
+                    "--trace", str(trace), "--state", str(state)]) == 0
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 0
+    lines = trace.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.endswith(" ZERO_TEST 1"))
+    lines[first] = lines[first][:-1] + "0"
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 3
+    assert f"ZERO_TEST at op {first} reads 1, recorded 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("readout", ["7", "2", "-1", "01"])
+def test_replay_rejects_a_readout_other_than_0_or_1(tmp_path, capsys, readout):
+    trace = tmp_path / "bad.trace"
+    state = tmp_path / "zero.state"
+    trace.write_text(f"0 ZERO_TEST {readout}\n")
+    state.write_text(json.dumps({"rows": 8, "cols": 8, "latch": "0", "cells": ["0"] * 8}))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 5
+    assert "zero-test readout is not 0 or 1" in capsys.readouterr().err
+
+
 def test_replay_missing_file():
     assert run_cli(["trace-replay", "/no/trace", "/no/state"]) == 5
 
@@ -257,6 +285,37 @@ def test_cost_model_file(tmp_path):
     counts = payload["counts"]
     # activations billed double under the custom model
     assert payload["cycles"] > sum(counts.values())
+
+
+@pytest.mark.parametrize("text,code,message", [
+    ("cycles.ACTIVATE=5\n", 5, "unknown cost key 'cycles.ACTIVATE'"),
+    ("energy_pj.SHIFTT=9\n", 5, "unknown cost key 'energy_pj.SHIFTT'"),
+    ("freq_mhz=nan\n", 2, "frequency must be finite"),
+    ("freq_mhz=inf\n", 2, "frequency must be finite"),
+    ("cycles.SHIFT=inf\n", 2, "cost for SHIFT must be finite"),
+    ("energy_pj.ZERO_TEST=nan\n", 2, "cost for ZERO_TEST must be finite"),
+])
+@pytest.mark.parametrize("command", [
+    ["run", "--order", "8", "--q", "257", "--rows", "64", "--cols", "64", "--mode", "forward"],
+    ["sweep", "--vary", "order"],
+])
+def test_cost_model_file_rejects_unknown_kinds_and_non_finite_values(
+        tmp_path, capsys, command, text, code, message):
+    model = tmp_path / "cost.txt"
+    model.write_text(text)
+    assert run_cli(command + ["--cost-model", str(model),
+                              "--stats" if command[0] == "run" else "--out",
+                              str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_too_few_rows_for_the_row_map(capsys):
+    """Ten rows cannot hold the twelve scratch and constant rows: capacity,
+    checked before any row map is made."""
+    assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "10",
+                    "--cols", "64", "--mode", "forward"]) == 4
+    assert "too few coefficient slots" in capsys.readouterr().err
 
 
 def test_run_input_files(tmp_path):

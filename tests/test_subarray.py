@@ -13,6 +13,7 @@ from sramntt.errors import (
     SimError,
     TileGeometryError,
     TraceIOError,
+    VerificationError,
 )
 from sramntt.subarray import (
     ACTIVATE2,
@@ -281,7 +282,8 @@ def test_memoized_parse_keys_on_everything_after_the_sequence_number():
 
 
 @pytest.mark.parametrize("bad", ["WRITEBACK", "0 WRITEBACK", "0 WRITEBACK 0 junk",
-                                 "0 WRITEBACK x", "0 SHIFT LEFT BOGUS"])
+                                 "0 WRITEBACK x", "0 SHIFT LEFT BOGUS",
+                                 "0 ZERO_TEST 7", "0 ZERO_TEST -1", "0 ZERO_TEST 01"])
 def test_memoized_parse_validates_a_text_seen_only_after_a_good_line(bad):
     with pytest.raises(TraceIOError):
         parse_trace(f"0 WRITEBACK 0\n1 WRITEBACK 0\n{bad}\n")
@@ -369,7 +371,10 @@ class ReferenceSubarray:
             self.cells[op[1]] = op[2]
             self.trace.append((WRITE_ROW, op[1], op[2]))
         elif kind == ZERO_TEST:
-            self.trace.append((ZERO_TEST, 1 if self.latch == 0 else 0))
+            readout = 1 if self.latch == 0 else 0
+            if op[1] is not None and op[1] != readout:
+                raise VerificationError("the latch gives the other readout")
+            self.trace.append((ZERO_TEST, readout))
         else:
             raise TraceIOError(f"unknown micro-op kind {kind!r}")
 
@@ -414,7 +419,7 @@ micro_op = st.one_of(
     st.tuples(st.just(SHIFT), st.sampled_from((LEFT, RIGHT)), st.just(TILE),
               st.sampled_from([3, 4, 10] * 4 + [1]), st.sampled_from([0, 1] * 6 + [COLS])),
     st.tuples(st.just(WRITE_ROW), row_index, st.integers(0, 1 << COLS)),
-    st.tuples(st.just(ZERO_TEST), st.integers(0, 1)),
+    st.tuples(st.just(ZERO_TEST), st.sampled_from([None, 0, 1])),
 )
 
 
@@ -481,10 +486,11 @@ def run_and_catch(run):
 
 
 def check_generated_run(cells, latch, ops, marks, binding):
-    """generate() of ops runs like execute() and the reference on the bound ops."""
+    """generate() of ops, made on another array of the shape, runs like
+    execute() and the reference on the bound ops."""
     gen, ref = fresh_pair(cells, latch)
     try:
-        program = generate(gen, ops, marks, LANE, 3)
+        program = generate(Subarray(ROWS, COLS), ops, marks, LANE, 3)
     except SimError as exc:
         # a fault whatever the binding: the first op that fails alone under two
         # bindings no literal row can meet both of, with the error it raises
@@ -508,7 +514,7 @@ def check_generated_run(cells, latch, ops, marks, binding):
             want_error = type(exc)
             break
     twin, _ = fresh_pair(cells, latch)
-    error = run_and_catch(lambda: program(bound, *binding))
+    error = run_and_catch(lambda: program(gen, bound, *binding))
     assert error == run_and_catch(lambda: execute(twin, bound, marks, LANE))
     assert (error and error[0]) is want_error
     assert gen.trace == twin.trace == ref.trace
@@ -539,7 +545,7 @@ def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
         arr.latch = latch
     bound = bind(ops, binding)
     with pytest.raises(SimError, match=error) as raised:
-        generate(gen, ops, marks, LANE, 3)(bound, *binding)
+        generate(Subarray(ROWS, COLS), ops, marks, LANE, 3)(gen, bound, *binding)
     with pytest.raises(raised.type, match=re.escape(str(raised.value))):
         execute(twin, bound, marks, LANE)
     assert (gen.cells, gen.latch, gen.trace) == (twin.cells, twin.latch, twin.trace)
@@ -562,11 +568,18 @@ def test_generation_rejects_ops_no_binding_can_run(op, error):
 
 
 def test_executor_records_the_same_tuples_and_the_readout():
+    """A ZERO_TEST without a readout records the one it makes; one that names
+    a readout, as a replayed trace's do, must find it in the latch."""
     arr = Subarray(ROWS, COLS)
-    ops = [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3), (ZERO_TEST, 1)]
+    ops = [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3), (ZERO_TEST, None),
+           (ZERO_TEST, 0)]
     execute(arr, ops)
     assert all(got is op for got, op in zip(arr.trace[:3], ops))
-    assert arr.trace[3] == (ZERO_TEST, 0)              # the latch holds 5, not zero
+    assert arr.trace[3:] == [(ZERO_TEST, 0), (ZERO_TEST, 0)]   # the latch holds 5, not zero
+    with pytest.raises(VerificationError, match="reads 0, recorded 1"):
+        execute(arr, [(WRITEBACK, 4), (ZERO_TEST, 1), (WRITEBACK, 5)])
+    assert arr.trace[5:] == [(WRITEBACK, 4)] and arr.cells[5] == 0
+    assert not arr.latch_is_zero() and arr.trace[-1] == (ZERO_TEST, 0)
 
 
 def test_tile_edge_masks_merge_both_old_loops():
