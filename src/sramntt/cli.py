@@ -121,12 +121,17 @@ def _cost_model(cfg: RunConfig) -> CostModel:
         raise TraceIOError(f"cannot read cost model: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_file(path: str, write) -> None:
+    """Call write(fh) on `path` opened for text; an OSError is an I/O error."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise TraceIOError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_file(path, lambda fh: fh.write(text))
 
 
 def _state_dict(unit: TransformUnit) -> dict:
@@ -198,7 +203,8 @@ def cmd_run(cfg: RunConfig) -> int:
     else:
         sys.stdout.write(text)
     if cfg.trace_path:
-        _write_text(cfg.trace_path, serialize_trace(unit.arr.trace, cfg.cols))
+        _write_file(cfg.trace_path,
+                    lambda fh: serialize_trace(unit.arr.trace, cfg.cols, fh))
     if cfg.state_path:
         _write_text(cfg.state_path,
                     json.dumps(_state_dict(unit), indent=1, sort_keys=True) + "\n")
@@ -226,10 +232,10 @@ def cmd_sweep(cfg: RunConfig, vary: str) -> int:
 def cmd_trace_replay(trace_path: str, state_path: str) -> int:
     try:
         with open(trace_path) as fh:
-            ops = parse_trace(fh.read())
+            ops = parse_trace(fh)
         with open(state_path) as fh:
             state = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TraceIOError(f"cannot load replay inputs: {exc}") from exc
     try:
         rows = int(state["rows"])

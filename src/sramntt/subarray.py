@@ -425,17 +425,40 @@ def _op_text(op: tuple, cols: int) -> str:
     raise TraceIOError(f"unknown micro-op kind {kind!r}")
 
 
-def serialize_trace(trace, cols: int) -> str:
-    """The trace as text, one line per op; each distinct op is formatted once."""
+# Ops formatted per write of `serialize_trace`, and characters read per piece
+# by `parse_trace`: about half a MiB of text each, so neither holds a trace.
+LINES_PER_WRITE = 1 << 14
+PIECE_CHARS = 1 << 19
+# The longest trace line: a WRITE_ROW of a MAX_COLS-column row with a
+# sequence number up to 2**64.  A longer line is malformed, so parsing never
+# holds more than a piece and a line.
+MAX_LINE_CHARS = len(f"{2 ** 64} {WRITE_ROW} {MAX_ROWS - 1} ") + (MAX_COLS + 3) // 4
+# The characters str.splitlines breaks lines at (with "\r\n" as one break)
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# Characters of a line an error message quotes
+_QUOTED_CHARS = 60
+
+
+def serialize_trace(trace, cols: int, out) -> None:
+    """Write the trace to the text stream `out`, one line per op, in batches
+    of LINES_PER_WRITE lines; each distinct op is formatted once."""
     texts: dict[tuple, str] = {}
-    lines = []
-    for seq, op in enumerate(trace):
-        text = texts.get(op)
-        if text is None:
-            text = texts[op] = _op_text(op, cols)
-        lines.append(f"{seq} {text}")
-    lines.append("")
-    return "\n".join(lines)
+    for start in range(0, len(trace), LINES_PER_WRITE):
+        lines = []
+        for seq, op in enumerate(trace[start:start + LINES_PER_WRITE], start):
+            text = texts.get(op)
+            if text is None:
+                text = texts[op] = _op_text(op, cols)
+            lines.append(f"{seq} {text}\n")
+        out.write("".join(lines))
+
+
+def _quote(text: str | None) -> str:
+    """The repr of `text` for an error message, cut to its first _QUOTED_CHARS
+    characters: a line read from a file can be a piece long."""
+    if text is None or len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
 def parse_trace_line(line: str) -> tuple:
@@ -443,7 +466,7 @@ def parse_trace_line(line: str) -> tuple:
     parts = line.split()
     n = len(parts)
     if n < 2:
-        raise TraceIOError(f"malformed trace line: {line!r}")
+        raise TraceIOError(f"malformed trace line: {_quote(line)}")
     kind = parts[1]
     try:
         if kind == WRITEBACK:
@@ -461,33 +484,38 @@ def parse_trace_line(line: str) -> tuple:
                 if n == 6:
                     return (SHIFT, parts[2], TILE, int(parts[4]), int(parts[5]))
             else:
-                raise TraceIOError(f"unknown shift scope {scope!r} in line {line!r}")
+                raise TraceIOError(f"unknown shift scope {_quote(scope)} "
+                                   f"in line {_quote(line)}")
         elif kind == WRITE_ROW:
             if n == 4:
                 return (WRITE_ROW, int(parts[2]), int(parts[3], 16))
         elif kind == ZERO_TEST:
             if n == 3:
                 if parts[2] not in ("0", "1"):
-                    raise TraceIOError(f"zero-test readout is not 0 or 1 in line {line!r}")
+                    raise TraceIOError(f"zero-test readout is not 0 or 1 in line {_quote(line)}")
                 return _ZERO_TESTS[parts[2] == "1"]
         else:
-            raise TraceIOError(f"unknown micro-op kind {kind!r} in line {line!r}")
+            raise TraceIOError(f"unknown micro-op kind {_quote(kind)} in line {_quote(line)}")
     except ValueError as exc:
-        raise TraceIOError(f"malformed trace line: {line!r}") from exc
-    raise TraceIOError(f"malformed trace line: {line!r}")
+        raise TraceIOError(f"malformed trace line: {_quote(line)}") from exc
+    raise TraceIOError(f"malformed trace line: {_quote(line)}")
 
 
-def parse_trace(text: str):
-    """The op tuples of a serialized trace; blank and ``#`` lines are skipped.
+def _pieces(source):
+    """`source`, a str or a text file, in pieces of PIECE_CHARS characters."""
+    if isinstance(source, str):
+        return (source[i:i + PIECE_CHARS] for i in range(0, len(source), PIECE_CHARS))
+    return iter(lambda: source.read(PIECE_CHARS), "")
 
-    Each distinct text after the sequence number is parsed, and so fully
-    validated, once; later lines with the same text share its tuple.  The
-    sequence numbers themselves are not checked: the first token of a line
-    is skipped whatever it holds.
-    """
-    ops = []
-    parsed = {}
-    for line in text.splitlines():
+
+def _parse_lines(lines, ops: list, parsed: dict) -> None:
+    """Append the op of each line to `ops`; `parsed` memoizes the op of each
+    text after a sequence number."""
+    if lines and max(map(len, lines)) > MAX_LINE_CHARS:
+        cut = next(i for i, line in enumerate(lines) if len(line) > MAX_LINE_CHARS)
+        _parse_lines(lines[:cut], ops, parsed)
+        _too_long(lines[cut])
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -496,5 +524,40 @@ def parse_trace(text: str):
         if op is None:
             op = parsed[parts[1]] = parse_trace_line(line)
         ops.append(op)
-    return ops
 
+
+def _too_long(line: str) -> None:
+    raise TraceIOError(f"trace line longer than {MAX_LINE_CHARS} characters: {_quote(line)}")
+
+
+def parse_trace(source) -> list[tuple]:
+    """The op tuples of a serialized trace, from its text or an open text
+    file; blank and ``#`` lines are skipped.
+
+    The source is split into lines exactly as ``str.splitlines`` splits the
+    whole text, one piece of PIECE_CHARS characters at a time: a piece's
+    last line waits for the next piece unless a line break ends the piece,
+    and waits after a ``\r`` too, which may be the first half of ``\r\n``.
+    A line longer than MAX_LINE_CHARS is malformed, so no more than a piece
+    and a line are held besides the ops.  Each distinct text after the
+    sequence number is parsed, and so fully validated, once; later lines
+    with the same text share its tuple.  The sequence numbers themselves are
+    not checked: the first token of a line is skipped whatever it holds.
+    """
+    ops: list[tuple] = []
+    parsed: dict[str, tuple] = {}
+    tail = ""
+    for piece in _pieces(source):
+        piece = tail + piece
+        lines = piece.splitlines()
+        end = piece[-1]
+        del piece                        # each piece's text and lines go before the next
+        tail = "" if end in _LINE_BREAKS and end != "\r" else lines.pop()
+        _parse_lines(lines, ops, parsed)
+        del lines
+        if len(tail) > MAX_LINE_CHARS:
+            _too_long(tail)
+        if end == "\r":
+            tail += end
+    _parse_lines(tail.splitlines(), ops, parsed)
+    return ops

@@ -1,5 +1,6 @@
 """Carry-save Montgomery multiplication, stream compilation, modular add/sub."""
 
+import io
 import random
 
 import pytest
@@ -34,7 +35,8 @@ from sramntt.errors import AddressError, ObservationError, ParameterError, SimEr
 from sramntt.oracle import oracle_montmul
 from sramntt.perf import counts_of_trace
 from sramntt.subarray import (
-    ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, execute, generate,
+    ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, execute, generate, parse_trace,
+    serialize_trace,
 )
 
 
@@ -623,9 +625,9 @@ def test_cross_tile_injection_is_zero():
 def test_stream_serializes_to_trace_grammar():
     ctx, _, rm = fresh(11, 4)
     stream = compile_twiddle_commands(5, ctx, rm, B_ROW)
-    from sramntt.subarray import parse_trace, serialize_trace
-    text = serialize_trace(stream.ops, 32)
-    assert parse_trace(text) == stream.ops
+    out = io.StringIO()
+    serialize_trace(stream.ops, 32, out)
+    assert parse_trace(out.getvalue()) == stream.ops
 
 
 # -- the butterfly tail: global shifts where an invariant allows, 3-op select --

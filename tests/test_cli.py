@@ -137,6 +137,36 @@ def test_replay_rejects_a_readout_other_than_0_or_1(tmp_path, capsys, readout):
     assert "zero-test readout is not 0 or 1" in capsys.readouterr().err
 
 
+def test_replay_of_a_crlf_copy_and_of_bad_trace_files(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    state = tmp_path / "run.state"
+    assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",
+                    "--cols", "64", "--mode", "forward",
+                    "--trace", str(trace), "--state", str(state)]) == 0
+    crlf = tmp_path / "crlf.trace"
+    crlf.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+    assert run_cli(["trace-replay", str(crlf), str(state)]) == 0
+    capsys.readouterr()
+    # no line break in 3 MiB: one line longer than any valid line
+    endless = tmp_path / "endless.trace"
+    endless.write_text("0 WRITEBACK 0 " + "0" * (3 << 20))
+    assert run_cli(["trace-replay", str(endless), str(state)]) == 5
+    err = capsys.readouterr().err
+    assert "longer than" in err and len(err) < 300
+    # bytes that are not text
+    binary = tmp_path / "binary.trace"
+    binary.write_bytes(trace.read_bytes()[:200] + b"\xff\xfe\n")
+    assert run_cli(["trace-replay", str(binary), str(state)]) == 5
+    assert "cannot load replay inputs" in capsys.readouterr().err
+
+
+def test_run_trace_into_a_directory_is_an_io_error(tmp_path, capsys):
+    assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",
+                    "--cols", "64", "--mode", "forward", "--stats", str(tmp_path / "s.json"),
+                    "--trace", str(tmp_path)]) == 5
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err
+
+
 def test_replay_missing_file():
     assert run_cli(["trace-replay", "/no/trace", "/no/state"]) == 5
 

@@ -1,6 +1,8 @@
 """Subarray micro-op semantics, trace closure, and serialization grammar."""
 
+import io
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from sramntt.subarray import (
     AND,
     GLOBAL,
     LEFT,
+    LINES_PER_WRITE,
     MAX_COLS,
+    MAX_LINE_CHARS,
     MAX_ROWS,
     NOR,
     OR,
@@ -29,9 +33,11 @@ from sramntt.subarray import (
     TILE,
     WRITE_ROW,
     WRITEBACK,
+    PIECE_CHARS,
     XOR,
     ZERO_TEST,
     Subarray,
+    _op_text,
     _tile_edge_masks,
     execute,
     generate,
@@ -214,6 +220,17 @@ def test_trace_replay_closure(script):
     assert twin.same_state(arr)
 
 
+def serialized(trace, cols):
+    out = io.StringIO()
+    serialize_trace(trace, cols, out)
+    return out.getvalue()
+
+
+def joined_serializer(trace, cols):
+    """The reference serializer: the whole text as one string."""
+    return "\n".join([f"{seq} {_op_text(op, cols)}" for seq, op in enumerate(trace)] + [""])
+
+
 def test_trace_grammar_roundtrip():
     arr = Subarray(8, 8)
     arr.write_row(2, 0xA5)
@@ -223,10 +240,12 @@ def test_trace_grammar_roundtrip():
     arr.shift_latch(RIGHT, TILE, 4, 0)
     arr.latch_writeback(1)
     arr.latch_is_zero()
-    text = serialize_trace(arr.trace, arr.cols)
+    text = serialized(arr.trace, arr.cols)
+    assert text == joined_serializer(arr.trace, arr.cols)
     assert parse_trace(text) == arr.trace
     twin = replay(parse_trace(text), 8, 8)
     assert twin.same_state(arr)
+    assert serialized([], 8) == joined_serializer([], 8) == ""
 
 
 def test_parse_rejects_unknown_shift_scope():
@@ -241,7 +260,9 @@ def _parse_each_line(text):
             if line.strip() and not line.strip().startswith("#")]
 
 
-def test_memoized_parse_equals_the_per_line_parse_on_the_canonical_trace():
+@pytest.fixture(scope="module")
+def canonical(tmp_path_factory):
+    """The canonical forward's unit and its trace file."""
     import random
 
     from sramntt.ntt import RingParams, TransformUnit
@@ -251,12 +272,114 @@ def test_memoized_parse_equals_the_per_line_parse_on_the_canonical_trace():
     unit.load_polynomials([[rng.randrange(7681) for _ in range(256)]
                            for _ in range(unit.layout.tiles)])
     unit.forward()
-    text = serialize_trace(unit.arr.trace, unit.arr.cols)
+    path = tmp_path_factory.mktemp("canonical") / "fwd.trace"
+    with open(path, "w") as fh:
+        serialize_trace(unit.arr.trace, unit.arr.cols, fh)
+    return unit, path
+
+
+def test_memoized_parse_equals_the_per_line_parse_on_the_canonical_trace(canonical):
+    unit, path = canonical
+    text = path.read_text()
     ops = parse_trace(text)
     assert ops == _parse_each_line(text) == unit.arr.trace
     # one tuple per distinct op text, shared by every line that repeats it
     assert len({id(op) for op in ops}) == len({line.split(None, 1)[1]
                                                for line in text.splitlines()})
+
+
+def test_streamed_trace_equals_the_joined_text_on_the_canonical_trace(canonical):
+    unit, path = canonical
+    trace = unit.arr.trace
+    assert len(trace) > 40 * LINES_PER_WRITE
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    serialize_trace(trace, unit.arr.cols, Recorder())
+    assert [w.count("\n") for w in writes[:-1]] == [LINES_PER_WRITE] * (len(writes) - 1)
+    assert "".join(writes) == path.read_text() == joined_serializer(trace, unit.arr.cols)
+
+
+def test_parse_from_the_open_file_equals_its_text_and_holds_a_few_pieces(canonical):
+    """The canonical trace crosses many piece boundaries; parsed from its open
+    file it holds the ops and a few pieces, not the file's text."""
+    unit, path = canonical
+    text = path.read_text()
+    assert len(text) > 30 * PIECE_CHARS
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            from_file = parse_trace(fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert from_file == parse_trace(text) == unit.arr.trace
+    assert peak < len(text) / 2, (peak, len(text))
+
+
+def test_longest_line_parses_and_a_longer_one_is_malformed():
+    longest = f"{2 ** 64} {WRITE_ROW} {MAX_ROWS - 1} {'f' * (MAX_COLS // 4)}"
+    assert len(longest) == MAX_LINE_CHARS
+    want = [(WRITE_ROW, MAX_ROWS - 1, (1 << MAX_COLS) - 1)]
+    assert parse_trace(longest + "\r\n") == parse_trace(longest) == want
+    for line in (" " + longest, "0 WRITEBACK 0" + " " * MAX_LINE_CHARS,
+                 "# " + "x" * MAX_LINE_CHARS):
+        with pytest.raises(TraceIOError, match="longer than") as info:
+            parse_trace(f"0 WRITEBACK 0\n{line}\n1 WRITEBACK 1\n")
+        assert len(str(info.value)) < 200
+
+
+def test_a_line_without_end_stops_the_parse_within_a_few_pieces(tmp_path):
+    path = tmp_path / "one.trace"
+    path.write_text("0 WRITEBACK 0\n" + "7" * (6 * PIECE_CHARS))
+    tracemalloc.start()
+    try:
+        with open(path) as fh, pytest.raises(TraceIOError, match="longer than") as info:
+            parse_trace(fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * PIECE_CHARS, peak
+    assert len(str(info.value)) < 200
+
+
+def test_trace_errors_quote_a_short_prefix_of_the_line():
+    huge = "0 WRITEBACK " + "9" * 10 ** 6 + "x"
+    for bad in (huge, "0 " + "Q" * 10 ** 6, "0 SHIFT LEFT " + "B" * 10 ** 6,
+                "0 ZERO_TEST " + "2" * 10 ** 6, "0 WRITEBACK 0 " + "j" * 10 ** 6):
+        with pytest.raises(TraceIOError) as info:
+            parse_trace_line(bad)
+        assert len(str(info.value)) < 300, str(info.value)[:300]
+
+
+def test_piecewise_parse_splits_lines_as_splitlines(tmp_path):
+    """Line breaks of every kind, comments and blank lines, with the first
+    cut before, inside and after each break, parse as the whole text's
+    splitlines gives them, from text and from a file read both ways."""
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029", "\n\n", "\n# note\r\n", "\x0b\r\n", "\r\r\n"]
+    middle = "".join(f"{k} ACTIVATE2 {k} {k + 1} XOR{brk}" for k, brk in enumerate(breaks))
+    tail = "\n\n# last\r\n" + "".join(f"{k} WRITE_ROW {k} {k:x}\r\n" for k in range(20))
+    cuts = sorted({i + d for i, ch in enumerate(middle) if not ch.isalnum() for d in (0, 1)})
+    path = tmp_path / "breaks.trace"
+    for cut in cuts:
+        # comment lines of 1000 characters and less up to the middle
+        full, rest = divmod(PIECE_CHARS - cut, 1000)
+        filler = "#" * 999 + "\n"
+        text = filler * full + ("#" * (rest - 1) + "\n" if rest else "") + middle + tail
+        assert text.index(middle) == PIECE_CHARS - cut
+        want = _parse_each_line(text)
+        assert len(want) == len(breaks) + 20
+        assert parse_trace(text) == want, cut
+        with open(path, "w", newline="") as fh:      # each break reaches the file as written
+            fh.write(text)
+        with open(path) as fh:
+            assert parse_trace(fh) == want, cut
+        with open(path, newline="") as fh:           # and is read untranslated
+            assert parse_trace(fh) == want, cut
 
 
 def test_memoized_parse_keys_on_everything_after_the_sequence_number():
