@@ -126,7 +126,7 @@ class RowMap:
             raise TileGeometryError("tile width must be >= 2")
 
 
-@dataclass
+@dataclass(eq=False)
 class CommandStream:
     """Compiled micro-op sequence, such as one multiplication by the constant A.
 
@@ -139,14 +139,16 @@ class CommandStream:
     Its other rows are those of the emitter's row map.  An
     Emitter with an array stores `program` at a stream's first run: the
     straight-line function ``subarray.generate`` makes of its ops for that
-    array's shape.  Count the ops with ``perf.counts_of_trace``.
+    array's shape.  Streams compare and hash by identity: a recorded
+    ``subarray.Trace`` tallies the runs of each stream, not its bound ops, and
+    ``perf.counts_of_tally`` counts the stream's ops once per tally it reads.
     """
 
     ops: list[tuple]
     obs_marks: dict[int, str] = field(default_factory=dict)
     step_marks: list[tuple[int, int]] = field(default_factory=list)
     holes: list[int] = field(default_factory=list)
-    program: Callable | None = field(default=None, compare=False, repr=False)
+    program: Callable | None = field(default=None, repr=False)
 
     def bind(self, rows) -> list[tuple]:
         """The ops with placeholder ~k replaced by rows[k]; other ops are shared."""
@@ -341,7 +343,8 @@ class Emitter:
         Without an array, append the bound ops and the stream's marks.  With
         one, no op may be pending: it would run after the stream.  The stream
         runs as the straight-line function ``subarray.generate`` makes of it
-        at its first run, and the trace gets the bound ops.
+        at its first run, and the trace gets the bound ops and, once the
+        program returns, one more run of the stream in its tally.
         """
         if self.arr is None:
             base = len(self.ops)
@@ -354,6 +357,8 @@ class Emitter:
             program = stream.program = generate(
                 self.arr, stream.ops, stream.obs_marks, self.rm.tile_width, len(rows))
         program(self.arr, stream.bind(rows), *rows)
+        if self.arr.trace is not None:
+            self.arr.trace.add_run(stream)
 
 
 # -- micro-op sequences ------------------------------------------------------

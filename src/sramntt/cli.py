@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 invalid parameters, 3 verification mismatch,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
@@ -33,7 +32,16 @@ from .ntt import (
     layout_plan,
     polymul_pipeline,
 )
-from .perf import CostModel, accumulate, sweep_bitwidth, sweep_order, sweep_to_csv
+from .perf import (
+    CostModel,
+    accumulate,
+    add_counts,
+    empty_counts,
+    stats_from_counts,
+    sweep_bitwidth,
+    sweep_order,
+    sweep_to_csv,
+)
 from .subarray import (
     MAX_COLS,
     MAX_ROWS,
@@ -100,7 +108,7 @@ def _load_poly_file(path: str, order: int, q: int) -> list[int]:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TraceIOError(f"cannot read polynomial file {path}: {exc}") from exc
     if not isinstance(data, list) or len(data) != order:
         raise ParameterError(f"{path}: expected a JSON array of {order} residues")
@@ -117,7 +125,7 @@ def _cost_model(cfg: RunConfig) -> CostModel:
     try:
         with open(cfg.cost_model_path) as fh:
             return CostModel.from_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceIOError(f"cannot read cost model: {exc}") from exc
 
 
@@ -192,8 +200,10 @@ def cmd_run(cfg: RunConfig) -> int:
             if got[t] != want:
                 raise VerificationError(f"{cfg.mode} mismatch in tile {t}")
 
-    stats = accumulate(itertools.chain.from_iterable(u.arr.trace for u in units),
-                       cost, parallel=tiles)
+    counts = empty_counts()
+    for u in units:
+        add_counts(counts, accumulate(u.arr.trace, cost).counts)
+    stats = stats_from_counts(counts, cost, parallel=tiles)
     payload = stats.to_json_dict(config=cfg.semantic_dict())
     # --trace writes unit a's ops only; in polymul mode `counts` cover unit b too
     payload["trace_ops"] = len(unit.arr.trace)

@@ -1,5 +1,8 @@
 """Cycle/energy accounting over micro-op traces, plus the parameter sweeps.
 
+A recorded trace is counted from the tally it keeps as it runs; any other
+sequence of ops is recounted op by op, which is also the check of the tally.
+
 Costs are per micro-op kind; tile-scoped shifts pay one extra cycle for the
 edge-mask application.  The shipped energy numbers are placeholders tuned so
 a 256-point 16-bit run lands near the published per-NTT energy scale; they
@@ -31,7 +34,16 @@ from .bitparallel import (
 )
 from .errors import CapacityError, ParameterError, TraceIOError
 from .ntt import CONSTANT_ROWS, _forward_schedule, layout_plan
-from .subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, WRITE_ROW, WRITEBACK, ZERO_TEST
+from .subarray import (
+    ACTIVATE2,
+    GLOBAL,
+    SHIFT,
+    TILE,
+    WRITE_ROW,
+    WRITEBACK,
+    ZERO_TEST,
+    Trace,
+)
 
 KINDS = (WRITE_ROW, ACTIVATE2, SHIFT, WRITEBACK, ZERO_TEST)
 
@@ -114,9 +126,24 @@ def add_counts(into: dict, other: dict, times: int = 1) -> None:
 
 
 def counts_of_trace(trace) -> dict:
-    """Tally a trace by kind and shift scope; each distinct op is classified once."""
+    """Tally a trace by kind and shift scope, op by op; each distinct op is
+    classified once.  The independent check of ``counts_of_tally``."""
+    return _counts_of(Counter(trace))
+
+
+def counts_of_tally(trace: Trace) -> dict:
+    """A recorded trace's counts from its tally, reading none of its ops:
+    the ops run one at a time, plus each compiled stream's ops times its runs."""
+    counts = _counts_of(trace.singles)
+    for stream, runs in trace.runs.items():
+        add_counts(counts, counts_of_trace(stream.ops), runs)
+    return counts
+
+
+def _counts_of(tally) -> dict:
+    """Counts by kind and shift scope of an {op: occurrences} mapping."""
     counts = empty_counts()
-    for op, n in Counter(trace).items():
+    for op, n in tally.items():
         kind = op[0]
         if kind not in counts:
             raise ParameterError(f"unknown micro-op kind {kind!r}")
@@ -133,7 +160,8 @@ def counts_of_trace(trace) -> dict:
 
 @dataclass
 class SimStats:
-    """Aggregated run statistics (counts are exact trace tallies)."""
+    """Aggregated run statistics.  The counts are exact: a recorded trace's
+    tally, equal to a recount of its ops, or the recount itself."""
 
     counts: dict
     shifts: dict
@@ -193,8 +221,14 @@ def stats_from_counts(counts: dict, cost: CostModel, parallel: int = 1) -> SimSt
 
 
 def accumulate(trace, cost: CostModel, parallel: int = 1) -> SimStats:
-    """Deterministic trace -> stats aggregation (stable across replays)."""
-    return stats_from_counts(counts_of_trace(trace), cost, parallel)
+    """Deterministic trace -> stats aggregation (stable across replays).
+
+    A recorded ``Trace`` is counted from its tally (``counts_of_tally``);
+    any other iterable of ops, such as a parsed trace or a chain of two, is
+    recounted op by op (``counts_of_trace``).  Both give the same counts.
+    """
+    counts = counts_of_tally(trace) if isinstance(trace, Trace) else counts_of_trace(trace)
+    return stats_from_counts(counts, cost, parallel)
 
 
 def shift_baseline_ratio(stats: SimStats, order: int, width: int) -> float:

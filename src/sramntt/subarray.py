@@ -6,7 +6,8 @@ Within a tile of width w starting at column t*w, the tile-local offset 0 (the
 lowest column) is the LSB of the word stored there, so a "left" shift moves
 bits toward higher offsets and doubles the word.
 
-Every mutating operation appends one micro-op to the trace.  Replaying the
+Every mutating operation appends one micro-op to the trace, a ``Trace`` that
+also tallies what it holds (so stats need not re-read it).  Replaying the
 trace on a fresh array reproduces the final grid and latch exactly; nothing
 the higher layers compute can bypass these five micro-ops:
 
@@ -21,6 +22,8 @@ The serialized trace is line oriented: ``<seq> <KIND> <args...>``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import (
     AddressError,
@@ -88,6 +91,31 @@ _LSB_FAULT = "half-sum has a live low bit before a right shift"
 _ZERO_TESTS = ((ZERO_TEST, 0), (ZERO_TEST, 1))
 
 
+class Trace(list):
+    """The ops an array ran, in order, and their tally.
+
+    `singles` counts the op tuples run one at a time (by ``execute``, or
+    before a failed check in a generated program); `runs` counts the runs of
+    each compiled stream, keyed by the stream, whose bound ops a generated
+    program appends at once.  The ops are the singles plus each stream's ops
+    times its runs, whatever rows they were bound to, so
+    ``perf.counts_of_tally`` counts the trace without reading it; the tests
+    check it against ``perf.counts_of_trace``.  Ops appended by any other
+    path escape the tally.
+    """
+
+    __slots__ = ("singles", "runs")
+
+    def __init__(self):
+        super().__init__()
+        self.singles: Counter = Counter()
+        self.runs: dict = {}
+
+    def add_run(self, stream) -> None:
+        """Count one more run of `stream`, whose bound ops were just appended."""
+        self.runs[stream] = self.runs.get(stream, 0) + 1
+
+
 class Subarray:
     """One SRAM subarray; the only compute substrate higher layers may use."""
 
@@ -100,7 +128,7 @@ class Subarray:
         self.colmask = (1 << cols) - 1
         self.cells = [0] * rows
         self.latch = 0
-        self.trace: list[tuple] | None = [] if record else None
+        self.trace: Trace | None = Trace() if record else None
         self._edge_cache: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     # -- addressing ------------------------------------------------------
@@ -192,6 +220,7 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     trace as the same tuple object, except that a ZERO_TEST records the
     readout it actually made; a ZERO_TEST that names a readout (as every
     traced one does) raises VerificationError when the latch gives the other.
+    The trace's singles tally what was appended, even when an op raises.
 
     This loop runs traces (``replay``), host I/O and the other one-op
     calls, the ops an emitter emits in place and flushes (zero-test loops
@@ -204,6 +233,7 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     colmask = arr.colmask
     latch = arr.latch
     trace = arr.trace
+    start = len(trace) if trace is not None else 0
     geometry = None                # (width, origin) of the tile masks in hand
     lsb = msb = 0
     obs_lsb = obs_msb = None       # full-lane masks, taken at the first marked shift
@@ -277,6 +307,8 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
                 trace.append(op)
     finally:
         arr.latch = latch
+        if trace is not None:
+            trace.singles.update(trace[start:])
 
 
 def _bad_pair(nrows: int, a: int, b: int) -> None:
@@ -300,17 +332,21 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     Rows -1 .. -params are placeholders: the function is
     ``program(arr, bound, *rows)``, where `bound` is `ops` with placeholder
     ~k replaced by rows[k], and it leaves arr exactly as
-    ``execute(arr, bound, obs_marks, lane)`` does, raised errors included.
-    Only ACTIVATE2, SHIFT and WRITEBACK can be generated.
+    ``execute(arr, bound, obs_marks, lane)`` does, raised errors included,
+    but for the trace's tally.  Only ACTIVATE2, SHIFT and WRITEBACK can be
+    generated.
 
     Literal rows, modes, directions, scopes and tile geometry are checked
     here, once, up to an activation that names one placeholder twice: no
     binding can run it, so every run goes to ``execute``.  At each run the
     bound rows are checked before any op runs: a row out of range, or an
     activation pair that names one row twice, hands the whole of `bound` to
-    ``execute``, so the error, state and trace are the executor's own.  Each marked shift tests its lane edge
+    ``execute``, so the error, state and trace are the executor's own, and
+    that fallback always raises.  Each marked shift tests its lane edge
     first, as ``execute`` does; a live bit stores the latch, records the ops
-    before the shift and raises ObservationError.
+    before the shift as singles and raises ObservationError.  A program that
+    returns has appended all of `bound` and leaves its tally to the caller,
+    which counts one run of the stream (``Emitter.run``).
     """
     nrows = arr.rows
     marks = obs_marks or {}
@@ -392,8 +428,11 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
 def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) -> None:
     """Leave arr as execute does when the check before op i fails, then raise."""
     arr.latch = latch
-    if arr.trace is not None:
-        arr.trace.extend(bound[:i])
+    trace = arr.trace
+    if trace is not None:
+        ran = bound[:i]
+        trace.extend(ran)
+        trace.singles.update(ran)
     raise ObservationError(message)
 
 

@@ -33,9 +33,9 @@ from sramntt.bitparallel import _modadd, _modmul_add_b, _modmul_halve, _modmul_p
 from sramntt.bitparallel import _modsub, _resolve, _shared_programs
 from sramntt.errors import AddressError, ObservationError, ParameterError, SimError
 from sramntt.oracle import oracle_montmul
-from sramntt.perf import counts_of_trace
+from sramntt.perf import counts_of_tally, counts_of_trace
 from sramntt.subarray import (
-    ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, execute, generate, parse_trace,
+    ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, Trace, execute, generate, parse_trace,
     serialize_trace,
 )
 
@@ -341,8 +341,9 @@ def test_block_multiplier_equals_the_compiled_stream(fresh_programs):
 def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
     """Each compiled block, run as its generated function, leaves the array,
     the trace and any error as execute(arr, stream.bind(rows),
-    stream.obs_marks, lane) does: lanes 3-24 in 64 columns (partial
-    remainder tiles included), on zero, dense and sparse random states."""
+    stream.obs_marks, lane) does, and a tally that counts the trace: lanes
+    3-24 in 64 columns (partial remainder tiles included), on zero, dense
+    and sparse random states."""
     rng = random.Random(24)
 
     def caught(run):
@@ -377,11 +378,15 @@ def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
                 for machine in (arr, twin):
                     machine.cells[:] = cells
                     machine.latch = latch
-                arr.trace = []
+                arr.trace = Trace()
                 bound = stream.bind(rows)
                 error = caught(lambda: E.run(stream, rows))
                 assert error == caught(lambda: execute(twin, bound, stream.obs_marks, lane))
                 assert (arr.cells, arr.latch, arr.trace) == (twin.cells, twin.latch, twin.trace)
+                # a clean run is one run of the stream; a failed one, its ops before the fault
+                assert arr.trace.runs == ({} if error else {stream: 1})
+                assert (counts_of_tally(arr.trace) == counts_of_trace(arr.trace)
+                        == counts_of_tally(twin.trace))
                 assert density or error is None
             assert stream.program is not None
         assert len({id(stream.program) for stream, _ in blocks}) == 6

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from sramntt.cli import RunConfig, cmd_trace_replay, main
-from sramntt.perf import CSV_HEADER, CostModel, sweep_order, sweep_to_csv
+from sramntt.perf import CSV_HEADER, CostModel, counts_of_trace, sweep_order, sweep_to_csv
+from sramntt.subarray import parse_trace
 
 
 def run_cli(args):
@@ -232,6 +233,19 @@ def test_trace_ops_key_counts_the_trace_file_in_every_mode(tmp_path):
     assert both > payloads["polymul"]["trace_ops"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--data-dependent"], ["--tile-scope-shifts"]])
+@pytest.mark.parametrize("mode", ["forward", "roundtrip"])
+def test_stats_counts_equal_a_recount_of_the_trace_file(tmp_path, mode, flags):
+    """The counts `run` takes from the array's tally are those of its trace file."""
+    stats, trace = tmp_path / "s.json", tmp_path / "t.trace"
+    assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64", "--cols", "64",
+                    "--mode", mode, "--stats", str(stats), "--trace", str(trace)] + flags) == 0
+    counts = json.loads(stats.read_text())["counts"]
+    with open(trace) as fh:
+        recount = counts_of_trace(parse_trace(fh))
+    assert counts == {kind: recount[kind] for kind in counts}
+
+
 @pytest.mark.parametrize("flags", [["--rows", str(10**12)], ["--cols", str(10**12)]])
 @pytest.mark.parametrize("command", [["run", "--order", "8", "--q", "257"],
                                      ["sweep", "--vary", "order"],
@@ -338,6 +352,22 @@ def test_cost_model_file_rejects_unknown_kinds_and_non_finite_values(
                               str(tmp_path / "out")]) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag,content", [
+    (["run"], "--input-a", b"[1,\xff]"),
+    (["run"], "--input-b", b"[1,\xff]"),
+    (["run"], "--cost-model", b"cycles.ACTIVATE2=\xff\n"),
+    (["sweep", "--vary", "order"], "--cost-model", b"cycles.ACTIVATE2=\xff\n"),
+], ids=["run-input-a", "run-input-b", "run-cost-model", "sweep-cost-model"])
+def test_undecodable_input_files_are_io_errors(tmp_path, capsys, command, flag, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    if command == ["run"]:
+        command = ["run", "--order", "8", "--q", "257", "--rows", "64", "--cols", "64",
+                   "--mode", "forward"]
+    assert run_cli(command + [flag, str(path)]) == 5
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_rejects_too_few_rows_for_the_row_map(capsys):

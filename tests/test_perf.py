@@ -8,19 +8,21 @@ import pytest
 from harness import paper_steps
 from sramntt import perf
 from sramntt.bitparallel import (
+    CommandStream,
     ExecPolicy,
     MontgomeryContext,
     compile_twiddle_commands,
     default_rowmap,
 )
 from sramntt.errors import ParameterError
-from sramntt.ntt import RingParams, TransformUnit
+from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
 from sramntt.perf import (
     CSV_HEADER,
     DEFAULT_CYCLES,
     DEFAULT_ENERGY_PJ,
     CostModel,
     accumulate,
+    counts_of_tally,
     counts_of_trace,
     empty_counts,
     estimate_forward_ntt,
@@ -32,7 +34,7 @@ from sramntt.perf import (
     sweep_order,
     sweep_to_csv,
 )
-from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, Subarray
+from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, Subarray, Trace
 
 
 def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0, policy=ExecPolicy()):
@@ -113,10 +115,50 @@ def test_counts_of_trace_matches_the_reference_loop():
     data_dependent = small_forward_unit(policy=ExecPolicy(deterministic=False))
     assert reference_counts(data_dependent.arr.trace)["ZERO_TEST"] > 0
     for trace in (canonical.arr.trace, data_dependent.arr.trace):
-        assert counts_of_trace(trace) == reference_counts(trace)
+        assert counts_of_trace(trace) == reference_counts(trace) == counts_of_tally(trace)
+    # the canonical forward runs six streams and 430 ops one at a time
+    tally = canonical.arr.trace
+    assert len(tally.runs) == 6 and sum(tally.runs.values()) == 26752
+    assert sum(tally.singles.values()) == 430
     # no op shifts for word alignment: execute and parse_trace reject the scope
     with pytest.raises(ParameterError, match="unknown shift scope"):
         counts_of_trace([("SHIFT", "LEFT", "ALIGN", 0, 0)])
+
+
+def assert_tallied(trace):
+    """A recorded trace whose tally counts what a recount of its ops counts."""
+    assert isinstance(trace, Trace)
+    assert all(isinstance(stream, CommandStream) for stream in trace.runs)
+    assert counts_of_tally(trace) == counts_of_trace(trace) == reference_counts(trace)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+@pytest.mark.parametrize("tile_scope_all", [False, True])
+def test_the_tally_counts_the_trace_under_every_policy(deterministic, tile_scope_all):
+    """A roundtrip's tally equals the recount under each policy; the
+    data-dependent ones record zero tests with their readouts."""
+    unit = small_forward_unit(policy=ExecPolicy(deterministic, tile_scope_all))
+    unit.inverse()
+    assert_tallied(unit.arr.trace)
+    zero_tests = counts_of_tally(unit.arr.trace)["ZERO_TEST"]
+    assert (zero_tests == 0) == deterministic
+    assert unit.arr.trace.runs             # modmul runs compiled under either policy
+
+
+def test_the_tally_counts_a_host_swapped_forward():
+    unit = small_forward_unit(order=32, q=257, rows=32, cols=64)
+    assert unit.layout.swapped
+    assert_tallied(unit.arr.trace)
+
+
+def test_the_tally_counts_both_units_of_a_polymul():
+    rng = random.Random(3)
+    ring = RingParams.create(257, 8)
+    a = [[rng.randrange(257) for _ in range(8)] for _ in range(4)]
+    b = [rng.randrange(257) for _ in range(8)]
+    _, unit_a, unit_b = polymul_pipeline(a, b, ring, 64, 64)
+    for unit in (unit_a, unit_b):
+        assert_tallied(unit.arr.trace)
 
 
 def test_unknown_kind_rejected():

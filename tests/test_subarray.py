@@ -3,6 +3,7 @@
 import io
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from sramntt.errors import (
     TraceIOError,
     VerificationError,
 )
+from sramntt.perf import counts_of_tally, counts_of_trace
 from sramntt.subarray import (
     ACTIVATE2,
     AND,
@@ -37,6 +39,7 @@ from sramntt.subarray import (
     XOR,
     ZERO_TEST,
     Subarray,
+    Trace,
     _op_text,
     _tile_edge_masks,
     execute,
@@ -46,6 +49,11 @@ from sramntt.subarray import (
     replay,
     serialize_trace,
 )
+
+
+def tallied(trace: Trace) -> bool:
+    """The trace's tally counts what a recount of its ops counts."""
+    return counts_of_tally(trace) == counts_of_trace(trace)
 
 
 def bits_from_list(bits) -> int:
@@ -580,11 +588,13 @@ def test_executor_matches_reference_interpreter(cells, latch, ops, binding, edge
     assert error is want_error
     assert arr.trace == ref.trace
     assert (arr.cells, arr.latch) == (ref.cells, ref.latch)
+    assert tallied(arr.trace)
     # one op at a time runs the same loop
     single, _ = fresh_pair(cells, latch)
     for op in ops[:len(ref.trace)]:
         execute(single, (op,))
     assert single.same_state(arr) and single.trace == arr.trace
+    assert tallied(single.trace)
     # the generated program of the same ops, rows -1..-3 bound to `binding`,
     # and observation marks on the drawn indices
     program_ops = [op for op in ops if op[0] in (ACTIVATE2, WRITEBACK, SHIFT)]
@@ -643,6 +653,10 @@ def check_generated_run(cells, latch, ops, marks, binding):
     assert gen.trace == twin.trace == ref.trace
     assert all(got is op for got, op in zip(gen.trace, bound))
     assert (gen.cells, gen.latch) == (twin.cells, twin.latch) == (ref.cells, ref.latch)
+    # a failed program tallies the ops it ran; one that returns leaves its
+    # run to the caller (Emitter.run)
+    assert gen.trace.singles == (Counter(gen.trace) if error else Counter())
+    assert not gen.trace.runs and tallied(twin.trace)
 
 
 @pytest.mark.parametrize("ops,marks,binding,error", [
@@ -672,6 +686,7 @@ def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
     with pytest.raises(raised.type, match=re.escape(str(raised.value))):
         execute(twin, bound, marks, LANE)
     assert (gen.cells, gen.latch, gen.trace) == (twin.cells, twin.latch, twin.trace)
+    assert tallied(gen.trace) and tallied(twin.trace)
 
 
 @pytest.mark.parametrize("op,error", [
@@ -690,6 +705,27 @@ def test_generation_rejects_ops_no_binding_can_run(op, error):
         generate(Subarray(ROWS, COLS), [(WRITEBACK, 0), op], {}, LANE, 3)
 
 
+def test_single_op_methods_tally_what_they_record():
+    """Each one-op method of Subarray tallies the op it records, and an op
+    that raises records and tallies nothing."""
+    arr = Subarray(ROWS, COLS)
+    arr.write_row(1, 5)
+    arr.activate_pair(1, 2, OR)
+    arr.latch_writeback(3)
+    arr.shift_latch(LEFT)
+    arr.shift_latch(RIGHT, TILE, LANE, 0)
+    assert not arr.latch_is_zero()
+    with pytest.raises(AddressError):
+        arr.activate_pair(2, 2, AND)
+    with pytest.raises(AddressError):
+        arr.write_row(ROWS, 0)
+    assert arr.trace == [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3),
+                         (SHIFT, LEFT, GLOBAL, 0, 0), (SHIFT, RIGHT, TILE, LANE, 0),
+                         (ZERO_TEST, 0)]
+    assert arr.trace.singles == Counter(arr.trace) and not arr.trace.runs
+    assert tallied(arr.trace)
+
+
 def test_executor_records_the_same_tuples_and_the_readout():
     """A ZERO_TEST without a readout records the one it makes; one that names
     a readout, as a replayed trace's do, must find it in the latch."""
@@ -703,6 +739,7 @@ def test_executor_records_the_same_tuples_and_the_readout():
         execute(arr, [(WRITEBACK, 4), (ZERO_TEST, 1), (WRITEBACK, 5)])
     assert arr.trace[5:] == [(WRITEBACK, 4)] and arr.cells[5] == 0
     assert not arr.latch_is_zero() and arr.trace[-1] == (ZERO_TEST, 0)
+    assert tallied(arr.trace)
 
 
 def test_tile_edge_masks_merge_both_old_loops():
