@@ -133,15 +133,12 @@ class CommandStream:
     obs_marks maps the index of each data shift to the edge it must find zero
     ("msb" or "lsb"); step_marks pairs the index of each figure step's last op
     with its step number, 1-7 (the multiplication's iteration is the count
-    of step-7 marks before it).  A stream ``Emitter.compiled`` makes with
-    operand placeholders (the negative rows -1, -2, ... for operands 0, 1,
-    ...) lists the ops that name one in `holes`; ``bind`` puts real rows in.
-    Its other rows are those of the emitter's row map.  An
-    Emitter with an array stores `program` at a stream's first run: the
-    straight-line function ``subarray.generate`` makes of its ops for that
-    array's shape.  Streams compare and hash by identity: a recorded
-    ``subarray.Trace`` tallies the runs of each stream, not its bound ops, and
-    ``perf.counts_of_tally`` counts the stream's ops once per tally it reads.
+    of step-7 marks before it).  In a stream ``Emitter.compiled`` makes,
+    operand k is the placeholder row ~k (-1, -2, ...) in the ops listed in
+    `holes`, which ``bind`` fills.  `program` is ``subarray.generate``'s
+    function of it, made at its first run on an array; a trace logs each run
+    as (stream, rows), bound only when read, and ``perf.counts_of_tally``
+    counts the ops of a stream (hashed by identity) once, times its runs.
     """
 
     ops: list[tuple]
@@ -243,18 +240,17 @@ class Emitter:
     `rm`; only operand rows are arguments.
 
     Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
-    and keeps `programs`: one stream per (body, static arguments), each
-    compiled once with its operand rows as placeholders (``compiled``) and
-    bound to the real rows at every ``run``.  Executing emitters of one row
-    map, policy and array shape share one table, so a stream is compiled and
-    generated once per shape; a collecting emitter keeps its own.
+    and keeps `programs`: one stream per (body, static arguments), compiled
+    once with its operand rows as placeholders (``compiled``).  Executing
+    emitters of one row map, policy and array shape share one table, so a
+    stream is compiled and generated once per shape.
 
     Without an array it collects: ``run`` appends a stream's bound ops and
     marks, and ``stream`` hands them over.  With one it executes: ``run``
     runs a stream on the array, and ``flush`` runs pending ops through
-    ``subarray.execute`` (the array records the trace).  It flushes at each
-    zero test and before every ``emit_*`` returns, so no op is pending when
-    the host touches a row or a compiled stream runs.
+    ``subarray.execute``, at each zero test and before every ``emit_*``
+    returns, so no op is pending when the host touches a row or a compiled
+    stream runs.  The array's trace logs both.
     """
 
     __slots__ = ("rm", "policy", "arr", "ops", "obs_marks", "step_marks", "programs")
@@ -341,11 +337,9 @@ class Emitter:
         """Run a compiled stream with its placeholders bound to `rows`.
 
         Without an array, append the bound ops and the stream's marks.  With
-        one, no op may be pending: it would run after the stream.  The stream
-        runs as the straight-line function ``subarray.generate`` makes of it
-        at its first run, and the trace gets the bound ops and, once the
-        program returns, one more run of the stream in its tally.
-        """
+        one (no op may be pending: it would run after the stream), call the
+        function ``subarray.generate`` makes of it at its first run, which
+        logs the run and binds no rows."""
         if self.arr is None:
             base = len(self.ops)
             self.ops += stream.bind(rows)
@@ -354,11 +348,8 @@ class Emitter:
             return
         program = stream.program
         if program is None:
-            program = stream.program = generate(
-                self.arr, stream.ops, stream.obs_marks, self.rm.tile_width, len(rows))
-        program(self.arr, stream.bind(rows), *rows)
-        if self.arr.trace is not None:
-            self.arr.trace.add_run(stream)
+            program = stream.program = generate(self.arr, stream, self.rm.tile_width, len(rows))
+        program(self.arr, rows)
 
 
 # -- micro-op sequences ------------------------------------------------------

@@ -239,6 +239,15 @@ def cmd_sweep(cfg: RunConfig, vary: str) -> int:
     return 0
 
 
+_LOWER_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _hex_word(text) -> int:
+    if type(text) is not str or not text or not _LOWER_HEX_DIGITS.issuperset(text):
+        raise ValueError(f"not lowercase hex digits: {text!r}")
+    return int(text, 16)
+
+
 def cmd_trace_replay(trace_path: str, state_path: str) -> int:
     try:
         with open(trace_path) as fh:
@@ -248,22 +257,22 @@ def cmd_trace_replay(trace_path: str, state_path: str) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TraceIOError(f"cannot load replay inputs: {exc}") from exc
     try:
-        rows = int(state["rows"])
-        cols = int(state["cols"])
-        want_cells = [int(x, 16) for x in state["cells"]]
-        want_latch = int(state["latch"], 16)
+        rows, cols, cells = state["rows"], state["cols"], state["cells"]
+        # exactly as _state_dict writes them: JSON integers (no bools), a
+        # list, and lowercase hex digits
+        if type(rows) is not int or type(cols) is not int or type(cells) is not list:
+            raise TypeError
+        want_cells = [_hex_word(x) for x in cells]
+        want_latch = _hex_word(state["latch"])
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceIOError(f"malformed state file {state_path}") from exc
     try:
         check_size(rows, cols)
-    except DimensionError as exc:
-        raise TraceIOError(f"{trace_path} does not replay on {state_path}: {exc}") from exc
-    if len(want_cells) != rows:
-        raise TraceIOError(f"malformed state file {state_path}: "
-                           f"{len(want_cells)} cells for {rows} rows")
-    try:
+        if len(want_cells) != rows:
+            raise TraceIOError(f"malformed state file {state_path}: "
+                               f"{len(want_cells)} cells for {rows} rows")
         arr = replay(ops, rows, cols)
-    except (AddressError, TileGeometryError) as exc:
+    except (AddressError, DimensionError, TileGeometryError) as exc:
         raise TraceIOError(f"{trace_path} does not replay on {state_path}: {exc}") from exc
     if arr.cells != want_cells or arr.latch != want_latch:
         raise VerificationError("replayed final state differs from the recorded state")

@@ -278,7 +278,7 @@ class TransformUnit:
     per-tile residency."""
 
     def __init__(self, ring: RingParams, rows: int = 256, cols: int = 256,
-                 policy: ExecPolicy = ExecPolicy(), record: bool = True):
+                 policy: ExecPolicy = ExecPolicy()):
         self.ring = ring
         # the context widens the lane by one column when the ring width
         # leaves no headroom bit, so modular add/sub always have one
@@ -286,7 +286,7 @@ class TransformUnit:
         self.layout = layout_plan(rows, cols, self.ctx.lane_width, ring.order)
         self.table = precompute_twiddles(ring, self.ctx)
         self.policy = policy
-        self.arr = Subarray(rows, cols, record=record)
+        self.arr = Subarray(rows, cols)
         self.rm = self.layout.rowmap
         self.emitter = Emitter(self.rm, policy, self.arr)
         load_constants(self.arr, self.rm, self.ctx)
@@ -401,18 +401,18 @@ class TransformUnit:
 
 
 def polymul_pipeline(a_polys, b, ring: RingParams, rows: int = 256, cols: int = 256,
-                     policy: ExecPolicy = ExecPolicy(), record: bool = True):
+                     policy: ExecPolicy = ExecPolicy()):
     """NTT(a_i) * NTT(b) -> INTT, batched one a-polynomial per tile.
 
     Returns (products, unit_a, unit_b); the units expose traces and stats.
     The b spectrum is read out once and compiled into the pointwise stream,
     so it is shared by every tile.
     """
-    unit_b = TransformUnit(ring, rows, cols, policy, record=record)
+    unit_b = TransformUnit(ring, rows, cols, policy)
     unit_b.load_polynomials([list(b)])
     unit_b.forward()
     b_hat = unit_b.read_polynomials(1)[0]
-    unit_a = TransformUnit(ring, rows, cols, policy, record=record)
+    unit_a = TransformUnit(ring, rows, cols, policy)
     unit_a.load_polynomials([list(p) for p in a_polys])
     unit_a.forward()
     unit_a.pointwise_by(b_hat)
@@ -421,7 +421,7 @@ def polymul_pipeline(a_polys, b, ring: RingParams, rows: int = 256, cols: int = 
 
 
 def polymul_negacyclic(a, b, ring: RingParams, rows: int = 256, cols: int = 256,
-                       policy: ExecPolicy = ExecPolicy(), record: bool = True):
+                       policy: ExecPolicy = ExecPolicy()):
     """a * b in Z_q[x]/(x^order + 1), entirely through the array pipeline."""
-    products, _, _ = polymul_pipeline([a], b, ring, rows, cols, policy, record)
+    products, _, _ = polymul_pipeline([a], b, ring, rows, cols, policy)
     return products[0]

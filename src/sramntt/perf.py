@@ -1,7 +1,7 @@
 """Cycle/energy accounting over micro-op traces, plus the parameter sweeps.
 
-A recorded trace is counted from the tally it keeps as it runs; any other
-sequence of ops is recounted op by op, which is also the check of the tally.
+A recorded trace is counted from its log of batches and stream runs; any
+other sequence of ops is recounted op by op, which also checks the log.
 
 Costs are per micro-op kind; tile-scoped shifts pay one extra cycle for the
 edge-mask application.  The shipped energy numbers are placeholders tuned so
@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 from .bitparallel import (
     Emitter,
@@ -132,11 +133,11 @@ def counts_of_trace(trace) -> dict:
 
 
 def counts_of_tally(trace: Trace) -> dict:
-    """A recorded trace's counts from its tally, reading none of its ops:
-    the ops run one at a time, plus each compiled stream's ops times its runs."""
-    counts = _counts_of(trace.singles)
-    for stream, runs in trace.runs.items():
-        add_counts(counts, counts_of_trace(stream.ops), runs)
+    """A recorded trace's counts from its log: its batches' ops, plus each
+    stream's ops times its runs (binding rows changes no kind or scope)."""
+    counts = _counts_of(Counter(chain.from_iterable(e for e in trace.log if type(e) is list)))
+    for stream, n in Counter(e[0] for e in trace.log if type(e) is tuple).items():
+        add_counts(counts, counts_of_trace(stream.ops), n)
     return counts
 
 
@@ -161,7 +162,7 @@ def _counts_of(tally) -> dict:
 @dataclass
 class SimStats:
     """Aggregated run statistics.  The counts are exact: a recorded trace's
-    tally, equal to a recount of its ops, or the recount itself."""
+    log count, equal to a recount of its ops, or the recount itself."""
 
     counts: dict
     shifts: dict
@@ -223,7 +224,7 @@ def stats_from_counts(counts: dict, cost: CostModel, parallel: int = 1) -> SimSt
 def accumulate(trace, cost: CostModel, parallel: int = 1) -> SimStats:
     """Deterministic trace -> stats aggregation (stable across replays).
 
-    A recorded ``Trace`` is counted from its tally (``counts_of_tally``);
+    A recorded ``Trace`` is counted from its log (``counts_of_tally``);
     any other iterable of ops, such as a parsed trace or a chain of two, is
     recounted op by op (``counts_of_trace``).  Both give the same counts.
     """

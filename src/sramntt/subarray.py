@@ -6,10 +6,11 @@ Within a tile of width w starting at column t*w, the tile-local offset 0 (the
 lowest column) is the LSB of the word stored there, so a "left" shift moves
 bits toward higher offsets and doubles the word.
 
-Every mutating operation appends one micro-op to the trace, a ``Trace`` that
-also tallies what it holds (so stats need not re-read it).  Replaying the
-trace on a fresh array reproduces the final grid and latch exactly; nothing
-the higher layers compute can bypass these five micro-ops:
+Every mutating operation is recorded in the trace, a ``Trace`` that logs
+each batch and each compiled-stream run as one entry and reads as the
+micro-ops in order.  Replaying it on a fresh array reproduces the final grid
+and latch exactly; nothing the higher layers compute can bypass these five
+micro-ops:
 
     WRITE_ROW  <addr> <hexbits>          host I/O (load a full row)
     ACTIVATE2  <a> <b> <AND|NOR|OR|XOR>  two-row bitline op, result -> latch
@@ -23,7 +24,8 @@ The serialized trace is line oriented: ``<seq> <KIND> <args...>``.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
+from itertools import accumulate, chain, islice
 
 from .errors import (
     AddressError,
@@ -91,29 +93,54 @@ _LSB_FAULT = "half-sum has a live low bit before a right shift"
 _ZERO_TESTS = ((ZERO_TEST, 0), (ZERO_TEST, 1))
 
 
-class Trace(list):
-    """The ops an array ran, in order, and their tally.
+class Trace:
+    """The ops an array ran, in order, as a log of what ran.
 
-    `singles` counts the op tuples run one at a time (by ``execute``, or
-    before a failed check in a generated program); `runs` counts the runs of
-    each compiled stream, keyed by the stream, whose bound ops a generated
-    program appends at once.  The ops are the singles plus each stream's ops
-    times its runs, whatever rows they were bound to, so
-    ``perf.counts_of_tally`` counts the trace without reading it; the tests
-    check it against ``perf.counts_of_trace``.  Ops appended by any other
-    path escape the tally.
+    An entry is a list of op tuples, the batch ``execute`` ran (see there),
+    or a (stream, rows) pair, one run of a compiled stream whose ops are
+    ``stream.bind(rows)``.  The trace reads as the op tuples whenever it is
+    iterated, indexed or sliced (``trace[i:j]``, ``trace[-1]``); ``len`` is
+    the op count, kept as a running total.
     """
 
-    __slots__ = ("singles", "runs")
+    __slots__ = ("log", "length", "_starts")
 
     def __init__(self):
-        super().__init__()
-        self.singles: Counter = Counter()
-        self.runs: dict = {}
+        self.log: list = []
+        self.length = 0
+        self._starts = [0]      # op index of each entry, and the end; extended by slicing
 
-    def add_run(self, stream) -> None:
-        """Count one more run of `stream`, whose bound ops were just appended."""
-        self.runs[stream] = self.runs.get(stream, 0) + 1
+    def add(self, entry, n: int) -> None:
+        """Log `entry`, which holds n ops; an empty one is dropped."""
+        if n:
+            self.log.append(entry)
+            self.length += n
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self):
+        return chain.from_iterable(map(_entry_ops, self.log))
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return next(self._ops_from(range(self.length)[key]))
+        start, stop, step = key.indices(self.length)     # islice refuses a step below 1
+        return list(islice(self._ops_from(start), 0, max(stop - start, 0), step))
+
+    def _ops_from(self, index: int):
+        """The ops from op `index` on, found by bisecting the entries' starts."""
+        starts = self._starts
+        if len(starts) <= len(self.log):
+            starts += accumulate(map(len, map(_entry_ops, self.log[len(starts) - 1:])),
+                                 initial=starts.pop())
+        k = bisect_right(starts, index) - 1
+        ops = chain.from_iterable(map(_entry_ops, islice(self.log, k, None)))
+        return islice(ops, index - starts[k], None)
+
+
+def _entry_ops(entry) -> list:
+    return entry if type(entry) is list else entry[0].bind(entry[1])
 
 
 class Subarray:
@@ -121,14 +148,14 @@ class Subarray:
 
     __slots__ = ("rows", "cols", "colmask", "cells", "latch", "trace", "_edge_cache")
 
-    def __init__(self, rows: int = 256, cols: int = 256, record: bool = True):
+    def __init__(self, rows: int = 256, cols: int = 256):
         check_size(rows, cols)
         self.rows = rows
         self.cols = cols
         self.colmask = (1 << cols) - 1
         self.cells = [0] * rows
         self.latch = 0
-        self.trace: Trace | None = Trace() if record else None
+        self.trace = Trace()
         self._edge_cache: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     # -- addressing ------------------------------------------------------
@@ -151,7 +178,7 @@ class Subarray:
 
     def write_row(self, addr: int, bits: int) -> None:
         """Host write of a full row (normal cache store path)."""
-        execute(self, ((WRITE_ROW, addr, bits),))
+        execute(self, [(WRITE_ROW, addr, bits)])
 
     def read_row(self, addr: int) -> int:
         """Host read; non-destructive and not traced (no array state changes)."""
@@ -160,7 +187,7 @@ class Subarray:
 
     def activate_pair(self, a: int, b: int, mode: str) -> None:
         """Activate rows a and b together; the latch captures mode(a, b) per column."""
-        execute(self, ((ACTIVATE2, a, b, mode),))
+        execute(self, [(ACTIVATE2, a, b, mode)])
 
     def shift_latch(
         self,
@@ -170,15 +197,15 @@ class Subarray:
         tile_origin: int = 0,
     ) -> None:
         """Move every latch bit one column; zero fill at array (or tile) edges."""
-        execute(self, ((SHIFT, direction, scope, tile_width, tile_origin),))
+        execute(self, [(SHIFT, direction, scope, tile_width, tile_origin)])
 
     def latch_writeback(self, addr: int) -> None:
         """Drive the latch back into a row; the latch keeps its value."""
-        execute(self, ((WRITEBACK, addr),))
+        execute(self, [(WRITEBACK, addr)])
 
     def latch_is_zero(self) -> bool:
         """Wired-OR readout of the latch; used as a carry-loop termination test."""
-        execute(self, ((ZERO_TEST, None),))    # records the readout it makes
+        execute(self, [(ZERO_TEST, None)])    # records the readout it makes
         return self.latch == 0
 
     # -- state helpers ---------------------------------------------------
@@ -216,24 +243,26 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     geometry of a tile-scoped shift.  obs_marks maps the index of a shift to
     the lane edge ("msb" or "lsb") the carry-save invariants promise is zero
     in the latch; the check runs before that shift, whatever its scope, over
-    the full lanes of `lane` columns.  Each executed op is appended to the
-    trace as the same tuple object, except that a ZERO_TEST records the
-    readout it actually made; a ZERO_TEST that names a readout (as every
-    traced one does) raises VerificationError when the latch gives the other.
-    The trace's singles tally what was appended, even when an op raises.
+    the full lanes of `lane` columns.  A ZERO_TEST that names a readout (as
+    every traced one does) raises VerificationError when the latch gives the
+    other.
 
-    This loop runs traces (``replay``), host I/O and the other one-op
-    calls, the ops an emitter emits in place and flushes (zero-test loops
-    among them) and ``generate``'s error fallback.  Compiled streams run as
-    the straight-line functions ``generate`` makes, which must leave the
-    array exactly as this loop does; the tests hold them to it.
+    The trace logs the list `ops` itself, which the caller must then leave
+    as it is, unless an op raised or a ZERO_TEST named no readout: then it
+    logs a copy cut before the op that raised, each ZERO_TEST holding the
+    readout it made.
+
+    This loop runs traces, host I/O, the ops an emitter flushes (zero-test
+    loops among them) and ``generate``'s error fallback; the functions
+    ``generate`` makes must leave the array exactly as it does.
     """
     cells = arr.cells
     nrows = arr.rows
     colmask = arr.colmask
     latch = arr.latch
-    trace = arr.trace
-    start = len(trace) if trace is not None else 0
+    if type(ops) is not list:
+        ops = list(ops)
+    logged = ops                   # becomes a copy if a ZERO_TEST fills in its readout
     geometry = None                # (width, origin) of the tile masks in hand
     lsb = msb = 0
     obs_lsb = obs_msb = None       # full-lane masks, taken at the first marked shift
@@ -297,18 +326,19 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
                 cells[row] = bits
             elif kind == ZERO_TEST:
                 readout = _ZERO_TESTS[latch == 0]
-                if op[1] is not None and op[1] != readout[1]:
+                if op[1] is None:
+                    if logged is ops:
+                        logged = ops.copy()
+                    logged[i] = readout
+                elif op[1] != readout[1]:
                     raise VerificationError(
                         f"ZERO_TEST at op {i} reads {readout[1]}, recorded {op[1]}")
-                op = readout
             else:
                 raise TraceIOError(f"unknown micro-op kind {kind!r}")
-            if trace is not None:
-                trace.append(op)
+        i = len(ops)               # all ran; else i is the op that raised
     finally:
         arr.latch = latch
-        if trace is not None:
-            trace.singles.update(trace[start:])
+        arr.trace.add(logged if i == len(ops) else logged[:i], i)
 
 
 def _bad_pair(nrows: int, a: int, b: int) -> None:
@@ -324,32 +354,28 @@ _LOGIC = {AND: "c[{}] & c[{}]", XOR: "c[{}] ^ c[{}]", OR: "c[{}] | c[{}]",
           NOR: "~(c[{}] | c[{}]) & {colmask}"}
 
 
-def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
-             lane: int = 0, params: int = 0):
-    """One Python function running `ops`, a statement per op, on any array
-    of arr's shape: arr is read for its rows, columns and edge masks only.
+def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
+    """One Python function running `stream.ops` (a stream has ``ops``,
+    ``obs_marks`` and ``bind``), a statement per op, on any array of arr's
+    shape: arr is read for its rows, columns and edge masks only.
 
-    Rows -1 .. -params are placeholders: the function is
-    ``program(arr, bound, *rows)``, where `bound` is `ops` with placeholder
-    ~k replaced by rows[k], and it leaves arr exactly as
-    ``execute(arr, bound, obs_marks, lane)`` does, raised errors included,
-    but for the trace's tally.  Only ACTIVATE2, SHIFT and WRITEBACK can be
-    generated.
+    Rows -1 .. -params are placeholders.  ``program(arr, rows)`` leaves arr
+    and its trace exactly as ``execute(arr, stream.bind(rows),
+    stream.obs_marks, lane)`` does, raised errors included, and binds rows
+    only on a failure: a program that returns logs (stream, rows).  Only
+    ACTIVATE2, SHIFT and WRITEBACK can be generated.
 
     Literal rows, modes, directions, scopes and tile geometry are checked
     here, once, up to an activation that names one placeholder twice: no
-    binding can run it, so every run goes to ``execute``.  At each run the
-    bound rows are checked before any op runs: a row out of range, or an
-    activation pair that names one row twice, hands the whole of `bound` to
-    ``execute``, so the error, state and trace are the executor's own, and
-    that fallback always raises.  Each marked shift tests its lane edge
-    first, as ``execute`` does; a live bit stores the latch, records the ops
-    before the shift as singles and raises ObservationError.  A program that
-    returns has appended all of `bound` and leaves its tally to the caller,
-    which counts one run of the stream (``Emitter.run``).
+    binding can run it, so every run goes to ``execute``.  At each run a
+    bound row out of range, or a bound same-row pair, hands the bound ops to
+    ``execute`` before any op runs, and that fallback always raises.  Each
+    marked shift tests its lane edge first; a live bit stores the latch,
+    logs the bound ops before the shift and raises ObservationError.
     """
     nrows = arr.rows
-    marks = obs_marks or {}
+    ops = stream.ops
+    marks = stream.obs_marks
     names = [f"r{k}" for k in range(params)]
     guards: list[str] = []
     obs = None                                  # full-lane (lsb, msb) masks
@@ -393,7 +419,7 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
                 if obs is None:
                     obs = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
                 live, fault = (obs[1], "_MSB") if edge == "msb" else (obs[0], "_LSB")
-                body.append(f"if L & {live:#x}: fail(arr, bound, {i}, L, {fault})")
+                body.append(f"if L & {live:#x}: fail(arr, stream.bind(rows), {i}, L, {fault})")
             if scope == GLOBAL:
                 left, right = f"L = (L << 1) & {arr.colmask:#x}", "L >>= 1"
             elif scope == TILE:
@@ -409,17 +435,17 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
             raise ParameterError(f"{kind} cannot run in a generated program")
         else:
             raise TraceIOError(f"unknown micro-op kind {kind!r}")
+    unpack = f"    {', '.join(names)}, = rows\n" if names else ""
     check = (f"    if not ({' and '.join(guards)}):\n"
-             "        return execute(arr, bound, marks, lane)\n") if guards else ""
-    source = (f"def program({', '.join(['arr', 'bound'] + names)}):\n"
-              f"{check}"
+             f"        return execute(arr, stream.bind(rows), marks, {lane})\n") if guards else ""
+    source = ("def program(arr, rows):\n"
+              f"{unpack}{check}"
               "    c = arr.cells\n"
               "    L = arr.latch\n"
               + "".join(f"    {line}\n" for line in body) +
               "    arr.latch = L\n"
-              "    if arr.trace is not None:\n"
-              "        arr.trace.extend(bound)\n")
-    namespace = {"marks": marks, "lane": lane, "execute": execute,
+              f"    arr.trace.add({'(stream, rows)' if names else 'entry'}, {len(ops)})\n")
+    namespace = {"stream": stream, "entry": (stream, ()), "marks": marks, "execute": execute,
                  "fail": _observation_failed, "_MSB": _MSB_FAULT, "_LSB": _LSB_FAULT}
     exec(compile(source, "<generated micro-op program>", "exec"), namespace)
     return namespace["program"]
@@ -428,11 +454,7 @@ def generate(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
 def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) -> None:
     """Leave arr as execute does when the check before op i fails, then raise."""
     arr.latch = latch
-    trace = arr.trace
-    if trace is not None:
-        ran = bound[:i]
-        trace.extend(ran)
-        trace.singles.update(ran)
+    arr.trace.add(bound[:i], i)
     raise ObservationError(message)
 
 
@@ -440,7 +462,7 @@ def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) 
 
 def replay(ops, rows: int, cols: int) -> Subarray:
     """Pure-logic re-execution of a trace on a fresh grid."""
-    arr = Subarray(rows, cols, record=False)
+    arr = Subarray(rows, cols)
     execute(arr, ops)
     return arr
 
@@ -500,8 +522,21 @@ def _quote(text: str | None) -> str:
     return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
+_DECIMAL_DIGITS = frozenset("0123456789")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _number(token: str, base: int = 10) -> int:
+    """`token` as an int if it is ASCII digits only: no sign, `_`, prefix or
+    other script's digits, all of which int() accepts."""
+    if not token or not (_DECIMAL_DIGITS if base == 10 else _HEX_DIGITS).issuperset(token):
+        raise ValueError(token)
+    return int(token, base)
+
+
 def parse_trace_line(line: str) -> tuple:
-    """One trace line as an op tuple; a missing or an extra token is malformed."""
+    """One trace line as an op tuple; a missing or an extra token, or a
+    number that is not ASCII decimal (hex for row bits) digits, is malformed."""
     parts = line.split()
     n = len(parts)
     if n < 2:
@@ -510,10 +545,10 @@ def parse_trace_line(line: str) -> tuple:
     try:
         if kind == WRITEBACK:
             if n == 3:
-                return (WRITEBACK, int(parts[2]))
+                return (WRITEBACK, _number(parts[2]))
         elif kind == ACTIVATE2:
             if n == 5:
-                return (ACTIVATE2, int(parts[2]), int(parts[3]), parts[4])
+                return (ACTIVATE2, _number(parts[2]), _number(parts[3]), parts[4])
         elif kind == SHIFT:
             scope = parts[3] if n > 3 else None
             if scope == GLOBAL:
@@ -521,13 +556,13 @@ def parse_trace_line(line: str) -> tuple:
                     return (SHIFT, parts[2], GLOBAL, 0, 0)
             elif scope == TILE:
                 if n == 6:
-                    return (SHIFT, parts[2], TILE, int(parts[4]), int(parts[5]))
+                    return (SHIFT, parts[2], TILE, _number(parts[4]), _number(parts[5]))
             else:
                 raise TraceIOError(f"unknown shift scope {_quote(scope)} "
                                    f"in line {_quote(line)}")
         elif kind == WRITE_ROW:
             if n == 4:
-                return (WRITE_ROW, int(parts[2]), int(parts[3], 16))
+                return (WRITE_ROW, _number(parts[2]), _number(parts[3], 16))
         elif kind == ZERO_TEST:
             if n == 3:
                 if parts[2] not in ("0", "1"):

@@ -28,12 +28,11 @@ B_ROW = 0
 class ModmulBench:
     """Reusable subarray wired for multiplications modulo one fixed modulus."""
 
-    def __init__(self, modulus: int, width: int, rows: int = 32, cols: int = 256,
-                 record: bool = False):
+    def __init__(self, modulus: int, width: int, rows: int = 32, cols: int = 256):
         self.ctx = MontgomeryContext.create(modulus, width)
         self.lane = self.ctx.lane_width
         self.tiles = tiles_in(cols, self.lane)
-        self.arr = Subarray(rows, cols, record=record)
+        self.arr = Subarray(rows, cols)
         self.rm = default_rowmap(rows, self.lane)
         self.policy = ExecPolicy()
         self.emitter = Emitter(self.rm, self.policy, self.arr)

@@ -207,7 +207,7 @@ CRIT5_SETTINGS = [(4, 257), (8, 257), (256, 7681), (256, 8380417), (1024, 12289)
 def test_criterion_5_transforms(order, q):
     ring = RingParams.create(q, order)
     rng = random.Random(order * 7 + q % 97)
-    probe = TransformUnit(ring, record=False)
+    probe = TransformUnit(ring)
     tiles = probe.layout.tiles
     remaining = 100
     while remaining > 0:
@@ -215,19 +215,19 @@ def test_criterion_5_transforms(order, q):
         polys = [[rng.randrange(q) for _ in range(order)] for _ in range(batch)]
         b = [rng.randrange(q) for _ in range(order)]
 
-        unit = TransformUnit(ring, record=False)
+        unit = TransformUnit(ring)
         unit.load_polynomials(polys)
         unit.forward()
         spectra = unit.read_polynomials(batch)
         unit.inverse()
         assert unit.read_polynomials(batch) == polys, "roundtrip"
 
-        unit_b = TransformUnit(ring, record=False)
+        unit_b = TransformUnit(ring)
         unit_b.load_polynomials([b])
         unit_b.forward()
         b_hat = unit_b.read_polynomials(1)[0]
 
-        unit_c = TransformUnit(ring, record=False)
+        unit_c = TransformUnit(ring)
         unit_c.load_polynomials(spectra)
         unit_c.pointwise_by(b_hat)
         unit_c.inverse()

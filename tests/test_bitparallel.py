@@ -47,9 +47,9 @@ def fresh_programs():
     _shared_programs.cache_clear()
 
 
-def fresh(modulus, width, cols=32, rows=32, record=True):
+def fresh(modulus, width, cols=32, rows=32):
     ctx = MontgomeryContext.create(modulus, width)
-    arr = Subarray(rows, cols, record=record)
+    arr = Subarray(rows, cols)
     rm = default_rowmap(rows, ctx.lane_width)
     load_constants(arr, rm, ctx)
     return ctx, arr, rm
@@ -248,7 +248,7 @@ def test_compiled_primitives_run_the_emitted_ops(policy):
         if not compiled:
             assert not E.programs
             execute(arr, E.ops, E.obs_marks, ctx.lane_width)
-        runs.append((arr.trace, arr.cells, arr.latch))
+        runs.append((list(arr.trace), arr.cells, arr.latch))
     assert runs[0] == runs[1]
 
 
@@ -382,9 +382,13 @@ def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
                 bound = stream.bind(rows)
                 error = caught(lambda: E.run(stream, rows))
                 assert error == caught(lambda: execute(twin, bound, stream.obs_marks, lane))
-                assert (arr.cells, arr.latch, arr.trace) == (twin.cells, twin.latch, twin.trace)
-                # a clean run is one run of the stream; a failed one, its ops before the fault
-                assert arr.trace.runs == ({} if error else {stream: 1})
+                assert ((arr.cells, arr.latch, list(arr.trace))
+                        == (twin.cells, twin.latch, list(twin.trace)))
+                # a clean run logs one run of the stream; a failed one, its ops before the fault
+                if error:
+                    assert all(type(entry) is list for entry in arr.trace.log)
+                else:
+                    assert arr.trace.log == [(stream, rows)]
                 assert (counts_of_tally(arr.trace) == counts_of_trace(arr.trace)
                         == counts_of_tally(twin.trace))
                 assert density or error is None
@@ -402,6 +406,30 @@ def test_a_forward_keeps_one_stream_per_body(fresh_programs):
     unit.forward()
     assert len(unit.emitter.programs) == 6
     assert all(isinstance(s, CommandStream) for s in unit.emitter.programs.values())
+
+
+def test_the_trace_reads_like_the_list_of_its_ops(fresh_programs):
+    """Indexing and slicing the log give what the expanded list gives, also
+    after the log grows past the entries a first slice indexed."""
+    ctx, arr, rm = fresh(7681, 16)
+    E = Emitter(rm, ExecPolicy(), arr)
+    emit_modmul(E, 0xB5A3, ctx.width, 5)
+    assert arr.trace[3:40] == list(arr.trace)[3:40]
+    emit_resolve(E, 4)
+    arr.write_row(6, 1)
+    ops = list(arr.trace)
+    assert len(arr.trace) == len(ops)
+    rng = random.Random(5)
+    for _ in range(50):
+        a, b = sorted(rng.randrange(-len(ops) - 5, len(ops) + 5) for _ in range(2))
+        assert arr.trace[a:b] == ops[a:b] and arr.trace[a:] == ops[a:]
+        assert arr.trace[b:a] == ops[b:a]
+    assert arr.trace[::7] == ops[::7]
+    assert [arr.trace[i] for i in (0, -1, len(ops) // 2)] == [ops[0], ops[-1], ops[len(ops) // 2]]
+    with pytest.raises(IndexError):
+        arr.trace[len(ops)]
+    with pytest.raises(ValueError):
+        arr.trace[::-1]
 
 
 def test_a_stream_is_generated_at_its_first_run(fresh_programs):
@@ -611,14 +639,14 @@ def test_tile_scope_all_policy_still_correct():
 
 def test_cross_tile_injection_is_zero():
     """Replaying a modmul trace, every global shift moves a 0 across lane edges."""
-    bench = ModmulBench(251, 8, cols=64, record=True)
+    bench = ModmulBench(251, 8, cols=64)
     rng = random.Random(17)
     from sramntt.subarray import LEFT
 
     bench.run(rng.randrange(256), [rng.randrange(251) for _ in range(bench.tiles)])
     cols = bench.arr.cols
     lsb_edges, msb_edges = bench.arr.tile_edges(bench.lane, 0, cols - cols % bench.lane)
-    twin = Subarray(bench.arr.rows, bench.arr.cols, record=False)
+    twin = Subarray(bench.arr.rows, bench.arr.cols)
     for op in bench.arr.trace:
         if op[0] == SHIFT and op[2] == GLOBAL:
             edge = msb_edges if op[1] == LEFT else lsb_edges

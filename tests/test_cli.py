@@ -94,11 +94,14 @@ def test_same_seed_identical_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_trace_replay_cycle(tmp_path):
+@pytest.mark.parametrize("mode", ["forward", "roundtrip", "polymul"])
+def test_trace_replay_cycle(tmp_path, mode):
+    """Each mode's trace replays to its state; only polymul's holds the
+    pointwise, inverse and n^-1-scaling runs."""
     trace = tmp_path / "run.trace"
     state = tmp_path / "run.state"
     assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",
-                    "--cols", "64", "--mode", "forward",
+                    "--cols", "64", "--mode", mode,
                     "--trace", str(trace), "--state", str(state),
                     "--stats", str(tmp_path / "s.json")]) == 0
     assert cmd_trace_replay(str(trace), str(state)) == 0
@@ -194,9 +197,20 @@ def test_replay_unexecutable_trace_is_io_error(tmp_path, capsys, line, rows):
     "0 SHIFT LEFT TILE 4 0 junk",
     "0 WRITEBACK 0 junk",
     "0 ZERO_TEST 1 junk",
+    "0 WRITEBACK 0_0",
+    "0 WRITEBACK +0",
+    "0 WRITEBACK -0",
+    "0 WRITEBACK \u0660",
+    "0 ACTIVATE2 0 +1 AND",
+    "0 SHIFT LEFT TILE 4 -0",
+    "0 WRITE_ROW 0 0x0",
+    "0 WRITE_ROW 0 0_0",
+    "0 WRITE_ROW 0 -0",
 ])
 def test_replay_rejects_trailing_tokens(tmp_path, capsys, line):
-    """Each line would replay to the all-zero state if its last token were dropped."""
+    """Each line would replay to the all-zero state if its last token were
+    dropped, or if int() read its numbers: rows, width and origin must be
+    ASCII decimal digits and row bits ASCII hex digits."""
     trace = tmp_path / "junk.trace"
     state = tmp_path / "zero.state"
     trace.write_text(line + "\n")
@@ -210,6 +224,26 @@ def test_replay_rejects_short_state_file(tmp_path, capsys):
     state = tmp_path / "short.state"
     trace.write_text("0 WRITEBACK 0\n")
     state.write_text(json.dumps({"rows": 8, "cols": 8, "latch": "0", "cells": ["0", "0", "0"]}))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 5
+    assert "malformed state file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rows", 8.9), ("rows", "8"), ("rows", True), ("cols", "8"), ("cols", 8.0),
+    ("cells", ["0x0"] * 8), ("cells", ["A"] + ["0"] * 7), ("cells", ["-0"] * 8),
+    ("cells", "00000000"), ("latch", "-1"), ("latch", "0x0"), ("latch", 0),
+])
+def test_replay_rejects_a_state_file_run_would_not_write(tmp_path, capsys, field, value):
+    """rows and cols are JSON integers and cells a list; cells and latch are
+    lowercase hex digits, as `run --state` writes them.  Coerced, each state
+    would replay, or fail as a mismatch (exit 3)."""
+    trace = tmp_path / "one.trace"
+    state = tmp_path / "odd.state"
+    trace.write_text("0 WRITEBACK 0\n")
+    payload = {"rows": 8, "cols": 8, "latch": "0", "cells": ["0"] * 8}
+    state.write_text(json.dumps(payload))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 0
+    state.write_text(json.dumps({**payload, field: value}))
     assert run_cli(["trace-replay", str(trace), str(state)]) == 5
     assert "malformed state file" in capsys.readouterr().err
 

@@ -34,7 +34,7 @@ from sramntt.perf import (
     sweep_order,
     sweep_to_csv,
 )
-from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, Subarray, Trace
+from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, Subarray, Trace, replay
 
 
 def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0, policy=ExecPolicy()):
@@ -116,20 +116,36 @@ def test_counts_of_trace_matches_the_reference_loop():
     assert reference_counts(data_dependent.arr.trace)["ZERO_TEST"] > 0
     for trace in (canonical.arr.trace, data_dependent.arr.trace):
         assert counts_of_trace(trace) == reference_counts(trace) == counts_of_tally(trace)
-    # the canonical forward runs six streams and 430 ops one at a time
-    tally = canonical.arr.trace
-    assert len(tally.runs) == 6 and sum(tally.runs.values()) == 26752
-    assert sum(tally.singles.values()) == 430
+    # the canonical forward logs 26,752 runs of six streams and 430 one-op batches
+    trace = canonical.arr.trace
+    assert len(trace) == 1470382 and len(trace.log) == 27182
+    batches = [entry for entry in trace.log if type(entry) is list]
+    assert len(batches) == 430 and all(len(entry) == 1 for entry in batches)
+    runs = runs_of(trace)
+    assert len(runs) == 26752 and len(set(runs)) == 6
+    assert len(trace.log) == len(batches) + len(runs)
+    assert counts_of_tally(trace) == counts_of_trace(trace)
+    # a replay logs the list it is handed as its one entry, with no copy
+    ops = list(trace)
+    twin = replay(ops, canonical.arr.rows, canonical.arr.cols)
+    assert twin.same_state(canonical.arr)
+    assert len(twin.trace.log) == 1 and twin.trace.log[0] is ops
     # no op shifts for word alignment: execute and parse_trace reject the scope
     with pytest.raises(ParameterError, match="unknown shift scope"):
         counts_of_trace([("SHIFT", "LEFT", "ALIGN", 0, 0)])
 
 
+def runs_of(trace):
+    """The stream of each run a trace logs, in order."""
+    return [entry[0] for entry in trace.log if type(entry) is tuple]
+
+
 def assert_tallied(trace):
-    """A recorded trace whose tally counts what a recount of its ops counts."""
+    """A recorded trace whose log counts what a recount of its ops counts."""
     assert isinstance(trace, Trace)
-    assert all(isinstance(stream, CommandStream) for stream in trace.runs)
+    assert all(type(entry) is list or isinstance(entry[0], CommandStream) for entry in trace.log)
     assert counts_of_tally(trace) == counts_of_trace(trace) == reference_counts(trace)
+    assert len(trace) == len(list(trace))
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
@@ -142,7 +158,7 @@ def test_the_tally_counts_the_trace_under_every_policy(deterministic, tile_scope
     assert_tallied(unit.arr.trace)
     zero_tests = counts_of_tally(unit.arr.trace)["ZERO_TEST"]
     assert (zero_tests == 0) == deterministic
-    assert unit.arr.trace.runs             # modmul runs compiled under either policy
+    assert runs_of(unit.arr.trace)         # modmul runs compiled under either policy
 
 
 def test_the_tally_counts_a_host_swapped_forward():

@@ -3,7 +3,6 @@
 import io
 import re
 import tracemalloc
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -52,8 +51,8 @@ from sramntt.subarray import (
 
 
 def tallied(trace: Trace) -> bool:
-    """The trace's tally counts what a recount of its ops counts."""
-    return counts_of_tally(trace) == counts_of_trace(trace)
+    """The trace's log counts what a recount of its ops counts."""
+    return counts_of_tally(trace) == counts_of_trace(trace) and len(trace) == len(list(trace))
 
 
 def bits_from_list(bits) -> int:
@@ -72,7 +71,7 @@ def bits_to_list(value: int, cols: int) -> list[int]:
 
 def test_create_zeroed():
     arr = Subarray(256, 256)
-    assert sum(arr.cells) == 0 and arr.latch == 0 and arr.trace == []
+    assert sum(arr.cells) == 0 and arr.latch == 0 and list(arr.trace) == []
     assert arr.rows * arr.cols == 65536
 
     small = Subarray(8, 4)
@@ -87,7 +86,7 @@ def test_create_too_small():
 
 
 def test_create_too_large_allocates_nothing():
-    Subarray(MAX_ROWS, MAX_COLS, record=False)
+    Subarray(MAX_ROWS, MAX_COLS)
     for rows, cols in ((10**12, 8), (8, 10**12), (MAX_ROWS + 1, 8), (8, MAX_COLS + 1)):
         with pytest.raises(DimensionError, match="at most"):
             Subarray(rows, cols)
@@ -183,7 +182,7 @@ def test_writeback_and_zero_test():
 @given(a=st.integers(0, 2**16 - 1), b=st.integers(0, 2**16 - 1))
 @settings(max_examples=100, deadline=None)
 def test_de_morgan_consistency(a, b):
-    arr = Subarray(8, 16, record=False)
+    arr = Subarray(8, 16)
     arr.write_row(0, a)
     arr.write_row(1, b)
     mask = arr.colmask
@@ -200,7 +199,7 @@ def test_de_morgan_consistency(a, b):
 @given(v=st.integers(0, 2**12 - 1))
 @settings(max_examples=60, deadline=None)
 def test_shift_left_right_restores_interior(v):
-    arr = Subarray(8, 12, record=False)
+    arr = Subarray(8, 12)
     arr.latch = v
     arr.shift_latch(LEFT, GLOBAL)
     arr.shift_latch(RIGHT, GLOBAL)
@@ -250,7 +249,7 @@ def test_trace_grammar_roundtrip():
     arr.latch_is_zero()
     text = serialized(arr.trace, arr.cols)
     assert text == joined_serializer(arr.trace, arr.cols)
-    assert parse_trace(text) == arr.trace
+    assert parse_trace(text) == list(arr.trace)
     twin = replay(parse_trace(text), 8, 8)
     assert twin.same_state(arr)
     assert serialized([], 8) == joined_serializer([], 8) == ""
@@ -290,7 +289,7 @@ def test_memoized_parse_equals_the_per_line_parse_on_the_canonical_trace(canonic
     unit, path = canonical
     text = path.read_text()
     ops = parse_trace(text)
-    assert ops == _parse_each_line(text) == unit.arr.trace
+    assert ops == _parse_each_line(text) == list(unit.arr.trace)
     # one tuple per distinct op text, shared by every line that repeats it
     assert len({id(op) for op in ops}) == len({line.split(None, 1)[1]
                                                for line in text.splitlines()})
@@ -324,7 +323,7 @@ def test_parse_from_the_open_file_equals_its_text_and_holds_a_few_pieces(canonic
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert from_file == parse_trace(text) == unit.arr.trace
+    assert from_file == parse_trace(text) == list(unit.arr.trace)
     assert peak < len(text) / 2, (peak, len(text))
 
 
@@ -586,14 +585,14 @@ def test_executor_matches_reference_interpreter(cells, latch, ops, binding, edge
     except SimError as exc:
         error = type(exc)
     assert error is want_error
-    assert arr.trace == ref.trace
+    assert list(arr.trace) == ref.trace
     assert (arr.cells, arr.latch) == (ref.cells, ref.latch)
     assert tallied(arr.trace)
     # one op at a time runs the same loop
     single, _ = fresh_pair(cells, latch)
     for op in ops[:len(ref.trace)]:
         execute(single, (op,))
-    assert single.same_state(arr) and single.trace == arr.trace
+    assert single.same_state(arr) and list(single.trace) == list(arr.trace)
     assert tallied(single.trace)
     # the generated program of the same ops, rows -1..-3 bound to `binding`,
     # and observation marks on the drawn indices
@@ -610,6 +609,17 @@ def bind(ops, rows):
             else (WRITEBACK, row(op[1])) if op[0] == WRITEBACK else op for op in ops]
 
 
+class Stream:
+    """A compiled stream as generate() reads one: ops, obs marks and bind."""
+
+    def __init__(self, ops, obs_marks):
+        self.ops = ops
+        self.obs_marks = obs_marks
+
+    def bind(self, rows):
+        return bind(self.ops, rows)
+
+
 def run_and_catch(run):
     try:
         run()
@@ -623,7 +633,8 @@ def check_generated_run(cells, latch, ops, marks, binding):
     execute() and the reference on the bound ops."""
     gen, ref = fresh_pair(cells, latch)
     try:
-        program = generate(Subarray(ROWS, COLS), ops, marks, LANE, 3)
+        stream = Stream(ops, marks)
+        program = generate(Subarray(ROWS, COLS), stream, LANE, 3)
     except SimError as exc:
         # a fault whatever the binding: the first op that fails alone under two
         # bindings no literal row can meet both of, with the error it raises
@@ -638,7 +649,8 @@ def check_generated_run(cells, latch, ops, marks, binding):
                   if alone(op, (0, 1, 2)) and alone(op, (5, 6, 7))]
         assert static and static[0] == (type(exc), str(exc))
         return
-    bound = bind(ops, binding)
+    rows = tuple(binding)
+    bound = bind(ops, rows)
     want_error = None
     for i, op in enumerate(bound):
         try:
@@ -647,16 +659,19 @@ def check_generated_run(cells, latch, ops, marks, binding):
             want_error = type(exc)
             break
     twin, _ = fresh_pair(cells, latch)
-    error = run_and_catch(lambda: program(gen, bound, *binding))
+    error = run_and_catch(lambda: program(gen, rows))
     assert error == run_and_catch(lambda: execute(twin, bound, marks, LANE))
     assert (error and error[0]) is want_error
-    assert gen.trace == twin.trace == ref.trace
-    assert all(got is op for got, op in zip(gen.trace, bound))
+    assert list(gen.trace) == list(twin.trace) == ref.trace
     assert (gen.cells, gen.latch) == (twin.cells, twin.latch) == (ref.cells, ref.latch)
-    # a failed program tallies the ops it ran; one that returns leaves its
-    # run to the caller (Emitter.run)
-    assert gen.trace.singles == (Counter(gen.trace) if error else Counter())
-    assert not gen.trace.runs and tallied(twin.trace)
+    # a failed program logs the bound ops it ran as a batch; one that returns
+    # logs its run, the stream and the very rows tuple, binding nothing
+    if error:
+        assert all(type(entry) is list for entry in gen.trace.log)
+    else:
+        assert len(gen.trace.log) == (1 if ops else 0)
+        assert all(entry[0] is stream and entry[1] is rows for entry in gen.trace.log)
+    assert tallied(gen.trace) and tallied(twin.trace)
 
 
 @pytest.mark.parametrize("ops,marks,binding,error", [
@@ -680,12 +695,11 @@ def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
     for arr in (gen, twin):
         arr.cells[:] = cells
         arr.latch = latch
-    bound = bind(ops, binding)
     with pytest.raises(SimError, match=error) as raised:
-        generate(Subarray(ROWS, COLS), ops, marks, LANE, 3)(gen, bound, *binding)
+        generate(Subarray(ROWS, COLS), Stream(ops, marks), LANE, 3)(gen, binding)
     with pytest.raises(raised.type, match=re.escape(str(raised.value))):
-        execute(twin, bound, marks, LANE)
-    assert (gen.cells, gen.latch, gen.trace) == (twin.cells, twin.latch, twin.trace)
+        execute(twin, bind(ops, binding), marks, LANE)
+    assert (gen.cells, gen.latch, list(gen.trace)) == (twin.cells, twin.latch, list(twin.trace))
     assert tallied(gen.trace) and tallied(twin.trace)
 
 
@@ -702,7 +716,7 @@ def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
 ])
 def test_generation_rejects_ops_no_binding_can_run(op, error):
     with pytest.raises(SimError, match=error):
-        generate(Subarray(ROWS, COLS), [(WRITEBACK, 0), op], {}, LANE, 3)
+        generate(Subarray(ROWS, COLS), Stream([(WRITEBACK, 0), op], {}), LANE, 3)
 
 
 def test_single_op_methods_tally_what_they_record():
@@ -719,10 +733,10 @@ def test_single_op_methods_tally_what_they_record():
         arr.activate_pair(2, 2, AND)
     with pytest.raises(AddressError):
         arr.write_row(ROWS, 0)
-    assert arr.trace == [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3),
+    assert list(arr.trace) == [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3),
                          (SHIFT, LEFT, GLOBAL, 0, 0), (SHIFT, RIGHT, TILE, LANE, 0),
                          (ZERO_TEST, 0)]
-    assert arr.trace.singles == Counter(arr.trace) and not arr.trace.runs
+    assert arr.trace.log == [[op] for op in arr.trace]       # one-op batches, no runs
     assert tallied(arr.trace)
 
 
@@ -749,7 +763,7 @@ def test_tile_edge_masks_merge_both_old_loops():
         assert _tile_edge_masks(cols, lane, 0) == reference_tile_edges(cols, lane, 0)
         full = cols - cols % lane                    # 0 when cols < lane
         assert _tile_edge_masks(full, lane) == reference_full_tile_edges(cols, lane)
-        arr = Subarray(8, cols, record=False)
+        arr = Subarray(8, cols)
         assert arr.tile_edges(lane) == reference_tile_edges(cols, lane, 0)
         assert arr.tile_edges(lane, 0, full) == reference_full_tile_edges(cols, lane)
     with pytest.raises(TileGeometryError):
