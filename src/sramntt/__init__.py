@@ -12,8 +12,6 @@ from .bitparallel import (
     ExecPolicy,
     MontgomeryContext,
     RowMap,
-    bp_modadd,
-    bp_modsub,
     compile_twiddle_commands,
 )
 from .errors import (
@@ -49,8 +47,7 @@ __all__ = [
     "ObservationError", "ParameterError", "RingParams", "RowMap", "SimError",
     "SimStats", "Subarray", "TileGeometryError", "TileLayout", "TraceIOError",
     "TransformUnit", "TwiddleTable", "VerificationError", "accumulate",
-    "bit_reverse_permute", "bp_modadd", "bp_modsub",
-    "compile_twiddle_commands", "find_roots", "layout_plan",
+    "bit_reverse_permute", "compile_twiddle_commands", "find_roots", "layout_plan",
     "oracle_intt", "oracle_montmul", "oracle_ntt", "parse_trace",
     "polymul_negacyclic", "polymul_pipeline", "precompute_twiddles", "replay",
     "schoolbook_negacyclic", "serialize_trace", "shift_baseline_ratio",

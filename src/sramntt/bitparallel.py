@@ -28,7 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .errors import AddressError, ParameterError, TileGeometryError
+from .errors import AddressError, ParameterError
 from .subarray import (
     ACTIVATE2,
     AND,
@@ -95,7 +95,6 @@ class RowMap:
     temporaries, the predication mask m) and the constant rows the micro-op
     sequences lean on; operand rows are arguments of each emit_*."""
 
-    tile_width: int
     sum_row: int
     carry_row: int
     aux1: int
@@ -122,8 +121,6 @@ class RowMap:
             raise AddressError("row map assigns one row to two roles")
         if min(rows) < 0:
             raise AddressError(f"row map assigns row {min(rows)}, below 0")
-        if self.tile_width < 2:
-            raise TileGeometryError("tile width must be >= 2")
 
 
 @dataclass(eq=False)
@@ -211,11 +208,10 @@ def load_constants(arr: Subarray, rm: RowMap, ctx: MontgomeryContext) -> None:
     arr.write_row(rm.neg_modulus_row, broadcast_word(neg_m, lane, cols))
 
 
-def default_rowmap(arr_rows: int, tile_width: int) -> RowMap:
+def default_rowmap(arr_rows: int) -> RowMap:
     """Scratch at the top of the array, constants just below; rows beneath are free."""
     top = arr_rows
     rm = RowMap(
-        tile_width=tile_width,
         sum_row=top - 1, carry_row=top - 2, aux1=top - 3, aux2=top - 4,
         aux3=top - 5, mask_row=top - 6,
         zeros=top - 7, ones=top - 8, lsb_mask=top - 9, msb_mask=top - 10,
@@ -228,22 +224,27 @@ def default_rowmap(arr_rows: int, tile_width: int) -> RowMap:
 # -- the emitter ---------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _shared_programs(rm: RowMap, policy: ExecPolicy, rows: int, cols: int) -> dict:
-    """The `programs` table every executing emitter on one array shape shares."""
+def _shared_programs(rm: RowMap, policy: ExecPolicy, lane: int, rows: int, cols: int) -> dict:
+    """The `programs` table every executing emitter on one array shape shares.
+
+    Keyed on the lane, not the whole context: no stream names the modulus
+    (it lives in the constant rows), so every modulus of one lane shares it.
+    """
     return {}
 
 
 class Emitter:
     """The one handle for emitting a micro-op program.  Every ``emit_*`` and
-    every body takes it first and finds the scratch and constant rows, and
-    the tile width its streams are compiled and checked at, in its row map
-    `rm`; only operand rows are arguments.
+    every body takes it first and finds the Montgomery context `ctx` (the
+    word width, and the lane width its streams are compiled and checked at)
+    and the scratch and constant rows in its row map `rm`; only operand rows
+    are arguments.
 
     Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
     and keeps `programs`: one stream per (body, static arguments), compiled
     once with its operand rows as placeholders (``compiled``).  Executing
-    emitters of one row map, policy and array shape share one table, so a
-    stream is compiled and generated once per shape.
+    emitters of one row map, policy, lane and array shape share one table,
+    so a stream is compiled and generated once per shape.
 
     Without an array it collects: ``run`` appends a stream's bound ops and
     marks, and ``stream`` hands them over.  With one it executes: ``run``
@@ -253,16 +254,19 @@ class Emitter:
     stream runs.  The array's trace logs both.
     """
 
-    __slots__ = ("rm", "policy", "arr", "ops", "obs_marks", "step_marks", "programs")
+    __slots__ = ("ctx", "rm", "policy", "arr", "ops", "obs_marks", "step_marks", "programs")
 
-    def __init__(self, rm: RowMap, policy: ExecPolicy, arr: Subarray | None = None):
+    def __init__(self, ctx: MontgomeryContext, rm: RowMap, policy: ExecPolicy,
+                 arr: Subarray | None = None):
+        self.ctx = ctx
         self.rm = rm
         self.policy = policy
         self.arr = arr
         self.ops: list[tuple] = []
         self.obs_marks: dict[int, str] = {}
         self.step_marks: list[tuple[int, int]] = []
-        self.programs = {} if arr is None else _shared_programs(rm, policy, arr.rows, arr.cols)
+        self.programs = {} if arr is None else _shared_programs(
+            rm, policy, ctx.lane_width, arr.rows, arr.cols)
 
     def act(self, a: int, b: int, mode: str) -> None:
         self.ops.append((ACTIVATE2, a, b, mode))
@@ -285,7 +289,7 @@ class Emitter:
 
     def shift_mask(self, direction: str) -> None:
         """Predication-mask smear shift; always tile-masked."""
-        self.ops.append((SHIFT, direction, TILE, self.rm.tile_width, 0))
+        self.ops.append((SHIFT, direction, TILE, self.ctx.lane_width, 0))
 
     def ztest(self) -> bool:
         if self.arr is None:
@@ -302,7 +306,7 @@ class Emitter:
         if self.arr is not None and self.ops:
             ops, obs_marks = self.ops, self.obs_marks
             self.ops, self.obs_marks, self.step_marks = [], {}, []
-            execute(self.arr, ops, obs_marks, self.rm.tile_width)
+            execute(self.arr, ops, obs_marks, self.ctx.lane_width)
 
     def stream(self) -> CommandStream:
         """The ops collected so far, with the indices of those naming a placeholder."""
@@ -324,11 +328,11 @@ class Emitter:
 
     def compiled(self, body, operands: int, *static) -> CommandStream:
         """body(E, *placeholders, *static) compiled once for this emitter, on
-        a collecting emitter with the same row map and policy."""
+        a collecting emitter with the same context, row map and policy."""
         key = (body, static)
         stream = self.programs.get(key)
         if stream is None:
-            C = Emitter(self.rm, self.policy)
+            C = Emitter(self.ctx, self.rm, self.policy)
             body(C, *_OPERANDS[:operands], *static)
             stream = self.programs[key] = C.stream()
         return stream
@@ -337,18 +341,20 @@ class Emitter:
         """Run a compiled stream with its placeholders bound to `rows`.
 
         Without an array, append the bound ops and the stream's marks.  With
-        one (no op may be pending: it would run after the stream), call the
-        function ``subarray.generate`` makes of it at its first run, which
-        logs the run and binds no rows."""
+        one, call the function ``subarray.generate`` makes of it at its first
+        run, which logs the run and binds no rows; a pending op would run
+        after the stream, so it raises ParameterError instead."""
         if self.arr is None:
             base = len(self.ops)
             self.ops += stream.bind(rows)
             self.obs_marks.update((base + i, edge) for i, edge in stream.obs_marks.items())
             self.step_marks += [(base + i, k) for i, k in stream.step_marks]
             return
+        if self.ops:
+            raise ParameterError(f"{len(self.ops)} ops still pending: flush before running a stream")
         program = stream.program
         if program is None:
-            program = stream.program = generate(self.arr, stream, self.rm.tile_width, len(rows))
+            program = stream.program = generate(self.arr, stream, self.ctx.lane_width, len(rows))
         program(self.arr, rows)
 
 
@@ -382,7 +388,7 @@ def emit_smear(E, row: int, temp: int, toward_msb: bool) -> None:
     smear toward the MSB stays tile-masked, which keeps a multiplication's
     global shifts at exactly n + popcount(A).
     """
-    w = E.rm.tile_width
+    w = E.ctx.lane_width
     span = 1
     while span < w:
         stride = min(span, w - span)
@@ -398,11 +404,11 @@ def emit_smear(E, row: int, temp: int, toward_msb: bool) -> None:
     E.flush()
 
 
-def emit_modmul(E, a_value: int, width: int, b_row: int) -> None:
+def emit_modmul(E, a_value: int, b_row: int) -> None:
     """The carry-save Montgomery loop for the compile-time constant A = a_value.
 
     Runs three compiled streams: a 3-op prologue zeroing Sum and Carry
-    (leaving latch == Carry), then per bit position i in [0, width) the
+    (leaving latch == Carry), then per bit position i in [0, E.ctx.width) the
     add-B block when a_i is 1, always followed by the m-selection and
     halving block.  Invariant between iterations: the last writeback was
     Carry, so the latch already holds the word the next left shift needs.
@@ -412,7 +418,7 @@ def emit_modmul(E, a_value: int, width: int, b_row: int) -> None:
     halve = E.compiled(_modmul_halve, 0)
     E.run(E.compiled(_modmul_prologue, 0))
     rows = (b_row,)
-    for i in range(width):
+    for i in range(E.ctx.width):
         if (a_value >> i) & 1:
             E.run(add_b, rows)
         E.run(halve)
@@ -519,7 +525,7 @@ def _ripple(E, cur: int, other: int, cs_row: int, dest_row: int,
     no_wrap add shifts as data, globally, and the "msb" mark checks the
     promise live.
     """
-    w = E.rm.tile_width
+    w = E.ctx.lane_width
     shift = partial(E.shift_data, LEFT, "msb") if no_wrap else partial(E.shift_mask, LEFT)
     if E.policy.deterministic:
         for k in range(w):
@@ -590,10 +596,14 @@ def _resolve(E, dest_row: int) -> None:
 
 
 def emit_modadd(E, a_row: int, b_row: int, dest_row: int) -> None:
-    """dest := (a + b) mod M.  Needs the headroom bit (M < 2^(lane-1)).
+    """dest := (a + b) mod M.  Needs the headroom bit (M < 2^(lane-1)):
+    without it, raises ParameterError before emitting anything.
 
     Works in the first five scratch rows that are none of a, b and dest.
     """
+    if not E.ctx.has_headroom:
+        raise ParameterError(f"modular add needs a headroom bit: modulus {E.ctx.modulus}, "
+                             f"lane {E.ctx.lane_width}")
     rows = (a_row, b_row, dest_row)
     E.block(_modadd, rows, _pool_for(E.rm, rows))
 
@@ -612,9 +622,13 @@ def _modadd(E, a_row: int, b_row: int, dest_row: int,
 
 def emit_modsub(E, a_row: int, b_row: int, dest_row: int) -> None:
     """dest := (a - b) mod M via two's complement; conditional +M by sign mask.
+    Needs the headroom bit, as ``emit_modadd`` does.
 
     Works in the first five scratch rows that are none of a, b and dest.
     """
+    if not E.ctx.has_headroom:
+        raise ParameterError(f"modular subtract needs a headroom bit: modulus {E.ctx.modulus}, "
+                             f"lane {E.ctx.lane_width}")
     rows = (a_row, b_row, dest_row)
     E.block(_modsub, rows, _pool_for(E.rm, rows))
 
@@ -666,37 +680,7 @@ def compile_twiddle_commands(a_value: int, ctx: MontgomeryContext, rm: RowMap,
     rm.validate()
     if b_row in rm.scratch_rows() + rm.constant_rows():
         raise AddressError(f"multiplicand row {b_row} is a scratch or constant row")
-    E = Emitter(rm, policy)
-    emit_modmul(E, a_value, ctx.width, b_row)
+    E = Emitter(ctx, rm, policy)
+    emit_modmul(E, a_value, b_row)
     return E.stream()
 
-
-def _headroom_or_raise(ctx: MontgomeryContext) -> None:
-    if not ctx.has_headroom:
-        raise ParameterError(
-            f"modulus {ctx.modulus} needs a headroom bit for modular add/sub "
-            f"(lane {ctx.lane_width})"
-        )
-
-
-# bp_modadd and bp_modsub check, from the MontgomeryContext no emit_* sees,
-# that the lane has the headroom bit modular add and subtract need.
-
-def bp_modadd(arr: Subarray, rm: RowMap, a_row: int, b_row: int, ctx: MontgomeryContext,
-              dest_row: int | None = None, policy: ExecPolicy = ExecPolicy()) -> int:
-    """dest := (a + b) mod M for residue operands."""
-    _headroom_or_raise(ctx)
-    if dest_row is None:
-        dest_row = rm.aux1
-    emit_modadd(Emitter(rm, policy, arr), a_row, b_row, dest_row)
-    return dest_row
-
-
-def bp_modsub(arr: Subarray, rm: RowMap, a_row: int, b_row: int, ctx: MontgomeryContext,
-              dest_row: int | None = None, policy: ExecPolicy = ExecPolicy()) -> int:
-    """dest := (a - b) mod M for residue operands."""
-    _headroom_or_raise(ctx)
-    if dest_row is None:
-        dest_row = rm.aux1
-    emit_modsub(Emitter(rm, policy, arr), a_row, b_row, dest_row)
-    return dest_row

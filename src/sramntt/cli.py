@@ -271,6 +271,9 @@ def cmd_trace_replay(trace_path: str, state_path: str) -> int:
         if len(want_cells) != rows:
             raise TraceIOError(f"malformed state file {state_path}: "
                                f"{len(want_cells)} cells for {rows} rows")
+        if want_latch >> cols or any(cell >> cols for cell in want_cells):
+            raise TraceIOError(f"malformed state file {state_path}: "
+                               f"a word wider than {cols} columns")
         arr = replay(ops, rows, cols)
     except (AddressError, DimensionError, TileGeometryError) as exc:
         raise TraceIOError(f"{trace_path} does not replay on {state_path}: {exc}") from exc

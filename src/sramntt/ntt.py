@@ -241,7 +241,7 @@ def layout_plan(rows: int, cols: int, width: int, order: int) -> TileLayout:
     resident = resident_rows(rows, order)
     if resident < 1:
         raise CapacityError(f"{rows} rows leave too few coefficient slots")
-    rowmap = default_rowmap(rows, width)
+    rowmap = default_rowmap(rows)
     return TileLayout(
         rows=rows, cols=cols, tile_width=width, tiles=tiles, order=order,
         coeff_rows=tuple(range(resident)), rowmap=rowmap,
@@ -288,7 +288,7 @@ class TransformUnit:
         self.policy = policy
         self.arr = Subarray(rows, cols)
         self.rm = self.layout.rowmap
-        self.emitter = Emitter(self.rm, policy, self.arr)
+        self.emitter = Emitter(self.ctx, self.rm, policy, self.arr)
         load_constants(self.arr, self.rm, self.ctx)
         self._host: list[int] = [0] * ring.order        # packed row per coefficient
         self._slot_virt: list[int | None] = [None] * self.layout.resident_rows
@@ -349,7 +349,7 @@ class TransformUnit:
         E = self.emitter
         for c in range(self.ring.order):
             row = self._ensure(c)
-            emit_modmul(E, scaled_values[c], self.ctx.width, b_row=row)
+            emit_modmul(E, scaled_values[c], b_row=row)
             emit_resolve(E, row)
 
     def forward(self) -> None:
@@ -360,7 +360,7 @@ class TransformUnit:
         for j, length, k in _forward_schedule(self.ring.order):
             rj = self._ensure(j)
             rl = self._ensure(j + length)
-            emit_modmul(E, fwd[k], self.ctx.width, b_row=rl)
+            emit_modmul(E, fwd[k], b_row=rl)
             emit_resolve(E, rm.mask_row)
             emit_modsub(E, rj, rm.mask_row, rl)
             emit_modadd(E, rj, rm.mask_row, rj)
@@ -382,7 +382,7 @@ class TransformUnit:
             E.act(rm.mask_row, rm.zeros, OR)
             E.wb(rl)
             E.flush()
-            emit_modmul(E, inv[k], self.ctx.width, b_row=rl)
+            emit_modmul(E, inv[k], b_row=rl)
             emit_resolve(E, rl)
             self.butterflies += 1
         self._scale_rows([self.table.scale_inv_r] * self.ring.order)

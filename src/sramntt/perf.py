@@ -250,13 +250,6 @@ def shift_baseline_ratio(stats: SimStats, order: int, width: int) -> float:
 
 # -- analytic micro-op counting (no array execution) -------------------------
 
-def _dummy_env(width: int):
-    modulus = (1 << (width - 1)) - 1          # odd, keeps lane == width
-    ctx = MontgomeryContext.create(modulus, width)
-    rm = default_rowmap(64, ctx.lane_width)
-    return ctx, rm
-
-
 @lru_cache(maxsize=None)
 def primitive_counts(width: int, kind: str, popcount: int = 0) -> dict:
     """Micro-op counts of one compiled primitive at a given lane width.
@@ -265,11 +258,12 @@ def primitive_counts(width: int, kind: str, popcount: int = 0) -> dict:
     executed traces exactly.  kind: modmul | resolve | modadd | modsub.
     Memoized; callers must not change the dict it returns.
     """
-    ctx, rm = _dummy_env(width)
-    E = Emitter(rm, ExecPolicy())
+    modulus = (1 << (width - 1)) - 1          # odd, keeps lane == width
+    E = Emitter(MontgomeryContext.create(modulus, width), default_rowmap(64), ExecPolicy())
+    rm = E.rm
     coeff_a, coeff_b = 0, 1
     if kind == "modmul":
-        emit_modmul(E, (1 << popcount) - 1, width, b_row=coeff_b)
+        emit_modmul(E, (1 << popcount) - 1, b_row=coeff_b)
     elif kind == "resolve":
         emit_resolve(E, rm.mask_row)
     elif kind == "modadd":

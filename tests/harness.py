@@ -33,9 +33,9 @@ class ModmulBench:
         self.lane = self.ctx.lane_width
         self.tiles = tiles_in(cols, self.lane)
         self.arr = Subarray(rows, cols)
-        self.rm = default_rowmap(rows, self.lane)
+        self.rm = default_rowmap(rows)
         self.policy = ExecPolicy()
-        self.emitter = Emitter(self.rm, self.policy, self.arr)
+        self.emitter = Emitter(self.ctx, self.rm, self.policy, self.arr)
         load_constants(self.arr, self.rm, self.ctx)
 
     def run(self, a_value: int, b_values) -> list[int]:
@@ -44,7 +44,7 @@ class ModmulBench:
         reduced = [b % m for b in b_values]
         self.arr.write_row(B_ROW, pack_words(
             reduced + [0] * (self.tiles - len(reduced)), self.lane, self.arr.cols))
-        emit_modmul(self.emitter, a_value, self.ctx.width, b_row=B_ROW)
+        emit_modmul(self.emitter, a_value, b_row=B_ROW)
         emit_resolve(self.emitter, self.rm.mask_row)
         bits = self.arr.read_row(self.rm.mask_row)
         return [unpack_word(bits, t, self.lane) for t in range(len(b_values))]

@@ -109,7 +109,7 @@ def test_criterion_1_worked_example():
         ctx = MontgomeryContext.create(7, 3, lane_width=lane)
         w = ctx.lane_width
         arr = Subarray(32, 32)
-        rm = default_rowmap(32, w)
+        rm = default_rowmap(32)
         load_constants(arr, rm, ctx)
         arr.write_row(B_ROW, broadcast_word(3, w, arr.cols))
         stream = compile_twiddle_commands(4, ctx, rm, B_ROW)
@@ -138,7 +138,7 @@ def test_criterion_1_worked_example():
                 assert seen[tag][key] == val, (lane, tag, key, seen[tag])
         # final carry-save pair is Sum=001, Carry=010 -> P = 001 + 010<<1 = 5
         assert seen[(2, 7)]["sum"] == 1 and seen[(2, 7)]["carry"] == 2
-        emit_resolve(Emitter(rm, ExecPolicy(), arr), rm.mask_row)
+        emit_resolve(Emitter(ctx, rm, ExecPolicy(), arr), rm.mask_row)
         got = unpack_word(arr.read_row(rm.mask_row), 0, w)
         assert got == 5
     report(1, True, "modmul(4,3,7,3) resolves to 5; per-step states match the figure")
@@ -165,7 +165,7 @@ def test_criterion_4_observation_invariants(exhaustive_sweep):
     for width in (3, 5, 8, 16):
         modulus = (1 << (width - 1)) - 1
         ctx = MontgomeryContext.create(modulus, width)
-        rm = default_rowmap(64, ctx.lane_width)
+        rm = default_rowmap(64)
         stream = compile_twiddle_commands(rng.randrange(1 << width), ctx, rm, B_ROW)
         for idx, op in enumerate(stream.ops):
             if op[0] == SHIFT and op[2] == GLOBAL and idx not in stream.obs_marks:
@@ -249,7 +249,7 @@ def test_criterion_6_implicit_shift(canonical_run):
     for width in (3, 4, 8, 16, 24):
         modulus = (1 << (width - 1)) - 1
         ctx = MontgomeryContext.create(modulus, width)
-        rm = default_rowmap(64, ctx.lane_width)
+        rm = default_rowmap(64)
         for _ in range(8):
             a = rng.randrange(1 << width)
             stream = compile_twiddle_commands(a, ctx, rm, B_ROW)

@@ -11,8 +11,6 @@ from sramntt.bitparallel import (
     Emitter,
     ExecPolicy,
     MontgomeryContext,
-    bp_modadd,
-    bp_modsub,
     broadcast_word,
     compile_twiddle_commands,
     default_rowmap,
@@ -50,7 +48,7 @@ def fresh_programs():
 def fresh(modulus, width, cols=32, rows=32):
     ctx = MontgomeryContext.create(modulus, width)
     arr = Subarray(rows, cols)
-    rm = default_rowmap(rows, ctx.lane_width)
+    rm = default_rowmap(rows)
     load_constants(arr, rm, ctx)
     return ctx, arr, rm
 
@@ -112,10 +110,10 @@ def test_a_row_map_has_no_row_below_0():
     put the modulus rows at -1 and -2, which streams read as placeholders."""
     ctx = MontgomeryContext.create(7, 4)
     with pytest.raises(AddressError, match="row -2, below 0"):
-        compile_twiddle_commands(5, ctx, default_rowmap(10, 4), b_row=12)
+        compile_twiddle_commands(5, ctx, default_rowmap(10), b_row=12)
     with pytest.raises(AddressError, match="row -1, below 0"):
-        default_rowmap(11, 4)
-    assert min(default_rowmap(12, 4).constant_rows()) == 0
+        default_rowmap(11)
+    assert min(default_rowmap(12).constant_rows()) == 0
 
 
 def test_stream_is_deterministic():
@@ -177,13 +175,13 @@ def test_bp_modmul_stream_api_and_resolve():
     ctx, arr, rm = fresh(7, 3)
     arr.write_row(B_ROW, broadcast_word(3, ctx.lane_width, arr.cols))
     start = len(arr.trace)
-    emit_modmul(Emitter(rm, ExecPolicy(), arr), 4, ctx.width, B_ROW)
+    emit_modmul(Emitter(ctx, rm, ExecPolicy(), arr), 4, B_ROW)
     assert arr.trace[start:] == compile_twiddle_commands(4, ctx, rm, B_ROW).ops
     lane = ctx.lane_width
     s = unpack_word(arr.read_row(rm.sum_row), 0, lane)
     c = unpack_word(arr.read_row(rm.carry_row), 0, lane)
     assert s + 2 * c == 5 and s + 2 * c < 2 * 7
-    emit_resolve(Emitter(rm, ExecPolicy(), arr), rm.mask_row)
+    emit_resolve(Emitter(ctx, rm, ExecPolicy(), arr), rm.mask_row)
     assert unpack_word(arr.read_row(rm.mask_row), 0, lane) == 5
 
 
@@ -194,7 +192,7 @@ def test_observation_check_fires_on_live_carry_top_bit():
     arr.write_row(rm.carry_row, broadcast_word(1 << (lane - 1), lane, arr.cols))
     arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
     with pytest.raises(ObservationError):
-        emit_resolve(Emitter(rm, ExecPolicy(), arr), rm.mask_row)
+        emit_resolve(Emitter(ctx, rm, ExecPolicy(), arr), rm.mask_row)
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
@@ -204,14 +202,15 @@ def test_observation_check_fires_on_live_half_sum_low_bit(policy):
     lane = ctx.lane_width
     arr.write_row(rm.modulus_row, broadcast_word(6, lane, arr.cols))
     arr.write_row(B_ROW, broadcast_word(3, lane, arr.cols))   # Sum = 3 after bit 0 of A
-    E = Emitter(rm, policy, arr)
+    E = Emitter(ctx, rm, policy, arr)
     with pytest.raises(ObservationError, match="low bit"):
-        emit_modmul(E, 1, ctx.width, B_ROW)
+        emit_modmul(E, 1, B_ROW)
 
 
 def _butterfly_compiled(E, rm, width, a_row, b_row, twiddle, pool):
-    """`pool` goes unused: emit_modsub and emit_modadd work it out."""
-    emit_modmul(E, twiddle, width, b_row)
+    """`width` and `pool` go unused: emit_modmul reads the width from the
+    emitter's context, and emit_modsub and emit_modadd work the pool out."""
+    emit_modmul(E, twiddle, b_row)
     emit_resolve(E, rm.mask_row)
     emit_modsub(E, a_row, rm.mask_row, b_row)
     emit_modadd(E, a_row, rm.mask_row, a_row)
@@ -241,7 +240,7 @@ def test_compiled_primitives_run_the_emitted_ops(policy):
             arr.write_row(row, pack_words([rng.randrange(7681) for _ in range(4)],
                                           ctx.lane_width, arr.cols))
         compiled = butterfly is _butterfly_compiled
-        E = Emitter(rm, policy, arr if compiled else None)
+        E = Emitter(ctx, rm, policy, arr if compiled else None)
         pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
         for a_row, b_row, twiddle in ((1, 2, 0xB5A3), (3, 1, 0x0F0F), (2, 3, 0xB5A3)):
             butterfly(E, rm, ctx.width, a_row, b_row, twiddle, pool)
@@ -272,7 +271,7 @@ def test_every_emit_returns_with_its_ops_run(policy, warm_up, fresh_programs):
         arr.write_row(row, pack_words([rng.randrange(7681) for _ in range(4)],
                                       ctx.lane_width, arr.cols))
     emits = [
-        lambda E: emit_modmul(E, 0xB5A3, ctx.width, 1),
+        lambda E: emit_modmul(E, 0xB5A3, 1),
         lambda E: emit_resolve(E, 4),
         lambda E: emit_modadd(E, 1, 2, 5),
         lambda E: emit_modsub(E, 1, 2, 6),
@@ -283,16 +282,16 @@ def test_every_emit_returns_with_its_ops_run(policy, warm_up, fresh_programs):
         lambda E: emit_mask_select(E, 1, 2, 3, 8, 9),
     ]
     if warm_up is not None:
-        other = Emitter(rm, policy, fresh(7681, 16, cols=64)[1])
+        other = Emitter(ctx, rm, policy, fresh(7681, 16, cols=64)[1])
         warm_up(other, emits)
         assert all(stream.program for stream in other.programs.values())
-    E = Emitter(rm, policy, arr)
+    E = Emitter(ctx, rm, policy, arr)
     for emit in emits:
         start = len(arr.trace)
         emit(E)
         assert (E.ops, E.obs_marks, E.step_marks) == ([], {}, [])
         if policy.deterministic:
-            C = Emitter(rm, policy)
+            C = Emitter(ctx, rm, policy)
             emit(C)
             assert arr.trace[start:] == C.ops
         else:
@@ -300,8 +299,8 @@ def test_every_emit_returns_with_its_ops_run(policy, warm_up, fresh_programs):
 
 
 def test_a_collecting_emitter_cannot_zero_test():
-    rm = default_rowmap(32, 16)
-    E = Emitter(rm, ExecPolicy(deterministic=False))
+    ctx = MontgomeryContext.create(7681, 16)
+    E = Emitter(ctx, default_rowmap(32), ExecPolicy(deterministic=False))
     with pytest.raises(ParameterError, match="compiled ahead of time"):
         E.ztest()
     with pytest.raises(ParameterError, match="compiled ahead of time"):
@@ -313,10 +312,10 @@ def test_block_multiplier_equals_the_compiled_stream(fresh_programs):
     the bits of A, are the stream compile_twiddle_commands collects (ops, obs
     marks and step marks) and the trace an executing emitter leaves."""
     ctx, arr, rm = fresh(7681, 16)
-    E = Emitter(rm, ExecPolicy(), arr)
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
     for a in (0, 1, 0xFFFF, 0xB5A3):
         start = len(arr.trace)
-        emit_modmul(E, a, ctx.width, 5)
+        emit_modmul(E, a, 5)
         add_b = E.compiled(_modmul_add_b, 1)
         halve = E.compiled(_modmul_halve, 0)
         blocks = [(E.compiled(_modmul_prologue, 0), ())]
@@ -355,8 +354,8 @@ def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
 
     for lane in range(3, 25):
         arr = Subarray(32, 64)
-        rm = default_rowmap(32, lane)
-        E = Emitter(rm, policy, arr)
+        rm = default_rowmap(32)
+        E = Emitter(MontgomeryContext.create(3, 3, lane_width=lane), rm, policy, arr)
         pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
         blocks = [(E.compiled(_modmul_prologue, 0), 0),
                   (E.compiled(_modmul_add_b, 1), 1),
@@ -412,8 +411,8 @@ def test_the_trace_reads_like_the_list_of_its_ops(fresh_programs):
     """Indexing and slicing the log give what the expanded list gives, also
     after the log grows past the entries a first slice indexed."""
     ctx, arr, rm = fresh(7681, 16)
-    E = Emitter(rm, ExecPolicy(), arr)
-    emit_modmul(E, 0xB5A3, ctx.width, 5)
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
+    emit_modmul(E, 0xB5A3, 5)
     assert arr.trace[3:40] == list(arr.trace)[3:40]
     emit_resolve(E, 4)
     arr.write_row(6, 1)
@@ -436,7 +435,7 @@ def test_a_stream_is_generated_at_its_first_run(fresh_programs):
     """A compiled stream runs as its generated function from its first run,
     and later runs reuse it."""
     ctx, arr, rm = fresh(7681, 16)
-    E = Emitter(rm, ExecPolicy(), arr)
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
     stream = E.compiled(_resolve, 1)
     assert stream.program is None
     start = len(arr.trace)
@@ -446,6 +445,41 @@ def test_a_stream_is_generated_at_its_first_run(fresh_programs):
     assert arr.trace[start:] == stream.bind((rm.mask_row,))
     E.run(stream, (rm.mask_row,))
     assert stream.program is program
+
+
+def test_a_stream_does_not_run_ahead_of_pending_ops(fresh_programs):
+    """On an executing emitter, a stream run with ops still pending raises
+    and runs nothing: those ops would otherwise run after the stream."""
+    ctx, arr, rm = fresh(7681, 16)
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
+    E.act(1, rm.zeros, OR)
+    E.wb(0)
+    start = len(arr.trace)
+    with pytest.raises(ParameterError, match="2 ops still pending"):
+        emit_modmul(E, 3, b_row=0)
+    assert len(arr.trace) == start and len(E.ops) == 2
+    E.flush()
+    emit_modmul(E, 3, b_row=0)
+    C = Emitter(ctx, rm, ExecPolicy())
+    C.act(1, rm.zeros, OR)
+    C.wb(0)
+    emit_modmul(C, 3, b_row=0)                         # a collecting emitter keeps the order
+    assert arr.trace[start:] == C.ops
+
+
+def test_moduli_of_one_lane_share_a_program_table(fresh_programs):
+    """The shared table is keyed on the lane, not on the modulus: no stream
+    names the modulus, so 7681 and 12289 in 16-bit lanes share one table,
+    and a 14-bit lane gets its own."""
+    rm = default_rowmap(32)
+
+    def table(modulus, width):
+        ctx = MontgomeryContext.create(modulus, width)
+        return Emitter(ctx, rm, ExecPolicy(), Subarray(32, 64)).programs
+
+    assert table(7681, 16) is table(12289, 16)
+    assert table(7681, 14) is not table(7681, 16)
+    assert MontgomeryContext.create(7681, 14).lane_width == 14
 
 
 def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
@@ -480,7 +514,7 @@ def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
     tables = [first.emitter.programs] + [u.emitter.programs for u in others]
     assert len({id(t) for t in tables}) == 4
     assert len(calls) == 4 * 6
-    assert not Emitter(first.rm, ExecPolicy()).programs       # a collecting emitter's own
+    assert not Emitter(first.ctx, first.rm, ExecPolicy()).programs       # a collecting emitter's own
 
 
 def test_a_dropped_unit_frees_its_array_without_the_cycle_collector(fresh_programs):
@@ -516,7 +550,7 @@ def test_select_m_per_tile():
     lane = ctx.lane_width
     assert lane == 4
     arr.write_row(rm.sum_row, pack_words([0b011, 0b010], lane, arr.cols))
-    emit_select_m(Emitter(rm, ExecPolicy(), arr))
+    emit_select_m(Emitter(ctx, rm, ExecPolicy(), arr))
     bits = arr.read_row(rm.mask_row)
     assert unpack_word(bits, 0, lane) == 7            # odd Sum: m = M
     assert unpack_word(bits, 1, lane) == 0            # even Sum: m = 0
@@ -525,7 +559,7 @@ def test_select_m_per_tile():
 def test_resolve_examples_and_random():
     ctx, arr, rm = fresh(7, 3)
     lane = ctx.lane_width
-    E = Emitter(rm, ExecPolicy(), arr)
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
 
     def resolve_pair(s, c):
         arr.write_row(rm.sum_row, broadcast_word(s, lane, arr.cols))
@@ -552,7 +586,7 @@ def test_bp_add_mod_2n():
     """emit_add, which the removed bp_add wrapped: (a + b) mod 2^lane."""
     ctx, arr, rm = fresh(11, 4)
     lane = ctx.lane_width
-    E = Emitter(rm, ExecPolicy(), arr)
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
     rng = random.Random(9)
     for _ in range(30):
         x, y = rng.randrange(1 << lane), rng.randrange(1 << lane)
@@ -565,14 +599,13 @@ def test_bp_add_mod_2n():
 def test_modadd_modsub_examples():
     ctx, arr, rm = fresh(7, 4)                        # headroom: 7 < 2^3
     lane = ctx.lane_width
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
     arr.write_row(1, broadcast_word(3, lane, arr.cols))
     arr.write_row(2, broadcast_word(5, lane, arr.cols))
-    dest = bp_modadd(arr, rm, 1, 2, ctx, dest_row=3)
-    assert unpack_word(arr.read_row(dest), 0, lane) == 1
-    arr.write_row(1, broadcast_word(3, lane, arr.cols))
-    arr.write_row(2, broadcast_word(5, lane, arr.cols))
-    dest = bp_modsub(arr, rm, 1, 2, ctx, dest_row=3)
-    assert unpack_word(arr.read_row(dest), 0, lane) == 5
+    emit_modadd(E, 1, 2, 3)
+    assert unpack_word(arr.read_row(3), 0, lane) == 1
+    emit_modsub(E, 1, 2, 3)
+    assert unpack_word(arr.read_row(3), 0, lane) == 5
 
 
 def test_modadd_modsub_random_wide():
@@ -581,6 +614,7 @@ def test_modadd_modsub_random_wide():
     ctx, arr, rm = fresh(modulus, width, cols=256)
     lane = ctx.lane_width
     tiles = arr.cols // lane
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
     rng = random.Random(13)
     cases = 0
     while cases < 10_000:
@@ -588,8 +622,9 @@ def test_modadd_modsub_random_wide():
         batch_b = [rng.randrange(modulus) for _ in range(tiles)]
         arr.write_row(1, pack_words(batch_a, lane, arr.cols))
         arr.write_row(2, pack_words(batch_b, lane, arr.cols))
-        add_bits = arr.read_row(bp_modadd(arr, rm, 1, 2, ctx, dest_row=3))
-        sub_bits = arr.read_row(bp_modsub(arr, rm, 1, 2, ctx, dest_row=4))
+        emit_modadd(E, 1, 2, 3)
+        emit_modsub(E, 1, 2, 4)
+        add_bits, sub_bits = arr.read_row(3), arr.read_row(4)
         for t, (a, b) in enumerate(zip(batch_a, batch_b)):
             add = unpack_word(add_bits, t, lane)
             sub = unpack_word(sub_bits, t, lane)
@@ -599,13 +634,21 @@ def test_modadd_modsub_random_wide():
         cases += tiles
 
 
-def test_modadd_requires_headroom():
+def test_modadd_and_modsub_require_headroom(fresh_programs):
+    """Without a headroom bit either call raises before it emits, compiles
+    or runs anything, on an executing and on a collecting emitter."""
     ctx = MontgomeryContext.create(7, 3, lane_width=3)   # forced: no headroom
     arr = Subarray(32, 32)
-    rm = default_rowmap(32, ctx.lane_width)
+    rm = default_rowmap(32)
     load_constants(arr, rm, ctx)
-    with pytest.raises(ParameterError):
-        bp_modadd(arr, rm, 1, 2, ctx)
+    start = len(arr.trace)
+    for emit in (emit_modadd, emit_modsub):
+        for policy in (ExecPolicy(), ExecPolicy(deterministic=False)):
+            for E in (Emitter(ctx, rm, policy, arr), Emitter(ctx, rm, policy)):
+                with pytest.raises(ParameterError, match="headroom bit"):
+                    emit(E, 1, 2, 3)
+                assert (E.ops, E.programs) == ([], {})
+    assert len(arr.trace) == start
 
 
 def test_data_dependent_mode_matches_deterministic():
@@ -615,14 +658,14 @@ def test_data_dependent_mode_matches_deterministic():
     for _ in range(10):
         a, b = rng.randrange(modulus), rng.randrange(modulus)
         arr = Subarray(32, 32)
-        rm = default_rowmap(32, ctx.lane_width)
+        rm = default_rowmap(32)
         load_constants(arr, rm, ctx)
         lane = ctx.lane_width
         arr.write_row(1, broadcast_word(a, lane, arr.cols))
         arr.write_row(2, broadcast_word(b, lane, arr.cols))
         dd = ExecPolicy(deterministic=False)
-        add = bp_modadd(arr, rm, 1, 2, ctx, dest_row=3, policy=dd)
-        assert unpack_word(arr.read_row(add), 0, lane) == (a + b) % modulus
+        emit_modadd(Emitter(ctx, rm, dd, arr), 1, 2, 3)
+        assert unpack_word(arr.read_row(3), 0, lane) == (a + b) % modulus
         # data-dependent traces contain zero tests; deterministic ones do not
         assert any(op[0] == "ZERO_TEST" for op in arr.trace)
 
@@ -630,7 +673,7 @@ def test_data_dependent_mode_matches_deterministic():
 def test_tile_scope_all_policy_still_correct():
     bench = ModmulBench(7681, 16)
     bench.policy = ExecPolicy(tile_scope_all=True)
-    bench.emitter = Emitter(bench.rm, bench.policy, bench.arr)
+    bench.emitter = Emitter(bench.ctx, bench.rm, bench.policy, bench.arr)
     rng = random.Random(3)
     for _ in range(5):
         a, b = rng.randrange(1 << 16), rng.randrange(7681)
@@ -672,13 +715,13 @@ def test_tail_shift_scopes(modulus, width):
     ctx = MontgomeryContext.create(modulus, width)
     w = ctx.lane_width
     assert w == width
-    rm = default_rowmap(64, w)
+    rm = default_rowmap(64)
     want = {"resolve": (2 * w, w), "modadd": (2 * w - 1, w), "modsub": (w - 1, 2 * w)}
     for policy in (ExecPolicy(), ExecPolicy(tile_scope_all=True)):
         for name, emit in (("resolve", lambda E: emit_resolve(E, rm.mask_row)),
                            ("modadd", lambda E: emit_modadd(E, 0, rm.mask_row, 0)),
                            ("modsub", lambda E: emit_modsub(E, 0, rm.mask_row, 1))):
-            E = Emitter(rm, policy)
+            E = Emitter(ctx, rm, policy)
             emit(E)
             counts = counts_of_trace(E.ops)
             shifts = (counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"])
@@ -698,7 +741,7 @@ def test_mask_select_is_three_activations():
     for row, words in ((1, take), (2, other), (3, sel)):
         arr.write_row(row, pack_words(words, lane, arr.cols))
     start = len(arr.trace)
-    emit_mask_select(Emitter(rm, ExecPolicy(), arr), 1, 2, 3, 4, 5)
+    emit_mask_select(Emitter(ctx, rm, ExecPolicy(), arr), 1, 2, 3, 4, 5)
     ops = arr.trace[start:]
     assert sum(op[0] == ACTIVATE2 for op in ops) == 3
     assert sum(op[0] == WRITEBACK for op in ops) == 3
@@ -720,7 +763,7 @@ def test_modadd_modsub_resolve_exhaustive(policy, modulus, width):
     lane = ctx.lane_width
     assert lane == width
     tiles = arr.cols // lane
-    E = Emitter(rm, policy, arr)
+    E = Emitter(ctx, rm, policy, arr)
     pairs = [(a, b) for a in range(modulus) for b in range(modulus)]
     for batch in _residue_batches(pairs, tiles):
         arr.write_row(1, pack_words([a for a, _ in batch], lane, arr.cols))
@@ -754,7 +797,7 @@ def test_no_wrap_add_raises_on_a_carry_out_of_the_lane(deterministic):
     def add(x, y, no_wrap):
         arr.write_row(1, pack_words([x, 3, 3, 3], lane, arr.cols))
         arr.write_row(2, pack_words([y, 4, 4, 4], lane, arr.cols))
-        emit_add(Emitter(rm, policy, arr), 1, 2, 3, rm.aux1, rm.aux2,
+        emit_add(Emitter(ctx, rm, policy, arr), 1, 2, 3, rm.aux1, rm.aux2,
                  rm.mask_row, no_wrap=no_wrap)
         return unpack_word(arr.read_row(3), 0, lane)
 
@@ -773,7 +816,7 @@ def test_modadd_modsub_with_scratch_operands(policy):
     modulus = 7681
     ctx, arr, rm = fresh(modulus, 16, cols=64)
     lane = ctx.lane_width
-    E = Emitter(rm, policy, arr)
+    E = Emitter(ctx, rm, policy, arr)
     rng = random.Random(31)
     cases = [(1, 2, rm.aux1), (rm.mask_row, 2, 1), (1, rm.mask_row, 1),
              (rm.sum_row, 2, rm.sum_row), (1, 2, rm.mask_row), (2, rm.aux3, 3)]
@@ -808,3 +851,5 @@ def test_the_emitter_is_the_only_row_map_argument():
         assert list(params)[0] in ("E", "self"), fn.__name__
     for fn in (emit_modadd, emit_modsub):
         assert list(inspect.signature(fn).parameters) == ["E", "a_row", "b_row", "dest_row"]
+    # the word width comes from the emitter's context, as the lane does
+    assert list(inspect.signature(emit_modmul).parameters) == ["E", "a_value", "b_row"]

@@ -228,6 +228,24 @@ def test_replay_rejects_short_state_file(tmp_path, capsys):
     assert "malformed state file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("cells", ["1ff"] + ["0"] * 7),
+                                         ("cells", ["0"] * 7 + ["100"]), ("latch", "100")])
+def test_replay_rejects_a_word_wider_than_the_state_columns(tmp_path, capsys, field, value):
+    """`run --state` never writes a word of more than `cols` bits: an 8-column
+    state holding one is malformed (exit 5), where an 8-bit word that differs
+    from the replay is a mismatch (exit 3)."""
+    trace = tmp_path / "one.trace"
+    state = tmp_path / "wide.state"
+    trace.write_text("0 WRITEBACK 0\n")
+    payload = {"rows": 8, "cols": 8, "latch": "0", "cells": ["0"] * 8}
+    state.write_text(json.dumps({**payload, "cells": ["ff"] + ["0"] * 7}))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 3
+    capsys.readouterr()
+    state.write_text(json.dumps({**payload, field: value}))
+    assert run_cli(["trace-replay", str(trace), str(state)]) == 5
+    assert "wider than 8 columns" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,value", [
     ("rows", 8.9), ("rows", "8"), ("rows", True), ("cols", "8"), ("cols", 8.0),
     ("cells", ["0x0"] * 8), ("cells", ["A"] + ["0"] * 7), ("cells", ["-0"] * 8),

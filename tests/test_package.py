@@ -15,7 +15,8 @@ REMOVED = ("bp_modmul", "run_stream", "MicroOp", "microop_view", "counts_of_ops"
            "apply_op", "create_subarray", "radix_inverse", "to_dict", "from_dict",
            "negacyclic", "tile_origin", "spill_map", "generated", "step_callback",
            "omega", "b_row", "snapshot", "bits_from_list", "bits_to_list",
-           "select_m", "resolve_carry_save", "bp_add", "to_text")
+           "select_m", "resolve_carry_save", "bp_add", "to_text",
+           "bp_modadd", "bp_modsub", "_headroom_or_raise")
 
 
 def test_all_names_resolve():

@@ -339,7 +339,7 @@ def test_paper_steps_match_figure_steps(width):
     rng = random.Random(width)
     for modulus in ((1 << (width - 1)) - 1, (1 << width) - 1):   # with and without headroom
         ctx = MontgomeryContext.create(modulus, width)
-        rm = default_rowmap(64, ctx.lane_width)
+        rm = default_rowmap(64)
         smear = (ctx.lane_width - 1).bit_length()
         for a in (0, (1 << width) - 1, rng.randrange(1 << width), rng.randrange(1 << width)):
             stream = compile_twiddle_commands(a, ctx, rm, 0)
