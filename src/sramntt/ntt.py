@@ -165,26 +165,16 @@ def precompute_twiddles(ring: RingParams, ctx: MontgomeryContext) -> TwiddleTabl
 
     The Gentleman-Sande sweep visits the (length, start) blocks in reverse
     stage order, so inverse index k_i within the per-stage band [L, 2L) pairs
-    with forward index k_f = 3L - 1 - k_i; the stored value is the modular
-    inverse of that block's forward twiddle, Montgomery-scaled, which equals
-    the negated forward twiddle at k_i (psi^order = -1).
+    with forward index k_f = 3L - 1 - k_i; the block needs the modular
+    inverse of that forward twiddle, Montgomery-scaled, which equals the
+    negated forward twiddle at k_i (psi^order = -1).
     """
     q = ring.q
     r = ctx.radix % q
     bits = ring.log2_order
-    fwd_plain = [0] * ring.order
-    for k in range(1, ring.order):
-        fwd_plain[k] = pow(ring.psi, bit_reverse(k, bits), q)
-    inv = [0] * ring.order
-    band = 1
-    while band < ring.order:
-        for k_i in range(band, 2 * band):
-            k_f = 3 * band - 1 - k_i
-            inv[k_i] = pow(fwd_plain[k_f], -1, q) * r % q
-        band *= 2
-    fwd = [z * r % q for z in fwd_plain]
+    fwd = [0] + [pow(ring.psi, bit_reverse(k, bits), q) * r % q for k in range(1, ring.order)]
     n_inv = pow(ring.order, -1, q)
-    return TwiddleTable(forward=tuple(fwd), inverse=tuple(inv),
+    return TwiddleTable(forward=tuple(fwd), inverse=tuple(-z % q for z in fwd),
                         scale_inv_r=n_inv * r % q)
 
 
@@ -272,6 +262,20 @@ def _inverse_schedule(order: int):
         length *= 2
 
 
+def forward_butterfly(E, twiddle: int, rj: int, rl: int) -> None:
+    """One Cooley-Tukey butterfly on rows rj and rl: t = twiddle * a[rl] * R^-1,
+    then a[rl] := a[rj] - t and a[rj] := a[rj] + t, all mod q.
+
+    The product lands in the mask row, which modsub and modadd read as t.
+    ``TransformUnit.forward`` runs it and ``perf.butterfly_counts`` compiles it.
+    """
+    mask = E.rm.mask_row
+    emit_modmul(E, twiddle, b_row=rl)
+    emit_resolve(E, mask)
+    emit_modsub(E, rj, mask, rl)
+    emit_modadd(E, rj, mask, rj)
+
+
 class TransformUnit:
     """One subarray loaded for SIMD transforms: up to `tiles` polynomials,
     shared command schedule, host-swapped rows when the order outgrows the
@@ -355,15 +359,9 @@ class TransformUnit:
     def forward(self) -> None:
         """In-place forward transform; rows end up holding the bit-reversed spectrum."""
         E = self.emitter
-        rm = self.rm
         fwd = self.table.forward
         for j, length, k in _forward_schedule(self.ring.order):
-            rj = self._ensure(j)
-            rl = self._ensure(j + length)
-            emit_modmul(E, fwd[k], b_row=rl)
-            emit_resolve(E, rm.mask_row)
-            emit_modsub(E, rj, rm.mask_row, rl)
-            emit_modadd(E, rj, rm.mask_row, rj)
+            forward_butterfly(E, fwd[k], self._ensure(j), self._ensure(j + length))
             self.butterflies += 1
 
     def inverse(self) -> None:

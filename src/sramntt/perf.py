@@ -9,10 +9,10 @@ a 256-point 16-bit run lands near the published per-NTT energy scale; they
 are calibration inputs, not measured data, and everything derived from them
 scales linearly with the table.
 
-The sweep paths never execute the array: per-primitive micro-op counts come
-from compiling the same emitter code the executor runs (so they match real
-traces bit-for-bit; asserted in tests), and host-swap traffic is replayed by
-a residency-only bookkeeping loop.
+The sweep paths never execute the array: per-butterfly micro-op counts come
+from compiling ``ntt.forward_butterfly``, the code the transform runs (so
+they match real traces bit-for-bit; asserted in tests), and host-swap
+traffic is replayed by a residency-only bookkeeping loop.
 """
 
 from __future__ import annotations
@@ -28,13 +28,9 @@ from .bitparallel import (
     ExecPolicy,
     MontgomeryContext,
     default_rowmap,
-    emit_modadd,
-    emit_modmul,
-    emit_modsub,
-    emit_resolve,
 )
 from .errors import CapacityError, ParameterError, TraceIOError
-from .ntt import CONSTANT_ROWS, _forward_schedule, layout_plan
+from .ntt import CONSTANT_ROWS, _forward_schedule, forward_butterfly, layout_plan
 from .subarray import (
     ACTIVATE2,
     GLOBAL,
@@ -251,37 +247,19 @@ def shift_baseline_ratio(stats: SimStats, order: int, width: int) -> float:
 # -- analytic micro-op counting (no array execution) -------------------------
 
 @lru_cache(maxsize=None)
-def primitive_counts(width: int, kind: str, popcount: int = 0) -> dict:
-    """Micro-op counts of one compiled primitive at a given lane width.
-
-    Compiled through the same emitters the executor uses, so these match
-    executed traces exactly.  kind: modmul | resolve | modadd | modsub.
-    Memoized; callers must not change the dict it returns.
-    """
-    modulus = (1 << (width - 1)) - 1          # odd, keeps lane == width
-    E = Emitter(MontgomeryContext.create(modulus, width), default_rowmap(64), ExecPolicy())
-    rm = E.rm
-    coeff_a, coeff_b = 0, 1
-    if kind == "modmul":
-        emit_modmul(E, (1 << popcount) - 1, b_row=coeff_b)
-    elif kind == "resolve":
-        emit_resolve(E, rm.mask_row)
-    elif kind == "modadd":
-        emit_modadd(E, coeff_a, rm.mask_row, coeff_a)
-    elif kind == "modsub":
-        emit_modsub(E, coeff_a, rm.mask_row, coeff_b)
-    else:
-        raise ParameterError(f"unknown primitive {kind!r}")
-    return counts_of_trace(E.ops)
-
-
 def butterfly_counts(width: int, popcount: int) -> dict:
-    counts = empty_counts()
-    add_counts(counts, primitive_counts(width, "modmul", popcount))
-    add_counts(counts, primitive_counts(width, "resolve"))
-    add_counts(counts, primitive_counts(width, "modsub"))
-    add_counts(counts, primitive_counts(width, "modadd"))
-    return counts
+    """Micro-op counts of one forward butterfly at a given lane width.
+
+    Compiles ``ntt.forward_butterfly``, the code the transform runs, on a
+    collecting emitter, so these match executed traces exactly.  The
+    synthetic modulus 2^(width-1) - 1 keeps lane == width; a twiddle's cost
+    depends only on its popcount.  Memoized; callers must not change the
+    dict it returns.
+    """
+    ctx = MontgomeryContext.create((1 << (width - 1)) - 1, width)
+    E = Emitter(ctx, default_rowmap(64), ExecPolicy())
+    forward_butterfly(E, (1 << popcount) - 1, 0, 1)
+    return counts_of_trace(E.ops)
 
 
 @lru_cache(maxsize=16)
@@ -311,6 +289,13 @@ def estimate_forward_ntt(order: int, width: int, rows: int = 256, cols: int = 25
     popcounts: per-twiddle-index set-bit counts of the Montgomery-scaled
     twiddles; defaults to the synthetic average width//2 (used by sweeps at
     widths where no NTT-friendly modulus exists).
+
+    `width` is the lane width, and the butterflies are compiled with a
+    Montgomery word as wide as the lane.  A ring whose width leaves no
+    headroom bit runs a word one column narrower than its lane, so its
+    multiplications take one iteration fewer than estimated: q = 7681 at
+    width 13 (lane 14), order 16 on 64 x 64 executes 12,909 ACTIVATE2, and
+    the estimate is 13,325.
     """
     try:
         resident = layout_plan(rows, cols, width, order).resident_rows

@@ -205,7 +205,7 @@ class Subarray:
 
     def latch_is_zero(self) -> bool:
         """Wired-OR readout of the latch; used as a carry-loop termination test."""
-        execute(self, [(ZERO_TEST, None)])    # records the readout it makes
+        execute(self, [_ZERO_TESTS[self.latch == 0]])
         return self.latch == 0
 
     # -- state helpers ---------------------------------------------------
@@ -243,14 +243,11 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     geometry of a tile-scoped shift.  obs_marks maps the index of a shift to
     the lane edge ("msb" or "lsb") the carry-save invariants promise is zero
     in the latch; the check runs before that shift, whatever its scope, over
-    the full lanes of `lane` columns.  A ZERO_TEST that names a readout (as
-    every traced one does) raises VerificationError when the latch gives the
-    other.
+    the full lanes of `lane` columns.  A ZERO_TEST raises VerificationError
+    unless the readout it names is the one the latch gives.
 
     The trace logs the list `ops` itself, which the caller must then leave
-    as it is, unless an op raised or a ZERO_TEST named no readout: then it
-    logs a copy cut before the op that raised, each ZERO_TEST holding the
-    readout it made.
+    as it is, unless an op raised: then it logs a copy cut before that op.
 
     This loop runs traces, host I/O, the ops an emitter flushes (zero-test
     loops among them) and ``generate``'s error fallback; the functions
@@ -262,7 +259,6 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     latch = arr.latch
     if type(ops) is not list:
         ops = list(ops)
-    logged = ops                   # becomes a copy if a ZERO_TEST fills in its readout
     geometry = None                # (width, origin) of the tile masks in hand
     lsb = msb = 0
     obs_lsb = obs_msb = None       # full-lane masks, taken at the first marked shift
@@ -325,20 +321,16 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
                     raise AddressError(f"row value wider than {arr.cols} columns")
                 cells[row] = bits
             elif kind == ZERO_TEST:
-                readout = _ZERO_TESTS[latch == 0]
-                if op[1] is None:
-                    if logged is ops:
-                        logged = ops.copy()
-                    logged[i] = readout
-                elif op[1] != readout[1]:
+                readout = int(latch == 0)
+                if op[1] != readout:
                     raise VerificationError(
-                        f"ZERO_TEST at op {i} reads {readout[1]}, recorded {op[1]}")
+                        f"ZERO_TEST at op {i} reads {readout}, recorded {op[1]}")
             else:
                 raise TraceIOError(f"unknown micro-op kind {kind!r}")
         i = len(ops)               # all ran; else i is the op that raised
     finally:
         arr.latch = latch
-        arr.trace.add(logged if i == len(ops) else logged[:i], i)
+        arr.trace.add(ops if i == len(ops) else ops[:i], i)
 
 
 def _bad_pair(nrows: int, a: int, b: int) -> None:

@@ -88,6 +88,24 @@ def test_negacyclic_inverse_equals_negated_forward():
         assert inv == (ring.q - fwd) % ring.q
 
 
+@pytest.mark.parametrize("q, order", [(17, 8), (97, 16), (257, 8), (7681, 256),
+                                      (12289, 1024), (8380417, 256)])
+def test_inverse_twiddles_invert_the_paired_forward_block(q, order):
+    """The Gentleman-Sande block k in band [L, 2L) undoes the Cooley-Tukey
+    block 3L - 1 - k: its twiddle is that one's inverse, Montgomery-scaled."""
+    ring = RingParams.create(q, order)
+    ctx = MontgomeryContext.create(q, ring.width)
+    t = precompute_twiddles(ring, ctx)
+    r = ctx.radix % q
+    r_inv = pow(r, -1, q)
+    band = 1
+    while band < order:
+        for k in range(band, 2 * band):
+            paired = t.forward[3 * band - 1 - k] * r_inv % q
+            assert t.inverse[k] == pow(paired, -1, q) * r % q, (band, k)
+        band *= 2
+
+
 def test_layout_capacity_claims():
     assert layout_plan(256, 256, 256, 1).capacity == 250
     assert layout_plan(256, 256, 14, 1).capacity == 4500

@@ -16,7 +16,7 @@ REMOVED = ("bp_modmul", "run_stream", "MicroOp", "microop_view", "counts_of_ops"
            "negacyclic", "tile_origin", "spill_map", "generated", "step_callback",
            "omega", "b_row", "snapshot", "bits_from_list", "bits_to_list",
            "select_m", "resolve_carry_save", "bp_add", "to_text",
-           "bp_modadd", "bp_modsub", "_headroom_or_raise")
+           "bp_modadd", "bp_modsub", "_headroom_or_raise", "primitive_counts")
 
 
 def test_all_names_resolve():

@@ -9,10 +9,15 @@ from harness import paper_steps
 from sramntt import perf
 from sramntt.bitparallel import (
     CommandStream,
+    Emitter,
     ExecPolicy,
     MontgomeryContext,
     compile_twiddle_commands,
     default_rowmap,
+    emit_modadd,
+    emit_modmul,
+    emit_modsub,
+    emit_resolve,
 )
 from sramntt.errors import ParameterError
 from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
@@ -29,7 +34,6 @@ from sramntt.perf import (
     shift_baseline_ratio,
     stats_from_counts,
     butterfly_counts,
-    primitive_counts,
     sweep_bitwidth,
     sweep_order,
     sweep_to_csv,
@@ -196,18 +200,20 @@ def test_cost_model_text_roundtrip():
     assert cost.energy_pj == {**DEFAULT_ENERGY_PJ, "SHIFT": 0.5}
 
 
-def test_estimator_matches_real_trace_no_swap():
-    unit = small_forward_unit(order=8, q=257)
+@pytest.mark.parametrize("order, q", [(8, 257), (8, 8380417)])
+def test_estimator_matches_real_trace_no_swap(order, q):
+    unit = small_forward_unit(order=order, q=q)
     pcs = [bin(v).count("1") for v in unit.table.forward]
-    est = estimate_forward_ntt(8, unit.ctx.lane_width, 64, 64, popcounts=pcs)
+    est = estimate_forward_ntt(order, unit.ctx.lane_width, 64, 64, popcounts=pcs)
     assert est == counts_of_trace(unit.arr.trace)
 
 
-def test_estimator_matches_real_trace_with_swap():
-    unit = small_forward_unit(order=32, q=257, rows=32, cols=64)
+@pytest.mark.parametrize("order, q, rows", [(32, 257, 32), (32, 7681, 32), (64, 12289, 40)])
+def test_estimator_matches_real_trace_with_swap(order, q, rows):
+    unit = small_forward_unit(order=order, q=q, rows=rows, cols=64)
     assert unit.layout.swapped
     pcs = [bin(v).count("1") for v in unit.table.forward]
-    est = estimate_forward_ntt(32, unit.ctx.lane_width, 32, 64, popcounts=pcs)
+    est = estimate_forward_ntt(order, unit.ctx.lane_width, rows, 64, popcounts=pcs)
     assert est == counts_of_trace(unit.arr.trace)
 
 
@@ -261,15 +267,26 @@ def test_a_bitwidth_sweep_replays_the_host_swaps_once(monkeypatch):
 
 def test_primitive_costs_at_width_16():
     """The w = 16 butterfly's primitives, twiddle popcount 8, under the
-    default cost model: (cycles, global shifts, tile-masked shifts)."""
+    default cost model: (cycles, global shifts, tile-masked shifts).  Each is
+    compiled alone as the butterfly compiles it: rows 0 and 1, the product
+    in the mask row."""
     cost = CostModel()
-    want = {("modmul", 8): (1_091, 24, 240), ("resolve", 0): (217, 32, 16),
-            ("modsub", 0): (239, 15, 32), ("modadd", 0): (215, 31, 16)}
-    for (kind, popcount), figures in want.items():
-        counts = primitive_counts(16, kind, popcount)
+    ctx = MontgomeryContext.create((1 << 15) - 1, 16)
+    rm = default_rowmap(64)
+    want = {"modmul": (lambda E: emit_modmul(E, 0xFF, b_row=1), (1_091, 24, 240)),
+            "resolve": (lambda E: emit_resolve(E, rm.mask_row), (217, 32, 16)),
+            "modsub": (lambda E: emit_modsub(E, 0, rm.mask_row, 1), (239, 15, 32)),
+            "modadd": (lambda E: emit_modadd(E, 0, rm.mask_row, 0), (215, 31, 16))}
+    total = empty_counts()
+    for kind, (emit, figures) in want.items():
+        E = Emitter(ctx, rm, ExecPolicy())
+        emit(E)
+        counts = counts_of_trace(E.ops)
         got = (stats_from_counts(counts, cost).cycles,
                counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"])
         assert got == figures, kind
+        perf.add_counts(total, counts)
+    assert butterfly_counts(16, 8) == total
     assert stats_from_counts(butterfly_counts(16, 8), cost).cycles == 1_762
 
 

@@ -502,7 +502,7 @@ class ReferenceSubarray:
             self.trace.append((WRITE_ROW, op[1], op[2]))
         elif kind == ZERO_TEST:
             readout = 1 if self.latch == 0 else 0
-            if op[1] is not None and op[1] != readout:
+            if op[1] != readout:
                 raise VerificationError("the latch gives the other readout")
             self.trace.append((ZERO_TEST, readout))
         else:
@@ -741,18 +741,22 @@ def test_single_op_methods_tally_what_they_record():
 
 
 def test_executor_records_the_same_tuples_and_the_readout():
-    """A ZERO_TEST without a readout records the one it makes; one that names
-    a readout, as a replayed trace's do, must find it in the latch."""
+    """A batch is logged as the very list it was; each ZERO_TEST must find
+    the readout it names in the latch, and one that names none raises."""
     arr = Subarray(ROWS, COLS)
-    ops = [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3), (ZERO_TEST, None),
-           (ZERO_TEST, 0)]
+    ops = [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3), (ZERO_TEST, 0)]
     execute(arr, ops)
-    assert all(got is op for got, op in zip(arr.trace[:3], ops))
-    assert arr.trace[3:] == [(ZERO_TEST, 0), (ZERO_TEST, 0)]   # the latch holds 5, not zero
+    assert arr.trace.log == [ops] and arr.trace.log[0] is ops   # the latch holds 5, not zero
     with pytest.raises(VerificationError, match="reads 0, recorded 1"):
         execute(arr, [(WRITEBACK, 4), (ZERO_TEST, 1), (WRITEBACK, 5)])
-    assert arr.trace[5:] == [(WRITEBACK, 4)] and arr.cells[5] == 0
+    assert arr.trace[4:] == [(WRITEBACK, 4)] and arr.cells[5] == 0
+    with pytest.raises(VerificationError, match="reads 0, recorded None"):
+        execute(arr, [(ZERO_TEST, None)])
+    assert len(arr.trace) == 5
+    # the latch's own zero test logs the readout it reads
     assert not arr.latch_is_zero() and arr.trace[-1] == (ZERO_TEST, 0)
+    arr.activate_pair(0, 2, AND)
+    assert arr.latch_is_zero() and arr.trace[-1] == (ZERO_TEST, 1)
     assert tallied(arr.trace)
 
 
