@@ -37,7 +37,13 @@ from .ntt import (
     polymul_pipeline,
     precompute_twiddles,
 )
-from .oracle import oracle_intt, oracle_montmul, oracle_ntt, schoolbook_negacyclic
+from .oracle import (
+    kronecker_negacyclic,
+    oracle_intt,
+    oracle_montmul,
+    oracle_ntt,
+    schoolbook_negacyclic,
+)
 from .perf import CostModel, SimStats, accumulate, shift_baseline_ratio
 from .subarray import Subarray, parse_trace, replay, serialize_trace
 
@@ -47,8 +53,9 @@ __all__ = [
     "ObservationError", "ParameterError", "RingParams", "RowMap", "SimError",
     "SimStats", "Subarray", "TileGeometryError", "TileLayout", "TraceIOError",
     "TransformUnit", "TwiddleTable", "VerificationError", "accumulate",
-    "bit_reverse_permute", "compile_twiddle_commands", "find_roots", "layout_plan",
-    "oracle_intt", "oracle_montmul", "oracle_ntt", "parse_trace",
+    "bit_reverse_permute", "compile_twiddle_commands", "find_roots",
+    "kronecker_negacyclic", "layout_plan", "oracle_intt", "oracle_montmul",
+    "oracle_ntt", "parse_trace",
     "polymul_negacyclic", "polymul_pipeline", "precompute_twiddles", "replay",
     "schoolbook_negacyclic", "serialize_trace", "shift_baseline_ratio",
 ]

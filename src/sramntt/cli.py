@@ -196,7 +196,7 @@ def cmd_run(cfg: RunConfig) -> int:
             elif cfg.mode == "roundtrip":
                 want = p
             else:
-                want = oracle.schoolbook_negacyclic(p, b_poly, ring.q)
+                want = oracle.kronecker_negacyclic(p, b_poly, ring.q)
             if got[t] != want:
                 raise VerificationError(f"{cfg.mode} mismatch in tile {t}")
 

@@ -4,9 +4,11 @@ Layout: each tile holds one polynomial, one coefficient per row, so butterfly
 operands are picked purely by row address (no word-alignment shifting ever).
 The forward transform is in-place Cooley-Tukey with merged psi powers in
 bit-reversed twiddle order (output bit-reversed); the inverse is
-Gentleman-Sande consuming bit-reversed input, with the final n^-1 scaling
-folded into one extra multiplication per coefficient.  Twiddles are stored
-pre-multiplied by R = 2^width so the Montgomery products come out plain.
+Gentleman-Sande consuming bit-reversed input.  The inverse pays one scaling
+pass, ahead of its sweep: one multiplication per coefficient by n^-1, or by
+spectrum[c] * n^-1 when it also takes the pointwise product.  Twiddles and
+these multipliers are stored pre-multiplied by R = 2^width so the Montgomery
+products come out plain.
 
 Coefficient rows beyond the per-tile resident capacity are staged by the host
 (WRITE_ROW swaps, identical row indices in every tile), which keeps the SIMD
@@ -152,7 +154,8 @@ class TwiddleTable:
 
     forward[k] feeds the k-th Cooley-Tukey block (k = 1..order-1, pre-increment
     order); inverse[k] is the negated counterpart for the Gentleman-Sande
-    sweep; scale_inv_r is n^-1 * R mod q for the final inverse scaling.
+    sweep; scale_inv_r is n^-1 * R mod q, the multiplier of the inverse's
+    scaling pass, or its factor when the pass also takes a pointwise product.
     """
 
     forward: tuple[int, ...]
@@ -319,10 +322,7 @@ class TransformUnit:
             raise CapacityError(f"{len(polys)} polynomials for {tiles} tiles")
         lane = self.ctx.lane_width
         for p in polys:
-            if len(p) != order:
-                raise ParameterError("polynomial length must equal the ring order")
-            if any(not 0 <= c < self.ring.q for c in p):
-                raise ParameterError("coefficients must be residues in [0, q)")
+            self._check_residues(p, "polynomial")
         for c in range(order):
             words = [p[c] for p in polys]
             self._host[c] = pack_words(words + [0] * (tiles - len(words)),
@@ -346,6 +346,16 @@ class TransformUnit:
                 out[t][c] = unpack_word(bits, t, lane)
         return out
 
+    def _check_residues(self, values, what: str) -> None:
+        """`order` values, each an int in [0, q): none is reduced or coerced."""
+        if len(values) != self.ring.order:
+            raise ParameterError(f"{what} length must equal the ring order")
+        q = self.ring.q
+        for v in values:
+            # type() rather than isinstance(): bool is an int subclass
+            if type(v) is not int or not 0 <= v < q:
+                raise ParameterError(f"{what} entry {v!r} is not an integer residue in [0, {q})")
+
     # -- butterfly kernels ----------------------------------------------
 
     def _scale_rows(self, scaled_values) -> None:
@@ -364,11 +374,25 @@ class TransformUnit:
             forward_butterfly(E, fwd[k], self._ensure(j), self._ensure(j + length))
             self.butterflies += 1
 
-    def inverse(self) -> None:
-        """Gentleman-Sande inverse on a bit-reversed spectrum; standard order out."""
+    def inverse(self, spectrum=None) -> None:
+        """Gentleman-Sande inverse on a bit-reversed spectrum; standard order out.
+
+        One scaling pass runs ahead of the sweep: row c is multiplied by n^-1,
+        or by spectrum[c] * n^-1 when a multiplier spectrum (bit-reversed
+        order) is given, so that the inverse also takes the pointwise product
+        that ``pointwise_by(spectrum)`` would.  Scaling by n^-1 commutes with
+        the linear sweep, so it joins the pointwise multiplier, and either way
+        each row pays one modmul and one resolve.
+        """
         E = self.emitter
         rm = self.rm
         inv = self.table.inverse
+        scale = self.table.scale_inv_r
+        if spectrum is None:
+            self._scale_rows([scale] * self.ring.order)
+        else:
+            self._check_residues(spectrum, "spectrum")
+            self._scale_rows([v * scale % self.ring.q for v in spectrum])
         for j, length, k in _inverse_schedule(self.ring.order):
             rj = self._ensure(j)
             rl = self._ensure(j + length)
@@ -383,19 +407,19 @@ class TransformUnit:
             emit_modmul(E, inv[k], b_row=rl)
             emit_resolve(E, rl)
             self.butterflies += 1
-        self._scale_rows([self.table.scale_inv_r] * self.ring.order)
 
     def pointwise_by(self, spectrum) -> None:
         """Multiply the resident spectra by a shared spectrum (bit-reversed order).
 
         The multiplier values are compiled into the command stream after
-        Montgomery pre-scaling, exactly like twiddles.
+        Montgomery pre-scaling, exactly like twiddles.  A product headed for
+        the inverse costs less as ``inverse(spectrum)``, which takes it in the
+        inverse's own scaling pass.
         """
-        if len(spectrum) != self.ring.order:
-            raise ParameterError("spectrum length must equal the ring order")
+        self._check_residues(spectrum, "spectrum")
         q = self.ring.q
         r = self.ctx.radix % q
-        self._scale_rows([v % q * r % q for v in spectrum])
+        self._scale_rows([v * r % q for v in spectrum])
 
 
 def polymul_pipeline(a_polys, b, ring: RingParams, rows: int = 256, cols: int = 256,
@@ -403,8 +427,9 @@ def polymul_pipeline(a_polys, b, ring: RingParams, rows: int = 256, cols: int = 
     """NTT(a_i) * NTT(b) -> INTT, batched one a-polynomial per tile.
 
     Returns (products, unit_a, unit_b); the units expose traces and stats.
-    The b spectrum is read out once and compiled into the pointwise stream,
-    so it is shared by every tile.
+    The b spectrum is read out once and compiled, times n^-1, into the
+    inverse's scaling pass (``inverse(b_hat)``), so it is shared by every
+    tile and the product and the n^-1 scaling cost one pass together.
     """
     unit_b = TransformUnit(ring, rows, cols, policy)
     unit_b.load_polynomials([list(b)])
@@ -413,8 +438,7 @@ def polymul_pipeline(a_polys, b, ring: RingParams, rows: int = 256, cols: int = 
     unit_a = TransformUnit(ring, rows, cols, policy)
     unit_a.load_polynomials([list(p) for p in a_polys])
     unit_a.forward()
-    unit_a.pointwise_by(b_hat)
-    unit_a.inverse()
+    unit_a.inverse(b_hat)
     return unit_a.read_polynomials(len(a_polys)), unit_a, unit_b
 
 

@@ -1,5 +1,5 @@
 """Array-free ground truth: big-integer Montgomery product, direct quadratic
-NTT/INTT, and schoolbook negacyclic multiplication.
+NTT/INTT, and schoolbook and Kronecker-substitution negacyclic multiplication.
 
 Deliberately naive (no FFT structure, no carry-save tricks) so these share
 nothing with the in-array code paths they judge.
@@ -55,13 +55,18 @@ def oracle_intt(spectrum, q: int, psi: int) -> list[int]:
     return out
 
 
-def schoolbook_negacyclic(a, b, q: int) -> list[int]:
-    """c_k = sum_{i+j=k} a_i b_j - sum_{i+j=k+n} a_i b_j mod q."""
+def _check_lengths(a, b) -> int:
     n = len(a)
     if len(b) != n:
         raise ParameterError("length mismatch")
     if n & (n - 1):
         raise ParameterError("length must be a power of two")
+    return n
+
+
+def schoolbook_negacyclic(a, b, q: int) -> list[int]:
+    """c_k = sum_{i+j=k} a_i b_j - sum_{i+j=k+n} a_i b_j mod q."""
+    n = _check_lengths(a, b)
     c = [0] * n
     for i, ai in enumerate(a):
         if ai == 0:
@@ -73,3 +78,23 @@ def schoolbook_negacyclic(a, b, q: int) -> list[int]:
             else:
                 c[k - n] -= ai * bj
     return [x % q for x in c]
+
+
+def kronecker_negacyclic(a, b, q: int) -> list[int]:
+    """schoolbook_negacyclic's result by Kronecker substitution.
+
+    Each polynomial (reduced mod q) is packed into one integer, one
+    coefficient per byte-aligned slot wide enough for a sum of n products
+    below q^2, so one big-integer multiplication carries no slot into the
+    next.  The 2n slots of the product are the plain convolution c, and the
+    result is c_i - c_(i+n) mod q.
+    """
+    n = _check_lengths(a, b)
+    size = (2 * q.bit_length() + n.bit_length() + 7) // 8
+
+    def pack(p) -> int:
+        return int.from_bytes(b"".join((c % q).to_bytes(size, "little") for c in p), "little")
+
+    c = (pack(a) * pack(b)).to_bytes(2 * n * size, "little")
+    slots = [int.from_bytes(c[i:i + size], "little") for i in range(0, 2 * n * size, size)]
+    return [(lo - hi) % q for lo, hi in zip(slots[:n], slots[n:])]

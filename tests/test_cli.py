@@ -96,8 +96,9 @@ def test_same_seed_identical_output(tmp_path):
 
 @pytest.mark.parametrize("mode", ["forward", "roundtrip", "polymul"])
 def test_trace_replay_cycle(tmp_path, mode):
-    """Each mode's trace replays to its state; only polymul's holds the
-    pointwise, inverse and n^-1-scaling runs."""
+    """Each mode's trace replays to its state; roundtrip's and polymul's
+    hold the inverse with its scaling pass, which in polymul mode also
+    takes the pointwise product."""
     trace = tmp_path / "run.trace"
     state = tmp_path / "run.state"
     assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",

@@ -232,6 +232,46 @@ def test_polymul_batched_pipeline():
     assert unit_a.butterflies == 2 * (16 // 2) * 4     # forward + inverse
 
 
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "data-dependent"])
+@pytest.mark.parametrize("order,rows,cols", [(8, 64, 64), (32, 32, 64)], ids=["resident", "swapped"])
+def test_inverse_of_a_spectrum_takes_the_pointwise_product(order, rows, cols, deterministic):
+    """inverse(s) reads back what pointwise_by(s) and then inverse() do, and
+    pays one scaling pass where they pay two."""
+    ring = RingParams.create(257, order)
+    policy = ExecPolicy(deterministic=deterministic)
+    rng = random.Random(order)
+    spectrum = [rng.randrange(257) for _ in range(order)]
+    two_passes = TransformUnit(ring, rows, cols, policy)
+    assert two_passes.layout.swapped == (order == 32)
+    spectra = [[rng.randrange(257) for _ in range(order)] for _ in range(two_passes.layout.tiles)]
+    two_passes.load_polynomials(spectra)
+    two_passes.pointwise_by(spectrum)
+    two_passes.inverse()
+    one_pass = TransformUnit(ring, rows, cols, policy)
+    one_pass.load_polynomials(spectra)
+    one_pass.inverse(spectrum)
+    assert one_pass.read_polynomials() == two_passes.read_polynomials()
+    assert len(one_pass.arr.trace) < len(two_passes.arr.trace)
+
+
+# a spectrum entry must be an int residue: no reduction, no bool, no float
+BAD_MULTIPLIERS = {"q": 257, "above-q": 258, "negative": -1, "bool": True, "float": 1.5}
+
+
+@pytest.mark.parametrize("call", ["pointwise_by", "inverse"])
+@pytest.mark.parametrize("bad", BAD_MULTIPLIERS.values(), ids=BAD_MULTIPLIERS.keys())
+def test_a_multiplier_that_is_not_a_residue_is_rejected_before_any_op(call, bad):
+    ring = RingParams.create(257, 8)
+    unit = TransformUnit(ring, 64, 64)
+    unit.load_polynomials([[1] * 8])
+    ops = len(unit.arr.trace)
+    with pytest.raises(ParameterError, match="not an integer residue"):
+        getattr(unit, call)([5] * 7 + [bad])
+    assert len(unit.arr.trace) == ops
+    with pytest.raises(ParameterError, match="length"):
+        getattr(unit, call)([5] * 7)
+
+
 def test_swapped_layout_roundtrip_and_product():
     ring = RingParams.create(257, 32)
     rng = random.Random(9)
@@ -269,6 +309,9 @@ def test_load_validation():
         unit.load_polynomials([[1] * 7])
     with pytest.raises(CapacityError):
         unit.load_polynomials([[0] * 8] * (unit.layout.tiles + 1))
+    for bad in (True, 1.5):
+        with pytest.raises(ParameterError):
+            unit.load_polynomials([[bad] + [0] * 7])
 
 
 def test_width_handling():

@@ -7,6 +7,7 @@ import pytest
 from sramntt.errors import ParameterError
 from sramntt.ntt import find_roots
 from sramntt.oracle import (
+    kronecker_negacyclic,
     modinv,
     oracle_intt,
     oracle_montmul,
@@ -69,3 +70,30 @@ def test_convolution_theorem_consistency():
         fb = oracle_ntt(b, q, psi)
         prod = [x * y % q for x, y in zip(fa, fb)]
         assert oracle_intt(prod, q, psi) == schoolbook_negacyclic(a, b, q)
+
+
+# criterion 5's rings: each at a few small orders and at its full order
+KRONECKER_CASES = sorted({(q, order)
+                          for q, full in ((257, 8), (7681, 256), (8380417, 256), (12289, 1024))
+                          for order in (1, 2, 4, 8, full)})
+
+
+@pytest.mark.parametrize("q,order", KRONECKER_CASES)
+def test_kronecker_equals_schoolbook(q, order):
+    rng = random.Random(q * order)
+    cases = 20 if order <= 8 else 2
+    for _ in range(cases):
+        a = [rng.randrange(q) for _ in range(order)]
+        b = [rng.randrange(q) for _ in range(order)]
+        assert kronecker_negacyclic(a, b, q) == schoolbook_negacyclic(a, b, q)
+    top = [q - 1] * order                   # every slot at its largest sum
+    assert kronecker_negacyclic(top, top, q) == schoolbook_negacyclic(top, top, q)
+
+
+def test_kronecker_reduces_its_inputs_and_checks_lengths():
+    q = 257
+    assert kronecker_negacyclic([-1, 5], [300, -7], q) == schoolbook_negacyclic([-1, 5], [300, -7], q)
+    with pytest.raises(ParameterError):
+        kronecker_negacyclic([1, 2], [1], q)
+    with pytest.raises(ParameterError):
+        kronecker_negacyclic([1, 2, 3], [1, 2, 3], q)

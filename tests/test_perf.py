@@ -1,5 +1,6 @@
 """Cost accounting, analytic estimator exactness, sweeps, baseline ratio."""
 
+import json
 import math
 import random
 
@@ -19,6 +20,7 @@ from sramntt.bitparallel import (
     emit_modsub,
     emit_resolve,
 )
+from sramntt.cli import main
 from sramntt.errors import ParameterError
 from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
 from sramntt.perf import (
@@ -179,6 +181,23 @@ def test_the_tally_counts_both_units_of_a_polymul():
     _, unit_a, unit_b = polymul_pipeline(a, b, ring, 64, 64)
     for unit in (unit_a, unit_b):
         assert_tallied(unit.arr.trace)
+
+
+# `sramntt run` cycles at seed 0: the canonical ring's polymul and roundtrip,
+# and a polymul whose 32 coefficients outgrow a 32-row tile (host swaps)
+CLI_CYCLES = {
+    "polymul": (["--order", "256", "--q", "7681", "--width", "16"], 5_681_428),
+    "roundtrip": (["--order", "256", "--q", "7681", "--width", "16", "--mode", "roundtrip"],
+                  3_882_590),
+    "swapped-polymul": (["--order", "32", "--q", "257", "--rows", "32", "--cols", "64"], 259_916),
+}
+
+
+@pytest.mark.parametrize("flags,cycles", CLI_CYCLES.values(), ids=CLI_CYCLES.keys())
+def test_cli_run_cycles(tmp_path, flags, cycles):
+    stats = tmp_path / "stats.json"
+    assert main(["run", *flags, "--stats", str(stats)]) == 0
+    assert json.loads(stats.read_text())["cycles"] == cycles
 
 
 def test_unknown_kind_rejected():
