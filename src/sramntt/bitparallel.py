@@ -8,8 +8,11 @@ the add-multiplicand block, so A never exists in the array at runtime.
 Word layout: one operand word per row per tile, LSB at tile column offset 0.
 The Montgomery word width is ``ctx.width`` (R = 2**width); words occupy
 ``ctx.lane_width`` columns, which is width+1 when the modulus has no headroom
-bit (M >= 2**(width-1)).  With a headroom bit the running value Sum + 2*Carry
-stays below 2M <= 2**lane, which makes three invariants provable:
+bit (M >= 2**(width-1)).  The transform's context (``for_ring``) takes the
+word one column narrower than its lane, so R = 2**(lane-1) > M, and a
+multiplication runs lane-1 iterations.  With a headroom bit the running
+value Sum + 2*Carry stays below 2M <= 2**lane, which makes three invariants
+provable:
 
 * the carry word's top lane bit is 0 before every left shift,
 * the half-sum's low bit is 0 before every right shift (Montgomery parity),
@@ -59,8 +62,8 @@ class MontgomeryContext:
 
     @classmethod
     def create(cls, modulus: int, width: int, lane_width: int | None = None) -> "MontgomeryContext":
-        if width <= 2:
-            raise ParameterError(f"word width must exceed 2, got {width}")
+        if width < 2:
+            raise ParameterError(f"word width must be at least 2, got {width}")
         if modulus % 2 == 0 or not 2 < modulus < (1 << width):
             raise ParameterError(
                 f"modulus must be odd with 2 < M < 2^{width}, got {modulus}"
@@ -71,6 +74,18 @@ class MontgomeryContext:
         if lane_width < width:
             raise ParameterError("lane narrower than the Montgomery word")
         return cls(modulus=modulus, width=width, lane_width=lane_width)
+
+    @classmethod
+    def for_ring(cls, modulus: int, width: int) -> "MontgomeryContext":
+        """The transform's context for a ring of coefficient width `width`.
+
+        The lane is the ring width, or width + 1 when M leaves it no headroom
+        bit (M >= 2^(width-1)); the word is the lane minus that headroom bit,
+        so R = 2^(lane-1) > M.  Both follow from the lane alone, so a
+        multiplication's program does too.
+        """
+        lane = cls.create(modulus, width).lane_width
+        return cls.create(modulus, lane - 1, lane)
 
     @property
     def radix(self) -> int:
@@ -224,11 +239,14 @@ def default_rowmap(arr_rows: int) -> RowMap:
 # -- the emitter ---------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _shared_programs(rm: RowMap, policy: ExecPolicy, lane: int, rows: int, cols: int) -> dict:
+def _shared_programs(rm: RowMap, policy: ExecPolicy, word: int, lane: int,
+                     rows: int, cols: int) -> dict:
     """The `programs` table every executing emitter on one array shape shares.
 
-    Keyed on the lane, not the whole context: no stream names the modulus
-    (it lives in the constant rows), so every modulus of one lane shares it.
+    Keyed on the word and the lane, not the whole context: no stream names
+    the modulus (it lives in the constant rows), so every modulus of one
+    word and lane shares it; the halving block's smear spans the word, so
+    two words on one lane never share.
     """
     return {}
 
@@ -243,7 +261,7 @@ class Emitter:
     Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
     and keeps `programs`: one stream per (body, static arguments), compiled
     once with its operand rows as placeholders (``compiled``).  Executing
-    emitters of one row map, policy, lane and array shape share one table,
+    emitters of one row map, policy, word, lane and array shape share one table,
     so a stream is compiled and generated once per shape.
 
     Without an array it collects: ``run`` appends a stream's bound ops and
@@ -266,7 +284,7 @@ class Emitter:
         self.obs_marks: dict[int, str] = {}
         self.step_marks: list[tuple[int, int]] = []
         self.programs = {} if arr is None else _shared_programs(
-            rm, policy, ctx.lane_width, arr.rows, arr.cols)
+            rm, policy, ctx.width, ctx.lane_width, arr.rows, arr.cols)
 
     def act(self, a: int, b: int, mode: str) -> None:
         self.ops.append((ACTIVATE2, a, b, mode))
@@ -363,8 +381,9 @@ class Emitter:
 def emit_select_m(E) -> None:
     """mask_row := M where LSB(Sum)=1, else 0, independently per tile.
 
-    Isolates the low bit of Sum, widens it across the tile by shift+OR
-    doubling, then masks the modulus row with it.
+    Isolates the low bit of Sum, widens it across the word's columns by
+    shift+OR doubling (M < 2^width, so no higher column matters), then masks
+    the modulus row with it.
     """
     rm = E.rm
     E.act(rm.sum_row, rm.lsb_mask, AND)
@@ -376,19 +395,23 @@ def emit_select_m(E) -> None:
 
 
 def emit_smear(E, row: int, temp: int, toward_msb: bool) -> None:
-    """Widen a one-bit-per-tile mask to the whole tile by doubling rounds.
+    """Widen a one-bit-per-tile mask by doubling rounds: toward the MSB over
+    the word's columns, toward the LSB over the lane's.
 
     Precondition: the latch still holds `row` (true right after its writeback).
-    Doubling needs ceil(log2 w) OR rounds; the hardware shifts one bit per
-    micro-op, so a stride-s round costs s shift pulses (w-1 pulses in total).
+    Doubling over w columns needs ceil(log2 w) OR rounds; the hardware shifts
+    one bit per micro-op, so a stride-s round costs s shift pulses (w-1
+    pulses in total).
 
     A smear toward the LSB spreads a sign bit down from the lane's top
-    column, so before every pulse each lane's lowest set bit is at column
-    >= 1: it shifts as data, global with an "lsb" mark.  The m-selection
-    smear toward the MSB stays tile-masked, which keeps a multiplication's
-    global shifts at exactly n + popcount(A).
+    column over all lane_width columns, so before every pulse each lane's
+    lowest set bit is at column >= 1: it shifts as data, global with an
+    "lsb" mark.  The m-selection smear toward the MSB covers the word's
+    `width` columns from the LSB, since it is ANDed with M < 2^width; it
+    stays tile-masked, which keeps a multiplication's global shifts at
+    exactly n + popcount(A).
     """
-    w = E.ctx.lane_width
+    w = E.ctx.width if toward_msb else E.ctx.lane_width
     span = 1
     while span < w:
         stride = min(span, w - span)

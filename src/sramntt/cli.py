@@ -161,7 +161,7 @@ def cmd_run(cfg: RunConfig) -> int:
     policy = ExecPolicy(deterministic=cfg.deterministic_latency,
                         tile_scope_all=cfg.tile_scope_shifts)
     cost = _cost_model(cfg)
-    lane = MontgomeryContext.create(cfg.q, width).lane_width
+    lane = MontgomeryContext.for_ring(cfg.q, width).lane_width
     tiles = layout_plan(cfg.rows, cfg.cols, lane, cfg.order).tiles
     # the root search is O(order): only after the capacity check bounds it
     ring = RingParams.create(cfg.q, cfg.order, width)

@@ -7,8 +7,9 @@ bit-reversed twiddle order (output bit-reversed); the inverse is
 Gentleman-Sande consuming bit-reversed input.  The inverse pays one scaling
 pass, ahead of its sweep: one multiplication per coefficient by n^-1, or by
 spectrum[c] * n^-1 when it also takes the pointwise product.  Twiddles and
-these multipliers are stored pre-multiplied by R = 2^width so the Montgomery
-products come out plain.
+these multipliers are stored pre-multiplied by R = 2^(lane-1), the
+Montgomery radix of the word one headroom column narrower than the lane, so
+the Montgomery products come out plain.
 
 Coefficient rows beyond the per-tile resident capacity are staged by the host
 (WRITE_ROW swaps, identical row indices in every tile), which keeps the SIMD
@@ -287,9 +288,10 @@ class TransformUnit:
     def __init__(self, ring: RingParams, rows: int = 256, cols: int = 256,
                  policy: ExecPolicy = ExecPolicy()):
         self.ring = ring
-        # the context widens the lane by one column when the ring width
-        # leaves no headroom bit, so modular add/sub always have one
-        self.ctx = MontgomeryContext.create(ring.q, ring.width)
+        # the lane is one column wider than the ring width when that leaves
+        # no headroom bit, so modular add/sub always have one; the word is
+        # the lane minus that bit
+        self.ctx = MontgomeryContext.for_ring(ring.q, ring.width)
         self.layout = layout_plan(rows, cols, self.ctx.lane_width, ring.order)
         self.table = precompute_twiddles(ring, self.ctx)
         self.policy = policy
@@ -334,6 +336,9 @@ class TransformUnit:
     def read_polynomials(self, count: int | None = None) -> list[list[int]]:
         if count is None:
             count = self.layout.tiles
+        # type() rather than isinstance(): bool is an int subclass
+        if type(count) is not int or not 0 <= count <= self.layout.tiles:
+            raise ParameterError(f"count {count!r} is not an integer in [0, {self.layout.tiles}]")
         lane = self.ctx.lane_width
         out = [[0] * self.ring.order for _ in range(count)]
         for c in range(self.ring.order):

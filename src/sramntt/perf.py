@@ -251,12 +251,13 @@ def butterfly_counts(width: int, popcount: int) -> dict:
     """Micro-op counts of one forward butterfly at a given lane width.
 
     Compiles ``ntt.forward_butterfly``, the code the transform runs, on a
-    collecting emitter, so these match executed traces exactly.  The
-    synthetic modulus 2^(width-1) - 1 keeps lane == width; a twiddle's cost
-    depends only on its popcount.  Memoized; callers must not change the
-    dict it returns.
+    collecting emitter with the transform's context (``for_ring``), so these
+    match executed traces exactly.  The synthetic modulus 2^(width-1) - 1
+    keeps lane == width, and the word is lane - 1 on every ring; a twiddle's
+    cost depends only on its popcount.  Memoized; callers must not change
+    the dict it returns.
     """
-    ctx = MontgomeryContext.create((1 << (width - 1)) - 1, width)
+    ctx = MontgomeryContext.for_ring((1 << (width - 1)) - 1, width)
     E = Emitter(ctx, default_rowmap(64), ExecPolicy())
     forward_butterfly(E, (1 << popcount) - 1, 0, 1)
     return counts_of_trace(E.ops)
@@ -290,12 +291,9 @@ def estimate_forward_ntt(order: int, width: int, rows: int = 256, cols: int = 25
     twiddles; defaults to the synthetic average width//2 (used by sweeps at
     widths where no NTT-friendly modulus exists).
 
-    `width` is the lane width, and the butterflies are compiled with a
-    Montgomery word as wide as the lane.  A ring whose width leaves no
-    headroom bit runs a word one column narrower than its lane, so its
-    multiplications take one iteration fewer than estimated: q = 7681 at
-    width 13 (lane 14), order 16 on 64 x 64 executes 12,909 ACTIVATE2, and
-    the estimate is 13,325.
+    `width` is the lane width.  The transform's program depends on the
+    lane alone (its word is lane - 1), so the estimate equals the executed
+    counts on every ring.
     """
     try:
         resident = layout_plan(rows, cols, width, order).resident_rows

@@ -282,7 +282,7 @@ def test_criterion_7_latency_window(canonical_run):
            f"{stats.latency_us:.1f} us at {stats.freq_mhz:.0f} MHz")
     report(7, ok, msg)
     # the simulated clock, pinned exactly: a change to any micro-op shows here
-    assert (stats.cycles, steps) == (1_781_678, 317_230)
+    assert (stats.cycles, steps) == (1_689_498, 307_497)
 
 
 # -- criterion 8: sweep trends -------------------------------------------------

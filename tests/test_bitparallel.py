@@ -31,7 +31,7 @@ from sramntt.bitparallel import _modadd, _modmul_add_b, _modmul_halve, _modmul_p
 from sramntt.bitparallel import _modsub, _resolve, _shared_programs
 from sramntt.errors import AddressError, ObservationError, ParameterError, SimError
 from sramntt.oracle import oracle_montmul
-from sramntt.perf import counts_of_tally, counts_of_trace
+from sramntt.perf import CostModel, accumulate, counts_of_tally, counts_of_trace
 from sramntt.subarray import (
     ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, Trace, execute, generate, parse_trace,
     serialize_trace,
@@ -73,8 +73,15 @@ def test_context_lane_selection():
         MontgomeryContext.create(6, 4)        # even
     with pytest.raises(ParameterError):
         MontgomeryContext.create(17, 4)       # M >= 2^4
+    assert MontgomeryContext.create(3, 2).lane_width == 3     # word 2: M = 3 only
     with pytest.raises(ParameterError):
-        MontgomeryContext.create(3, 2)        # width must exceed 2
+        MontgomeryContext.create(5, 2)        # M >= 2^2
+    with pytest.raises(ParameterError):
+        MontgomeryContext.create(3, 1)        # width must be at least 2
+    # the transform's word is its lane minus the headroom bit
+    assert MontgomeryContext.for_ring(7681, 16) == MontgomeryContext.create(7681, 15, 16)
+    assert MontgomeryContext.for_ring(7681, 13) == MontgomeryContext.create(7681, 13, 14)
+    assert MontgomeryContext.for_ring(3, 3) == MontgomeryContext.create(3, 2, 3)
 
 
 def test_stream_structure_by_twiddle_bits():
@@ -468,9 +475,9 @@ def test_a_stream_does_not_run_ahead_of_pending_ops(fresh_programs):
 
 
 def test_moduli_of_one_lane_share_a_program_table(fresh_programs):
-    """The shared table is keyed on the lane, not on the modulus: no stream
-    names the modulus, so 7681 and 12289 in 16-bit lanes share one table,
-    and a 14-bit lane gets its own."""
+    """The shared table is keyed on the word and the lane, not on the
+    modulus: no stream names the modulus, so 7681 and 12289 in 16-bit lanes
+    share one table, and a 14-bit lane gets its own."""
     rm = default_rowmap(32)
 
     def table(modulus, width):
@@ -480,6 +487,29 @@ def test_moduli_of_one_lane_share_a_program_table(fresh_programs):
     assert table(7681, 16) is table(12289, 16)
     assert table(7681, 14) is not table(7681, 16)
     assert MontgomeryContext.create(7681, 14).lane_width == 14
+
+
+def test_words_of_one_lane_get_their_own_program_tables(fresh_programs):
+    """The halving block's smear spans the word, so on one 256 x 256 shape a
+    word-16 context and the transform's word-15 context, both on 16-bit
+    lanes, get tables of their own; the canonical forward counts the same
+    cycles after the word-16 emitter has compiled its halving block."""
+    from sramntt.ntt import RingParams, TransformUnit
+
+    rm = default_rowmap(256)
+    word16 = MontgomeryContext.create(7681, 16)
+    word15 = MontgomeryContext.for_ring(7681, 16)
+    assert (word16.width, word15.width) == (16, 15)
+    assert word16.lane_width == word15.lane_width == 16
+    wide = Emitter(word16, rm, ExecPolicy(), Subarray(256, 256))
+    narrow = Emitter(word15, rm, ExecPolicy(), Subarray(256, 256))
+    assert wide.programs is not narrow.programs
+    assert wide.compiled(_modmul_halve, 0).ops != narrow.compiled(_modmul_halve, 0).ops
+    unit = TransformUnit(RingParams.create(7681, 256, 16))
+    assert unit.rm == rm and unit.emitter.programs is narrow.programs
+    unit.load_polynomials([[0] * 256] * unit.layout.tiles)
+    unit.forward()
+    assert accumulate(unit.arr.trace, CostModel()).cycles == 1_689_498
 
 
 def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):

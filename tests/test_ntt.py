@@ -62,7 +62,7 @@ def test_find_roots_large_prime_is_fast():
 
 def test_twiddle_table_shape_and_scaling():
     ring = RingParams.create(257, 4)
-    ctx = MontgomeryContext.create(ring.q, ring.width)
+    ctx = MontgomeryContext.for_ring(ring.q, ring.width)
     table = precompute_twiddles(ring, ctx)
     assert table.forward[0] == 0 and table.inverse[0] == 0
     assert all(table.forward[k] for k in range(1, 4))      # 3 entries, k = 1..3
@@ -74,12 +74,12 @@ def test_twiddle_table_shape_and_scaling():
         zeta = table.forward[k] * r_inv % ring.q
         for _ in range(4):
             x = rng.randrange(ring.q)
-            assert modmul_value(table.forward[k], x, ring.q, ring.width) == zeta * x % ring.q
+            assert modmul_value(table.forward[k], x, ring.q, ctx.width) == zeta * x % ring.q
 
 
 def test_negacyclic_inverse_equals_negated_forward():
     ring = RingParams.create(257, 8)
-    ctx = MontgomeryContext.create(ring.q, ring.width)
+    ctx = MontgomeryContext.for_ring(ring.q, ring.width)
     t = precompute_twiddles(ring, ctx)
     r_inv = pow(ctx.radix, -1, ring.q)
     for k in range(1, 8):
@@ -94,7 +94,7 @@ def test_inverse_twiddles_invert_the_paired_forward_block(q, order):
     """The Gentleman-Sande block k in band [L, 2L) undoes the Cooley-Tukey
     block 3L - 1 - k: its twiddle is that one's inverse, Montgomery-scaled."""
     ring = RingParams.create(q, order)
-    ctx = MontgomeryContext.create(q, ring.width)
+    ctx = MontgomeryContext.for_ring(q, ring.width)
     t = precompute_twiddles(ring, ctx)
     r = ctx.radix % q
     r_inv = pow(r, -1, q)
@@ -314,13 +314,30 @@ def test_load_validation():
             unit.load_polynomials([[bad] + [0] * 7])
 
 
+def test_read_count_is_an_int_within_the_tiles():
+    """Reading 9 of order 8's six 10-bit tiles on 64 x 64 would read zero
+    rows past the tiles, and -1 nothing; neither, nor a bool, is a count."""
+    ring = RingParams.create(257, 8)
+    polys = [[1, 2, 3, 4, 5, 6, 7, 8]]
+    unit = TransformUnit(ring, 64, 64)
+    unit.load_polynomials(polys)
+    assert unit.layout.tiles == 6
+    for bad in (9, -1, True):
+        with pytest.raises(ParameterError, match="count"):
+            unit.read_polynomials(bad)
+    assert unit.read_polynomials(0) == []
+    assert unit.read_polynomials(1) == polys
+    assert len(unit.read_polynomials()) == len(unit.read_polynomials(6)) == 6
+
+
 def test_width_handling():
     with pytest.raises(ParameterError):
         RingParams.create(7681, 256, 12)       # cannot represent residues
-    # width == ceil(log2 q) is accepted; the lane grows one headroom column
+    # width == ceil(log2 q) is accepted; the lane grows one headroom column,
+    # and the word is the ring width
     ring = RingParams.create(7681, 16, 13)
     unit = TransformUnit(ring, 64, 64)
-    assert unit.ctx.lane_width == 14 and unit.layout.tile_width == 14
+    assert unit.ctx.lane_width == 14 and unit.layout.tile_width == 14 and unit.ctx.width == 13
     rng = random.Random(11)
     polys = [[rng.randrange(7681) for _ in range(16)] for _ in range(2)]
     unit.load_polynomials(polys)
@@ -345,7 +362,7 @@ def small_configurations(draw):
     q = draw(st.sampled_from(PRIMES[order]) | st.sampled_from(WIDE_PRIMES))
     min_width = max((q - 1).bit_length(), 3)
     ring = RingParams.create(q, order, min_width + draw(st.integers(0, 1)))
-    lane = MontgomeryContext.create(q, ring.width).lane_width
+    lane = MontgomeryContext.for_ring(q, ring.width).lane_width
     # 12 rows hold scratch and constants; a tile keeps rows - 12 coefficients,
     # and a swapped tile at least 3 (2 would be cut to 1, which every span collides on)
     swap = order > 2 and draw(st.booleans())

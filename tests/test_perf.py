@@ -43,8 +43,9 @@ from sramntt.perf import (
 from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, Subarray, Trace, replay
 
 
-def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0, policy=ExecPolicy()):
-    ring = RingParams.create(q, order)
+def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0, policy=ExecPolicy(),
+                       width=None):
+    ring = RingParams.create(q, order, width)
     unit = TransformUnit(ring, rows, cols, policy)
     rng = random.Random(seed)
     polys = [[rng.randrange(q) for _ in range(order)]
@@ -122,13 +123,13 @@ def test_counts_of_trace_matches_the_reference_loop():
     assert reference_counts(data_dependent.arr.trace)["ZERO_TEST"] > 0
     for trace in (canonical.arr.trace, data_dependent.arr.trace):
         assert counts_of_trace(trace) == reference_counts(trace) == counts_of_tally(trace)
-    # the canonical forward logs 26,752 runs of six streams and 430 one-op batches
+    # the canonical forward logs 25,897 runs of six streams and 430 one-op batches
     trace = canonical.arr.trace
-    assert len(trace) == 1470382 and len(trace.log) == 27182
+    assert len(trace) == 1408922 and len(trace.log) == 26327
     batches = [entry for entry in trace.log if type(entry) is list]
     assert len(batches) == 430 and all(len(entry) == 1 for entry in batches)
     runs = runs_of(trace)
-    assert len(runs) == 26752 and len(set(runs)) == 6
+    assert len(runs) == 25897 and len(set(runs)) == 6
     assert len(trace.log) == len(batches) + len(runs)
     assert counts_of_tally(trace) == counts_of_trace(trace)
     # a replay logs the list it is handed as its one entry, with no copy
@@ -186,10 +187,10 @@ def test_the_tally_counts_both_units_of_a_polymul():
 # `sramntt run` cycles at seed 0: the canonical ring's polymul and roundtrip,
 # and a polymul whose 32 coefficients outgrow a 32-row tile (host swaps)
 CLI_CYCLES = {
-    "polymul": (["--order", "256", "--q", "7681", "--width", "16"], 5_681_428),
+    "polymul": (["--order", "256", "--q", "7681", "--width", "16"], 5_376_752),
     "roundtrip": (["--order", "256", "--q", "7681", "--width", "16", "--mode", "roundtrip"],
-                  3_882_590),
-    "swapped-polymul": (["--order", "32", "--q", "257", "--rows", "32", "--cols", "64"], 259_916),
+                  3_670_058),
+    "swapped-polymul": (["--order", "32", "--q", "257", "--rows", "32", "--cols", "64"], 241_852),
 }
 
 
@@ -219,9 +220,14 @@ def test_cost_model_text_roundtrip():
     assert cost.energy_pj == {**DEFAULT_ENERGY_PJ, "SHIFT": 0.5}
 
 
-@pytest.mark.parametrize("order, q", [(8, 257), (8, 8380417)])
-def test_estimator_matches_real_trace_no_swap(order, q):
-    unit = small_forward_unit(order=order, q=q)
+@pytest.mark.parametrize("order, q, width", [
+    pytest.param(8, 257, None, id="8-257"),
+    pytest.param(8, 8380417, None, id="8-8380417"),
+    # no headroom bit in the ring width: the lane is 14, the word 13
+    pytest.param(16, 7681, 13, id="16-7681-13"),
+])
+def test_estimator_matches_real_trace_no_swap(order, q, width):
+    unit = small_forward_unit(order=order, q=q, width=width)
     pcs = [bin(v).count("1") for v in unit.table.forward]
     est = estimate_forward_ntt(order, unit.ctx.lane_width, 64, 64, popcounts=pcs)
     assert est == counts_of_trace(unit.arr.trace)
@@ -287,12 +293,12 @@ def test_a_bitwidth_sweep_replays_the_host_swaps_once(monkeypatch):
 def test_primitive_costs_at_width_16():
     """The w = 16 butterfly's primitives, twiddle popcount 8, under the
     default cost model: (cycles, global shifts, tile-masked shifts).  Each is
-    compiled alone as the butterfly compiles it: rows 0 and 1, the product
-    in the mask row."""
+    compiled alone as the butterfly compiles it, on the transform's context
+    (word 15 on lane 16): rows 0 and 1, the product in the mask row."""
     cost = CostModel()
-    ctx = MontgomeryContext.create((1 << 15) - 1, 16)
+    ctx = MontgomeryContext.for_ring((1 << 15) - 1, 16)
     rm = default_rowmap(64)
-    want = {"modmul": (lambda E: emit_modmul(E, 0xFF, b_row=1), (1_091, 24, 240)),
+    want = {"modmul": (lambda E: emit_modmul(E, 0xFF, b_row=1), (999, 23, 210)),
             "resolve": (lambda E: emit_resolve(E, rm.mask_row), (217, 32, 16)),
             "modsub": (lambda E: emit_modsub(E, 0, rm.mask_row, 1), (239, 15, 32)),
             "modadd": (lambda E: emit_modadd(E, 0, rm.mask_row, 0), (215, 31, 16))}
@@ -306,7 +312,7 @@ def test_primitive_costs_at_width_16():
         assert got == figures, kind
         perf.add_counts(total, counts)
     assert butterfly_counts(16, 8) == total
-    assert stats_from_counts(butterfly_counts(16, 8), cost).cycles == 1_762
+    assert stats_from_counts(butterfly_counts(16, 8), cost).cycles == 1_670
 
 
 def test_sweep_order_monotone_and_swap_knee():
@@ -371,12 +377,12 @@ def test_paper_steps_rule_clauses():
 def test_paper_steps_match_figure_steps(width):
     # 1 prologue step, the figure's steps 1..7 of every iteration as marked by the
     # compiler, and per iteration the predication: LSB isolate, ceil(log2 w)
-    # smear ORs and the modulus AND.
+    # smear ORs over the word's w columns and the modulus AND.
     rng = random.Random(width)
     for modulus in ((1 << (width - 1)) - 1, (1 << width) - 1):   # with and without headroom
         ctx = MontgomeryContext.create(modulus, width)
         rm = default_rowmap(64)
-        smear = (ctx.lane_width - 1).bit_length()
+        smear = (ctx.width - 1).bit_length()
         for a in (0, (1 << width) - 1, rng.randrange(1 << width), rng.randrange(1 << width)):
             stream = compile_twiddle_commands(a, ctx, rm, 0)
             assert paper_steps(stream.ops) == (
