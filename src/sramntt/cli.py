@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="emit cost-projection CSV",
         description="Project forward-NTT costs with the analytic estimator. When the "
                     "order outgrows the resident rows, the host swaps are counted by "
-                    "one O(order log order) replay of the schedule per order; a "
-                    "bitwidth sweep runs it once.")
+                    "one O(order log order) walk of the steps per order; a "
+                    "bitwidth sweep walks them once.")
     sw.add_argument("--vary", choices=["bitwidth", "order"], required=True)
     sw.add_argument("--order", type=int, default=256)
     sw.add_argument("--width", type=int, default=16)

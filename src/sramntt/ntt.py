@@ -11,6 +11,10 @@ these multipliers are stored pre-multiplied by R = 2^(lane-1), the
 Montgomery radix of the word one headroom column narrower than the lane, so
 the Montgomery products come out plain.
 
+Each transform is written once, as a list of (kernel, constant index,
+coefficients) steps: ``forward_steps``, or ``inverse_steps`` (``scale_steps``
+then the sweep).  ``TransformUnit`` runs it and ``perf.estimate`` counts it.
+
 Coefficient rows beyond the per-tile resident capacity are staged by the host
 (WRITE_ROW swaps, identical row indices in every tile), which keeps the SIMD
 schedule shared across tiles for any polynomial order.
@@ -35,10 +39,11 @@ from .bitparallel import (
     unpack_word,
 )
 from .errors import CapacityError, ParameterError
-from .subarray import OR, Subarray
+from .subarray import MAX_ROWS, OR, Subarray
 
-SCRATCH_ROWS = 6
-CONSTANT_ROWS = 6
+# read off the row map, so that a row added to it moves the layout with it
+SCRATCH_ROWS = len(default_rowmap(MAX_ROWS).scratch_rows())
+CONSTANT_ROWS = len(default_rowmap(MAX_ROWS).constant_rows())
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -186,7 +191,7 @@ def precompute_twiddles(ring: RingParams, ctx: MontgomeryContext) -> TwiddleTabl
 class TileLayout:
     """Row/column assignment of one subarray for SIMD transforms.
 
-    capacity counts coefficient space the headline way (rows minus the 6 scratch
+    capacity counts coefficient space the headline way (rows minus the scratch
     rows, times tiles); resident_rows is what one tile can actually keep
     while the constant rows are loaded; the gap is host-swapped.
     """
@@ -243,41 +248,69 @@ def layout_plan(rows: int, cols: int, width: int, order: int) -> TileLayout:
     )
 
 
-def _forward_schedule(order: int):
-    """(j, length, twiddle index) triples of the in-place Cooley-Tukey sweep."""
+def forward_butterfly(E, twiddle: int, rj: int, rl: int) -> None:
+    """One Cooley-Tukey butterfly on rows rj and rl: t = twiddle * a[rl] * R^-1,
+    then a[rl] := a[rj] - t and a[rj] := a[rj] + t, all mod q.  The product
+    lands in the mask row, which modsub and modadd read as t."""
+    mask = E.rm.mask_row
+    emit_modmul(E, twiddle, b_row=rl)
+    emit_resolve(E, mask)
+    emit_modsub(E, rj, mask, rl)
+    emit_modadd(E, rj, mask, rj)
+
+
+def inverse_butterfly(E, twiddle: int, rj: int, rl: int) -> None:
+    """One Gentleman-Sande butterfly on rows rj and rl: a[rj] := a[rj] + a[rl]
+    and a[rl] := twiddle * (a[rj] - a[rl]) * R^-1, all mod q.  The difference
+    is parked in the dead a[rl] row, as the multiplication predicates on the
+    mask row; the flush runs the park before its compiled blocks."""
+    rm = E.rm
+    emit_modsub(E, rj, rl, rm.mask_row)
+    emit_modadd(E, rj, rl, rj)
+    E.act(rm.mask_row, rm.zeros, OR)
+    E.wb(rl)
+    E.flush()
+    emit_modmul(E, twiddle, b_row=rl)
+    emit_resolve(E, rl)
+
+
+def scale_row(E, multiplier: int, row: int) -> None:
+    """row := multiplier * row * R^-1 mod q."""
+    emit_modmul(E, multiplier, b_row=row)
+    emit_resolve(E, row)
+
+
+def forward_steps(order: int):
+    """The in-place Cooley-Tukey sweep as (kernel, twiddle index, coefficients)
+    steps, k indexing ``TwiddleTable.forward``."""
     k = 0
     length = order // 2
     while length >= 1:
         for start in range(0, order, 2 * length):
             k += 1
             for j in range(start, start + length):
-                yield j, length, k
+                yield forward_butterfly, k, (j, j + length)
         length //= 2
 
 
-def _inverse_schedule(order: int):
+def scale_steps(order: int):
+    """One scaling step per coefficient c, by multiplier c."""
+    return ((scale_row, c, (c,)) for c in range(order))
+
+
+def inverse_steps(order: int):
+    """The scaling pass, then the Gentleman-Sande sweep.  The constants are
+    the order multipliers followed by ``TwiddleTable.inverse``, so the
+    sweep's twiddle k has index order + k."""
+    yield from scale_steps(order)
     k = order
     length = 1
     while length < order:
         for start in range(0, order, 2 * length):
             k -= 1
             for j in range(start, start + length):
-                yield j, length, k
+                yield inverse_butterfly, order + k, (j, j + length)
         length *= 2
-
-
-def forward_butterfly(E, twiddle: int, rj: int, rl: int) -> None:
-    """One Cooley-Tukey butterfly on rows rj and rl: t = twiddle * a[rl] * R^-1,
-    then a[rl] := a[rj] - t and a[rj] := a[rj] + t, all mod q.
-
-    The product lands in the mask row, which modsub and modadd read as t.
-    ``TransformUnit.forward`` runs it and ``perf.butterfly_counts`` compiles it.
-    """
-    mask = E.rm.mask_row
-    emit_modmul(E, twiddle, b_row=rl)
-    emit_resolve(E, mask)
-    emit_modsub(E, rj, mask, rl)
-    emit_modadd(E, rj, mask, rj)
 
 
 class TransformUnit:
@@ -361,23 +394,19 @@ class TransformUnit:
             if type(v) is not int or not 0 <= v < q:
                 raise ParameterError(f"{what} entry {v!r} is not an integer residue in [0, {q})")
 
-    # -- butterfly kernels ----------------------------------------------
+    # -- transforms ------------------------------------------------------
 
-    def _scale_rows(self, scaled_values) -> None:
-        """coefficient_row := scaled_values[c] * row * R^-1, for every c."""
+    def _run(self, steps, constants) -> None:
+        """Each step's kernel on its constant and its coefficients' rows."""
         E = self.emitter
-        for c in range(self.ring.order):
-            row = self._ensure(c)
-            emit_modmul(E, scaled_values[c], b_row=row)
-            emit_resolve(E, row)
+        for kernel, i, coeffs in steps:
+            kernel(E, constants[i], *map(self._ensure, coeffs))
+            if kernel is not scale_row:
+                self.butterflies += 1
 
     def forward(self) -> None:
         """In-place forward transform; rows end up holding the bit-reversed spectrum."""
-        E = self.emitter
-        fwd = self.table.forward
-        for j, length, k in _forward_schedule(self.ring.order):
-            forward_butterfly(E, fwd[k], self._ensure(j), self._ensure(j + length))
-            self.butterflies += 1
+        self._run(forward_steps(self.ring.order), self.table.forward)
 
     def inverse(self, spectrum=None) -> None:
         """Gentleman-Sande inverse on a bit-reversed spectrum; standard order out.
@@ -389,29 +418,11 @@ class TransformUnit:
         the linear sweep, so it joins the pointwise multiplier, and either way
         each row pays one modmul and one resolve.
         """
-        E = self.emitter
-        rm = self.rm
-        inv = self.table.inverse
-        scale = self.table.scale_inv_r
-        if spectrum is None:
-            self._scale_rows([scale] * self.ring.order)
-        else:
+        if spectrum is not None:
             self._check_residues(spectrum, "spectrum")
-            self._scale_rows([v * scale % self.ring.q for v in spectrum])
-        for j, length, k in _inverse_schedule(self.ring.order):
-            rj = self._ensure(j)
-            rl = self._ensure(j + length)
-            emit_modsub(E, rj, rl, rm.mask_row)
-            emit_modadd(E, rj, rl, rj)
-            # park the difference in the now-dead a[j+len] row: the multiply
-            # loop needs mask_row for its own per-iteration predication; the
-            # flush runs the park before the multiplication's compiled blocks
-            E.act(rm.mask_row, rm.zeros, OR)
-            E.wb(rl)
-            E.flush()
-            emit_modmul(E, inv[k], b_row=rl)
-            emit_resolve(E, rl)
-            self.butterflies += 1
+        scale, q = self.table.scale_inv_r, self.ring.q
+        multipliers = [v * scale % q for v in spectrum or [1] * self.ring.order]
+        self._run(inverse_steps(self.ring.order), multipliers + list(self.table.inverse))
 
     def pointwise_by(self, spectrum) -> None:
         """Multiply the resident spectra by a shared spectrum (bit-reversed order).
@@ -424,7 +435,7 @@ class TransformUnit:
         self._check_residues(spectrum, "spectrum")
         q = self.ring.q
         r = self.ctx.radix % q
-        self._scale_rows([v * r % q for v in spectrum])
+        self._run(scale_steps(self.ring.order), [v * r % q for v in spectrum])
 
 
 def polymul_pipeline(a_polys, b, ring: RingParams, rows: int = 256, cols: int = 256,

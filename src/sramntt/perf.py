@@ -9,16 +9,16 @@ a 256-point 16-bit run lands near the published per-NTT energy scale; they
 are calibration inputs, not measured data, and everything derived from them
 scales linearly with the table.
 
-The sweep paths never execute the array: per-butterfly micro-op counts come
-from compiling ``ntt.forward_butterfly``, the code the transform runs (so
-they match real traces bit-for-bit; asserted in tests), and host-swap
-traffic is replayed by a residency-only bookkeeping loop.
+The estimator never executes the array.  It counts the step lists the unit
+runs (``ntt.forward_steps``, ``ntt.inverse_steps``): each kernel compiled once
+per constant popcount, plus the host swaps of one residency-only walk, so it
+matches real traces bit-for-bit.  The sweeps are its one-forward case.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -30,7 +30,7 @@ from .bitparallel import (
     default_rowmap,
 )
 from .errors import CapacityError, ParameterError, TraceIOError
-from .ntt import CONSTANT_ROWS, _forward_schedule, forward_butterfly, layout_plan
+from .ntt import CONSTANT_ROWS, forward_steps, layout_plan
 from .subarray import (
     ACTIVATE2,
     GLOBAL,
@@ -247,70 +247,78 @@ def shift_baseline_ratio(stats: SimStats, order: int, width: int) -> float:
 # -- analytic micro-op counting (no array execution) -------------------------
 
 @lru_cache(maxsize=None)
-def butterfly_counts(width: int, popcount: int) -> dict:
-    """Micro-op counts of one forward butterfly at a given lane width.
+def kernel_counts(kernel, operands: int, lane: int, popcount: int) -> dict:
+    """Micro-op counts of one step: `kernel`, the code the transform runs, on
+    `operands` rows, with a constant of `popcount` set bits below the word.
 
-    Compiles ``ntt.forward_butterfly``, the code the transform runs, on a
-    collecting emitter with the transform's context (``for_ring``), so these
-    match executed traces exactly.  The synthetic modulus 2^(width-1) - 1
-    keeps lane == width, and the word is lane - 1 on every ring; a twiddle's
-    cost depends only on its popcount.  Memoized; callers must not change
-    the dict it returns.
+    Compiled on a collecting emitter with the transform's context at the
+    synthetic modulus 2^(lane-1) - 1: the word is lane - 1 on every ring, and
+    a constant's cost depends only on its popcount, so these match executed
+    traces exactly.  Memoized; callers must not change the dict it returns.
     """
-    ctx = MontgomeryContext.for_ring((1 << (width - 1)) - 1, width)
+    if not 0 <= popcount < lane:
+        raise ParameterError(f"popcount {popcount} outside [0, {lane - 1}] for lane {lane}")
+    ctx = MontgomeryContext.for_ring((1 << (lane - 1)) - 1, lane)
     E = Emitter(ctx, default_rowmap(64), ExecPolicy())
-    forward_butterfly(E, (1 << popcount) - 1, 0, 1)
+    kernel(E, (1 << popcount) - 1, *range(operands))
     return counts_of_trace(E.ops)
 
 
 @lru_cache(maxsize=16)
-def swap_write_count(order: int, resident: int) -> int:
-    """WRITE_ROW swaps a forward transform needs under direct-mapped residency.
+def _walk(step_lists: tuple, order: int, resident: int):
+    """One replay of the step lists in turn after a load: the host swaps
+    (WRITE_ROW) of direct-mapped residency and, per list, the constant indices
+    that n of a (kernel, operands) pair's steps take, by (kernel, operands, n).
+    Memoized, as a bitwidth sweep asks for it at every width; read only."""
+    slots = [c if c < order else None for c in range(resident)]
+    swaps = 0
+    visits = []
+    for steps in step_lists:
+        visited = Counter()
+        for kernel, i, coeffs in steps(order):
+            visited[kernel, len(coeffs), i] += 1
+            for c in coeffs:
+                if slots[c % resident] != c:
+                    slots[c % resident] = c
+                    swaps += 1
+        visits.append(defaultdict(list))
+        for (kernel, operands, i), n in visited.items():
+            visits[-1][kernel, operands, n].append(i)
+    return swaps, visits
 
-    One O(order log order) replay of the schedule; memoized, since a bitwidth
-    sweep asks for the same (order, resident) at every width."""
-    if order <= resident:
-        return 0
-    slots = [c if c < resident else None for c in range(resident)]
-    writes = 0
-    for j, length, _k in _forward_schedule(order):
-        for c in (j, j + length):
-            slot = c % resident
-            if slots[slot] != c:
-                slots[slot] = c
-                writes += 1
-    return writes
+
+def estimate(order: int, lane: int, rows: int, cols: int, passes) -> dict | None:
+    """Deterministic-policy micro-op counts of a unit that loads its constants
+    and polynomials and runs each pass, a (step list, popcounts) pair such as
+    (``forward_steps``, popcounts), popcounts[i] the set bits of constant i.
+    None if ``layout_plan`` finds no fit (a lane below 3 raises ParameterError).
+    """
+    try:
+        resident = layout_plan(rows, cols, lane, order).resident_rows
+    except CapacityError:
+        return None
+    swaps, visits = _walk(tuple(steps for steps, _ in passes), order, resident)
+    counts = empty_counts()
+    counts[WRITE_ROW] += CONSTANT_ROWS + min(order, resident) + swaps
+    for (_, popcounts), grouped in zip(passes, visits):
+        for (kernel, operands, n), indices in grouped.items():
+            for popcount, m in Counter(map(popcounts.__getitem__, indices)).items():
+                add_counts(counts, kernel_counts(kernel, operands, lane, popcount), n * m)
+    return counts
 
 
 def estimate_forward_ntt(order: int, width: int, rows: int = 256, cols: int = 256,
                          popcounts=None) -> dict | None:
-    """Micro-op counts of one SIMD forward transform; None if ``layout_plan``
-    finds that it cannot fit (a width below 3 raises ParameterError).
+    """Micro-op counts of one SIMD forward transform: ``estimate`` with one
+    forward pass.  `width` is the lane width.
 
     popcounts: per-twiddle-index set-bit counts of the Montgomery-scaled
     twiddles; defaults to the synthetic average width//2 (used by sweeps at
     widths where no NTT-friendly modulus exists).
-
-    `width` is the lane width.  The transform's program depends on the
-    lane alone (its word is lane - 1), so the estimate equals the executed
-    counts on every ring.
     """
-    try:
-        resident = layout_plan(rows, cols, width, order).resident_rows
-    except CapacityError:
-        return None
-    counts = empty_counts()
-    counts[WRITE_ROW] += CONSTANT_ROWS + min(order, resident)
-    counts[WRITE_ROW] += swap_write_count(order, resident)
     if popcounts is None:
-        pc = max(1, width // 2)
-        per_fly = butterfly_counts(width, pc)
-        flights = (order // 2) * (order.bit_length() - 1)
-        add_counts(counts, per_fly, flights)
-    else:
-        for _j, _length, k in _forward_schedule(order):
-            add_counts(counts, butterfly_counts(width, popcounts[k]))
-    return counts
+        popcounts = [max(1, width // 2)] * order
+    return estimate(order, width, rows, cols, [(forward_steps, popcounts)])
 
 
 def _sweep_row(param: int, counts: dict | None, parallel: int, cost: CostModel) -> dict:

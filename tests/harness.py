@@ -24,6 +24,9 @@ from sramntt.subarray import ACTIVATE2, SHIFT, WRITEBACK, Subarray
 
 B_ROW = 0
 
+# the (order, q) rings of acceptance criterion 5, each on a 256 x 256 array
+CRIT5_SETTINGS = [(4, 257), (8, 257), (256, 7681), (256, 8380417), (1024, 12289)]
+
 
 class ModmulBench:
     """Reusable subarray wired for multiplications modulo one fixed modulus."""

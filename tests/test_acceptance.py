@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from harness import B_ROW, ModmulBench, paper_steps
+from harness import B_ROW, CRIT5_SETTINGS, ModmulBench, paper_steps
 from sramntt.bitparallel import (
     Emitter,
     ExecPolicy,
@@ -199,9 +199,6 @@ def test_criterion_3_randomized_modmul():
 
 
 # -- criterion 5: transform correctness ---------------------------------------
-
-CRIT5_SETTINGS = [(4, 257), (8, 257), (256, 7681), (256, 8380417), (1024, 12289)]
-
 
 @pytest.mark.parametrize("order,q", CRIT5_SETTINGS)
 def test_criterion_5_transforms(order, q):

@@ -186,6 +186,7 @@ def test_roundtrip_and_butterfly_count():
     assert unit.butterflies == (8 // 2) * 3            # (order/2) * log2(order)
     unit.inverse()
     assert unit.read_polynomials(3) == polys
+    assert unit.butterflies == 8 * 3                   # order * log2(order): no scaled row
 
 
 def test_intt_of_constant_spectrum():

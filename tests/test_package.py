@@ -16,7 +16,9 @@ REMOVED = ("bp_modmul", "run_stream", "MicroOp", "microop_view", "counts_of_ops"
            "negacyclic", "tile_origin", "spill_map", "generated", "step_callback",
            "omega", "b_row", "snapshot", "bits_from_list", "bits_to_list",
            "select_m", "resolve_carry_save", "bp_add", "to_text",
-           "bp_modadd", "bp_modsub", "_headroom_or_raise", "primitive_counts")
+           "bp_modadd", "bp_modsub", "_headroom_or_raise", "primitive_counts",
+           "butterfly_counts", "swap_write_count", "_forward_schedule", "_inverse_schedule",
+           "_scale_rows")
 
 
 def test_all_names_resolve():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from harness import paper_steps
+from harness import CRIT5_SETTINGS, paper_steps
 from sramntt import perf
 from sramntt.bitparallel import (
     CommandStream,
@@ -19,10 +19,21 @@ from sramntt.bitparallel import (
     emit_modmul,
     emit_modsub,
     emit_resolve,
+    load_constants,
 )
 from sramntt.cli import main
 from sramntt.errors import ParameterError
-from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
+from sramntt.ntt import (
+    CONSTANT_ROWS,
+    RingParams,
+    TransformUnit,
+    forward_butterfly,
+    forward_steps,
+    inverse_butterfly,
+    inverse_steps,
+    polymul_pipeline,
+    scale_row,
+)
 from sramntt.perf import (
     CSV_HEADER,
     DEFAULT_CYCLES,
@@ -31,16 +42,18 @@ from sramntt.perf import (
     accumulate,
     counts_of_tally,
     counts_of_trace,
+    add_counts,
     empty_counts,
+    estimate,
     estimate_forward_ntt,
+    kernel_counts,
     shift_baseline_ratio,
     stats_from_counts,
-    butterfly_counts,
     sweep_bitwidth,
     sweep_order,
     sweep_to_csv,
 )
-from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, Subarray, Trace, replay
+from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, WRITE_ROW, Subarray, Trace, replay
 
 
 def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0, policy=ExecPolicy(),
@@ -53,6 +66,10 @@ def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0, policy=ExecPoli
     unit.load_polynomials(polys)
     unit.forward()
     return unit
+
+
+def popcounts(values):
+    return [bin(v).count("1") for v in values]
 
 
 def test_accumulate_empty_and_simple():
@@ -228,7 +245,7 @@ def test_cost_model_text_roundtrip():
 ])
 def test_estimator_matches_real_trace_no_swap(order, q, width):
     unit = small_forward_unit(order=order, q=q, width=width)
-    pcs = [bin(v).count("1") for v in unit.table.forward]
+    pcs = popcounts(unit.table.forward)
     est = estimate_forward_ntt(order, unit.ctx.lane_width, 64, 64, popcounts=pcs)
     assert est == counts_of_trace(unit.arr.trace)
 
@@ -237,7 +254,7 @@ def test_estimator_matches_real_trace_no_swap(order, q, width):
 def test_estimator_matches_real_trace_with_swap(order, q, rows):
     unit = small_forward_unit(order=order, q=q, rows=rows, cols=64)
     assert unit.layout.swapped
-    pcs = [bin(v).count("1") for v in unit.table.forward]
+    pcs = popcounts(unit.table.forward)
     est = estimate_forward_ntt(order, unit.ctx.lane_width, rows, 64, popcounts=pcs)
     assert est == counts_of_trace(unit.arr.trace)
 
@@ -274,17 +291,16 @@ def test_sweep_bitwidth_monotone_and_parallel_drops():
 
 
 def test_a_bitwidth_sweep_replays_the_host_swaps_once(monkeypatch):
-    """The swap count depends on the order and the resident rows, not the
-    width, so a sweep over 63 widths of one swapped layout replays it once."""
+    """The walk of the steps depends on the order and the resident rows, not
+    the width, so a sweep over 63 widths of one swapped layout walks once."""
     calls = []
-    schedule = perf._forward_schedule
 
     def counted(order):
         calls.append(order)
-        return schedule(order)
+        return forward_steps(order)
 
-    perf.swap_write_count.cache_clear()
-    monkeypatch.setattr(perf, "_forward_schedule", counted)
+    perf._walk.cache_clear()
+    monkeypatch.setattr(perf, "forward_steps", counted)
     rows = sweep_bitwidth(order=64, widths=range(2, 65), rows=32, cols=256)
     assert sum(r["feasible"] for r in rows) == 62
     assert calls == [64]
@@ -294,7 +310,8 @@ def test_primitive_costs_at_width_16():
     """The w = 16 butterfly's primitives, twiddle popcount 8, under the
     default cost model: (cycles, global shifts, tile-masked shifts).  Each is
     compiled alone as the butterfly compiles it, on the transform's context
-    (word 15 on lane 16): rows 0 and 1, the product in the mask row."""
+    (word 15 on lane 16): rows 0 and 1, the product in the mask row.  The
+    inverse's butterfly and its scaling step are pinned whole."""
     cost = CostModel()
     ctx = MontgomeryContext.for_ring((1 << 15) - 1, 16)
     rm = default_rowmap(64)
@@ -311,8 +328,74 @@ def test_primitive_costs_at_width_16():
                counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"])
         assert got == figures, kind
         perf.add_counts(total, counts)
-    assert butterfly_counts(16, 8) == total
-    assert stats_from_counts(butterfly_counts(16, 8), cost).cycles == 1_670
+    assert kernel_counts(forward_butterfly, 2, 16, 8) == total
+    for kernel, operands, cycles in ((forward_butterfly, 2, 1_670),
+                                     (inverse_butterfly, 2, 1_672), (scale_row, 1, 1_216)):
+        assert stats_from_counts(kernel_counts(kernel, operands, 16, 8), cost).cycles == cycles
+
+
+def test_a_popcount_outside_the_word_is_rejected():
+    """A constant has at most lane - 1 set bits (the word); more is an error,
+    not a count at the word's width."""
+    with pytest.raises(ParameterError, match="popcount 40"):
+        estimate_forward_ntt(8, 16, 64, 64, popcounts=[0] + [40] * 7)
+    with pytest.raises(ParameterError, match="popcount 16"):
+        estimate_forward_ntt(8, 16, 64, 64, popcounts=[16] * 8)
+    for popcount in (16, -1):
+        with pytest.raises(ParameterError):
+            kernel_counts(forward_butterfly, 2, 16, popcount)
+    assert kernel_counts(forward_butterfly, 2, 16, 15) != kernel_counts(forward_butterfly, 2, 16, 14)
+
+
+def inverse_pass(unit, multipliers):
+    """The inverse's pass: its scaling multipliers times n^-1 R, then its twiddles."""
+    scale, q = unit.table.scale_inv_r, unit.ring.q
+    return inverse_steps, popcounts([v * scale % q for v in multipliers] + list(unit.table.inverse))
+
+
+ESTIMATED_RINGS = [pytest.param(order, q, None, 256, 256, id=f"{order}-{q}")
+                   for order, q in CRIT5_SETTINGS] + [
+    pytest.param(32, 257, None, 32, 64, id="32-257-32x64"),           # host-swapped
+    pytest.param(16, 7681, 13, 64, 64, id="16-7681-13"),              # no headroom bit
+]
+
+
+@pytest.mark.parametrize("order, q, width, rows, cols", ESTIMATED_RINGS)
+def test_the_estimate_counts_a_roundtrip_and_a_product(order, q, width, rows, cols):
+    """perf.estimate, given each pass's constants' popcounts, equals the
+    executed counts of a roundtrip and of both units of a product."""
+    ring = RingParams.create(q, order, width)
+    rng = random.Random(order + q)
+    a, b, c = ([rng.randrange(q) for _ in range(order)] for _ in range(3))
+    unit = TransformUnit(ring, rows, cols)
+    unit.load_polynomials([a])
+    unit.forward()
+    unit.inverse()
+    lane = unit.ctx.lane_width
+    forward = (forward_steps, popcounts(unit.table.forward))
+    roundtrip = estimate(order, lane, rows, cols, [forward, inverse_pass(unit, [1] * order)])
+    assert roundtrip == counts_of_tally(unit.arr.trace)
+    _, unit_a, unit_b = polymul_pipeline([b], c, ring, rows, cols)
+    b_hat = unit_b.read_polynomials(1)[0]
+    product = estimate(order, lane, rows, cols, [forward])
+    add_counts(product, estimate(order, lane, rows, cols, [forward, inverse_pass(unit_a, b_hat)]))
+    executed = counts_of_tally(unit_a.arr.trace)
+    add_counts(executed, counts_of_tally(unit_b.arr.trace))
+    assert product == executed
+
+
+@pytest.mark.parametrize("rows", [64, 32], ids=["resident", "swapped"])
+def test_the_estimates_load_writes_are_load_constants_and_the_load(rows):
+    """With no pass, the estimate is the unit's set-up: the rows that
+    load_constants writes, then one row per resident coefficient."""
+    ring = RingParams.create(257, 32)
+    unit = TransformUnit(ring, rows, 64)
+    arr = Subarray(rows, 64)
+    load_constants(arr, unit.rm, unit.ctx)
+    assert counts_of_tally(arr.trace) == counts_of_tally(unit.arr.trace)
+    assert counts_of_tally(arr.trace)[WRITE_ROW] == CONSTANT_ROWS == len(unit.rm.constant_rows())
+    unit.load_polynomials([[1] * 32])
+    assert estimate(32, unit.ctx.lane_width, rows, 64, []) == counts_of_tally(unit.arr.trace)
 
 
 def test_sweep_order_monotone_and_swap_knee():
