@@ -13,7 +13,8 @@ the Montgomery products come out plain.
 
 Each transform is written once, as a list of (kernel, constant index,
 coefficients) steps: ``forward_steps``, or ``inverse_steps`` (``scale_steps``
-then the sweep).  ``TransformUnit`` runs it and ``perf.estimate`` counts it.
+then the sweep), paired with its constants by ``TransformUnit.forward_pass``
+or ``inverse_pass``: the unit runs that pass and ``perf.estimate`` counts it.
 
 Coefficient rows beyond the per-tile resident capacity are staged by the host
 (WRITE_ROW swaps, identical row indices in every tile), which keeps the SIMD
@@ -397,16 +398,29 @@ class TransformUnit:
     # -- transforms ------------------------------------------------------
 
     def _run(self, steps, constants) -> None:
-        """Each step's kernel on its constant and its coefficients' rows."""
+        """Each step of `steps(order)`: its kernel on its constant and its coefficients' rows."""
         E = self.emitter
-        for kernel, i, coeffs in steps:
+        for kernel, i, coeffs in steps(self.ring.order):
             kernel(E, constants[i], *map(self._ensure, coeffs))
             if kernel is not scale_row:
                 self.butterflies += 1
 
+    def forward_pass(self):
+        """The forward transform as a (step list, constants) pass."""
+        return forward_steps, self.table.forward
+
+    def inverse_pass(self, spectrum=None):
+        """The inverse as a (step list, constants) pass: the scaling
+        multipliers, n^-1 R or spectrum[c] * n^-1 R, then the inverse twiddles."""
+        if spectrum is not None:
+            self._check_residues(spectrum, "spectrum")
+        scale, q = self.table.scale_inv_r, self.ring.q
+        multipliers = [v * scale % q for v in spectrum or [1] * self.ring.order]
+        return inverse_steps, multipliers + list(self.table.inverse)
+
     def forward(self) -> None:
         """In-place forward transform; rows end up holding the bit-reversed spectrum."""
-        self._run(forward_steps(self.ring.order), self.table.forward)
+        self._run(*self.forward_pass())
 
     def inverse(self, spectrum=None) -> None:
         """Gentleman-Sande inverse on a bit-reversed spectrum; standard order out.
@@ -418,11 +432,7 @@ class TransformUnit:
         the linear sweep, so it joins the pointwise multiplier, and either way
         each row pays one modmul and one resolve.
         """
-        if spectrum is not None:
-            self._check_residues(spectrum, "spectrum")
-        scale, q = self.table.scale_inv_r, self.ring.q
-        multipliers = [v * scale % q for v in spectrum or [1] * self.ring.order]
-        self._run(inverse_steps(self.ring.order), multipliers + list(self.table.inverse))
+        self._run(*self.inverse_pass(spectrum))
 
     def pointwise_by(self, spectrum) -> None:
         """Multiply the resident spectra by a shared spectrum (bit-reversed order).
@@ -435,7 +445,7 @@ class TransformUnit:
         self._check_residues(spectrum, "spectrum")
         q = self.ring.q
         r = self.ctx.radix % q
-        self._run(scale_steps(self.ring.order), [v * r % q for v in spectrum])
+        self._run(scale_steps, [v * r % q for v in spectrum])
 
 
 def polymul_pipeline(a_polys, b, ring: RingParams, rows: int = 256, cols: int = 256,

@@ -9,19 +9,22 @@ a 256-point 16-bit run lands near the published per-NTT energy scale; they
 are calibration inputs, not measured data, and everything derived from them
 scales linearly with the table.
 
-The estimator never executes the array.  It counts the step lists the unit
-runs (``ntt.forward_steps``, ``ntt.inverse_steps``): each kernel compiled once
-per constant popcount, plus the host swaps of one residency-only walk, so it
-matches real traces bit-for-bit.  The sweeps are its one-forward case.
+The estimator never executes the array.  It counts the (step list,
+constants) passes the unit runs at the unit's own context and layout: each
+kernel compiled once per constant popcount, plus the host swaps of one
+residency-only walk, so it matches real traces bit-for-bit.  The sweeps are
+its one-forward case, at a synthetic modulus (``estimate_forward_ntt``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .bitparallel import (
     Emitter,
@@ -30,7 +33,7 @@ from .bitparallel import (
     default_rowmap,
 )
 from .errors import CapacityError, ParameterError, TraceIOError
-from .ntt import CONSTANT_ROWS, forward_steps, layout_plan
+from .ntt import CONSTANT_ROWS, TileLayout, check_order, forward_steps, layout_plan
 from .subarray import (
     ACTIVATE2,
     GLOBAL,
@@ -247,18 +250,16 @@ def shift_baseline_ratio(stats: SimStats, order: int, width: int) -> float:
 # -- analytic micro-op counting (no array execution) -------------------------
 
 @lru_cache(maxsize=None)
-def kernel_counts(kernel, operands: int, lane: int, popcount: int) -> dict:
+def kernel_counts(kernel, operands: int, ctx: MontgomeryContext, popcount: int) -> dict:
     """Micro-op counts of one step: `kernel`, the code the transform runs, on
     `operands` rows, with a constant of `popcount` set bits below the word.
 
-    Compiled on a collecting emitter with the transform's context at the
-    synthetic modulus 2^(lane-1) - 1: the word is lane - 1 on every ring, and
-    a constant's cost depends only on its popcount, so these match executed
-    traces exactly.  Memoized; callers must not change the dict it returns.
+    Compiled on a collecting emitter at `ctx`.  A constant's cost depends only
+    on its popcount, so these match executed traces exactly.  Memoized;
+    callers must not change the dict it returns.
     """
-    if not 0 <= popcount < lane:
-        raise ParameterError(f"popcount {popcount} outside [0, {lane - 1}] for lane {lane}")
-    ctx = MontgomeryContext.for_ring((1 << (lane - 1)) - 1, lane)
+    if not 0 <= popcount <= ctx.width:
+        raise ParameterError(f"popcount {popcount} outside [0, {ctx.width}] for a {ctx.width}-bit word")
     E = Emitter(ctx, default_rowmap(64), ExecPolicy())
     kernel(E, (1 << popcount) - 1, *range(operands))
     return counts_of_trace(E.ops)
@@ -267,58 +268,63 @@ def kernel_counts(kernel, operands: int, lane: int, popcount: int) -> dict:
 @lru_cache(maxsize=16)
 def _walk(step_lists: tuple, order: int, resident: int):
     """One replay of the step lists in turn after a load: the host swaps
-    (WRITE_ROW) of direct-mapped residency and, per list, the constant indices
-    that n of a (kernel, operands) pair's steps take, by (kernel, operands, n).
+    (WRITE_ROW) of direct-mapped residency and, per list, the constant index
+    of each run of n steps of one (kernel, index), by (kernel, operands, n).
     Memoized, as a bitwidth sweep asks for it at every width; read only."""
     slots = [c if c < order else None for c in range(resident)]
     swaps = 0
     visits = []
     for steps in step_lists:
-        visited = Counter()
-        for kernel, i, coeffs in steps(order):
-            visited[kernel, len(coeffs), i] += 1
-            for c in coeffs:
-                if slots[c % resident] != c:
-                    slots[c % resident] = c
-                    swaps += 1
-        visits.append(defaultdict(list))
-        for (kernel, operands, i), n in visited.items():
-            visits[-1][kernel, operands, n].append(i)
+        runs = defaultdict(lambda: array("q"))
+        for (kernel, i), run in groupby(steps(order), itemgetter(0, 1)):
+            for n, (_, _, coeffs) in enumerate(run, 1):
+                for c in coeffs:
+                    slot = c % resident
+                    if slots[slot] != c:
+                        slots[slot] = c
+                        swaps += 1
+            runs[kernel, len(coeffs), n].append(i)
+        visits.append(runs)
     return swaps, visits
 
 
-def estimate(order: int, lane: int, rows: int, cols: int, passes) -> dict | None:
-    """Deterministic-policy micro-op counts of a unit that loads its constants
-    and polynomials and runs each pass, a (step list, popcounts) pair such as
-    (``forward_steps``, popcounts), popcounts[i] the set bits of constant i.
-    None if ``layout_plan`` finds no fit (a lane below 3 raises ParameterError).
+def estimate(ctx: MontgomeryContext, layout: TileLayout, passes) -> dict:
+    """Deterministic-policy micro-op counts of a unit with context `ctx` and
+    layout `layout` that loads its constants and polynomials and runs each
+    pass, a (step list, constants) pair such as ``TransformUnit.forward_pass()``.
     """
-    try:
-        resident = layout_plan(rows, cols, lane, order).resident_rows
-    except CapacityError:
-        return None
+    order, resident = layout.order, layout.resident_rows
     swaps, visits = _walk(tuple(steps for steps, _ in passes), order, resident)
     counts = empty_counts()
     counts[WRITE_ROW] += CONSTANT_ROWS + min(order, resident) + swaps
-    for (_, popcounts), grouped in zip(passes, visits):
-        for (kernel, operands, n), indices in grouped.items():
-            for popcount, m in Counter(map(popcounts.__getitem__, indices)).items():
-                add_counts(counts, kernel_counts(kernel, operands, lane, popcount), n * m)
+    for (_, constants), runs in zip(passes, visits):
+        for (kernel, operands, n), indices in runs.items():
+            for constant, m in Counter(map(constants.__getitem__, indices)).items():
+                add_counts(counts, kernel_counts(kernel, operands, ctx, constant.bit_count()), n * m)
     return counts
 
 
 def estimate_forward_ntt(order: int, width: int, rows: int = 256, cols: int = 256,
                          popcounts=None) -> dict | None:
-    """Micro-op counts of one SIMD forward transform: ``estimate`` with one
-    forward pass.  `width` is the lane width.
-
-    popcounts: per-twiddle-index set-bit counts of the Montgomery-scaled
-    twiddles; defaults to the synthetic average width//2 (used by sweeps at
-    widths where no NTT-friendly modulus exists).
+    """Micro-op counts of one SIMD forward transform on a `width`-bit lane, or
+    None if ``layout_plan`` finds no fit: ``estimate`` at the transform's
+    context for the synthetic modulus 2^(width-1) - 1, as the program depends
+    on the lane alone.  popcounts: the set bits of each of the `order`
+    twiddles; by default width//2 each (sweeps cover widths with no NTT prime).
     """
+    check_order(order)
     if popcounts is None:
-        popcounts = [max(1, width // 2)] * order
-    return estimate(order, width, rows, cols, [(forward_steps, popcounts)])
+        constants = [(1 << max(1, width // 2)) - 1] * order
+    elif len(popcounts) != order or any(type(p) is not int or p < 0 for p in popcounts):
+        raise ParameterError(f"popcounts must be {order} ints >= 0, got {len(popcounts)}")
+    else:
+        constants = [(1 << p) - 1 for p in popcounts]
+    try:
+        layout = layout_plan(rows, cols, width, order)
+    except CapacityError:
+        return None
+    ctx = MontgomeryContext.for_ring((1 << (width - 1)) - 1, width)
+    return estimate(ctx, layout, [(forward_steps, constants)])
 
 
 def _sweep_row(param: int, counts: dict | None, parallel: int, cost: CostModel) -> dict:

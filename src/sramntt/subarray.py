@@ -494,16 +494,19 @@ _QUOTED_CHARS = 60
 
 def serialize_trace(trace, cols: int, out) -> None:
     """Write the trace to the text stream `out`, one line per op, in batches
-    of LINES_PER_WRITE lines; each distinct op is formatted once."""
+    of LINES_PER_WRITE lines of one pass; each distinct op is formatted once."""
     texts: dict[tuple, str] = {}
-    for start in range(0, len(trace), LINES_PER_WRITE):
+    ops = iter(trace)
+    start = 0
+    while batch := list(islice(ops, LINES_PER_WRITE)):
         lines = []
-        for seq, op in enumerate(trace[start:start + LINES_PER_WRITE], start):
+        for seq, op in enumerate(batch, start):
             text = texts.get(op)
             if text is None:
                 text = texts[op] = _op_text(op, cols)
             lines.append(f"{seq} {text}\n")
         out.write("".join(lines))
+        start += len(batch)
 
 
 def _quote(text: str | None) -> str:

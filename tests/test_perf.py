@@ -30,7 +30,6 @@ from sramntt.ntt import (
     forward_butterfly,
     forward_steps,
     inverse_butterfly,
-    inverse_steps,
     polymul_pipeline,
     scale_row,
 )
@@ -306,6 +305,10 @@ def test_a_bitwidth_sweep_replays_the_host_swaps_once(monkeypatch):
     assert calls == [64]
 
 
+KERNELS_AND_CYCLES = ((forward_butterfly, 2, 1_670), (inverse_butterfly, 2, 1_672),
+                      (scale_row, 1, 1_216))
+
+
 def test_primitive_costs_at_width_16():
     """The w = 16 butterfly's primitives, twiddle popcount 8, under the
     default cost model: (cycles, global shifts, tile-masked shifts).  Each is
@@ -328,10 +331,9 @@ def test_primitive_costs_at_width_16():
                counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"])
         assert got == figures, kind
         perf.add_counts(total, counts)
-    assert kernel_counts(forward_butterfly, 2, 16, 8) == total
-    for kernel, operands, cycles in ((forward_butterfly, 2, 1_670),
-                                     (inverse_butterfly, 2, 1_672), (scale_row, 1, 1_216)):
-        assert stats_from_counts(kernel_counts(kernel, operands, 16, 8), cost).cycles == cycles
+    assert kernel_counts(forward_butterfly, 2, ctx, 8) == total
+    for kernel, operands, cycles in KERNELS_AND_CYCLES:
+        assert stats_from_counts(kernel_counts(kernel, operands, ctx, 8), cost).cycles == cycles
 
 
 def test_a_popcount_outside_the_word_is_rejected():
@@ -341,16 +343,54 @@ def test_a_popcount_outside_the_word_is_rejected():
         estimate_forward_ntt(8, 16, 64, 64, popcounts=[0] + [40] * 7)
     with pytest.raises(ParameterError, match="popcount 16"):
         estimate_forward_ntt(8, 16, 64, 64, popcounts=[16] * 8)
+    ctx = MontgomeryContext.for_ring(7681, 16)
     for popcount in (16, -1):
         with pytest.raises(ParameterError):
-            kernel_counts(forward_butterfly, 2, 16, popcount)
-    assert kernel_counts(forward_butterfly, 2, 16, 15) != kernel_counts(forward_butterfly, 2, 16, 14)
+            kernel_counts(forward_butterfly, 2, ctx, popcount)
+    assert kernel_counts(forward_butterfly, 2, ctx, 15) != kernel_counts(forward_butterfly, 2, ctx, 14)
 
 
-def inverse_pass(unit, multipliers):
-    """The inverse's pass: its scaling multipliers times n^-1 R, then its twiddles."""
-    scale, q = unit.table.scale_inv_r, unit.ring.q
-    return inverse_steps, popcounts([v * scale % q for v in multipliers] + list(unit.table.inverse))
+def test_the_sweep_estimate_rejects_what_no_transform_runs():
+    """estimate_forward_ntt takes a power-of-two order >= 2 and exactly
+    `order` popcounts, each an int >= 0 (a bool is not one)."""
+    for order in (6, 12, 0, 1):
+        with pytest.raises(ParameterError, match="order"):
+            estimate_forward_ntt(order, 16, 64, 64)
+    with pytest.raises(ParameterError, match="order"):
+        sweep_order(16, orders=[6, 12, 0], rows=64, cols=64)
+    for pcs in ([8] * 3, [8] * 100, [8] * 7 + [-1], [8] * 7 + [2.5], [8] * 7 + [True]):
+        with pytest.raises(ParameterError, match="popcounts"):
+            estimate_forward_ntt(8, 16, 64, 64, popcounts=pcs)
+    assert estimate_forward_ntt(8, 16, 64, 64, popcounts=[8] * 8) == estimate_forward_ntt(8, 16, 64, 64)
+
+
+def test_kernel_counts_at_a_ring_equal_those_at_the_sweeps_context(monkeypatch):
+    """The premise of estimate_forward_ntt, which the benchmark holds a
+    forward's executed counts to: a kernel's counts depend on the lane, not
+    the modulus.  On every criterion 5 ring, and on the benchmark's forward
+    ring (q = 7681 at width 16, whose word is wider than q), each kernel at
+    a few popcounts counts the same at the unit's context as at the context
+    the sweep estimate compiles at.  A program that comes to depend on the
+    modulus fails here first."""
+    seen = set()
+
+    def spy(kernel, operands, ctx, popcount):
+        seen.add(ctx)
+        return kernel_counts(kernel, operands, ctx, popcount)
+
+    for order, q, width in [(order, q, None) for order, q in CRIT5_SETTINGS] + [(256, 7681, 16)]:
+        ctx = TransformUnit(RingParams.create(q, order, width)).ctx
+        lane = ctx.lane_width
+        seen.clear()
+        monkeypatch.setattr(perf, "kernel_counts", spy)
+        estimate_forward_ntt(2, lane)
+        monkeypatch.undo()
+        (synthetic,) = seen
+        assert synthetic.lane_width == lane and synthetic.modulus != q
+        for kernel, operands, _ in KERNELS_AND_CYCLES:
+            for popcount in (0, 1, lane // 2, lane - 1):
+                assert (kernel_counts(kernel, operands, ctx, popcount)
+                        == kernel_counts(kernel, operands, synthetic, popcount)), (q, kernel, popcount)
 
 
 ESTIMATED_RINGS = [pytest.param(order, q, None, 256, 256, id=f"{order}-{q}")
@@ -362,8 +402,8 @@ ESTIMATED_RINGS = [pytest.param(order, q, None, 256, 256, id=f"{order}-{q}")
 
 @pytest.mark.parametrize("order, q, width, rows, cols", ESTIMATED_RINGS)
 def test_the_estimate_counts_a_roundtrip_and_a_product(order, q, width, rows, cols):
-    """perf.estimate, given each pass's constants' popcounts, equals the
-    executed counts of a roundtrip and of both units of a product."""
+    """perf.estimate, given each unit's own passes, context and layout,
+    equals the executed counts of a roundtrip and of both units of a product."""
     ring = RingParams.create(q, order, width)
     rng = random.Random(order + q)
     a, b, c = ([rng.randrange(q) for _ in range(order)] for _ in range(3))
@@ -371,14 +411,13 @@ def test_the_estimate_counts_a_roundtrip_and_a_product(order, q, width, rows, co
     unit.load_polynomials([a])
     unit.forward()
     unit.inverse()
-    lane = unit.ctx.lane_width
-    forward = (forward_steps, popcounts(unit.table.forward))
-    roundtrip = estimate(order, lane, rows, cols, [forward, inverse_pass(unit, [1] * order)])
+    roundtrip = estimate(unit.ctx, unit.layout, [unit.forward_pass(), unit.inverse_pass()])
     assert roundtrip == counts_of_tally(unit.arr.trace)
     _, unit_a, unit_b = polymul_pipeline([b], c, ring, rows, cols)
     b_hat = unit_b.read_polynomials(1)[0]
-    product = estimate(order, lane, rows, cols, [forward])
-    add_counts(product, estimate(order, lane, rows, cols, [forward, inverse_pass(unit_a, b_hat)]))
+    product = estimate(unit_b.ctx, unit_b.layout, [unit_b.forward_pass()])
+    add_counts(product, estimate(unit_a.ctx, unit_a.layout,
+                                 [unit_a.forward_pass(), unit_a.inverse_pass(b_hat)]))
     executed = counts_of_tally(unit_a.arr.trace)
     add_counts(executed, counts_of_tally(unit_b.arr.trace))
     assert product == executed
@@ -395,7 +434,7 @@ def test_the_estimates_load_writes_are_load_constants_and_the_load(rows):
     assert counts_of_tally(arr.trace) == counts_of_tally(unit.arr.trace)
     assert counts_of_tally(arr.trace)[WRITE_ROW] == CONSTANT_ROWS == len(unit.rm.constant_rows())
     unit.load_polynomials([[1] * 32])
-    assert estimate(32, unit.ctx.lane_width, rows, 64, []) == counts_of_tally(unit.arr.trace)
+    assert estimate(unit.ctx, unit.layout, []) == counts_of_tally(unit.arr.trace)
 
 
 def test_sweep_order_monotone_and_swap_knee():
