@@ -64,13 +64,15 @@ class MontgomeryContext:
     def create(cls, modulus: int, width: int, lane_width: int | None = None) -> "MontgomeryContext":
         if width < 2:
             raise ParameterError(f"word width must be at least 2, got {width}")
-        if modulus % 2 == 0 or not 2 < modulus < (1 << width):
+        # bit lengths, not 2^width: a huge width allocates nothing before
+        # the layout rejects its lane
+        if modulus % 2 == 0 or modulus <= 2 or modulus.bit_length() > width:
             raise ParameterError(
                 f"modulus must be odd with 2 < M < 2^{width}, got {modulus}"
             )
         if lane_width is None:
             # One headroom column keeps Sum + 2*Carry < 2M representable.
-            lane_width = width if modulus < (1 << (width - 1)) else width + 1
+            lane_width = width if modulus.bit_length() < width else width + 1
         if lane_width < width:
             raise ParameterError("lane narrower than the Montgomery word")
         return cls(modulus=modulus, width=width, lane_width=lane_width)
@@ -93,7 +95,7 @@ class MontgomeryContext:
 
     @property
     def has_headroom(self) -> bool:
-        return self.modulus < (1 << (self.lane_width - 1))
+        return self.modulus.bit_length() < self.lane_width
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,12 @@ class RowMap:
     modulus_row: int
     neg_modulus_row: int
 
+    def working_rows(self) -> tuple[int, int, int, int, int]:
+        """The rows the modular add and subtract work in: all scratch but the mask."""
+        return (self.sum_row, self.carry_row, self.aux1, self.aux2, self.aux3)
+
     def scratch_rows(self) -> tuple[int, ...]:
-        return (self.sum_row, self.carry_row, self.aux1, self.aux2, self.aux3, self.mask_row)
+        return self.working_rows() + (self.mask_row,)
 
     def constant_rows(self) -> tuple[int, ...]:
         return (self.zeros, self.ones, self.lsb_mask, self.msb_mask,
@@ -541,7 +547,10 @@ def _ripple(E, cur: int, other: int, cs_row: int, dest_row: int,
 
     Each round shifts the carry one column, half-adds it into the partial
     sum, and leaves the next carry word in the latch.  `other` and `cs_row`
-    are scratch; the sum ends in dest_row.
+    are scratch; the sum ends in dest_row.  A deterministic policy runs all
+    lane_width rounds, the last of which writes its sum to dest_row (the
+    carry word is then provably zero); a data-dependent one stops at the
+    round whose carry word tests zero and copies its sum to dest_row.
 
     At every round, partial sum + 2 * carry word = x + y, so a live top
     carry bit means x + y >= 2^lane.  A wrapping add shifts tile-masked; a
@@ -549,27 +558,19 @@ def _ripple(E, cur: int, other: int, cs_row: int, dest_row: int,
     promise live.
     """
     w = E.ctx.lane_width
+    deterministic = E.policy.deterministic
     shift = partial(E.shift_data, LEFT, "msb") if no_wrap else partial(E.shift_mask, LEFT)
-    if E.policy.deterministic:
-        for k in range(w):
-            shift()
-            E.wb(cs_row)
-            last = k == w - 1
-            target = dest_row if last else other
-            E.act(cur, cs_row, XOR)
-            E.wb(target)
-            if not last:
-                E.act(cur, cs_row, AND)
-                cur, other = target, cur
-        return
-    for _ in range(w):
+    for k in range(w):
         shift()
         E.wb(cs_row)
         E.act(cur, cs_row, XOR)
+        if deterministic and k == w - 1:
+            E.wb(dest_row)
+            return
         E.wb(other)
         E.act(cur, cs_row, AND)
         cur, other = other, cur
-        if E.ztest():
+        if not deterministic and E.ztest():
             break
     if cur != dest_row:
         E.act(cur, E.rm.zeros, OR)
@@ -592,6 +593,18 @@ def emit_mask_select(E, take_row: int, else_row: int, sel_row: int,
     E.flush()
 
 
+def _sign_select(E, u_row: int, take_row: int, sel_row: int, tmp: int,
+                 dest_row: int) -> None:
+    """dest := take where u is negative (its top lane bit set), else u.
+
+    Isolates u's sign bit into sel_row and smears it over the lane, so the
+    mask select sees a whole-word mask."""
+    E.act(u_row, E.rm.msb_mask, AND)
+    E.wb(sel_row)
+    emit_smear(E, sel_row, tmp, toward_msb=False)
+    emit_mask_select(E, take_row, u_row, sel_row, tmp, dest_row)
+
+
 def emit_resolve(E, dest_row: int) -> None:
     """dest := ((Sum + 2*Carry) conditionally minus M) per tile, in [0, M).
 
@@ -612,79 +625,54 @@ def _resolve(E, dest_row: int) -> None:
              rm.aux2, rm.aux3, rm.mask_row, no_wrap=True)  # t < 2M
     emit_add(E, rm.aux1, rm.neg_modulus_row, rm.aux2,
              rm.aux3, rm.mask_row, rm.carry_row)                    # u = t - M
-    E.act(rm.aux2, rm.msb_mask, AND)
-    E.wb(rm.aux3)
-    emit_smear(E, rm.aux3, rm.mask_row, toward_msb=False)           # L = sign(u)
-    emit_mask_select(E, rm.aux1, rm.aux2, rm.aux3, rm.mask_row, dest_row)
+    _sign_select(E, rm.aux2, rm.aux1, rm.aux3, rm.mask_row, dest_row)
+
+
+def _check_tail(E, op: str, rows: tuple) -> None:
+    """Raise before emitting anything if the modulus leaves no headroom bit
+    or an operand is one of the row map's working rows (the mask row may be
+    one)."""
+    if not E.ctx.has_headroom:
+        raise ParameterError(f"modular {op} needs a headroom bit: modulus {E.ctx.modulus}, "
+                             f"lane {E.ctx.lane_width}")
+    working = E.rm.working_rows()
+    for row in rows:
+        if row in working:
+            raise AddressError(f"modular {op} works in row {row}: it cannot be an operand")
 
 
 def emit_modadd(E, a_row: int, b_row: int, dest_row: int) -> None:
-    """dest := (a + b) mod M.  Needs the headroom bit (M < 2^(lane-1)):
-    without it, raises ParameterError before emitting anything.
-
-    Works in the first five scratch rows that are none of a, b and dest.
-    """
-    if not E.ctx.has_headroom:
-        raise ParameterError(f"modular add needs a headroom bit: modulus {E.ctx.modulus}, "
-                             f"lane {E.ctx.lane_width}")
-    rows = (a_row, b_row, dest_row)
-    E.block(_modadd, rows, _pool_for(E.rm, rows))
+    """dest := (a + b) mod M in the working rows Sum, Carry and aux1-3.
+    Needs the headroom bit (M < 2^(lane-1)) and no operand among the working
+    rows: raises ParameterError or AddressError before emitting anything."""
+    _check_tail(E, "add", (a_row, b_row, dest_row))
+    E.block(_modadd, (a_row, b_row, dest_row))
 
 
-def _modadd(E, a_row: int, b_row: int, dest_row: int,
-            pool: tuple[int, int, int, int, int]) -> None:
+def _modadd(E, a_row: int, b_row: int, dest_row: int) -> None:
     rm = E.rm
-    t_row, u_row, l_row, tmp, cs = pool
+    t_row, u_row, l_row, tmp, cs = rm.working_rows()
     emit_add(E, a_row, b_row, t_row, u_row, l_row, cs, no_wrap=True)  # a + b < 2M
     emit_add(E, t_row, rm.neg_modulus_row, u_row, l_row, tmp, cs)
-    E.act(u_row, rm.msb_mask, AND)
-    E.wb(l_row)
-    emit_smear(E, l_row, tmp, toward_msb=False)   # set iff a+b < M: keep t
-    emit_mask_select(E, t_row, u_row, l_row, tmp, dest_row)
+    _sign_select(E, u_row, t_row, l_row, tmp, dest_row)   # a+b < M: keep t
 
 
 def emit_modsub(E, a_row: int, b_row: int, dest_row: int) -> None:
     """dest := (a - b) mod M via two's complement; conditional +M by sign mask.
-    Needs the headroom bit, as ``emit_modadd`` does.
-
-    Works in the first five scratch rows that are none of a, b and dest.
-    """
-    if not E.ctx.has_headroom:
-        raise ParameterError(f"modular subtract needs a headroom bit: modulus {E.ctx.modulus}, "
-                             f"lane {E.ctx.lane_width}")
-    rows = (a_row, b_row, dest_row)
-    E.block(_modsub, rows, _pool_for(E.rm, rows))
+    Needs the headroom bit and takes no operand among its working rows, as
+    ``emit_modadd`` does."""
+    _check_tail(E, "subtract", (a_row, b_row, dest_row))
+    E.block(_modsub, (a_row, b_row, dest_row))
 
 
-def _modsub(E, a_row: int, b_row: int, dest_row: int,
-            pool: tuple[int, int, int, int, int]) -> None:
+def _modsub(E, a_row: int, b_row: int, dest_row: int) -> None:
     rm = E.rm
-    p1, p2, p3, p4, p5 = pool
+    p1, p2, p3, p4, p5 = rm.working_rows()
     E.act(b_row, rm.ones, XOR)                         # ~b within the lane
     E.wb(p1)
     emit_add3(E, a_row, p1, rm.lsb_mask, p2, p3, p4, p5)  # u = a-b
     emit_add(E, p2, rm.modulus_row, p3, p4, p5, p1)       # w = u+M
-    E.act(p2, rm.msb_mask, AND)
-    E.wb(p4)
-    emit_smear(E, p4, p5, toward_msb=False)        # set iff a < b: take w
-    emit_mask_select(E, p3, p2, p4, p5, dest_row)
-
-
-def _pool_for(rm: RowMap, busy: tuple) -> tuple[int, int, int, int, int]:
-    """The first five scratch rows that are none of the operation's operands."""
-    scratch = rm.scratch_rows()
-    return _free_scratch(scratch, frozenset(busy).intersection(scratch))
-
-
-@lru_cache(maxsize=256)
-def _free_scratch(scratch: tuple, taken: frozenset) -> tuple[int, int, int, int, int]:
-    """Memoized on the scratch rows the operands take, not on the operands:
-    every butterfly names other coefficient rows, but nearly all take only
-    the mask row."""
-    free = [r for r in scratch if r not in taken]
-    if len(free) < 5:
-        raise AddressError("not enough free scratch rows for modular add/sub")
-    return tuple(free[:5])
+    _sign_select(E, p2, p3, p4, p5, dest_row)             # a < b: take w
 
 
 # -- public operations -------------------------------------------------------

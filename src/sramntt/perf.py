@@ -313,16 +313,18 @@ def estimate_forward_ntt(order: int, width: int, rows: int = 256, cols: int = 25
     twiddles; by default width//2 each (sweeps cover widths with no NTT prime).
     """
     check_order(order)
-    if popcounts is None:
-        constants = [(1 << max(1, width // 2)) - 1] * order
-    elif len(popcounts) != order or any(type(p) is not int or p < 0 for p in popcounts):
+    if popcounts is not None and (
+            len(popcounts) != order or any(type(p) is not int or p < 0 for p in popcounts)):
         raise ParameterError(f"popcounts must be {order} ints >= 0, got {len(popcounts)}")
-    else:
-        constants = [(1 << p) - 1 for p in popcounts]
+    # plan first: an order or width that does not fit builds no constants
     try:
         layout = layout_plan(rows, cols, width, order)
     except CapacityError:
         return None
+    if popcounts is None:
+        constants = [(1 << width // 2) - 1] * order
+    else:
+        constants = [(1 << p) - 1 for p in popcounts]
     ctx = MontgomeryContext.for_ring((1 << (width - 1)) - 1, width)
     return estimate(ctx, layout, [(forward_steps, constants)])
 

@@ -214,24 +214,23 @@ def test_observation_check_fires_on_live_half_sum_low_bit(policy):
         emit_modmul(E, 1, B_ROW)
 
 
-def _butterfly_compiled(E, rm, width, a_row, b_row, twiddle, pool):
-    """`width` and `pool` go unused: emit_modmul reads the width from the
-    emitter's context, and emit_modsub and emit_modadd work the pool out."""
+def _butterfly_compiled(E, rm, width, a_row, b_row, twiddle):
+    """`width` goes unused: emit_modmul reads it from the emitter's context."""
     emit_modmul(E, twiddle, b_row)
     emit_resolve(E, rm.mask_row)
     emit_modsub(E, a_row, rm.mask_row, b_row)
     emit_modadd(E, a_row, rm.mask_row, a_row)
 
 
-def _butterfly_op_by_op(E, rm, width, a_row, b_row, twiddle, pool):
+def _butterfly_op_by_op(E, rm, width, a_row, b_row, twiddle):
     _modmul_prologue(E)
     for i in range(width):
         if (twiddle >> i) & 1:
             _modmul_add_b(E, b_row)
         _modmul_halve(E)
     _resolve(E, rm.mask_row)
-    _modsub(E, a_row, rm.mask_row, b_row, pool)
-    _modadd(E, a_row, rm.mask_row, a_row, pool)
+    _modsub(E, a_row, rm.mask_row, b_row)
+    _modadd(E, a_row, rm.mask_row, a_row)
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
@@ -248,9 +247,8 @@ def test_compiled_primitives_run_the_emitted_ops(policy):
                                           ctx.lane_width, arr.cols))
         compiled = butterfly is _butterfly_compiled
         E = Emitter(ctx, rm, policy, arr if compiled else None)
-        pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
         for a_row, b_row, twiddle in ((1, 2, 0xB5A3), (3, 1, 0x0F0F), (2, 3, 0xB5A3)):
-            butterfly(E, rm, ctx.width, a_row, b_row, twiddle, pool)
+            butterfly(E, rm, ctx.width, a_row, b_row, twiddle)
         if not compiled:
             assert not E.programs
             execute(arr, E.ops, E.obs_marks, ctx.lane_width)
@@ -363,12 +361,11 @@ def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
         arr = Subarray(32, 64)
         rm = default_rowmap(32)
         E = Emitter(MontgomeryContext.create(3, 3, lane_width=lane), rm, policy, arr)
-        pool = (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3)
         blocks = [(E.compiled(_modmul_prologue, 0), 0),
                   (E.compiled(_modmul_add_b, 1), 1),
                   (E.compiled(_modmul_halve, 0), 0),
                   (E.compiled(_resolve, 1), 1),
-                  (E.compiled(_modadd, 3, pool), 3), (E.compiled(_modsub, 3, pool), 3)]
+                  (E.compiled(_modadd, 3), 3), (E.compiled(_modsub, 3), 3)]
         assert len(E.programs) == len(blocks) == 6
         for stream, operands in blocks:
             for density in (0, 1, 3, 0):       # bits set with odds 0, 1/2, 1/8
@@ -840,16 +837,17 @@ def test_no_wrap_add_raises_on_a_carry_out_of_the_lane(deterministic):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_modadd_modsub_with_scratch_operands(policy):
-    """emit_modadd and emit_modsub work out their five scratch rows around
-    the operands, so one operand row, or the destination, may be a scratch
-    row; operands that are not the destination keep their values."""
+    """emit_modadd and emit_modsub work in Sum, Carry and aux1-3: the mask
+    row may be an operand or the destination, and operands that are not the
+    destination keep their values; any of the five working rows, in any
+    operand place, raises AddressError with nothing emitted."""
     modulus = 7681
     ctx, arr, rm = fresh(modulus, 16, cols=64)
     lane = ctx.lane_width
     E = Emitter(ctx, rm, policy, arr)
     rng = random.Random(31)
-    cases = [(1, 2, rm.aux1), (rm.mask_row, 2, 1), (1, rm.mask_row, 1),
-             (rm.sum_row, 2, rm.sum_row), (1, 2, rm.mask_row), (2, rm.aux3, 3)]
+    cases = [(1, 2, 3), (rm.mask_row, 2, 1), (1, rm.mask_row, 1), (1, 2, rm.mask_row),
+             (1, rm.mask_row, 2)]
     for emit, want in ((emit_modadd, lambda a, b: (a + b) % modulus),
                        (emit_modsub, lambda a, b: (a - b) % modulus)):
         for a_row, b_row, dest in cases:
@@ -862,8 +860,15 @@ def test_modadd_modsub_with_scratch_operands(policy):
                 (emit.__name__, a_row, b_row, dest)
             for row in {a_row, b_row} - {dest}:
                 assert [unpack_word(arr.read_row(row), t, lane) for t in range(4)] == words[row]
-        with pytest.raises(AddressError, match="free scratch rows"):
-            emit(E, rm.sum_row, rm.aux1, 3)
+        for row in (rm.sum_row, rm.carry_row, rm.aux1, rm.aux2, rm.aux3):
+            for operands in ((row, 2, 3), (1, row, 3), (1, 2, row)):
+                before = (list(arr.cells), arr.latch, len(arr.trace))
+                collecting = Emitter(ctx, rm, policy)
+                for emitter in (E, collecting):
+                    with pytest.raises(AddressError, match=f"works in row {row}"):
+                        emit(emitter, *operands)
+                assert not collecting.ops and not E.ops
+                assert (list(arr.cells), arr.latch, len(arr.trace)) == before
 
 
 def test_the_emitter_is_the_only_row_map_argument():

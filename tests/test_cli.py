@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -50,6 +51,20 @@ def test_capacity_is_checked_before_the_root_search(capsys):
                     "--cols", "64", "--mode", "forward"])
     assert code == 4 and time.perf_counter() - start < 2
     assert "exceeds array capacity" in capsys.readouterr().err
+
+
+def test_a_lane_wider_than_the_columns_exits_4_without_allocating_it(capsys):
+    """The modulus is compared with the width by bit length, so a huge
+    --width reaches the layout's capacity check with no O(width) integer."""
+    tracemalloc.start()
+    try:
+        code = run_cli(["run", "--order", "8", "--q", "257", "--width", str(200_000_000),
+                        "--rows", "64", "--cols", "64", "--mode", "forward"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and peak < 1 << 20, peak
+    assert "tile fits in 64 columns" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -201,12 +202,19 @@ def test_the_tally_counts_both_units_of_a_polymul():
 
 
 # `sramntt run` cycles at seed 0: the canonical ring's polymul and roundtrip,
-# and a polymul whose 32 coefficients outgrow a 32-row tile (host swaps)
+# a polymul whose 32 coefficients outgrow a 32-row tile (host swaps), and
+# data-dependent programs of a small ring
 CLI_CYCLES = {
     "polymul": (["--order", "256", "--q", "7681", "--width", "16"], 5_376_752),
     "roundtrip": (["--order", "256", "--q", "7681", "--width", "16", "--mode", "roundtrip"],
                   3_670_058),
     "swapped-polymul": (["--order", "32", "--q", "257", "--rows", "32", "--cols", "64"], 241_852),
+    # the data-dependent carry loops: each ripple add exits on its zero test
+    "data-dependent-roundtrip": (["--order", "16", "--q", "257", "--rows", "64", "--cols", "64",
+                                  "--mode", "roundtrip", "--data-dependent"], 57_701),
+    "data-dependent-polymul": (["--order", "16", "--q", "257", "--rows", "64", "--cols", "64",
+                                "--mode", "polymul", "--data-dependent", "--tile-scope-shifts"],
+                               87_412),
 }
 
 
@@ -362,6 +370,22 @@ def test_the_sweep_estimate_rejects_what_no_transform_runs():
         with pytest.raises(ParameterError, match="popcounts"):
             estimate_forward_ntt(8, 16, 64, 64, popcounts=pcs)
     assert estimate_forward_ntt(8, 16, 64, 64, popcounts=[8] * 8) == estimate_forward_ntt(8, 16, 64, 64)
+
+
+@pytest.mark.parametrize("feasible", [
+    lambda: [estimate_forward_ntt(1 << 22, 16) is not None],
+    lambda: [row["feasible"] for row in sweep_order(width=2**31)],
+], ids=["order-2^22", "width-2^31"])
+def test_the_sweep_plans_the_layout_before_it_allocates(feasible):
+    """An order or a width that does not fit projects nan with no `order`
+    constants and no 2^(width/2) built first."""
+    tracemalloc.start()
+    try:
+        assert not any(feasible())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_kernel_counts_at_a_ring_equal_those_at_the_sweeps_context(monkeypatch):
