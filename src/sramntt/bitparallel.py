@@ -265,8 +265,8 @@ class Emitter:
     are arguments.
 
     Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
-    and keeps `programs`: one stream per (body, static arguments), compiled
-    once with its operand rows as placeholders (``compiled``).  Executing
+    and keeps `programs`: one stream per body, compiled once with its
+    operand rows as placeholders (``compiled``).  Executing
     emitters of one row map, policy, word, lane and array shape share one table,
     so a stream is compiled and generated once per shape.
 
@@ -340,25 +340,25 @@ class Emitter:
         return CommandStream(ops=self.ops, obs_marks=self.obs_marks,
                              step_marks=self.step_marks, holes=holes)
 
-    def block(self, body, rows: tuple, *static) -> None:
-        """body(E, *rows, *static): under a deterministic policy its compiled
-        stream runs bound to `rows`; a data-dependent one emits it in place
-        and flushes, since a zero-test loop cannot be compiled."""
+    def block(self, body, rows: tuple) -> None:
+        """body(E, *rows): under a deterministic policy its compiled stream
+        runs bound to `rows`; a data-dependent one emits it in place and
+        flushes, since a zero-test loop cannot be compiled."""
         if self.policy.deterministic:
-            self.run(self.compiled(body, len(rows), *static), rows)
+            self.run(self.compiled(body, len(rows)), rows)
         else:
-            body(self, *rows, *static)
+            body(self, *rows)
             self.flush()
 
-    def compiled(self, body, operands: int, *static) -> CommandStream:
-        """body(E, *placeholders, *static) compiled once for this emitter, on
-        a collecting emitter with the same context, row map and policy."""
-        key = (body, static)
-        stream = self.programs.get(key)
+    def compiled(self, body, operands: int) -> CommandStream:
+        """body(E, *placeholders) compiled once for this emitter, on a
+        collecting emitter with the same context, row map and policy; the
+        program table is keyed by the body."""
+        stream = self.programs.get(body)
         if stream is None:
             C = Emitter(self.ctx, self.rm, self.policy)
-            body(C, *_OPERANDS[:operands], *static)
-            stream = self.programs[key] = C.stream()
+            body(C, *_OPERANDS[:operands])
+            stream = self.programs[body] = C.stream()
         return stream
 
     def run(self, stream: CommandStream, rows=()) -> None:
@@ -442,7 +442,12 @@ def emit_modmul(E, a_value: int, b_row: int) -> None:
     halving block.  Invariant between iterations: the last writeback was
     Carry, so the latch already holds the word the next left shift needs.
     The loop has no zero test, so it runs compiled under either policy.
+
+    A constant that is not an int in [0, 2^width), a bool included, raises
+    ParameterError before any op is emitted.
     """
+    if type(a_value) is not int or not 0 <= a_value < E.ctx.radix:
+        raise ParameterError(f"constant {a_value!r} is not an integer in [0, 2^{E.ctx.width})")
     add_b = E.compiled(_modmul_add_b, 1)
     halve = E.compiled(_modmul_halve, 0)
     E.run(E.compiled(_modmul_prologue, 0))
@@ -686,8 +691,6 @@ def compile_twiddle_commands(a_value: int, ctx: MontgomeryContext, rm: RowMap,
     set; no data-dependent test on A remains at runtime.  The multiplicand
     row b_row may be no scratch or constant row of rm.
     """
-    if not 0 <= a_value < ctx.radix:
-        raise ParameterError(f"twiddle {a_value} outside [0, 2^{ctx.width})")
     rm.validate()
     if b_row in rm.scratch_rows() + rm.constant_rows():
         raise AddressError(f"multiplicand row {b_row} is a scratch or constant row")

@@ -63,29 +63,32 @@ PRESETS = {
 MODES = ("polymul", "roundtrip", "forward")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """Everything one `run` invocation depends on; round-trips through JSON."""
+    """Everything one `run` invocation depends on; round-trips through JSON.
 
-    subcommand: str = "run"
-    order: int = 256
-    q: int = 7681
-    width: int | None = 16
-    rows: int = 256
-    cols: int = 256
-    preset: str | None = None
-    seed: int = 0
-    mode: str = "polymul"
-    verify: bool = False
-    deterministic_latency: bool = True
-    tile_scope_shifts: bool = False
+    The `run` parser holds every default: each semantic field must be given,
+    and only the output paths may be left out."""
+
+    subcommand: str
+    order: int
+    q: int
+    width: int | None
+    rows: int
+    cols: int
+    preset: str | None
+    seed: int
+    mode: str
+    verify: bool
+    deterministic_latency: bool
+    tile_scope_shifts: bool
     stats_path: str | None = None
     trace_path: str | None = None
     state_path: str | None = None
     sweep_path: str | None = None
-    input_a: str | None = None
-    input_b: str | None = None
-    cost_model_path: str | None = None
+    input_a: str | None
+    input_b: str | None
+    cost_model_path: str | None
 
     def semantic_dict(self) -> dict:
         """The parameters that determine results; output paths excluded so
@@ -119,11 +122,11 @@ def _load_poly_file(path: str, order: int, q: int) -> list[int]:
     return data
 
 
-def _cost_model(cfg: RunConfig) -> CostModel:
-    if cfg.cost_model_path is None:
+def _cost_model(path: str | None) -> CostModel:
+    if path is None:
         return CostModel()
     try:
-        with open(cfg.cost_model_path) as fh:
+        with open(path) as fh:
             return CostModel.from_text(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceIOError(f"cannot read cost model: {exc}") from exc
@@ -160,7 +163,7 @@ def cmd_run(cfg: RunConfig) -> int:
     width = check_ring(cfg.q, cfg.order, cfg.width)
     policy = ExecPolicy(deterministic=cfg.deterministic_latency,
                         tile_scope_all=cfg.tile_scope_shifts)
-    cost = _cost_model(cfg)
+    cost = _cost_model(cfg.cost_model_path)
     lane = MontgomeryContext.for_ring(cfg.q, width).lane_width
     tiles = layout_plan(cfg.rows, cfg.cols, lane, cfg.order).tiles
     # the root search is O(order): only after the capacity check bounds it
@@ -221,19 +224,20 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, vary: str) -> int:
-    check_size(cfg.rows, cfg.cols)
-    cost = _cost_model(cfg)
+def cmd_sweep(vary: str, order: int, width: int, rows: int, cols: int,
+              sweep_path: str | None, cost_model_path: str | None) -> int:
+    check_size(rows, cols)
+    cost = _cost_model(cost_model_path)
     if vary == "bitwidth":
-        check_order(cfg.order)
-        rows = sweep_bitwidth(cfg.order, rows=cfg.rows, cols=cfg.cols, cost=cost)
+        check_order(order)
+        table = sweep_bitwidth(order, rows=rows, cols=cols, cost=cost)
     elif vary == "order":
-        rows = sweep_order(cfg.width, rows=cfg.rows, cols=cfg.cols, cost=cost)
+        table = sweep_order(width, rows=rows, cols=cols, cost=cost)
     else:
         raise ParameterError(f"--vary must be bitwidth or order, got {vary!r}")
-    csv_text = sweep_to_csv(rows)
-    if cfg.sweep_path:
-        _write_text(cfg.sweep_path, csv_text)
+    csv_text = sweep_to_csv(table)
+    if sweep_path:
+        _write_text(sweep_path, csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -288,28 +292,29 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="In-SRAM NTT simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # each run dest is a RunConfig field, and these are its only defaults
     run = sub.add_parser("run", help="execute a transform or polynomial product")
     run.add_argument("--order", type=int, default=256)
     run.add_argument("--q", type=int, default=7681)
-    run.add_argument("--width", type=int, default=None)
+    run.add_argument("--width", type=int)
     run.add_argument("--rows", type=int, default=256, help=f"at most {MAX_ROWS}")
     run.add_argument("--cols", type=int, default=256, help=f"at most {MAX_COLS}")
-    run.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    run.add_argument("--preset", choices=sorted(PRESETS))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--mode", choices=MODES, default="polymul")
     run.add_argument("--verify", action="store_true",
                      help="check results against the reference oracles")
-    run.add_argument("--data-dependent", action="store_true",
+    run.add_argument("--data-dependent", dest="deterministic_latency", action="store_false",
                      help="carry loops exit on the zero test instead of worst-case unrolling")
     run.add_argument("--tile-scope-shifts", action="store_true",
                      help="mask every shift at tile boundaries")
-    run.add_argument("--stats", dest="stats_path", default=None)
-    run.add_argument("--trace", dest="trace_path", default=None)
-    run.add_argument("--state", dest="state_path", default=None,
+    run.add_argument("--stats", dest="stats_path")
+    run.add_argument("--trace", dest="trace_path")
+    run.add_argument("--state", dest="state_path",
                      help="write the final array state (for trace-replay)")
-    run.add_argument("--input-a", dest="input_a", default=None)
-    run.add_argument("--input-b", dest="input_b", default=None)
-    run.add_argument("--cost-model", dest="cost_model_path", default=None)
+    run.add_argument("--input-a")
+    run.add_argument("--input-b")
+    run.add_argument("--cost-model", dest="cost_model_path")
 
     sw = sub.add_parser(
         "sweep", help="emit cost-projection CSV",
@@ -322,39 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--width", type=int, default=16)
     sw.add_argument("--rows", type=int, default=256, help=f"at most {MAX_ROWS}")
     sw.add_argument("--cols", type=int, default=256, help=f"at most {MAX_COLS}")
-    sw.add_argument("--out", dest="sweep_path", default=None)
-    sw.add_argument("--cost-model", dest="cost_model_path", default=None)
+    sw.add_argument("--out", dest="sweep_path")
+    sw.add_argument("--cost-model", dest="cost_model_path")
 
     rp = sub.add_parser("trace-replay", help="re-execute a trace and compare states")
-    rp.add_argument("trace")
-    rp.add_argument("state")
+    rp.add_argument("trace_path", metavar="trace")
+    rp.add_argument("state_path", metavar="state")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "run":
-            cfg = RunConfig(
-                subcommand="run", order=args.order, q=args.q, width=args.width,
-                rows=args.rows, cols=args.cols, preset=args.preset, seed=args.seed,
-                mode=args.mode, verify=args.verify,
-                deterministic_latency=not args.data_dependent,
-                tile_scope_shifts=args.tile_scope_shifts,
-                stats_path=args.stats_path, trace_path=args.trace_path,
-                state_path=args.state_path, input_a=args.input_a,
-                input_b=args.input_b, cost_model_path=args.cost_model_path,
-            )
-            return cmd_run(cfg)
-        if args.command == "sweep":
-            cfg = RunConfig(subcommand="sweep", order=args.order, width=args.width,
-                            rows=args.rows, cols=args.cols,
-                            sweep_path=args.sweep_path,
-                            cost_model_path=args.cost_model_path)
-            return cmd_sweep(cfg, args.vary)
-        if args.command == "trace-replay":
-            return cmd_trace_replay(args.trace, args.state)
-        raise ParameterError(f"unknown command {args.command!r}")
+        if command == "run":
+            return cmd_run(RunConfig(subcommand=command, **args))
+        if command == "sweep":
+            return cmd_sweep(**args)
+        return cmd_trace_replay(**args)
     except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -678,6 +678,23 @@ def test_modadd_and_modsub_require_headroom(fresh_programs):
     assert len(arr.trace) == start
 
 
+def test_a_constant_outside_the_word_is_rejected_before_any_op(fresh_programs):
+    """emit_modmul reads A's bits below the word, so 2^16 + 3 would multiply
+    by 3 and -1 by 0xFFFF: a constant that is not an int in [0, 2^width), a
+    bool included, raises before it emits, compiles or runs anything."""
+    ctx, arr, rm = fresh(7681, 16, cols=64)
+    start = len(arr.trace)
+    for policy in (ExecPolicy(), ExecPolicy(deterministic=False)):
+        for E in (Emitter(ctx, rm, policy, arr), Emitter(ctx, rm, policy)):
+            for a in (ctx.radix, ctx.radix + 3, 1 << 40, -1, True):
+                with pytest.raises(ParameterError, match="not an integer in"):
+                    emit_modmul(E, a, B_ROW)
+                assert (E.ops, E.programs) == ([], {})
+    assert len(arr.trace) == start
+    with pytest.raises(ParameterError, match="not an integer in"):
+        compile_twiddle_commands(-1, ctx, rm, B_ROW)
+
+
 def test_data_dependent_mode_matches_deterministic():
     modulus, width = 7681, 16
     rng = random.Random(21)
@@ -886,5 +903,8 @@ def test_the_emitter_is_the_only_row_map_argument():
         assert list(params)[0] in ("E", "self"), fn.__name__
     for fn in (emit_modadd, emit_modsub):
         assert list(inspect.signature(fn).parameters) == ["E", "a_row", "b_row", "dest_row"]
+    # a stream is keyed by its body alone: no static arguments
+    assert list(inspect.signature(Emitter.block).parameters) == ["self", "body", "rows"]
+    assert list(inspect.signature(Emitter.compiled).parameters) == ["self", "body", "operands"]
     # the word width comes from the emitter's context, as the lane does
     assert list(inspect.signature(emit_modmul).parameters) == ["E", "a_value", "b_row"]

@@ -1,12 +1,13 @@
 """CLI behavior: exit codes, stats schema, replay, determinism."""
 
+import dataclasses
 import json
 import time
 import tracemalloc
 
 import pytest
 
-from sramntt.cli import RunConfig, cmd_trace_replay, main
+from sramntt.cli import RunConfig, build_parser, cmd_trace_replay, main
 from sramntt.perf import CSV_HEADER, CostModel, counts_of_trace, sweep_order, sweep_to_csv
 from sramntt.subarray import parse_trace
 
@@ -30,6 +31,21 @@ def test_run_verify_ok(tmp_path):
                                       "WRITEBACK", "ZERO_TEST"}
     cfg = RunConfig(**payload["config"])
     assert cfg.semantic_dict() == payload["config"]    # config round-trips
+
+
+def test_the_run_parser_is_the_one_table_of_run_options(tmp_path):
+    """Every run dest is a RunConfig field, and the parser holds every default:
+    RunConfig gives one only to its output paths (sweep_path is sweep's --out)."""
+    fields = dataclasses.fields(RunConfig)
+    parsed = vars(build_parser().parse_args(["run"]))
+    assert set(parsed) == {f.name for f in fields} - {"subcommand", "sweep_path"} | {"command"}
+    assert [f.name for f in fields if f.default is not dataclasses.MISSING] == [
+        "stats_path", "trace_path", "state_path", "sweep_path"]
+    stats = tmp_path / "s.json"
+    assert run_cli(["run", "--stats", str(stats)]) == 0
+    config = json.loads(stats.read_text())["config"]
+    assert config["width"] is None and config["deterministic_latency"] is True
+    assert RunConfig(**config).semantic_dict() == config
 
 
 def test_run_rejects_bad_congruence(capsys):
@@ -375,6 +391,8 @@ def test_run_data_dependent_mode(tmp_path):
                     "--cols", "64", "--mode", "roundtrip", "--verify",
                     "--data-dependent",
                     "--stats", str(tmp_path / "s.json")]) == 0
+    config = json.loads((tmp_path / "s.json").read_text())["config"]
+    assert config["deterministic_latency"] is False
 
 
 def test_run_tile_scope_shifts(tmp_path):
