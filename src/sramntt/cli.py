@@ -85,7 +85,6 @@ class RunConfig:
     stats_path: str | None = None
     trace_path: str | None = None
     state_path: str | None = None
-    sweep_path: str | None = None
     input_a: str | None
     input_b: str | None
     cost_model_path: str | None
@@ -93,7 +92,7 @@ class RunConfig:
     def semantic_dict(self) -> dict:
         """The parameters that determine results; output paths excluded so
         identical seed+config runs produce byte-identical stats files."""
-        skip = {"stats_path", "trace_path", "state_path", "sweep_path"}
+        skip = {"stats_path", "trace_path", "state_path"}
         return {k: v for k, v in asdict(self).items() if k not in skip}
 
 

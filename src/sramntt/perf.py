@@ -298,8 +298,12 @@ def estimate(ctx: MontgomeryContext, layout: TileLayout, passes) -> dict:
     counts = empty_counts()
     counts[WRITE_ROW] += CONSTANT_ROWS + min(order, resident) + swaps
     for (_, constants), runs in zip(passes, visits):
+        # a sweep's constants are one value repeated: its runs need no recount
+        uniform = bool(constants) and constants.count(constants[0]) == len(constants)
         for (kernel, operands, n), indices in runs.items():
-            for constant, m in Counter(map(constants.__getitem__, indices)).items():
+            tally = ({constants[0]: len(indices)} if uniform
+                     else Counter(map(constants.__getitem__, indices)))
+            for constant, m in tally.items():
                 add_counts(counts, kernel_counts(kernel, operands, ctx, constant.bit_count()), n * m)
     return counts
 

@@ -24,6 +24,7 @@ The serialized trace is line oriented: ``<seq> <KIND> <args...>``.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from itertools import accumulate, chain, islice
 
@@ -488,6 +489,13 @@ PIECE_CHARS = 1 << 19
 MAX_LINE_CHARS = len(f"{2 ** 64} {WRITE_ROW} {MAX_ROWS - 1} ") + (MAX_COLS + 3) // 4
 # The characters str.splitlines breaks lines at (with "\r\n" as one break)
 _LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# The ASCII ones but "\n": an ASCII piece without them splits at "\n" alone
+_OTHER_ASCII_BREAKS = "".join(sorted(brk for brk in _LINE_BREAKS - {"\n"} if brk.isascii()))
+# A line the fast path of `parse_trace` vouches for, capturing its text: a
+# sequence number of at most 20 ASCII digits (2**64 has 20), one space and a
+# text short enough that the line is at most MAX_LINE_CHARS long.
+_SEQUENCED_LINE = re.compile(
+    rf"^[0-9]{{1,20}} (.{{0,{MAX_LINE_CHARS - len(f'{2 ** 64} ')}}})$", re.MULTILINE)
 # Characters of a line an error message quotes
 _QUOTED_CHARS = 60
 
@@ -599,8 +607,35 @@ def _too_long(line: str) -> None:
     raise TraceIOError(f"trace line longer than {MAX_LINE_CHARS} characters: {_quote(line)}")
 
 
+def _parse_piece(piece: str, ops: list, parsed: dict) -> str | None:
+    r"""The fast path of `parse_trace`: if `piece` is ASCII, breaks lines at
+    "\n" alone, and every line up to its last "\n" is a sequence number, one
+    space and a text that `parsed` holds or that parses with no whitespace
+    around it, append those lines' ops and return the rest of the piece.
+    Otherwise append nothing, add nothing to `parsed` and return None."""
+    if not piece.isascii() or any(brk in piece for brk in _OTHER_ASCII_BREAKS):
+        return None
+    end = piece.rfind("\n") + 1
+    if len(piece) - end > MAX_LINE_CHARS:
+        return None
+    texts = _SEQUENCED_LINE.findall(piece, 0, end)
+    if len(texts) != piece.count("\n"):
+        return None
+    new = set(texts).difference(parsed)
+    if new:
+        # the memo's keys are the per-line path's: split(None, 1)[1] of a stripped line
+        if any(text != text.strip() for text in new):
+            return None
+        try:
+            parsed.update({text: parse_trace_line("0 " + text) for text in new})
+        except TraceIOError:
+            return None
+    ops.extend(map(parsed.__getitem__, texts))
+    return piece[end:]
+
+
 def parse_trace(source) -> list[tuple]:
-    """The op tuples of a serialized trace, from its text or an open text
+    r"""The op tuples of a serialized trace, from its text or an open text
     file; blank and ``#`` lines are skipped.
 
     The source is split into lines exactly as ``str.splitlines`` splits the
@@ -612,12 +647,23 @@ def parse_trace(source) -> list[tuple]:
     sequence number is parsed, and so fully validated, once; later lines
     with the same text share its tuple.  The sequence numbers themselves are
     not checked: the first token of a line is skipped whatever it holds.
+
+    A piece that is ASCII and breaks lines at "\n" alone takes one regular
+    expression pass, `_parse_piece`, that finds the text after each sequence
+    number and parses only the texts not seen before.  A piece with a blank
+    or ``#`` line, another line break, non-ASCII text, a line that could be
+    longer than MAX_LINE_CHARS, or a new text that has whitespace around it
+    or does not parse goes whole through the per-line parser, which alone
+    raises, so errors and memo keys are the per-line parser's.
     """
     ops: list[tuple] = []
     parsed: dict[str, tuple] = {}
     tail = ""
     for piece in _pieces(source):
         piece = tail + piece
+        tail = _parse_piece(piece, ops, parsed)
+        if tail is not None:
+            continue
         lines = piece.splitlines()
         end = piece[-1]
         del piece                        # each piece's text and lines go before the next
@@ -628,5 +674,6 @@ def parse_trace(source) -> list[tuple]:
             _too_long(tail)
         if end == "\r":
             tail += end
-    _parse_lines(tail.splitlines(), ops, parsed)
+    if tail:
+        _parse_lines(tail.splitlines(), ops, parsed)
     return ops

@@ -35,12 +35,12 @@ def test_run_verify_ok(tmp_path):
 
 def test_the_run_parser_is_the_one_table_of_run_options(tmp_path):
     """Every run dest is a RunConfig field, and the parser holds every default:
-    RunConfig gives one only to its output paths (sweep_path is sweep's --out)."""
+    RunConfig gives one only to its output paths."""
     fields = dataclasses.fields(RunConfig)
     parsed = vars(build_parser().parse_args(["run"]))
-    assert set(parsed) == {f.name for f in fields} - {"subcommand", "sweep_path"} | {"command"}
+    assert set(parsed) == {f.name for f in fields} - {"subcommand"} | {"command"}
     assert [f.name for f in fields if f.default is not dataclasses.MISSING] == [
-        "stats_path", "trace_path", "state_path", "sweep_path"]
+        "stats_path", "trace_path", "state_path"]
     stats = tmp_path / "s.json"
     assert run_cli(["run", "--stats", str(stats)]) == 0
     config = json.loads(stats.read_text())["config"]

@@ -3,6 +3,7 @@
 import io
 import re
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from sramntt.subarray import (
     Subarray,
     Trace,
     _op_text,
+    _quote,
     _tile_edge_masks,
     execute,
     generate,
@@ -262,9 +264,16 @@ def test_parse_rejects_unknown_shift_scope():
 
 
 def _parse_each_line(text):
-    """parse_trace without its memo: every line parsed on its own."""
-    return [parse_trace_line(line.strip()) for line in text.splitlines()
-            if line.strip() and not line.strip().startswith("#")]
+    """parse_trace without its memo or pieces: every line parsed on its own,
+    and one longer than MAX_LINE_CHARS malformed."""
+    ops = []
+    for line in text.splitlines():
+        if len(line) > MAX_LINE_CHARS:
+            raise TraceIOError(f"trace line longer than {MAX_LINE_CHARS} characters: {_quote(line)}")
+        line = line.strip()
+        if line and not line.startswith("#"):
+            ops.append(parse_trace_line(line))
+    return ops
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +334,91 @@ def test_parse_from_the_open_file_equals_its_text_and_holds_a_few_pieces(canonic
         tracemalloc.stop()
     assert from_file == parse_trace(text) == list(unit.arr.trace)
     assert peak < len(text) / 2, (peak, len(text))
+
+
+def _refuse_the_per_line_parser(monkeypatch):
+    def refuse(lines, ops, parsed):
+        raise AssertionError("a piece fell back to the per-line parser")
+    monkeypatch.setattr("sramntt.subarray._parse_lines", refuse)
+
+
+def test_the_canonical_trace_file_never_reaches_the_per_line_parser(canonical, monkeypatch):
+    """Every piece of a serialized trace takes the regular expression pass."""
+    unit, path = canonical
+    _refuse_the_per_line_parser(monkeypatch)
+    with open(path) as fh:
+        assert parse_trace(fh) == list(unit.arr.trace)
+
+
+def _outcome(parse, source):
+    """The ops `parse` returns for `source`, or the message of its TraceIOError."""
+    try:
+        return parse(source)
+    except TraceIOError as exc:
+        return f"TraceIOError: {exc}"
+
+
+def test_piecewise_parse_equals_the_per_line_parse_on_mutated_lines(tmp_path, monkeypatch):
+    """A serialized trace of nearly three pieces with one line mutated, in
+    the middle of the second piece or across the first piece's end:
+    parse_trace, from text and from a file, returns the per-line parse's ops
+    or raises its error, whichever path each piece takes."""
+    ops = []
+    for k in range(60000):
+        # a few hundred texts, some first seen deep in the trace
+        ops.append([(WRITE_ROW, k % 61, k % 7 * 0x9E3779B97F4A7C15), (ACTIVATE2, k % 53, (k + 1) % 53, XOR),
+                    (SHIFT, LEFT, GLOBAL, 0, 0), (SHIFT, RIGHT, TILE, 16, k % 4 * 16),
+                    (WRITEBACK, k // 997 % 64), (ZERO_TEST, k % 2)][k % 6])
+    out = io.StringIO()
+    serialize_trace(ops, 64, out)
+    lines = out.getvalue().splitlines(keepends=True)
+    assert 2 * PIECE_CHARS < len(out.getvalue()) < 3 * PIECE_CHARS
+    with monkeypatch.context() as patch:
+        _refuse_the_per_line_parser(patch)
+        assert parse_trace(out.getvalue()) == ops
+    longest = f"{2 ** 64} {WRITE_ROW} {MAX_ROWS - 1} {'f' * (MAX_COLS // 4)}"
+    long_text = f"{WRITE_ROW} {MAX_ROWS - 1} {'0' * 19}{'f' * (MAX_COLS // 4)}"
+    mutations = {
+        "tab separator": lambda seq, text: f"{seq}\t{text}",
+        "double space": lambda seq, text: f"{seq}  {text}",
+        "trailing spaces": lambda seq, text: f"{seq} {text}  ",
+        "trailing unit separator": lambda seq, text: f"{seq} {text}\x1f",
+        "unit separator in the text": lambda seq, text: f"{seq} {text.replace(' ', chr(0x1f))}",
+        "non-ASCII space in the text": lambda seq, text: f"{seq} {text.replace(' ', chr(0xa0))}",
+        "non-ASCII digit sequence": lambda seq, text: f"\u0663 {text}",
+        "letter sequence": lambda seq, text: f"x {text}",
+        "missing sequence": lambda seq, text: text,
+        "long sequence": lambda seq, text: f"{'0' * 30} {text}",
+        "CRLF": lambda seq, text: f"{seq} {text}\r",
+        "vertical tab": lambda seq, text: f"{seq} {text}\x0b{seq} {text}",
+        "comment": lambda seq, text: f"# {text}\n{seq} {text}",
+        "blank": lambda seq, text: f"\n{seq} {text}",
+        "longest line": lambda seq, text: longest,
+        "longest line and one digit more": lambda seq, text: "1" + longest,
+        "over-long line": lambda seq, text: f"{seq} {WRITEBACK} {'0' * MAX_LINE_CHARS}1",
+        "long text, then after a long sequence": lambda seq, text: f"0 {long_text}\n{seq} {long_text}",
+        "new bad text": lambda seq, text: f"{seq} {WRITEBACK} x",
+    }
+    for brk in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        # a line cut in two, its first half malformed
+        mutations[f"{brk!r} in the text"] = lambda seq, text, brk=brk: f"{seq} {text.replace(' ', brk, 1)}"
+    middle = next(i for i, n in enumerate(accumulate(map(len, lines)))
+                  if n > PIECE_CHARS * 3 // 2)
+    across = next(i for i, n in enumerate(accumulate(map(len, lines))) if n > PIECE_CHARS)
+    path = tmp_path / "mutated.trace"
+    for name, mutate in mutations.items():
+        for i in (middle, across):
+            mutated = mutate(*lines[i].rstrip("\n").split(" ", 1)) + "\n"
+            # canonical lines parse as the ops they were serialized from
+            want = _outcome(_parse_each_line, mutated)
+            if not isinstance(want, str):
+                want = ops[:i] + want + ops[i + 1:]
+            text = "".join(lines[:i]) + mutated + "".join(lines[i + 1:])
+            assert _outcome(parse_trace, text) == want, (name, i)
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            with open(path, newline="") as fh:
+                assert _outcome(parse_trace, fh) == want, (name, i)
 
 
 def test_longest_line_parses_and_a_longer_one_is_malformed():
@@ -409,6 +503,9 @@ def test_memoized_parse_keys_on_everything_after_the_sequence_number():
         (SHIFT, LEFT, TILE, 4, 0), (SHIFT, LEFT, TILE, 4, 0), (WRITEBACK, 1),
         (WRITE_ROW, 2, 15), (WRITE_ROW, 2, 15), (ZERO_TEST, 0),
     ]
+    # whitespace around a text is no part of its key in a piece of numbered lines
+    ops = parse_trace("0 WRITEBACK 0\n1  WRITEBACK 0\n2 WRITEBACK 0 \n3 WRITEBACK 0\x1f\n")
+    assert ops == [(WRITEBACK, 0)] * 4 and len({id(op) for op in ops}) == 1
 
 
 @pytest.mark.parametrize("bad", ["WRITEBACK", "0 WRITEBACK", "0 WRITEBACK 0 junk",
