@@ -349,8 +349,8 @@ _LOGIC = {AND: "c[{}] & c[{}]", XOR: "c[{}] ^ c[{}]", OR: "c[{}] | c[{}]",
 
 def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
     """One Python function running `stream.ops` (a stream has ``ops``,
-    ``obs_marks`` and ``bind``), a statement per op, on any array of arr's
-    shape: arr is read for its rows, columns and edge masks only.
+    ``obs_marks`` and ``bind``) on any array of arr's shape: arr is read for
+    its rows, columns and edge masks only.
 
     Rows -1 .. -params are placeholders.  ``program(arr, rows)`` leaves arr
     and its trace exactly as ``execute(arr, stream.bind(rows),
@@ -358,13 +358,22 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
     only on a failure: a program that returns logs (stream, rows).  Only
     ACTIVATE2, SHIFT and WRITEBACK can be generated.
 
+    Each ACTIVATE2 and WRITEBACK is one statement.  Each maximal run of s
+    equal SHIFT ops under one mark is one statement too, a shift by s with
+    the mask of the columns s pulses can leave set (``L >>= s`` for a global
+    right run): the latch never holds a bit above its columns, so this is
+    the s pulses exactly.
+
     Literal rows, modes, directions, scopes and tile geometry are checked
     here, once, up to an activation that names one placeholder twice: no
     binding can run it, so every run goes to ``execute``.  At each run a
     bound row out of range, or a bound same-row pair, hands the bound ops to
-    ``execute`` before any op runs, and that fallback always raises.  Each
-    marked shift tests its lane edge first; a live bit stores the latch,
-    logs the bound ops before the shift and raises ObservationError.
+    ``execute`` before any op runs, and that fallback always raises.  A
+    marked run first tests, in one AND, every latch bit that would reach its
+    lane edge before one of its pulses.  A live one replays the run pulse by
+    pulse, each pulse testing the edge first, so the pulse that finds it
+    stores the latch, logs the bound ops before that pulse and raises
+    ObservationError, as ``execute`` does.
     """
     nrows = arr.rows
     ops = stream.ops
@@ -385,10 +394,24 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
             raise AddressError(f"row {r} outside [0,{nrows})")
         return str(r)
 
+    def edge_of(i: int) -> str | None:
+        edge = marks.get(i)
+        return edge if edge in ("msb", "lsb") else None
+
     body = []
-    for i, op in enumerate(ops):
+    i = 0
+    while i < len(ops):
+        op = ops[i]
         kind = op[0]
-        if kind == WRITEBACK:
+        s = 1                                   # the ops this statement runs
+        if kind == SHIFT:
+            edge = edge_of(i)
+            if edge is not None and obs is None:
+                obs = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
+            while i + s < len(ops) and ops[i + s] == op and edge_of(i + s) == edge:
+                s += 1
+            body += _shift_run(arr, op, s, i, edge, obs)
+        elif kind == WRITEBACK:
             body.append(f"c[{row(op[1])}] = L")
         elif kind == ACTIVATE2:
             _, a, b, mode = op
@@ -405,29 +428,11 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
             if mode not in _LOGIC:
                 raise AddressError(f"unknown logic mode {mode!r}")
             body.append("L = " + _LOGIC[mode].format(ra, rb, colmask=arr.colmask))
-        elif kind == SHIFT:
-            _, direction, scope, width, origin = op
-            edge = marks.get(i)
-            if edge in ("msb", "lsb"):
-                if obs is None:
-                    obs = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
-                live, fault = (obs[1], "_MSB") if edge == "msb" else (obs[0], "_LSB")
-                body.append(f"if L & {live:#x}: fail(arr, stream.bind(rows), {i}, L, {fault})")
-            if scope == GLOBAL:
-                left, right = f"L = (L << 1) & {arr.colmask:#x}", "L >>= 1"
-            elif scope == TILE:
-                lsb, msb = arr.tile_edges(width, origin)
-                left = f"L = (L << 1) & {arr.colmask & ~lsb:#x}"
-                right = f"L = (L >> 1) & {~msb:#x}"
-            else:
-                raise TileGeometryError(f"unknown shift scope {scope!r}")
-            if direction not in (LEFT, RIGHT):
-                raise TileGeometryError(f"unknown shift direction {direction!r}")
-            body.append(left if direction == LEFT else right)
         elif kind in (WRITE_ROW, ZERO_TEST):
             raise ParameterError(f"{kind} cannot run in a generated program")
         else:
             raise TraceIOError(f"unknown micro-op kind {kind!r}")
+        i += s
     unpack = f"    {', '.join(names)}, = rows\n" if names else ""
     check = (f"    if not ({' and '.join(guards)}):\n"
              f"        return execute(arr, stream.bind(rows), marks, {lane})\n") if guards else ""
@@ -442,6 +447,47 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
                  "fail": _observation_failed, "_MSB": _MSB_FAULT, "_LSB": _LSB_FAULT}
     exec(compile(source, "<generated micro-op program>", "exec"), namespace)
     return namespace["program"]
+
+
+def _shift_run(arr: Subarray, op: tuple, s: int, i: int, edge: str | None,
+               obs: tuple[int, int] | None) -> list[str]:
+    """The statements of ops i .. i+s-1, s pulses of the shift `op`; under an
+    `edge` mark each pulse checks that edge of the full-lane masks `obs`."""
+    _, direction, scope, width, origin = op
+    if scope == GLOBAL:
+        keep = arr.colmask
+    elif scope == TILE:
+        lsb, msb = arr.tile_edges(width, origin)
+        keep = arr.colmask & ~lsb if direction == LEFT else ~msb
+    else:
+        raise TileGeometryError(f"unknown shift scope {scope!r}")
+    if direction not in (LEFT, RIGHT):
+        raise TileGeometryError(f"unknown shift direction {direction!r}")
+    # masks[k]: the columns k pulses can leave set in a latch within colmask,
+    # so k pulses are one shift by k masked with masks[k]
+    masks = [arr.colmask]
+    for _ in range(s):
+        masks.append((masks[-1] << 1 if direction == LEFT else masks[-1] >> 1) & keep)
+    if direction == RIGHT and scope == GLOBAL:
+        pulse, run = "L >>= 1", f"L >>= {s}"
+    else:
+        sign = "<<" if direction == LEFT else ">>"
+        pulse = f"L = (L {sign} 1) & {masks[1]:#x}"
+        run = f"L = (L {sign} {s}) & {masks[s]:#x}"
+    if edge is None:
+        return [run]
+    live, fault = (obs[1], "_MSB") if edge == "msb" else (obs[0], "_LSB")
+    if s == 1:
+        return [f"if L & {live:#x}: fail(arr, stream.bind(rows), {i}, L, {fault})", run]
+    # the latch bits that k pulses carry into the edge, for every k < s
+    reach = 0
+    for k in range(s):
+        reach |= (live & masks[k]) >> k if direction == LEFT else (live & masks[k]) << k
+    return [f"if L & {reach:#x}:",
+            f"    for k in range({i}, {i + s}):",
+            f"        if L & {live:#x}: fail(arr, stream.bind(rows), k, L, {fault})",
+            f"        {pulse}",
+            run]
 
 
 def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) -> None:
@@ -517,12 +563,13 @@ def serialize_trace(trace, cols: int, out) -> None:
         start += len(batch)
 
 
-def _quote(text: str | None) -> str:
+def _quote(text: str | None, cut: bool = False) -> str:
     """The repr of `text` for an error message, cut to its first _QUOTED_CHARS
-    characters: a line read from a file can be a piece long."""
+    characters: a line read from a file can be a piece long.  A `cut` text is
+    the start of a line not yet read to its end, so its length is a bound."""
     if text is None or len(text) <= _QUOTED_CHARS:
         return repr(text)
-    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+    return f"{text[:_QUOTED_CHARS]!r}... ({'at least ' if cut else ''}{len(text)} characters)"
 
 
 _DECIMAL_DIGITS = frozenset("0123456789")
@@ -603,8 +650,8 @@ def _parse_lines(lines, ops: list, parsed: dict) -> None:
         ops.append(op)
 
 
-def _too_long(line: str) -> None:
-    raise TraceIOError(f"trace line longer than {MAX_LINE_CHARS} characters: {_quote(line)}")
+def _too_long(line: str, cut: bool = False) -> None:
+    raise TraceIOError(f"trace line longer than {MAX_LINE_CHARS} characters: {_quote(line, cut)}")
 
 
 def _parse_piece(piece: str, ops: list, parsed: dict) -> str | None:
@@ -671,7 +718,7 @@ def parse_trace(source) -> list[tuple]:
         _parse_lines(lines, ops, parsed)
         del lines
         if len(tail) > MAX_LINE_CHARS:
-            _too_long(tail)
+            _too_long(tail, cut=True)        # the line may go on in the next piece
         if end == "\r":
             tail += end
     if tail:

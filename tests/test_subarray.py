@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sramntt.bitparallel import Emitter, ExecPolicy, MontgomeryContext, default_rowmap
 from sramntt.errors import (
     AddressError,
     DimensionError,
@@ -447,6 +448,24 @@ def test_a_line_without_end_stops_the_parse_within_a_few_pieces(tmp_path):
     assert len(str(info.value)) < 200
 
 
+def test_an_over_long_line_across_a_piece_end_is_quoted_by_what_was_read(tmp_path):
+    """A 3,000-character line starting 1,500 characters before the first
+    piece ends is refused before its end is read, so its quote gives the
+    characters read as a lower bound; one piece holding the whole line gives
+    its length."""
+    line = "1 WRITEBACK " + "0" * (3000 - 12) + "\n"
+    full, rest = divmod(PIECE_CHARS - 1500, 1000)
+    head = ("#" * 999 + "\n") * full + "#" * (rest - 1) + "\n"
+    path = tmp_path / "long.trace"
+    for text, length in ((head + line, "at least 1500"), (line + head, "3000")):
+        assert text.index(line) in (0, PIECE_CHARS - 1500)
+        path.write_text(text)
+        with open(path) as fh:
+            for source in (text, fh):
+                with pytest.raises(TraceIOError, match=rf"'1 WRITEBACK 0+'\.\.\. \({length} characters\)$"):
+                    parse_trace(source)
+
+
 def test_trace_errors_quote_a_short_prefix_of_the_line():
     huge = "0 WRITEBACK " + "9" * 10 ** 6 + "x"
     for bad in (huge, "0 " + "Q" * 10 ** 6, "0 SHIFT LEFT " + "B" * 10 ** 6,
@@ -650,7 +669,22 @@ micro_op = st.one_of(
 )
 
 
-row_value = st.integers(0, (1 << COLS) - 1)
+mark = st.sampled_from([None, None, "msb", "lsb"])
+# a run of 1-12 equal shifts under one mark, tile runs longer than a tile among
+# them: the generated program runs it as one statement
+shift_run = st.builds(
+    lambda op, n, edge: [(op, edge)] * n,
+    st.one_of(st.tuples(st.just(SHIFT), st.sampled_from((LEFT, RIGHT)), st.just(GLOBAL),
+                        st.just(0), st.just(0)),
+              st.tuples(st.just(SHIFT), st.sampled_from((LEFT, RIGHT)), st.just(TILE),
+                        st.sampled_from([3, 4, 10]), st.sampled_from([0, 1]))),
+    st.integers(1, 12), mark)
+# (op, mark) pairs: one op, or a run of shifts
+program_piece = st.one_of(st.tuples(micro_op, mark).map(lambda pair: [pair]), shift_run)
+
+# any row, or a sparse one, so that a marked run finds its edges clear now and then
+row_value = st.one_of(st.integers(0, (1 << COLS) - 1),
+                      st.sampled_from([0] + [1 << j for j in range(COLS)]))
 
 
 def fresh_pair(cells, latch):
@@ -664,10 +698,11 @@ def fresh_pair(cells, latch):
 
 
 @given(st.lists(row_value, min_size=ROWS, max_size=ROWS), row_value,
-       st.lists(micro_op, max_size=40), st.lists(row_index, min_size=3, max_size=3),
-       st.lists(st.sampled_from([None, None, "msb", "lsb"]), max_size=40))
+       st.lists(program_piece, max_size=24), st.lists(row_index, min_size=3, max_size=3))
 @settings(max_examples=300, deadline=None)
-def test_executor_matches_reference_interpreter(cells, latch, ops, binding, edges):
+def test_executor_matches_reference_interpreter(cells, latch, pieces, binding):
+    pairs = [pair for piece in pieces for pair in piece]
+    ops = [op for op, _ in pairs]
     arr, ref = fresh_pair(cells, latch)
     want_error = None
     for op in ops:
@@ -691,11 +726,11 @@ def test_executor_matches_reference_interpreter(cells, latch, ops, binding, edge
         execute(single, (op,))
     assert single.same_state(arr) and list(single.trace) == list(arr.trace)
     assert tallied(single.trace)
-    # the generated program of the same ops, rows -1..-3 bound to `binding`,
-    # and observation marks on the drawn indices
-    program_ops = [op for op in ops if op[0] in (ACTIVATE2, WRITEBACK, SHIFT)]
-    marks = {i: edge for i, edge in enumerate(edges[:len(program_ops)]) if edge}
-    check_generated_run(cells, latch, program_ops, marks, binding)
+    # the generated program of the ops it can run, rows -1..-3 bound to
+    # `binding`, each op observation-marked as drawn
+    program = [(op, edge) for op, edge in pairs if op[0] in (ACTIVATE2, WRITEBACK, SHIFT)]
+    marks = {i: edge for i, (_, edge) in enumerate(program) if edge}
+    check_generated_run(cells, latch, [op for op, _ in program], marks, binding)
 
 
 def bind(ops, rows):
@@ -798,6 +833,42 @@ def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
         execute(twin, bind(ops, binding), marks, LANE)
     assert (gen.cells, gen.latch, list(gen.trace)) == (twin.cells, twin.latch, list(twin.trace))
     assert tallied(gen.trace) and tallied(twin.trace)
+
+
+@pytest.mark.parametrize("direction,edge,tile_scope_all", [
+    (RIGHT, "lsb", False), (LEFT, "msb", False), (RIGHT, "lsb", True), (LEFT, "msb", True)])
+def test_a_marked_run_fails_at_the_pulse_that_first_finds_a_live_edge_bit(
+        direction, edge, tile_scope_all):
+    """For each pulse k of a marked run of 8 data shifts, global or
+    tile-masked, a latch bit that k pulses carry to the lane edge makes the
+    generated program raise before pulse k, leaving what execute leaves."""
+    lane, cols = 16, 64
+    C = Emitter(MontgomeryContext.create(7681, 15, lane_width=lane), default_rowmap(32),
+                ExecPolicy(tile_scope_all=tile_scope_all))
+    C.wb(1)
+    for _ in range(8):
+        C.shift_data(direction, edge)
+    C.wb(2)
+    stream = C.stream()
+    pulse = (SHIFT, direction, TILE, lane, 0) if tile_scope_all else (SHIFT, direction, GLOBAL, 0, 0)
+    assert stream.ops[1:9] == [pulse] * 8 and stream.obs_marks == dict.fromkeys(range(1, 9), edge)
+    program = generate(Subarray(8, cols), stream, lane)
+    # edges at columns 0, 16, 32, 48 ("lsb") or 15, 31, 47, 63 ("msb"); eight
+    # pulses carry column 40 right, or 36 left, past none of them
+    quiet = 1 << (40 if direction == RIGHT else 36)
+    for k in [*range(8), None]:
+        gen, twin = Subarray(8, cols), Subarray(8, cols)
+        for arr in (gen, twin):
+            arr.cells[:] = range(3, 11)
+            arr.latch = quiet if k is None else quiet | 1 << (16 + k if direction == RIGHT else 15 - k)
+        error = run_and_catch(lambda: program(gen, ()))
+        assert error == run_and_catch(lambda: execute(twin, stream.bind(()), stream.obs_marks, lane))
+        assert (gen.cells, gen.latch, list(gen.trace)) == (twin.cells, twin.latch, list(twin.trace))
+        if k is None:
+            assert error is None and len(gen.trace) == 10
+        else:
+            assert error[0] is ObservationError and len(gen.trace) == 1 + k, k
+        assert tallied(gen.trace) and tallied(twin.trace)
 
 
 @pytest.mark.parametrize("op,error", [
