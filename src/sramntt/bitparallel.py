@@ -44,7 +44,6 @@ from .subarray import (
     WRITEBACK,
     XOR,
     Subarray,
-    execute,
     generate,
 )
 
@@ -157,6 +156,8 @@ class CommandStream:
     function of it, made at its first run on an array; a trace logs each run
     as (stream, rows), bound only when read, and ``perf.counts_of_tally``
     counts the ops of a stream (hashed by identity) once, times its runs.
+    A segment of a body with zero tests (``Emitter.block``) has `zero_test`
+    set when a zero test follows it.
     """
 
     ops: list[tuple]
@@ -164,6 +165,7 @@ class CommandStream:
     step_marks: list[tuple[int, int]] = field(default_factory=list)
     holes: list[int] = field(default_factory=list)
     program: Callable | None = field(default=None, repr=False)
+    zero_test: bool = False
 
     def bind(self, rows) -> list[tuple]:
         """The ops with placeholder ~k replaced by rows[k]; other ops are shared."""
@@ -178,10 +180,6 @@ class CommandStream:
                 a, b = op[1], op[2]
                 ops[i] = (ACTIVATE2, rows[~a] if a < 0 else a, rows[~b] if b < 0 else b, op[3])
         return ops
-
-
-# operand placeholders of compiled primitives: operand k is row ~k
-_OPERANDS = (-1, -2, -3)
 
 
 # -- constants setup --------------------------------------------------------
@@ -265,20 +263,21 @@ class Emitter:
     are arguments.
 
     Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
-    and keeps `programs`: one stream per body, compiled once with its
-    operand rows as placeholders (``compiled``).  Executing
-    emitters of one row map, policy, word, lane and array shape share one table,
-    so a stream is compiled and generated once per shape.
+    and keeps `programs`: one stream per body segment, compiled once with
+    its operand rows as placeholders (``compiled``).  Executing emitters of
+    one row map, policy, word, lane and array shape share one table, so a
+    stream is compiled and generated once per shape.
 
     Without an array it collects: ``run`` appends a stream's bound ops and
     marks, and ``stream`` hands them over.  With one it executes: ``run``
-    runs a stream on the array, and ``flush`` runs pending ops through
-    ``subarray.execute``, at each zero test and before every ``emit_*``
-    returns, so no op is pending when the host touches a row or a compiled
-    stream runs.  The array's trace logs both.
+    calls a stream's generated function and ``block`` runs a body as its
+    compiled segments, so no op is ever run from `ops`; the array's trace
+    logs each run.  A segment compiler is a collecting emitter handed the
+    `readouts` its ``ztest`` returns.
     """
 
-    __slots__ = ("ctx", "rm", "policy", "arr", "ops", "obs_marks", "step_marks", "programs")
+    __slots__ = ("ctx", "rm", "policy", "arr", "ops", "obs_marks", "step_marks", "programs",
+                 "readouts")
 
     def __init__(self, ctx: MontgomeryContext, rm: RowMap, policy: ExecPolicy,
                  arr: Subarray | None = None):
@@ -291,6 +290,7 @@ class Emitter:
         self.step_marks: list[tuple[int, int]] = []
         self.programs = {} if arr is None else _shared_programs(
             rm, policy, ctx.width, ctx.lane_width, arr.rows, arr.cols)
+        self.readouts = None
 
     def act(self, a: int, b: int, mode: str) -> None:
         self.ops.append((ACTIVATE2, a, b, mode))
@@ -316,21 +316,18 @@ class Emitter:
         self.ops.append((SHIFT, direction, TILE, self.ctx.lane_width, 0))
 
     def ztest(self) -> bool:
-        if self.arr is None:
+        """A segment compiler's next readout; the ops before it are dropped, as
+        earlier segments hold them.  Past the last readout, StopIteration
+        ends the segment here.  Any other emitter raises ParameterError."""
+        if self.readouts is None:
             raise ParameterError("zero-test loops cannot be compiled ahead of time")
-        self.flush()
-        return self.arr.latch_is_zero()
+        readout = next(self.readouts)
+        self.ops, self.obs_marks, self.step_marks = [], {}, []
+        return readout
 
     def step(self, k: int) -> None:
         """Mark the last op as the end of the figure's step k."""
         self.step_marks.append((len(self.ops) - 1, k))
-
-    def flush(self) -> None:
-        """Run the pending ops on the array and empty the buffer, even if one raises."""
-        if self.arr is not None and self.ops:
-            ops, obs_marks = self.ops, self.obs_marks
-            self.ops, self.obs_marks, self.step_marks = [], {}, []
-            execute(self.arr, ops, obs_marks, self.ctx.lane_width)
 
     def stream(self) -> CommandStream:
         """The ops collected so far, with the indices of those naming a placeholder."""
@@ -341,24 +338,38 @@ class Emitter:
                              step_marks=self.step_marks, holes=holes)
 
     def block(self, body, rows: tuple) -> None:
-        """body(E, *rows): under a deterministic policy its compiled stream
-        runs bound to `rows`; a data-dependent one emits it in place and
-        flushes, since a zero-test loop cannot be compiled."""
-        if self.policy.deterministic:
-            self.run(self.compiled(body, len(rows)), rows)
-        else:
-            body(self, *rows)
-            self.flush()
+        """body(E, *rows), run as its compiled segments bound to `rows`.
 
-    def compiled(self, body, operands: int) -> CommandStream:
-        """body(E, *placeholders) compiled once for this emitter, on a
-        collecting emitter with the same context, row map and policy; the
-        program table is keyed by the body."""
-        stream = self.programs.get(body)
+        After a segment that ends at a zero test, the array's readout
+        (a ZERO_TEST in the trace) selects the next segment.  A body without
+        a zero test is one segment.  A collecting emitter appends the
+        segments and takes its own ``ztest``, which raises ParameterError
+        unless it is compiling a segment."""
+        readouts = ()
+        while True:
+            stream = self.compiled(body, len(rows), readouts)
+            self.run(stream, rows)
+            if not stream.zero_test:
+                return
+            readouts += (self.ztest() if self.arr is None else self.arr.latch_is_zero(),)
+
+    def compiled(self, body, operands: int, readouts: tuple = ()) -> CommandStream:
+        """The segment of body(E, *placeholders) after the zero tests that
+        read `readouts`, compiled once for this emitter on a segment
+        compiler with the same context, row map and policy; operand k is
+        the placeholder row ~k.  The program table is keyed by (body,
+        readouts)."""
+        stream = self.programs.get((body, readouts))
         if stream is None:
             C = Emitter(self.ctx, self.rm, self.policy)
-            body(C, *_OPERANDS[:operands])
-            stream = self.programs[body] = C.stream()
+            C.readouts = iter(readouts)
+            zero_test = False
+            try:
+                body(C, *[~k for k in range(operands)])
+            except StopIteration:                  # the segment ends at a zero test
+                zero_test = True
+            stream = self.programs[body, readouts] = C.stream()
+            stream.zero_test = zero_test
         return stream
 
     def run(self, stream: CommandStream, rows=()) -> None:
@@ -366,8 +377,8 @@ class Emitter:
 
         Without an array, append the bound ops and the stream's marks.  With
         one, call the function ``subarray.generate`` makes of it at its first
-        run, which logs the run and binds no rows; a pending op would run
-        after the stream, so it raises ParameterError instead."""
+        run, which logs the run and binds no rows.  Ops emitted by hand on an
+        executing emitter can never run, so it raises ParameterError instead."""
         if self.arr is None:
             base = len(self.ops)
             self.ops += stream.bind(rows)
@@ -375,7 +386,7 @@ class Emitter:
             self.step_marks += [(base + i, k) for i, k in stream.step_marks]
             return
         if self.ops:
-            raise ParameterError(f"{len(self.ops)} ops still pending: flush before running a stream")
+            raise ParameterError(f"{len(self.ops)} ops emitted outside a block cannot run")
         program = stream.program
         if program is None:
             program = stream.program = generate(self.arr, stream, self.ctx.lane_width, len(rows))
@@ -397,7 +408,6 @@ def emit_select_m(E) -> None:
     emit_smear(E, rm.mask_row, rm.aux3, toward_msb=True)
     E.act(rm.mask_row, rm.modulus_row, AND)
     E.wb(rm.mask_row)
-    E.flush()
 
 
 def emit_smear(E, row: int, temp: int, toward_msb: bool) -> None:
@@ -430,7 +440,6 @@ def emit_smear(E, row: int, temp: int, toward_msb: bool) -> None:
         E.act(row, temp, OR)
         E.wb(row)
         span += stride
-    E.flush()
 
 
 def emit_modmul(E, a_value: int, b_row: int) -> None:
@@ -522,7 +531,6 @@ def emit_add(E, x_row: int, y_row: int, dest_row: int,
     E.wb(tmp_a)
     E.act(x_row, y_row, AND)                   # latch = carry word
     _ripple(E, tmp_a, tmp_b, cs_row, dest_row, no_wrap)
-    E.flush()
 
 
 def emit_add3(E, x_row: int, y_row: int, z_row: int, dest_row: int,
@@ -543,7 +551,6 @@ def emit_add3(E, x_row: int, y_row: int, z_row: int, dest_row: int,
     E.wb(p_row)
     E.act(p_row, cb_row, OR)                   # latch = merged carry word
     _ripple(E, tmp_a, p_row, cb_row, dest_row)
-    E.flush()
 
 
 def _ripple(E, cur: int, other: int, cs_row: int, dest_row: int,
@@ -595,7 +602,6 @@ def emit_mask_select(E, take_row: int, else_row: int, sel_row: int,
     E.wb(tmp)
     E.act(else_row, tmp, XOR)
     E.wb(dest_row)
-    E.flush()
 
 
 def _sign_select(E, u_row: int, take_row: int, sel_row: int, tmp: int,

@@ -264,15 +264,17 @@ def inverse_butterfly(E, twiddle: int, rj: int, rl: int) -> None:
     """One Gentleman-Sande butterfly on rows rj and rl: a[rj] := a[rj] + a[rl]
     and a[rl] := twiddle * (a[rj] - a[rl]) * R^-1, all mod q.  The difference
     is parked in the dead a[rl] row, as the multiplication predicates on the
-    mask row; the flush runs the park before its compiled blocks."""
-    rm = E.rm
-    emit_modsub(E, rj, rl, rm.mask_row)
+    mask row."""
+    emit_modsub(E, rj, rl, E.rm.mask_row)
     emit_modadd(E, rj, rl, rj)
-    E.act(rm.mask_row, rm.zeros, OR)
-    E.wb(rl)
-    E.flush()
+    E.block(_park, (rl,))
     emit_modmul(E, twiddle, b_row=rl)
     emit_resolve(E, rl)
+
+
+def _park(E, row: int) -> None:
+    E.act(E.rm.mask_row, E.rm.zeros, OR)
+    E.wb(row)
 
 
 def scale_row(E, multiplier: int, row: int) -> None:

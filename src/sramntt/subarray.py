@@ -250,9 +250,9 @@ def execute(arr: Subarray, ops, obs_marks: dict[int, str] | None = None,
     The trace logs the list `ops` itself, which the caller must then leave
     as it is, unless an op raised: then it logs a copy cut before that op.
 
-    This loop runs traces, host I/O, the ops an emitter flushes (zero-test
-    loops among them) and ``generate``'s error fallback; the functions
-    ``generate`` makes must leave the array exactly as it does.
+    This loop runs traces, host I/O (an emitter's zero tests among them)
+    and ``generate``'s error fallback; no emitter runs ops through it, and
+    the functions ``generate`` makes must leave the array exactly as it does.
     """
     cells = arr.cells
     nrows = arr.rows

@@ -2,6 +2,7 @@
 
 import io
 import random
+from functools import partial
 
 import pytest
 
@@ -33,8 +34,8 @@ from sramntt.errors import AddressError, ObservationError, ParameterError, SimEr
 from sramntt.oracle import oracle_montmul
 from sramntt.perf import CostModel, accumulate, counts_of_tally, counts_of_trace
 from sramntt.subarray import (
-    ACTIVATE2, GLOBAL, OR, SHIFT, WRITEBACK, Subarray, Trace, execute, generate, parse_trace,
-    serialize_trace,
+    ACTIVATE2, GLOBAL, OR, SHIFT, WRITE_ROW, WRITEBACK, ZERO_TEST, Subarray, Trace, execute,
+    generate, parse_trace, serialize_trace,
 )
 
 
@@ -261,15 +262,20 @@ POLICIES = [ExecPolicy(), ExecPolicy(tile_scope_all=True),
             ExecPolicy(deterministic=False, tile_scope_all=True)]
 
 
+def _smear_up(E, row: int, temp: int) -> None:
+    emit_smear(E, row, temp, toward_msb=True)
+
+
 @pytest.mark.parametrize("warm_up", [None, lambda E, emits: [emit(E) for emit in emits]])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_every_emit_returns_with_its_ops_run(policy, warm_up, fresh_programs):
-    """An emitter with an array leaves no op pending when an emit_* returns,
-    so none can run after a compiled block or a host read; under a
-    deterministic policy the array ran exactly the ops a collecting emitter
-    collects for the same call.  The checked calls generate their streams
-    at their first run or, after a warm-up on another array of the same
-    shape, run the functions generated there."""
+    """An emitter with an array leaves no op pending when an emit_*, or a
+    block of a sub-primitive, returns, so none can run after a compiled
+    block or a host read; under a deterministic policy the array ran
+    exactly the ops a collecting emitter collects for the same call.  The
+    checked calls generate their streams at their first run or, after a
+    warm-up on another array of the same shape, run the functions
+    generated there."""
     ctx, arr, rm = fresh(7681, 16, cols=64)
     rng = random.Random(12)
     for row in (1, 2, 3):
@@ -280,11 +286,11 @@ def test_every_emit_returns_with_its_ops_run(policy, warm_up, fresh_programs):
         lambda E: emit_resolve(E, 4),
         lambda E: emit_modadd(E, 1, 2, 5),
         lambda E: emit_modsub(E, 1, 2, 6),
-        lambda E: emit_add(E, 1, 2, 7, 8, 9, 10),
-        lambda E: emit_add3(E, 1, 2, 3, 7, 8, 9, 10),
-        lambda E: emit_select_m(E),
-        lambda E: emit_smear(E, 7, 8, toward_msb=True),
-        lambda E: emit_mask_select(E, 1, 2, 3, 8, 9),
+        lambda E: E.block(emit_add, (1, 2, 7, 8, 9, 10)),
+        lambda E: E.block(emit_add3, (1, 2, 3, 7, 8, 9, 10)),
+        lambda E: E.block(emit_select_m, ()),
+        lambda E: E.block(_smear_up, (7, 8)),
+        lambda E: E.block(emit_mask_select, (1, 2, 3, 8, 9)),
     ]
     if warm_up is not None:
         other = Emitter(ctx, rm, policy, fresh(7681, 16, cols=64)[1])
@@ -310,6 +316,8 @@ def test_a_collecting_emitter_cannot_zero_test():
         E.ztest()
     with pytest.raises(ParameterError, match="compiled ahead of time"):
         emit_add(E, 1, 2, 3, 4, 5, 6)
+    with pytest.raises(ParameterError, match="compiled ahead of time"):
+        emit_resolve(E, 3)                     # a block stops at its first zero test
 
 
 def test_block_multiplier_equals_the_compiled_stream(fresh_programs):
@@ -452,17 +460,25 @@ def test_a_stream_is_generated_at_its_first_run(fresh_programs):
 
 
 def test_a_stream_does_not_run_ahead_of_pending_ops(fresh_programs):
-    """On an executing emitter, a stream run with ops still pending raises
-    and runs nothing: those ops would otherwise run after the stream."""
+    """On an executing emitter, ops emitted by hand can never run: a stream
+    run or a block with them pending raises and runs nothing, under either
+    policy.  Run as a block, the same ops run in order."""
     ctx, arr, rm = fresh(7681, 16)
-    E = Emitter(ctx, rm, ExecPolicy(), arr)
-    E.act(1, rm.zeros, OR)
-    E.wb(0)
+
+    def copy_row_1_to_0(E):
+        E.act(1, rm.zeros, OR)
+        E.wb(0)
+
     start = len(arr.trace)
-    with pytest.raises(ParameterError, match="2 ops still pending"):
-        emit_modmul(E, 3, b_row=0)
-    assert len(arr.trace) == start and len(E.ops) == 2
-    E.flush()
+    for policy in (ExecPolicy(), ExecPolicy(deterministic=False)):
+        E = Emitter(ctx, rm, policy, arr)
+        copy_row_1_to_0(E)
+        for emit in (lambda: emit_modmul(E, 3, b_row=0), lambda: emit_modadd(E, 1, 2, 3)):
+            with pytest.raises(ParameterError, match="2 ops emitted outside a block"):
+                emit()
+            assert len(arr.trace) == start and len(E.ops) == 2
+    E = Emitter(ctx, rm, ExecPolicy(), arr)
+    E.block(copy_row_1_to_0, ())
     emit_modmul(E, 3, b_row=0)
     C = Emitter(ctx, rm, ExecPolicy())
     C.act(1, rm.zeros, OR)
@@ -511,9 +527,9 @@ def test_words_of_one_lane_get_their_own_program_tables(fresh_programs):
 
 def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
     """Executing emitters on one row map, policy and array shape share one
-    table: the first unit generates the six programs, a second unit and both
-    units of a polymul pipeline generate none.  Another rows, cols or policy
-    value gets a table of its own."""
+    table: the first unit generates the six programs, a second unit none and
+    the two units of a polymul pipeline only the inverse's park.  Another
+    rows, cols or policy value gets a table of its own."""
     from sramntt import bitparallel
     from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
 
@@ -536,11 +552,11 @@ def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
     assert len(calls) == 6
     _, unit_a, unit_b = polymul_pipeline([poly], poly, ring, rows=64, cols=64)
     assert unit_a.emitter.programs is unit_b.emitter.programs is first.emitter.programs
-    assert len(calls) == 6
+    assert len(calls) == len(first.emitter.programs) == 7
     others = [unit(rows=72), unit(cols=72), unit(policy=ExecPolicy(tile_scope_all=True))]
     tables = [first.emitter.programs] + [u.emitter.programs for u in others]
     assert len({id(t) for t in tables}) == 4
-    assert len(calls) == 4 * 6
+    assert len(calls) == 7 + 3 * 6
     assert not Emitter(first.ctx, first.rm, ExecPolicy()).programs       # a collecting emitter's own
 
 
@@ -577,7 +593,7 @@ def test_select_m_per_tile():
     lane = ctx.lane_width
     assert lane == 4
     arr.write_row(rm.sum_row, pack_words([0b011, 0b010], lane, arr.cols))
-    emit_select_m(Emitter(ctx, rm, ExecPolicy(), arr))
+    Emitter(ctx, rm, ExecPolicy(), arr).block(emit_select_m, ())
     bits = arr.read_row(rm.mask_row)
     assert unpack_word(bits, 0, lane) == 7            # odd Sum: m = M
     assert unpack_word(bits, 1, lane) == 0            # even Sum: m = 0
@@ -619,7 +635,7 @@ def test_bp_add_mod_2n():
         x, y = rng.randrange(1 << lane), rng.randrange(1 << lane)
         arr.write_row(1, broadcast_word(x, lane, arr.cols))
         arr.write_row(2, broadcast_word(y, lane, arr.cols))
-        emit_add(E, 1, 2, rm.aux1, rm.aux2, rm.aux3, rm.mask_row)
+        E.block(emit_add, (1, 2, rm.aux1, rm.aux2, rm.aux3, rm.mask_row))
         assert unpack_word(arr.read_row(rm.aux1), 0, lane) == (x + y) % (1 << lane)
 
 
@@ -714,6 +730,55 @@ def test_data_dependent_mode_matches_deterministic():
         assert any(op[0] == "ZERO_TEST" for op in arr.trace)
 
 
+def test_a_warm_data_dependent_roundtrip_compiles_no_new_segment(fresh_programs, monkeypatch):
+    """Rerun on the same inputs, a data-dependent roundtrip meets the same
+    readouts, so it compiles and generates no segment and leaves the same
+    trace.  Its log holds runs of compiled streams and one-op host writes
+    and zero tests only.  Each of resolve, modadd and modsub has two carry
+    loops of at most `lane` zero tests, so it has at most 1 + 2*lane +
+    2*lane*(lane+1) = 2*(lane+1)^2 - 1 segments; the table holds those and
+    the four bodies without a zero test (prologue, add-B, halving, park)."""
+    from sramntt import bitparallel
+    from sramntt.ntt import RingParams, TransformUnit
+
+    calls = []
+    monkeypatch.setattr(bitparallel, "generate",
+                        lambda *args: calls.append(args) or generate(*args))
+    ring = RingParams.create(7681, 16, 16)
+    rng = random.Random(4)
+    polys = [[rng.randrange(7681) for _ in range(16)] for _ in range(4)]
+
+    def roundtrip():
+        unit = TransformUnit(ring, rows=64, cols=64, policy=ExecPolicy(deterministic=False))
+        unit.load_polynomials(polys)
+        unit.forward()
+        unit.inverse()
+        assert unit.read_polynomials() == polys
+        return unit
+
+    first = roundtrip()
+    table = first.emitter.programs
+    streams = dict(table)
+    generated = len(calls)
+    assert generated == len(table)
+    second = roundtrip()
+    assert second.emitter.programs is table and table == streams
+    assert len(calls) == generated
+    assert list(second.arr.trace) == list(first.arr.trace)
+    lane = first.ctx.lane_width
+    assert 4 < len(table) <= 3 * (2 * (lane + 1) ** 2 - 1) + 4
+    kinds = set()
+    for entry in second.arr.trace.log:
+        if type(entry) is list:
+            assert len(entry) == 1 and entry[0][0] in (WRITE_ROW, ZERO_TEST), entry
+            kinds.add(entry[0][0])
+        else:
+            stream, rows = entry
+            assert isinstance(stream, CommandStream) and type(rows) is tuple
+            assert stream in streams.values()
+    assert kinds == {WRITE_ROW, ZERO_TEST}
+
+
 def test_tile_scope_all_policy_still_correct():
     bench = ModmulBench(7681, 16)
     bench.policy = ExecPolicy(tile_scope_all=True)
@@ -785,7 +850,7 @@ def test_mask_select_is_three_activations():
     for row, words in ((1, take), (2, other), (3, sel)):
         arr.write_row(row, pack_words(words, lane, arr.cols))
     start = len(arr.trace)
-    emit_mask_select(Emitter(ctx, rm, ExecPolicy(), arr), 1, 2, 3, 4, 5)
+    Emitter(ctx, rm, ExecPolicy(), arr).block(emit_mask_select, (1, 2, 3, 4, 5))
     ops = arr.trace[start:]
     assert sum(op[0] == ACTIVATE2 for op in ops) == 3
     assert sum(op[0] == WRITEBACK for op in ops) == 3
@@ -837,12 +902,13 @@ def test_no_wrap_add_raises_on_a_carry_out_of_the_lane(deterministic):
     ctx, arr, rm = fresh(7681, 16, cols=64)
     lane = ctx.lane_width
     policy = ExecPolicy(deterministic=deterministic)
+    bodies = {no_wrap: partial(emit_add, no_wrap=no_wrap) for no_wrap in (False, True)}
 
     def add(x, y, no_wrap):
         arr.write_row(1, pack_words([x, 3, 3, 3], lane, arr.cols))
         arr.write_row(2, pack_words([y, 4, 4, 4], lane, arr.cols))
-        emit_add(Emitter(ctx, rm, policy, arr), 1, 2, 3, rm.aux1, rm.aux2,
-                 rm.mask_row, no_wrap=no_wrap)
+        Emitter(ctx, rm, policy, arr).block(bodies[no_wrap],
+                                            (1, 2, 3, rm.aux1, rm.aux2, rm.mask_row))
         return unpack_word(arr.read_row(3), 0, lane)
 
     for x, y in ((1 << (lane - 1), 1 << (lane - 1)), ((1 << lane) - 1, 1), (0xBEEF, 0x8000)):
@@ -903,8 +969,9 @@ def test_the_emitter_is_the_only_row_map_argument():
         assert list(params)[0] in ("E", "self"), fn.__name__
     for fn in (emit_modadd, emit_modsub):
         assert list(inspect.signature(fn).parameters) == ["E", "a_row", "b_row", "dest_row"]
-    # a stream is keyed by its body alone: no static arguments
+    # a stream is keyed by its body and the readouts before it: no static arguments
     assert list(inspect.signature(Emitter.block).parameters) == ["self", "body", "rows"]
-    assert list(inspect.signature(Emitter.compiled).parameters) == ["self", "body", "operands"]
+    assert list(inspect.signature(Emitter.compiled).parameters) == [
+        "self", "body", "operands", "readouts"]
     # the word width comes from the emitter's context, as the lane does
     assert list(inspect.signature(emit_modmul).parameters) == ["E", "a_value", "b_row"]
