@@ -145,7 +145,8 @@ class RowMap:
 
 @dataclass(eq=False)
 class CommandStream:
-    """Compiled micro-op sequence, such as one multiplication by the constant A.
+    """Compiled micro-op sequence, such as a multiplication's iterations on
+    one four-bit chunk of the constant A.
 
     obs_marks maps the index of each data shift to the edge it must find zero
     ("msb" or "lsb"); step_marks pairs the index of each figure step's last op
@@ -250,7 +251,9 @@ def _shared_programs(rm: RowMap, policy: ExecPolicy, word: int, lane: int,
     Keyed on the word and the lane, not the whole context: no stream names
     the modulus (it lives in the constant rows), so every modulus of one
     word and lane shares it; the halving block's smear spans the word, so
-    two words on one lane never share.
+    two words on one lane never share.  It holds the tail's streams, the
+    multiplication's prologue and at most 2^MODMUL_CHUNK +
+    2^(word % MODMUL_CHUNK) chunk streams, however many constants run.
     """
     return {}
 
@@ -263,10 +266,11 @@ class Emitter:
     are arguments.
 
     Collects emitted micro-ops into `ops`, `obs_marks` and `step_marks`,
-    and keeps `programs`: one stream per body segment, compiled once with
-    its operand rows as placeholders (``compiled``).  Executing emitters of
-    one row map, policy, word, lane and array shape share one table, so a
-    stream is compiled and generated once per shape.
+    and keeps `programs`: one stream per body segment (a multiplication's
+    bodies are its prologue and each chunk value of A, ``emit_modmul``),
+    compiled once with its operand rows as placeholders (``compiled``).
+    Executing emitters of one row map, policy, word, lane and array shape
+    share one table, so a stream is compiled and generated once per shape.
 
     Without an array it collects: ``run`` appends a stream's bound ops and
     marks, and ``stream`` hands them over.  With one it executes: ``run``
@@ -442,29 +446,51 @@ def emit_smear(E, row: int, temp: int, toward_msb: bool) -> None:
         span += stride
 
 
+# Bits of the constant A one compiled stream of a multiplication covers: a
+# table holds at most 2^MODMUL_CHUNK + 2^(word % MODMUL_CHUNK) of them per shape
+MODMUL_CHUNK = 4
+
+
 def emit_modmul(E, a_value: int, b_row: int) -> None:
     """The carry-save Montgomery loop for the compile-time constant A = a_value.
 
-    Runs three compiled streams: a 3-op prologue zeroing Sum and Carry
-    (leaving latch == Carry), then per bit position i in [0, E.ctx.width) the
-    add-B block when a_i is 1, always followed by the m-selection and
-    halving block.  Invariant between iterations: the last writeback was
-    Carry, so the latch already holds the word the next left shift needs.
-    The loop has no zero test, so it runs compiled under either policy.
+    A 3-op prologue zeroes Sum and Carry (leaving latch == Carry); then per
+    bit position i in [0, E.ctx.width) comes the add-B block when a_i is 1,
+    always followed by the m-selection and halving block.  Invariant between
+    iterations: the last writeback was Carry, so the latch already holds the
+    word the next left shift needs.  The loop has no zero test, so it runs
+    compiled under either policy: the prologue, then one stream per
+    MODMUL_CHUNK bits of A, low bits first (the last chunk holds the
+    width % MODMUL_CHUNK bits left, if any), each compiled once per chunk
+    value and length (``_modmul_bits``).
 
     A constant that is not an int in [0, 2^width), a bool included, raises
     ParameterError before any op is emitted.
     """
     if type(a_value) is not int or not 0 <= a_value < E.ctx.radix:
         raise ParameterError(f"constant {a_value!r} is not an integer in [0, 2^{E.ctx.width})")
-    add_b = E.compiled(_modmul_add_b, 1)
-    halve = E.compiled(_modmul_halve, 0)
     E.run(E.compiled(_modmul_prologue, 0))
     rows = (b_row,)
-    for i in range(E.ctx.width):
-        if (a_value >> i) & 1:
-            E.run(add_b, rows)
-        E.run(halve)
+    width = E.ctx.width
+    for low in range(0, width, MODMUL_CHUNK):
+        length = min(MODMUL_CHUNK, width - low)
+        bits = (a_value >> low) & ((1 << length) - 1)
+        E.run(E.compiled(_modmul_bits(bits, length), 1), rows)
+
+
+@lru_cache(maxsize=None)
+def _modmul_bits(bits: int, length: int):
+    """The body of `length` iterations of the loop on the chunk `bits` of A,
+    low bit first.  One object per (bits, length), so that the program
+    table, keyed by the body, holds one stream per chunk."""
+    return partial(_modmul_iterations, bits=bits, length=length)
+
+
+def _modmul_iterations(E, b_row: int, bits: int, length: int) -> None:
+    for i in range(length):
+        if (bits >> i) & 1:
+            _modmul_add_b(E, b_row)
+        _modmul_halve(E)
 
 
 def _modmul_prologue(E) -> None:
@@ -562,7 +588,9 @@ def _ripple(E, cur: int, other: int, cs_row: int, dest_row: int,
     are scratch; the sum ends in dest_row.  A deterministic policy runs all
     lane_width rounds, the last of which writes its sum to dest_row (the
     carry word is then provably zero); a data-dependent one stops at the
-    round whose carry word tests zero and copies its sum to dest_row.
+    round whose carry word tests zero and copies its sum to dest_row.  The
+    deterministic rounds are a ripple run to ``subarray.generate``, whose
+    function skips the host work of the rounds after the carry dies.
 
     At every round, partial sum + 2 * carry word = x + y, so a live top
     carry bit means x + y >= 2^lane.  A wrapping add shifts tile-masked; a

@@ -364,6 +364,14 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
     right run): the latch never holds a bit above its columns, so this is
     the s pulses exactly.
 
+    A ripple run (a carry loop's rounds, found from the ops alone by
+    ``_ripple_run``) tests the latch after each full round's AND and, once
+    it is zero, does the rounds left as the copies they amount to
+    (``_ripple_statements``): a zero latch shifts to zero and passes any
+    edge test, the XOR with the zeroed carry row gives back the partial sum,
+    and the AND gives zero again.  The state and the logged run are those
+    of every round; only the host skips work.
+
     Literal rows, modes, directions, scopes and tile geometry are checked
     here, once, up to an activation that names one placeholder twice: no
     binding can run it, so every run goes to ``execute``.  At each run a
@@ -408,6 +416,11 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
             edge = edge_of(i)
             if edge is not None and obs is None:
                 obs = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
+            rounds, dest = _ripple_run(ops, i, nrows, edge_of)
+            if len(rounds) + (dest is not None) > 1:      # a round to skip after the first
+                body += _ripple_statements(arr, op, i, edge, obs, rounds, dest, ops[i + 1][1])
+                i += 5 * len(rounds) + 4 * (dest is not None)
+                continue
             while i + s < len(ops) and ops[i + s] == op and edge_of(i + s) == edge:
                 s += 1
             body += _shift_run(arr, op, s, i, edge, obs)
@@ -488,6 +501,76 @@ def _shift_run(arr: Subarray, op: tuple, s: int, i: int, edge: str | None,
             f"        if L & {live:#x}: fail(arr, stream.bind(rows), k, L, {fault})",
             f"        {pulse}",
             run]
+
+
+def _ripple_run(ops: list, i: int, nrows: int, edge_of) -> tuple[list[tuple[int, int]], int | None]:
+    """The ripple rounds from the shift at op i on: the (cur, other) rows of
+    each full round, then the dest row of a closing round, or None.
+
+    A full round is SHIFT LEFT, WRITEBACK cs, ACTIVATE2 cur cs XOR,
+    WRITEBACK other, ACTIVATE2 cur cs AND, with cur, other and cs three
+    literal rows in range; each round repeats the first one's shift, mark
+    and cs, and its cur is the round before's other.  A closing round is
+    the first four ops of a round, writing any literal row in range, dest,
+    in place of other."""
+    shift = ops[i]
+    if shift[1] != LEFT or i + 1 == len(ops) or ops[i + 1][0] != WRITEBACK:
+        return [], None
+    cs = ops[i + 1][1]
+    edge = edge_of(i)
+    rounds: list[tuple[int, int]] = []
+    cur = None
+    while (i + 3 < len(ops) and ops[i] == shift and edge_of(i) == edge
+           and ops[i + 1] == (WRITEBACK, cs)):
+        xor, written = ops[i + 2], ops[i + 3]
+        if (xor[0] != ACTIVATE2 or xor[2:] != (cs, XOR) or written[0] != WRITEBACK
+                or cur not in (None, xor[1])):
+            break
+        a, other = xor[1], written[1]
+        if not 0 <= min(a, cs, other) <= max(a, cs, other) < nrows or a == cs:
+            break
+        if other in (a, cs) or i + 4 == len(ops) or ops[i + 4] != (ACTIVATE2, a, cs, AND):
+            return rounds, other
+        rounds.append((a, other))
+        cur = other
+        i += 5
+    return rounds, None
+
+
+def _ripple_statements(arr: Subarray, shift: tuple, i: int, edge: str | None,
+                       obs: tuple[int, int] | None, rounds: list[tuple[int, int]],
+                       dest: int | None, cs: int) -> list[str]:
+    """The statements of a ripple run from op i on (see ``_ripple_run``), one
+    ``while True`` block, flat however many rounds it has, in which each
+    full round with rounds after it ends in a zero test of the latch.
+
+    Once the latch is zero, every round left is a copy: a zero latch shifts
+    to zero, so a marked edge test passes; the XOR with the zeroed cs gives
+    back cur, which holds the value V the round before wrote to its other;
+    the AND gives zero.  So the block sets cs := 0, each later other := V
+    and, with a closing round, dest := V and L := V, and breaks out."""
+    def round_start(k: int, cur: int) -> list[str]:
+        return ([f"    {line}" for line in _shift_run(arr, shift, 1, i + 5 * k, edge, obs)]
+                + [f"    c[{cs}] = L", f"    L = c[{cur}] ^ c[{cs}]"])
+
+    closing = [] if dest is None else [dest]
+    lines = ["while True:"]
+    for k, (cur, other) in enumerate(rounds):
+        lines += round_start(k, cur) + [f"    c[{other}] = L", f"    L = c[{cur}] & c[{cs}]"]
+        later = [row for _, row in rounds[k + 1:]] + closing
+        if later:
+            value = f"c[{other}]"
+            lines += ["    if not L:", f"        c[{cs}] = 0"]
+            if closing:
+                lines.append(f"        L = {value}")
+                value = "L"
+            copies = [f"c[{row}]" for row in dict.fromkeys(later) if row != other]
+            if copies:
+                lines.append(f"        {' = '.join(copies)} = {value}")
+            lines.append("        break")
+    if closing:
+        lines += round_start(len(rounds), rounds[-1][1]) + [f"    c[{dest}] = L"]
+    return lines + ["    break"]
 
 
 def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) -> None:

@@ -28,7 +28,7 @@ from sramntt.bitparallel import (
     pack_words,
     unpack_word,
 )
-from sramntt.bitparallel import _modadd, _modmul_add_b, _modmul_halve, _modmul_prologue
+from sramntt.bitparallel import _modadd, _modmul_add_b, _modmul_bits, _modmul_halve, _modmul_prologue
 from sramntt.bitparallel import _modsub, _resolve, _shared_programs
 from sramntt.errors import AddressError, ObservationError, ParameterError, SimError
 from sramntt.oracle import oracle_montmul
@@ -321,37 +321,49 @@ def test_a_collecting_emitter_cannot_zero_test():
 
 
 def test_block_multiplier_equals_the_compiled_stream(fresh_programs):
-    """The prologue, add-B and halving streams, bound and concatenated per
-    the bits of A, are the stream compile_twiddle_commands collects (ops, obs
-    marks and step marks) and the trace an executing emitter leaves."""
+    """The prologue and one stream per four bits of A, low bits first,
+    bound and concatenated, are the stream compile_twiddle_commands collects
+    (ops, obs marks and step marks), the trace an executing emitter leaves,
+    and the add-B and halving blocks concatenated per the bits of A; each
+    multiplication logs those five runs, and the table holds one stream per
+    chunk value met, no per-constant list."""
     ctx, arr, rm = fresh(7681, 16)
     E = Emitter(ctx, rm, ExecPolicy(), arr)
-    for a in (0, 1, 0xFFFF, 0xB5A3):
-        start = len(arr.trace)
+    C = Emitter(ctx, rm, ExecPolicy())
+    add_b = C.compiled(_modmul_add_b, 1)
+    halve = C.compiled(_modmul_halve, 0)
+    constants = (0, 1, 0xFFFF, 0xB5A3)
+    for a in constants:
+        start, entries = len(arr.trace), len(arr.trace.log)
         emit_modmul(E, a, 5)
-        add_b = E.compiled(_modmul_add_b, 1)
-        halve = E.compiled(_modmul_halve, 0)
-        blocks = [(E.compiled(_modmul_prologue, 0), ())]
+        prologue = E.compiled(_modmul_prologue, 0)
+        chunks = [(prologue, ())] + [(E.compiled(_modmul_bits((a >> low) & 15, 4), 1), (5,))
+                                     for low in range(0, 16, 4)]
+        assert arr.trace.log[entries:] == chunks
+        per_bit = [(prologue, ())]
         for i in range(ctx.width):
             if (a >> i) & 1:
-                blocks.append((add_b, (5,)))
-            blocks.append((halve, ()))
-        ops, obs_marks, step_marks = [], {}, []
-        for block, rows in blocks:
-            base = len(ops)
-            ops += block.bind(rows)
-            obs_marks.update((base + i, edge) for i, edge in block.obs_marks.items())
-            step_marks += [(base + i, k) for i, k in block.step_marks]
+                per_bit.append((add_b, (5,)))
+            per_bit.append((halve, ()))
         want = compile_twiddle_commands(a, ctx, rm, 5)
-        assert ops == want.ops == arr.trace[start:]
-        assert obs_marks == want.obs_marks
-        assert step_marks == want.step_marks
-    assert len(E.programs) == 3                       # one stream per body, no per-constant list
+        for blocks in (chunks, per_bit):
+            ops, obs_marks, step_marks = [], {}, []
+            for block, rows in blocks:
+                base = len(ops)
+                ops += block.bind(rows)
+                obs_marks.update((base + i, edge) for i, edge in block.obs_marks.items())
+                step_marks += [(base + i, k) for i, k in block.step_marks]
+            assert ops == want.ops == arr.trace[start:]
+            assert obs_marks == want.obs_marks
+            assert step_marks == want.step_marks
+    values = {(a >> low) & 15 for a in constants for low in range(0, 16, 4)}
+    assert len(values) == 7 and len(E.programs) == 1 + len(values)
 
 
 @pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
 def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
-    """Each compiled block, run as its generated function, leaves the array,
+    """Each compiled block (a four-bit chunk of a multiplication among
+    them), run as its generated function, leaves the array,
     the trace and any error as execute(arr, stream.bind(rows),
     stream.obs_marks, lane) does, and a tally that counts the trace: lanes
     3-24 in 64 columns (partial remainder tiles included), on zero, dense
@@ -372,9 +384,10 @@ def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
         blocks = [(E.compiled(_modmul_prologue, 0), 0),
                   (E.compiled(_modmul_add_b, 1), 1),
                   (E.compiled(_modmul_halve, 0), 0),
+                  (E.compiled(_modmul_bits(0b1101, 4), 1), 1),
                   (E.compiled(_resolve, 1), 1),
                   (E.compiled(_modadd, 3), 3), (E.compiled(_modsub, 3), 3)]
-        assert len(E.programs) == len(blocks) == 6
+        assert len(E.programs) == len(blocks) == 7
         for stream, operands in blocks:
             for density in (0, 1, 3, 0):       # bits set with odds 0, 1/2, 1/8
                 def value():
@@ -404,19 +417,54 @@ def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
                         == counts_of_tally(twin.trace))
                 assert density or error is None
             assert stream.program is not None
-        assert len({id(stream.program) for stream, _ in blocks}) == 6
+        assert len({id(stream.program) for stream, _ in blocks}) == 7
 
 
 def test_a_forward_keeps_one_stream_per_body(fresh_programs):
-    """The canonical forward compiles six streams (prologue, add-B, halving,
-    resolve, modadd, modsub), however many twiddles it multiplies by."""
+    """The canonical forward compiles the prologue, resolve, modadd and modsub
+    streams and one stream per chunk of its twiddles, however many twiddles it
+    multiplies by: each four-bit chunk and, its twiddles being below
+    q < 2^13, the three-bit top chunks 0 and 1."""
     from sramntt.ntt import RingParams, TransformUnit
 
     unit = TransformUnit(RingParams.create(7681, 256, 16))
     unit.load_polynomials([list(range(256))])
     unit.forward()
-    assert len(unit.emitter.programs) == 6
-    assert all(isinstance(s, CommandStream) for s in unit.emitter.programs.values())
+    programs = unit.emitter.programs
+    chunks = [_modmul_bits(bits, 4) for bits in range(16)] + [_modmul_bits(0, 3),
+                                                              _modmul_bits(1, 3)]
+    bodies = [_modmul_prologue, _resolve, _modadd, _modsub] + chunks
+    assert set(programs) == {(body, ()) for body in bodies} and len(programs) == 22
+    assert all(isinstance(s, CommandStream) for s in programs.values())
+
+
+@pytest.mark.parametrize("q,order,width", [(7681, 256, 16), (257, 8, 10), (8380417, 256, 24)])
+def test_a_forward_table_holds_at_most_the_chunk_streams_of_its_word(q, order, width,
+                                                                     fresh_programs):
+    """A forward's table holds at most 2^4 + 2^(word % 4) chunk streams,
+    besides the prologue and the tail's three, whatever its twiddles; a
+    second ring on the canonical lane, with its own modulus, order and
+    twiddles, adds no stream."""
+    from sramntt.ntt import RingParams, TransformUnit
+
+    unit = TransformUnit(RingParams.create(q, order, width))
+    unit.load_polynomials([[1] * order] * unit.layout.tiles)
+    unit.forward()
+    programs = unit.emitter.programs
+    word = unit.ctx.width
+    chunks = [body for body, _ in programs if body not in (_modmul_prologue, _resolve,
+                                                           _modadd, _modsub)]
+    assert len(chunks) == len(programs) - 4
+    assert len(chunks) <= 2 ** 4 + 2 ** (word % 4)
+    assert set(chunks) <= ({_modmul_bits(bits, 4) for bits in range(16)}
+                           | {_modmul_bits(bits, word % 4) for bits in range(2 ** (word % 4))})
+    if q == 7681:
+        tabled = dict(programs)
+        second = TransformUnit(RingParams.create(3329, 128, 16))
+        assert second.emitter.programs is programs
+        second.load_polynomials([list(range(128))] * second.layout.tiles)
+        second.forward()
+        assert programs == tabled
 
 
 def test_the_trace_reads_like_the_list_of_its_ops(fresh_programs):
@@ -527,9 +575,10 @@ def test_words_of_one_lane_get_their_own_program_tables(fresh_programs):
 
 def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
     """Executing emitters on one row map, policy and array shape share one
-    table: the first unit generates the six programs, a second unit none and
-    the two units of a polymul pipeline only the inverse's park.  Another
-    rows, cols or policy value gets a table of its own."""
+    table: the first unit generates its 13 programs, a second unit none and
+    the two units of a polymul pipeline only the inverse's park and the
+    chunks of their twiddles the forward did not meet.  Another rows, cols
+    or policy value gets a table of its own."""
     from sramntt import bitparallel
     from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
 
@@ -546,17 +595,17 @@ def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
         return u
 
     first = unit()
-    assert len(calls) == len(first.emitter.programs) == 6
+    assert len(calls) == len(first.emitter.programs) == 13
     second = unit()
     assert second.emitter.programs is first.emitter.programs
-    assert len(calls) == 6
+    assert len(calls) == 13
     _, unit_a, unit_b = polymul_pipeline([poly], poly, ring, rows=64, cols=64)
     assert unit_a.emitter.programs is unit_b.emitter.programs is first.emitter.programs
-    assert len(calls) == len(first.emitter.programs) == 7
+    assert len(calls) == len(first.emitter.programs) == 20
     others = [unit(rows=72), unit(cols=72), unit(policy=ExecPolicy(tile_scope_all=True))]
     tables = [first.emitter.programs] + [u.emitter.programs for u in others]
     assert len({id(t) for t in tables}) == 4
-    assert len(calls) == 7 + 3 * 6
+    assert len(calls) == 20 + 3 * 13
     assert not Emitter(first.ctx, first.rm, ExecPolicy()).programs       # a collecting emitter's own
 
 
@@ -581,7 +630,7 @@ def test_a_dropped_unit_frees_its_array_without_the_cycle_collector(fresh_progra
             unit.forward()
         programs = units[0].emitter.programs
         assert units[1].emitter.programs is programs
-        assert len(programs) == 6 and all(s.program for s in programs.values())
+        assert len(programs) == 13 and all(s.program for s in programs.values())
         del units, unit
         assert arrays() == before
     finally:

@@ -140,13 +140,13 @@ def test_counts_of_trace_matches_the_reference_loop():
     assert reference_counts(data_dependent.arr.trace)["ZERO_TEST"] > 0
     for trace in (canonical.arr.trace, data_dependent.arr.trace):
         assert counts_of_trace(trace) == reference_counts(trace) == counts_of_tally(trace)
-    # the canonical forward logs 25,897 runs of six streams and 430 one-op batches
+    # the canonical forward logs 8,192 runs of 22 streams and 430 one-op batches
     trace = canonical.arr.trace
-    assert len(trace) == 1408922 and len(trace.log) == 26327
+    assert len(trace) == 1408922 and len(trace.log) == 8622
     batches = [entry for entry in trace.log if type(entry) is list]
     assert len(batches) == 430 and all(len(entry) == 1 for entry in batches)
     runs = runs_of(trace)
-    assert len(runs) == 25897 and len(set(runs)) == 6
+    assert len(runs) == 8192 and len(set(runs)) == 22
     assert len(trace.log) == len(batches) + len(runs)
     assert counts_of_tally(trace) == counts_of_trace(trace)
     # a replay logs the list it is handed as its one entry, with no copy

@@ -1,6 +1,7 @@
 """Subarray micro-op semantics, trace closure, and serialization grammar."""
 
 import io
+import random
 import re
 import tracemalloc
 from itertools import accumulate
@@ -43,6 +44,7 @@ from sramntt.subarray import (
     Trace,
     _op_text,
     _quote,
+    _ripple_run,
     _tile_edge_masks,
     execute,
     generate,
@@ -886,6 +888,168 @@ def test_generation_rejects_ops_no_binding_can_run(op, error):
     with pytest.raises(SimError, match=error):
         generate(Subarray(ROWS, COLS), Stream([(WRITEBACK, 0), op], {}), LANE, 3)
 
+
+# Ripple runs: 16 rows of 64 columns, observation marks over two 32-column lanes
+R_ROWS, R_COLS, R_LANE = 16, 64, 32
+GLOBAL_LEFT = (SHIFT, LEFT, GLOBAL, 0, 0)
+TILE_LEFT = (SHIFT, LEFT, TILE, R_LANE, 0)
+
+
+def ripple(chain, cs, shift, edge, dest=None):
+    """The ops and marks of a ripple run between a WRITEBACK before it and one
+    after it: a full round per pair of rows in `chain` (cur, then other),
+    then a closing round into dest if one is given."""
+    ops = [(WRITEBACK, R_ROWS - 1)]
+    marks = {}
+    for cur, other in zip(chain, chain[1:]):
+        marks[len(ops)] = edge
+        ops += [shift, (WRITEBACK, cs), (ACTIVATE2, cur, cs, XOR), (WRITEBACK, other),
+                (ACTIVATE2, cur, cs, AND)]
+    if dest is not None:
+        marks[len(ops)] = edge
+        ops += [shift, (WRITEBACK, cs), (ACTIVATE2, chain[-1], cs, XOR), (WRITEBACK, dest)]
+    ops.append((WRITEBACK, R_ROWS - 2))
+    return ops, {i: edge for i, edge in marks.items() if edge}
+
+
+def carry_chain(rng, rounds, cs):
+    """Rows cur_0, other_0 = cur_1, ...: each round's rows differ from each
+    other and from cs, and come back now and then, as a ripple's two rows do."""
+    chain = [rng.choice([r for r in range(R_ROWS - 2) if r != cs])]
+    for _ in range(rounds):
+        chain.append(rng.choice([r for r in range(R_ROWS - 2) if r not in (cs, chain[-1])]))
+    return chain
+
+
+def dying_state(rng, chain, death, low=0):
+    """Random rows, and a latch carry at column `low` that the ones above it
+    in cur_0 carry along for `death` rounds: the latch is zero first after
+    full round `death` (counted from 0), in the one lane it lives in."""
+    cells = [rng.getrandbits(R_COLS) for _ in range(R_ROWS)]
+    cells[chain[0]] = ((1 << death) - 1) << (low + 1)
+    return cells, 1 << low
+
+
+def check_ripple(ops, marks, cells, latch, rows=(), cols=R_COLS, lane=R_LANE):
+    """generate() of ops leaves what execute() leaves: cells, latch, the
+    trace's ops and any error, at the op execute raises at."""
+    gen, twin = Subarray(len(cells), cols), Subarray(len(cells), cols)
+    for arr in (gen, twin):
+        arr.cells[:] = cells
+        arr.latch = latch
+    stream = Stream(ops, marks)
+    program = generate(Subarray(len(cells), cols), stream, lane, len(rows))
+    error = run_and_catch(lambda: program(gen, rows))
+    assert error == run_and_catch(lambda: execute(twin, stream.bind(rows), marks, lane))
+    assert (gen.cells, gen.latch, list(gen.trace)) == (twin.cells, twin.latch, list(twin.trace))
+    assert tallied(gen.trace)
+    return error, len(gen.trace)
+
+
+@given(st.integers(2, 30), st.sampled_from([None, "cs", "cur", "other", "free"]),
+       st.sampled_from([(GLOBAL_LEFT, None), (GLOBAL_LEFT, "msb"), (TILE_LEFT, None),
+                        (TILE_LEFT, "msb"), ((SHIFT, LEFT, TILE, 8, 0), None)]),
+       st.integers(0, 32), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_a_ripple_run_runs_like_the_executor(rounds, dest, shift_edge, death, dense, rng):
+    """A run of 2-30 full ripple rounds, with or without a closing round into
+    cs, cur, other or a row of its own, global (marked or not) or
+    tile-masked: found whole, and run as execute runs it, whether the carry
+    dies after any round or never does."""
+    shift, edge = shift_edge
+    cs = R_ROWS - 3
+    chain = carry_chain(rng, rounds, cs)
+    target = {None: None, "cs": cs, "cur": chain[-1], "other": chain[-2], "free": R_ROWS - 1}[dest]
+    ops, marks = ripple(chain, cs, shift, edge, target)
+    assert _ripple_run(ops, 1, R_ROWS, marks.get) == (list(zip(chain, chain[1:])), target)
+    if dense:
+        *cells, latch = [rng.getrandbits(R_COLS) for _ in range(R_ROWS + 1)]
+    else:
+        cells, latch = dying_state(rng, chain, death)
+    check_ripple(ops, marks, cells, latch)
+
+
+@pytest.mark.parametrize("shift", [GLOBAL_LEFT, TILE_LEFT])
+def test_a_live_top_bit_at_each_pulse_of_a_ripple_raises_where_execute_does(shift):
+    """A carry that reaches a lane's top column just before pulse k of a
+    marked run (full rounds, then the closing round's pulse) raises
+    ObservationError there, leaving the array, latch and trace execute
+    leaves; a run whose carry dies first, or whose shifts are unmarked,
+    raises nothing."""
+    rng = random.Random(7)
+    rounds = 6
+    chain = [1, 2] * 4
+    ops, marks = ripple(chain[:rounds + 1], 3, shift, "msb", 4)
+    for k in range(rounds + 1):
+        cells, latch = dying_state(rng, chain, k + 1, low=R_LANE - 1 - k)
+        error, ran = check_ripple(ops, marks, cells, latch)
+        assert error[0] is ObservationError and ran == 1 + 5 * k
+        assert check_ripple(ops, {}, cells, latch)[0] is None
+        if k:                          # the carry dies a round before it reaches the edge
+            cells, latch = dying_state(rng, chain, k - 1, low=R_LANE - 1 - k)
+            assert check_ripple(ops, marks, cells, latch) == (None, len(ops))
+
+
+@pytest.mark.parametrize("miss", ["shift", "mark", "cs", "other is cs", "other is cur",
+                                  "cur is not other", "placeholder"])
+def test_ripple_near_misses_cut_the_run_and_stay_exact(miss):
+    """A round that differs from a ripple round (its shift, mark or cs, an
+    aliased row, a broken chain or a placeholder) ends
+    the run before it; whatever the rest runs as, it runs as execute runs
+    it, wherever the carry dies."""
+    rng = random.Random(11)
+    rounds = 8
+    for j in range(1, rounds):
+        chain = [1, 2] * 5
+        ops, marks = ripple(chain[:rounds + 1], 3, GLOBAL_LEFT, "msb", 4)
+        at = 1 + 5 * j                 # round j's shift
+        rows = ()
+        if miss == "shift":
+            ops[at] = TILE_LEFT
+        elif miss == "mark":
+            del marks[at]
+        elif miss == "cs":
+            ops[at + 1:at + 5] = [(WRITEBACK, 5), (ACTIVATE2, chain[j], 5, XOR),
+                                  (WRITEBACK, chain[j + 1]), (ACTIVATE2, chain[j], 5, AND)]
+        elif miss == "other is cs":
+            ops[at + 3] = (WRITEBACK, 3)
+        elif miss == "other is cur":
+            ops[at + 3] = (WRITEBACK, chain[j])
+        elif miss == "cur is not other":
+            ops[at + 2] = (ACTIVATE2, 6, 3, XOR)
+        elif miss == "placeholder":
+            ops[at + 3], rows = (WRITEBACK, -1), (chain[j + 1],)
+        found, _ = _ripple_run(ops, 1, R_ROWS, marks.get)
+        assert len(found) == j
+        for death in range(rounds + 2):
+            cells, latch = dying_state(rng, chain, death)
+            check_ripple(ops, marks, cells, latch, rows)
+
+
+def test_a_closing_round_into_a_row_out_of_range_is_left_to_fail_at_generation():
+    ops, marks = ripple([1, 2, 1, 2], 3, GLOBAL_LEFT, "msb", R_ROWS)
+    assert _ripple_run(ops, 1, R_ROWS, marks.get) == ([(1, 2), (2, 1), (1, 2)], None)
+    with pytest.raises(AddressError, match=f"row {R_ROWS} outside"):
+        generate(Subarray(R_ROWS, R_COLS), Stream(ops, marks), R_LANE)
+
+
+def test_a_ripple_of_a_120_column_lane_compiles_and_runs():
+    """119 full rounds and a closing round, past Python's 100 nested blocks
+    were each round a block of its own, tile-masked or marked and global."""
+    lane = 120
+    rng = random.Random(3)
+    chain = [1, 2] * 60
+    ones = broadcast = 0
+    for t in range(2):
+        ones |= ((1 << (lane - 1)) - 2) << (t * lane)       # columns 1-118 of each lane
+        broadcast |= 1 << (t * lane)
+    for shift, edge in (((SHIFT, LEFT, TILE, lane, 0), None), (GLOBAL_LEFT, "msb")):
+        ops, marks = ripple(chain, 3, shift, edge, 4)
+        assert len(_ripple_run(ops, 1, 64, marks.get)[0]) == lane - 1
+        for cells in ([rng.getrandbits(256) & ~(1 << 255) for _ in range(64)],
+                      [ones] * 64):
+            error, ran = check_ripple(ops, marks, cells, broadcast, cols=256, lane=lane)
+            assert error is None and ran == len(ops)
 
 def test_single_op_methods_tally_what_they_record():
     """Each one-op method of Subarray tallies the op it records, and an op
