@@ -430,6 +430,10 @@ def emit_smear(E, row: int, temp: int, toward_msb: bool) -> None:
     `width` columns from the LSB, since it is ANDed with M < 2^width; it
     stays tile-masked, which keeps a multiplication's global shifts at
     exactly n + popcount(A).
+
+    Its rounds are a smear run to ``subarray.generate``: a latch of lane
+    bits only (each lane's bottom, or top, column) runs them as two
+    multiplications by the pattern one bit spreads into.
     """
     w = E.ctx.width if toward_msb else E.ctx.lane_width
     span = 1
@@ -590,7 +594,8 @@ def _ripple(E, cur: int, other: int, cs_row: int, dest_row: int,
     carry word is then provably zero); a data-dependent one stops at the
     round whose carry word tests zero and copies its sum to dest_row.  The
     deterministic rounds are a ripple run to ``subarray.generate``, whose
-    function skips the host work of the rounds after the carry dies.
+    function does them as one carry-save addition when the carry provably
+    dies with a full round left.
 
     At every round, partial sum + 2 * carry word = x + y, so a live top
     carry bit means x + y >= 2^lane.  A wrapping add shifts tile-masked; a

@@ -364,13 +364,14 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
     right run): the latch never holds a bit above its columns, so this is
     the s pulses exactly.
 
-    A ripple run (a carry loop's rounds, found from the ops alone by
-    ``_ripple_run``) tests the latch after each full round's AND and, once
-    it is zero, does the rounds left as the copies they amount to
-    (``_ripple_statements``): a zero latch shifts to zero and passes any
-    edge test, the XOR with the zeroed carry row gives back the partial sum,
-    and the AND gives zero again.  The state and the logged run are those
-    of every round; only the host skips work.
+    Two idioms, found from the ops alone, get a closed form behind a cheap
+    runtime test; when the test fails, their straight-line statements run.
+    A ripple add (``_ripple_run``) is one carry-save addition when its carry
+    provably dies with a full round left (``_ripple_statements``).  A
+    predication smear (``_smear_run``) is one multiplication of the seed
+    bits by the pattern it spreads each of them into, when the latch holds
+    seed bits only (``_smear_statements``).  The state and the logged run
+    are those of every op; only the host skips work.
 
     Literal rows, modes, directions, scopes and tile geometry are checked
     here, once, up to an activation that names one placeholder twice: no
@@ -414,12 +415,17 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
         s = 1                                   # the ops this statement runs
         if kind == SHIFT:
             edge = edge_of(i)
-            if edge is not None and obs is None:
+            if obs is None and (edge is not None or lane >= 2):
                 obs = arr.tile_edges(lane, 0, arr.cols - arr.cols % lane)
-            rounds, dest = _ripple_run(ops, i, nrows, edge_of)
-            if len(rounds) + (dest is not None) > 1:      # a round to skip after the first
-                body += _ripple_statements(arr, op, i, edge, obs, rounds, dest, ops[i + 1][1])
-                i += 5 * len(rounds) + 4 * (dest is not None)
+            ripple = _ripple_run(ops, i, nrows, edge_of)
+            if ripple:
+                body += _ripple_statements(arr, op, i, edge, obs, *ripple)
+                i += 5 * ripple[-1] - 1
+                continue
+            smear = _smear_run(ops, i, nrows, edge_of) if lane >= 2 else None
+            if smear:
+                body += _smear_statements(arr, ops, marks, i, edge, lane, obs, *smear)
+                i += sum(smear[-1]) + 3 * len(smear[-1])
                 continue
             while i + s < len(ops) and ops[i + s] == op and edge_of(i + s) == edge:
                 s += 1
@@ -503,74 +509,175 @@ def _shift_run(arr: Subarray, op: tuple, s: int, i: int, edge: str | None,
             run]
 
 
-def _ripple_run(ops: list, i: int, nrows: int, edge_of) -> tuple[list[tuple[int, int]], int | None]:
-    """The ripple rounds from the shift at op i on: the (cur, other) rows of
-    each full round, then the dest row of a closing round, or None.
+def _ripple_run(ops: list, i: int, nrows: int, edge_of) -> tuple[int, int, int, int, int] | None:
+    """The ripple add from the shift at op i on, as (a, b, cs, dest, R), if
+    it has the shape ``_ripple_statements`` writes in closed form; else None.
 
-    A full round is SHIFT LEFT, WRITEBACK cs, ACTIVATE2 cur cs XOR,
-    WRITEBACK other, ACTIVATE2 cur cs AND, with cur, other and cs three
-    literal rows in range; each round repeats the first one's shift, mark
-    and cs, and its cur is the round before's other.  A closing round is
-    the first four ops of a round, writing any literal row in range, dest,
-    in place of other."""
+    That shape is R >= 5 rounds, each with the first one's shift (a left
+    one) under its mark.  A full round is SHIFT, WRITEBACK cs, ACTIVATE2
+    cur cs XOR, WRITEBACK other, ACTIVATE2 cur cs AND, its cur a and its
+    other b in even rounds and the other way round in odd ones; the last
+    round closes the run, its first four ops writing dest in place of
+    other.  Rows a, b and cs are three literal rows in range, dest any
+    literal row in range."""
     shift = ops[i]
-    if shift[1] != LEFT or i + 1 == len(ops) or ops[i + 1][0] != WRITEBACK:
-        return [], None
-    cs = ops[i + 1][1]
+    if (shift[1] != LEFT or len(ops) < i + 4 or ops[i + 1][0] != WRITEBACK
+            or ops[i + 2][0] != ACTIVATE2 or ops[i + 3][0] != WRITEBACK):
+        return None
+    cs, a, b = ops[i + 1][1], ops[i + 2][1], ops[i + 3][1]
+    if not 0 <= min(a, b, cs) <= max(a, b, cs) < nrows or len({a, b, cs}) < 3:
+        return None
     edge = edge_of(i)
-    rounds: list[tuple[int, int]] = []
-    cur = None
-    while (i + 3 < len(ops) and ops[i] == shift and edge_of(i) == edge
-           and ops[i + 1] == (WRITEBACK, cs)):
-        xor, written = ops[i + 2], ops[i + 3]
-        if (xor[0] != ACTIVATE2 or xor[2:] != (cs, XOR) or written[0] != WRITEBACK
-                or cur not in (None, xor[1])):
-            break
-        a, other = xor[1], written[1]
-        if not 0 <= min(a, cs, other) <= max(a, cs, other) < nrows or a == cs:
-            break
-        if other in (a, cs) or i + 4 == len(ops) or ops[i + 4] != (ACTIVATE2, a, cs, AND):
-            return rounds, other
-        rounds.append((a, other))
-        cur = other
+    rounds = 1
+    cur, other = a, b
+    while (ops[i:i + 5] == [shift, (WRITEBACK, cs), (ACTIVATE2, cur, cs, XOR),
+                            (WRITEBACK, other), (ACTIVATE2, cur, cs, AND)]
+           and edge_of(i) == edge):
+        rounds += 1
+        cur, other = other, cur
         i += 5
-    return rounds, None
+    closing = ops[i:i + 4]
+    if (rounds < 5 or len(closing) < 4 or edge_of(i) != edge
+            or closing[:3] != [shift, (WRITEBACK, cs), (ACTIVATE2, cur, cs, XOR)]
+            or closing[3][0] != WRITEBACK or not 0 <= closing[3][1] < nrows):
+        return None
+    return a, b, cs, closing[3][1], rounds
 
 
 def _ripple_statements(arr: Subarray, shift: tuple, i: int, edge: str | None,
-                       obs: tuple[int, int] | None, rounds: list[tuple[int, int]],
-                       dest: int | None, cs: int) -> list[str]:
-    """The statements of a ripple run from op i on (see ``_ripple_run``), one
-    ``while True`` block, flat however many rounds it has, in which each
-    full round with rounds after it ends in a zero test of the latch.
+                       obs: tuple[int, int] | None, a: int, b: int, cs: int, dest: int,
+                       rounds: int) -> list[str]:
+    """The statements of a ripple run from op i on (see ``_ripple_run``):
+    the closed form, then its straight-line rounds under ``else``.
 
-    Once the latch is zero, every round left is a copy: a zero latch shifts
-    to zero, so a marked edge test passes; the XOR with the zeroed cs gives
-    back cur, which holds the value V the round before wrote to its other;
-    the AND gives zero.  So the block sets cs := 0, each later other := V
-    and, with a closing round, dest := V and L := V, and breaks out."""
-    def round_start(k: int, cur: int) -> list[str]:
-        return ([f"    {line}" for line in _shift_run(arr, shift, 1, i + 5 * k, edge, obs)]
-                + [f"    c[{cs}] = L", f"    L = c[{cur}] ^ c[{cs}]"])
+    The closed form adds the partial sum S = c[a] and the carry word of the
+    first pulse, K, in one carry-save addition V: S + K within the columns
+    for a global shift, the SWAR add of each tile's low columns with the
+    top ones XORed in for a tile-masked one (Hacker's Delight's multibyte
+    add).  Round k leaves a non-zero carry only where a generate bit of
+    S & K is followed by k ones of P = S ^ K, so if P has no run of R - 3
+    ones (a ladder of ANDs with shifted copies of P) the carry is zero with a
+    full round left: every round after that is a copy (a zero latch shifts
+    to zero, the XOR with the zeroed cs gives back V, the AND zero again),
+    which leaves cs = 0 and a, b, dest and the latch all V.  A marked run
+    also needs each pulse's edge test to pass: the latch holds L, then the
+    carries out of every column, S & K | P & ~V; with a live edge bit among
+    them the rounds run and the pulse that finds it raises."""
+    fallback = []
+    cur, other = a, b
+    for k in range(rounds):
+        fallback += _shift_run(arr, shift, 1, i + 5 * k, edge, obs)
+        fallback += [f"c[{cs}] = L", f"L = c[{cur}] ^ c[{cs}]"]
+        if k < rounds - 1:
+            fallback += [f"c[{other}] = L", f"L = c[{cur}] & c[{cs}]"]
+        else:
+            fallback.append(f"c[{dest}] = L")
+        cur, other = other, cur
+    colmask = arr.colmask
+    if shift[2] == GLOBAL:
+        keep, add = colmask, f"(S + K) & {colmask:#x}"
+    else:
+        lsb = arr.tile_edges(shift[3], shift[4])[0]
+        high = lsb >> 1 | 1 << (arr.cols - 1)          # each tile's top column
+        keep, low = colmask & ~lsb, colmask & ~high
+        add = f"((S & {low:#x}) + (K & {low:#x})) ^ P & {high:#x}"
+    lines = [f"S = c[{a}]", f"K = (L << 1) & {keep:#x}", "P = S ^ K", f"V = {add}",
+             "X = P & P >> 1"]
+    span = 2                                # X has a bit where P has a run of span ones
+    while 2 * span <= rounds - 3:
+        lines.append(f"X &= X >> {span}")
+        span *= 2
+    if span < rounds - 3:
+        lines.append(f"X &= X >> {rounds - 3 - span}")
+    test = "not X"
+    if edge is not None:
+        test += f" and not (L | S & K | P & ~V) & {obs[1] if edge == 'msb' else obs[0]:#x}"
+    rows = " = ".join(f"c[{row}]" for row in dict.fromkeys((a, b, dest)))
+    return (lines + [f"if {test}:", f"    c[{cs}] = 0", f"    L = {rows} = V", "else:"]
+            + [f"    {line}" for line in fallback])
 
-    closing = [] if dest is None else [dest]
-    lines = ["while True:"]
-    for k, (cur, other) in enumerate(rounds):
-        lines += round_start(k, cur) + [f"    c[{other}] = L", f"    L = c[{cur}] & c[{cs}]"]
-        later = [row for _, row in rounds[k + 1:]] + closing
-        if later:
-            value = f"c[{other}]"
-            lines += ["    if not L:", f"        c[{cs}] = 0"]
-            if closing:
-                lines.append(f"        L = {value}")
-                value = "L"
-            copies = [f"c[{row}]" for row in dict.fromkeys(later) if row != other]
-            if copies:
-                lines.append(f"        {' = '.join(copies)} = {value}")
-            lines.append("        break")
-    if closing:
-        lines += round_start(len(rounds), rounds[-1][1]) + [f"    c[{dest}] = L"]
-    return lines + ["    break"]
+
+def _smear_run(ops: list, i: int, nrows: int, edge_of) -> tuple[int, int, list[int]] | None:
+    """The predication smear from the shift at op i on, as (r, t, strides),
+    if it has the shape ``_smear_statements`` writes in closed form; else
+    None.
+
+    That shape follows a WRITEBACK r, so the latch is row r, with two or
+    more rounds of: `stride` pulses of the first pulse's shift under its
+    mark, WRITEBACK t, ACTIVATE2 r t OR, WRITEBACK r.  Rows r and t are
+    two literal rows in range."""
+    if not i or ops[i - 1][0] != WRITEBACK:
+        return None
+    r, shift, edge = ops[i - 1][1], ops[i], edge_of(i)
+    t = None
+    strides = []
+    n = len(ops)
+    while i < n and ops[i] == shift and edge_of(i) == edge:
+        s = 1
+        while i + s < n and ops[i + s] == shift and edge_of(i + s) == edge:
+            s += 1
+        if t is None and i + s < n and ops[i + s][0] == WRITEBACK:
+            t = ops[i + s][1]
+        if ops[i + s:i + s + 3] != [(WRITEBACK, t), (ACTIVATE2, r, t, OR), (WRITEBACK, r)]:
+            break
+        strides.append(s)
+        i += s + 3
+    if len(strides) < 2 or not 0 <= min(r, t) <= max(r, t) < nrows or r == t:
+        return None
+    return r, t, strides
+
+
+def _smear_statements(arr: Subarray, ops: list, marks: dict, i: int, edge: str | None,
+                      lane: int, obs: tuple[int, int], r: int, t: int,
+                      strides: list[int]) -> list[str]:
+    """The statements of a smear run from op i on (see ``_smear_run``): the
+    closed form, if it holds, then its straight-line rounds under ``else``.
+
+    Its seeds are the bottom column of every full lane for a left smear and
+    the top one for a right smear.  Every op of the run is OR-homomorphic
+    in the latch, so the rounds take a latch of seed bits to the OR of what
+    they take each seed to.  Run here with execute's semantics, on all the
+    seeds and on the first lane's alone, they must give seeds x P, with P
+    the one-seed pattern of row t and of row r, and no marked pulse may find
+    a live edge; the offsets the strides add up to must fit a lane, so each
+    seed's pattern stays in its lane and is P moved there.  Then a latch of
+    seed bits, X of them at the lane bottoms, leaves t = X * P_t and
+    r = L = X * P_r, and the function tests for the seeds alone at run time.
+    """
+    shift = ops[i]
+    lines = []
+    end = i
+    for s in strides:
+        lines += _shift_run(arr, shift, s, end, edge, obs)
+        lines += [f"c[{t}] = L", f"L = c[{r}] | c[{t}]", f"c[{r}] = L"]
+        end += s + 3
+    offsets = 1
+    for s in strides:
+        offsets |= offsets << s
+    lsb, msb = obs
+    if offsets >> lane or not lsb:
+        return lines
+    left = shift[1] == LEFT
+    scratch = Subarray(arr.rows, arr.cols)
+    scratch._edge_cache = arr._edge_cache
+    run, run_marks = ops[i:end], {k - i: marks[k] for k in range(i, end) if k in marks}
+
+    def settle(latch: int) -> tuple[int, int]:
+        scratch.cells[r] = scratch.latch = latch
+        execute(scratch, run, run_marks, lane)
+        return scratch.cells[t], scratch.latch
+
+    try:
+        every, one = settle(lsb if left else msb), settle(1 if left else 1 << (lane - 1))
+    except ObservationError:
+        return lines
+    if every != (lsb * one[0], lsb * one[1]):
+        return lines
+    x = "L" if left else f"(L >> {lane - 1})"
+    return ([f"if not L & {arr.colmask & ~(lsb if left else msb):#x}:",
+             f"    c[{t}] = {x} * {one[0]:#x}",
+             f"    L = c[{r}] = {x} * {one[1]:#x}",
+             "else:"] + [f"    {line}" for line in lines])
 
 
 def _observation_failed(arr: Subarray, bound, i: int, latch: int, message: str) -> None:

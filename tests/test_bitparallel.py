@@ -438,6 +438,59 @@ def test_a_forward_keeps_one_stream_per_body(fresh_programs):
     assert all(isinstance(s, CommandStream) for s in programs.values())
 
 
+def test_every_smear_and_deterministic_ripple_has_its_closed_forms_shape(fresh_programs,
+                                                                        monkeypatch):
+    """In the canonical forward's program table, and in the segments of a
+    canonical data-dependent roundtrip, each emit_smear run is a smear run
+    of generate's closed form, spanning exactly its ops, and each ripple of
+    a deterministic add is a ripple run of all lane rounds: a change to the
+    emitter cannot lose either fast path unseen."""
+    from sramntt import bitparallel
+    from sramntt.ntt import RingParams, TransformUnit
+    from sramntt.subarray import _ripple_run, _smear_run
+
+    spans = []
+
+    def recording(kind, emit):
+        def recorded(E, *args, **kwargs):
+            ops, start = E.ops, len(E.ops)
+            emit(E, *args, **kwargs)
+            if E.ops is ops:                    # no zero test began a segment
+                spans.append((kind, ops, start, len(ops), E.policy.deterministic))
+        return recorded
+
+    monkeypatch.setattr(bitparallel, "emit_smear", recording("smear", emit_smear))
+    monkeypatch.setattr(bitparallel, "_ripple", recording("ripple", bitparallel._ripple))
+    ring = RingParams.create(7681, 256, 16)
+    for policy in (ExecPolicy(), ExecPolicy(deterministic=False)):
+        unit = TransformUnit(ring, policy=policy)
+        unit.load_polynomials([list(range(256))])
+        unit.forward()
+        if not policy.deterministic:
+            unit.inverse()
+        lane, rows = unit.ctx.lane_width, unit.arr.rows
+        found = {"smear": 0, "ripple": 0}
+        for stream in unit.emitter.programs.values():
+            def edge_of(i):
+                return stream.obs_marks.get(i)
+            for kind, ops, start, end, deterministic in spans:
+                if ops is not stream.ops or kind == "ripple" and not deterministic:
+                    continue
+                if kind == "smear":
+                    _, _, strides = _smear_run(ops, start, rows, edge_of)
+                    assert start + sum(strides) + 3 * len(strides) == end
+                else:
+                    assert _ripple_run(ops, start, rows, edge_of)[-1] == lane
+                    assert start + 5 * lane - 1 == end
+                found[kind] += 1
+        if policy.deterministic:
+            # a smear per bit of the 16 four-bit and 2 three-bit chunks and per
+            # tail primitive; two adds in each of resolve, modadd and modsub
+            assert found == {"smear": 16 * 4 + 2 * 3 + 3, "ripple": 6}
+        else:
+            assert found["smear"] > 16 * 4 + 2 * 3 + 3 and found["ripple"] == 0
+
+
 @pytest.mark.parametrize("q,order,width", [(7681, 256, 16), (257, 8, 10), (8380417, 256, 24)])
 def test_a_forward_table_holds_at_most_the_chunk_streams_of_its_word(q, order, width,
                                                                      fresh_programs):

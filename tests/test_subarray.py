@@ -3,6 +3,7 @@
 import io
 import random
 import re
+import sys
 import tracemalloc
 from itertools import accumulate
 
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sramntt.bitparallel import Emitter, ExecPolicy, MontgomeryContext, default_rowmap
+from sramntt.bitparallel import (
+    Emitter,
+    ExecPolicy,
+    MontgomeryContext,
+    default_rowmap,
+    emit_smear,
+)
 from sramntt.errors import (
     AddressError,
     DimensionError,
@@ -45,6 +52,7 @@ from sramntt.subarray import (
     _op_text,
     _quote,
     _ripple_run,
+    _smear_run,
     _tile_edge_masks,
     execute,
     generate,
@@ -921,6 +929,22 @@ def carry_chain(rng, rounds, cs):
     return chain
 
 
+def closed_shape(chain, cs, dest):
+    """What _ripple_run finds for `ripple(chain, cs, ...)`: its full rounds
+    while they alternate between chain[0] and chain[1], then a closing
+    round, the round after them (a full round's first four ops close into
+    its other), as (a, b, cs, dest, rounds) if there are 5 rounds or more."""
+    a, b = chain[:2]
+    n = 0
+    while n + 1 < len(chain) and chain[n + 1] == (b, a)[n % 2]:
+        n += 1
+    if n + 1 < len(chain):
+        dest = chain[n + 1]
+    if dest is None or n + 1 < 5:
+        return None
+    return a, b, cs, dest, n + 1
+
+
 def dying_state(rng, chain, death, low=0):
     """Random rows, and a latch carry at column `low` that the ones above it
     in cur_0 carry along for `death` rounds: the latch is zero first after
@@ -930,43 +954,140 @@ def dying_state(rng, chain, death, low=0):
     return cells, 1 << low
 
 
-def check_ripple(ops, marks, cells, latch, rows=(), cols=R_COLS, lane=R_LANE):
+def check_stream(ops, marks, cells, latch, rows=(), cols=R_COLS, lane=R_LANE):
     """generate() of ops leaves what execute() leaves: cells, latch, the
-    trace's ops and any error, at the op execute raises at."""
+    trace's ops and any error, at the op execute raises at.  Returns the
+    error, the trace's op count and whether the function ran the lines it
+    runs on a zero array, which takes each closed form the function has."""
     gen, twin = Subarray(len(cells), cols), Subarray(len(cells), cols)
     for arr in (gen, twin):
         arr.cells[:] = cells
         arr.latch = latch
     stream = Stream(ops, marks)
     program = generate(Subarray(len(cells), cols), stream, lane, len(rows))
-    error = run_and_catch(lambda: program(gen, rows))
+    lines = []
+    error = run_and_catch(lambda: lines.append(lines_run(program, gen, rows)))
     assert error == run_and_catch(lambda: execute(twin, stream.bind(rows), marks, lane))
     assert (gen.cells, gen.latch, list(gen.trace)) == (twin.cells, twin.latch, list(twin.trace))
     assert tallied(gen.trace)
-    return error, len(gen.trace)
+    # a zero array has no carry, no seed bit and no live edge
+    return error, len(gen.trace), lines == [lines_run(program, Subarray(len(cells), cols), rows)]
+
+
+def lines_run(program, arr, rows):
+    """Run program(arr, rows), counting the line events of the generated
+    function: a closed form runs a fixed count, its fallback more."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != "<generated micro-op program>":
+            return None
+        count += event == "line"
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        program(arr, rows)
+    finally:
+        sys.settrace(old)
+    return count
 
 
 @given(st.integers(2, 30), st.sampled_from([None, "cs", "cur", "other", "free"]),
        st.sampled_from([(GLOBAL_LEFT, None), (GLOBAL_LEFT, "msb"), (TILE_LEFT, None),
                         (TILE_LEFT, "msb"), ((SHIFT, LEFT, TILE, 8, 0), None)]),
-       st.integers(0, 32), st.booleans(), st.randoms(use_true_random=False))
+       st.integers(0, 32), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
-def test_a_ripple_run_runs_like_the_executor(rounds, dest, shift_edge, death, dense, rng):
+def test_a_ripple_run_runs_like_the_executor(rounds, dest, shift_edge, death, dense,
+                                             alternate, rng):
     """A run of 2-30 full ripple rounds, with or without a closing round into
     cs, cur, other or a row of its own, global (marked or not) or
-    tile-masked: found whole, and run as execute runs it, whether the carry
-    dies after any round or never does."""
+    tile-masked, on two rows that alternate or on any chain: found when it
+    has its closed form's shape, and run as execute runs it, whether the
+    carry dies after any round or never does."""
     shift, edge = shift_edge
     cs = R_ROWS - 3
     chain = carry_chain(rng, rounds, cs)
+    if alternate:
+        chain = (chain[:2] * rounds)[:rounds + 1]
     target = {None: None, "cs": cs, "cur": chain[-1], "other": chain[-2], "free": R_ROWS - 1}[dest]
     ops, marks = ripple(chain, cs, shift, edge, target)
-    assert _ripple_run(ops, 1, R_ROWS, marks.get) == (list(zip(chain, chain[1:])), target)
+    assert _ripple_run(ops, 1, R_ROWS, marks.get) == closed_shape(chain, cs, target)
     if dense:
         *cells, latch = [rng.getrandbits(R_COLS) for _ in range(R_ROWS + 1)]
     else:
         cells, latch = dying_state(rng, chain, death)
-    check_ripple(ops, marks, cells, latch)
+    check_stream(ops, marks, cells, latch)
+
+
+def add_ops(lane, shift, edge, a=1, b=2, cs=3, dest=4):
+    """emit_add's ops on placeholder operands x = ~0 and y = ~1: the half
+    add into a, the carry word in the latch, then lane ripple rounds on a
+    and b, the last one closing into dest; and their marks."""
+    ops = [(ACTIVATE2, -1, -2, XOR), (WRITEBACK, a), (ACTIVATE2, -1, -2, AND)]
+    marks = {}
+    cur, other = a, b
+    for k in range(lane):
+        marks[len(ops)] = edge
+        ops += [shift, (WRITEBACK, cs), (ACTIVATE2, cur, cs, XOR)]
+        if k < lane - 1:
+            ops += [(WRITEBACK, other), (ACTIVATE2, cur, cs, AND)]
+        else:
+            ops.append((WRITEBACK, dest))
+        cur, other = other, cur
+    ops.append((WRITEBACK, 0))
+    return ops, {i: e for i, e in marks.items() if e}
+
+
+# lanes whose columns leave a partial remainder tile, and two wide ones
+LANES = [(lane, 3 * lane + max(1, lane // 2)) for lane in range(3, 9)] + [(16, 56), (24, 84)]
+
+
+@pytest.mark.parametrize("lane,cols", LANES)
+@pytest.mark.parametrize("form", ["global", "global msb", "tile", "tile msb"])
+def test_a_ripple_closed_form_holds_at_every_lane_and_shift_form(lane, cols, form):
+    """An add's R = lane rounds, its operands bound through placeholders,
+    leave what execute leaves, and the closed form runs exactly when P =
+    S ^ K (the partial sum and the first pulse's carry word) has no run of
+    R - 3 ones and no marked pulse finds a live edge: a carry along R - 4
+    ones of P dies with a full round left, along R - 3 or R - 2 it does not.
+    Lanes of fewer than 5 rounds have no closed form."""
+    rng = random.Random(lane * 7 + len(form))
+    shift = GLOBAL_LEFT if form.startswith("global") else (SHIFT, LEFT, TILE, lane, 0)
+    edge = "msb" if form.endswith("msb") else None
+    ops, marks = add_ops(lane, shift, edge)
+    found = _ripple_run(ops, 3, 8, marks.get)
+    assert found == ((1, 2, 3, 4, lane) if lane >= 5 else None)
+    tiles = cols // lane
+    states = []
+    for base in (0, (tiles - 1) * lane):
+        for ones in (lane - 4, lane - 3, lane - 2, lane - 1):
+            # x ^ y holds a generate bit at base + 1 and `ones` ones of P above it
+            run = ((1 << (ones + 1)) - 1) << (base + 1) if ones >= 0 else 0
+            states.append((run | 1 << base, 1 << base, ones))
+    for density in (1, 2, 3):
+        def value():
+            v = (1 << cols) - 1
+            for _ in range(density):
+                v &= rng.getrandbits(cols)
+            return v
+        states += [(value(), value(), None) for _ in range(6)]
+    for x, y, ones in states:
+        cells = [rng.getrandbits(cols) for _ in range(8)]
+        error, ran, closed = check_stream(ops, marks, cells[:5] + [x, y, 0], 0, (5, 6),
+                                          cols, lane)
+        if found is None:
+            continue
+        s, k = x ^ y, ((x & y) << 1) & ((1 << cols) - 1)
+        if shift[2] == TILE:
+            k &= ~_tile_edge_masks(cols, lane)[0]
+        assert closed == ("1" * (lane - 3) not in f"{s ^ k:b}" and error is None), (x, y)
+        if ones is not None:
+            # the carry leaves the lane's top column from ones = lane - 2 on
+            assert closed == (ones <= lane - 4), ones
+            assert (error is not None) == (edge is not None and ones >= lane - 2), ones
 
 
 @pytest.mark.parametrize("shift", [GLOBAL_LEFT, TILE_LEFT])
@@ -980,23 +1101,27 @@ def test_a_live_top_bit_at_each_pulse_of_a_ripple_raises_where_execute_does(shif
     rounds = 6
     chain = [1, 2] * 4
     ops, marks = ripple(chain[:rounds + 1], 3, shift, "msb", 4)
+    assert _ripple_run(ops, 1, R_ROWS, marks.get) == (1, 2, 3, 4, rounds + 1)
     for k in range(rounds + 1):
         cells, latch = dying_state(rng, chain, k + 1, low=R_LANE - 1 - k)
-        error, ran = check_ripple(ops, marks, cells, latch)
-        assert error[0] is ObservationError and ran == 1 + 5 * k
-        assert check_ripple(ops, {}, cells, latch)[0] is None
+        error, ran, closed = check_stream(ops, marks, cells, latch)
+        assert error[0] is ObservationError and ran == 1 + 5 * k and not closed
+        assert check_stream(ops, {}, cells, latch)[0] is None
         if k:                          # the carry dies a round before it reaches the edge
             cells, latch = dying_state(rng, chain, k - 1, low=R_LANE - 1 - k)
-            assert check_ripple(ops, marks, cells, latch) == (None, len(ops))
+            assert check_stream(ops, marks, cells, latch)[:2] == (None, len(ops))
 
 
 @pytest.mark.parametrize("miss", ["shift", "mark", "cs", "other is cs", "other is cur",
                                   "cur is not other", "placeholder"])
 def test_ripple_near_misses_cut_the_run_and_stay_exact(miss):
     """A round that differs from a ripple round (its shift, mark or cs, an
-    aliased row, a broken chain or a placeholder) ends
-    the run before it; whatever the rest runs as, it runs as execute runs
-    it, wherever the carry dies."""
+    aliased row, a broken chain or a placeholder) ends the run before it:
+    the run is found only where a closing round ends it there (a round
+    whose other is cs or cur writes a row a closing round may write), and
+    the rounds after the miss are a run of their own when five or more are
+    left.  Whatever the rest runs as, it runs as execute runs it, wherever
+    the carry dies."""
     rng = random.Random(11)
     rounds = 8
     for j in range(1, rounds):
@@ -1019,23 +1144,28 @@ def test_ripple_near_misses_cut_the_run_and_stay_exact(miss):
             ops[at + 2] = (ACTIVATE2, 6, 3, XOR)
         elif miss == "placeholder":
             ops[at + 3], rows = (WRITEBACK, -1), (chain[j + 1],)
-        found, _ = _ripple_run(ops, 1, R_ROWS, marks.get)
-        assert len(found) == j
+        closes = miss in ("other is cs", "other is cur") and j + 1 >= 5
+        assert _ripple_run(ops, 1, R_ROWS, marks.get) == (
+            (1, 2, 3, ops[at + 3][1], j + 1) if closes else None)
+        after = rounds - j
+        assert _ripple_run(ops, at + 5, R_ROWS, marks.get) == (
+            (chain[j + 1], chain[j + 2], 3, 4, after) if after >= 5 else None)
         for death in range(rounds + 2):
             cells, latch = dying_state(rng, chain, death)
-            check_ripple(ops, marks, cells, latch, rows)
+            check_stream(ops, marks, cells, latch, rows)
 
 
 def test_a_closing_round_into_a_row_out_of_range_is_left_to_fail_at_generation():
-    ops, marks = ripple([1, 2, 1, 2], 3, GLOBAL_LEFT, "msb", R_ROWS)
-    assert _ripple_run(ops, 1, R_ROWS, marks.get) == ([(1, 2), (2, 1), (1, 2)], None)
+    ops, marks = ripple([1, 2] * 3, 3, GLOBAL_LEFT, "msb", R_ROWS)
+    assert _ripple_run(ops, 1, R_ROWS, marks.get) is None
     with pytest.raises(AddressError, match=f"row {R_ROWS} outside"):
         generate(Subarray(R_ROWS, R_COLS), Stream(ops, marks), R_LANE)
 
 
 def test_a_ripple_of_a_120_column_lane_compiles_and_runs():
-    """119 full rounds and a closing round, past Python's 100 nested blocks
-    were each round a block of its own, tile-masked or marked and global."""
+    """119 full rounds and a closing round, tile-masked or marked and
+    global, in one closed form and its rounds: random rows take the closed
+    form, and a carry along 117 ones of P takes the rounds."""
     lane = 120
     rng = random.Random(3)
     chain = [1, 2] * 60
@@ -1045,11 +1175,128 @@ def test_a_ripple_of_a_120_column_lane_compiles_and_runs():
         broadcast |= 1 << (t * lane)
     for shift, edge in (((SHIFT, LEFT, TILE, lane, 0), None), (GLOBAL_LEFT, "msb")):
         ops, marks = ripple(chain, 3, shift, edge, 4)
-        assert len(_ripple_run(ops, 1, 64, marks.get)[0]) == lane - 1
-        for cells in ([rng.getrandbits(256) & ~(1 << 255) for _ in range(64)],
-                      [ones] * 64):
-            error, ran = check_ripple(ops, marks, cells, broadcast, cols=256, lane=lane)
-            assert error is None and ran == len(ops)
+        assert _ripple_run(ops, 1, 64, marks.get) == (1, 2, 3, 4, lane)
+        for cells, closed in (([rng.getrandbits(256) & ~(1 << 255) for _ in range(64)], True),
+                              ([ones] * 64, False)):
+            assert check_stream(ops, marks, cells, broadcast, cols=256, lane=lane) == (
+                None, len(ops), closed)
+
+
+def smear_stream(lane, toward_msb, tile_scope_all):
+    """emit_smear's ops on row 1 with temp row 2, after the seed isolation
+    L := x & c[7] of a placeholder row x, then a writeback."""
+    E = Emitter(MontgomeryContext.create(3, lane - 1, lane_width=lane), default_rowmap(16),
+                ExecPolicy(tile_scope_all=tile_scope_all))
+    E.act(-1, 7, AND)
+    E.wb(1)
+    emit_smear(E, 1, 2, toward_msb)
+    E.wb(0)
+    return E.stream()
+
+
+def doubling(width):
+    strides, span = [], 1
+    while span < width:
+        strides.append(min(span, width - span))
+        span += strides[-1]
+    return strides
+
+
+@pytest.mark.parametrize("lane,cols", LANES)
+@pytest.mark.parametrize("toward_msb,tile_scope_all", [(True, False), (False, False),
+                                                       (False, True)])
+def test_a_smear_closed_form_holds_at_every_lane_and_shift_form(lane, cols, toward_msb,
+                                                                tile_scope_all):
+    """emit_smear's doubling rounds, toward the MSB tile-masked, toward the
+    LSB global or tile-masked under "lsb" marks, leave what execute leaves,
+    and take the closed form exactly when the latch holds seed bits only:
+    lane bottoms toward the MSB, lane tops toward the LSB, with or without
+    a bit in the partial remainder tile or elsewhere."""
+    rng = random.Random(lane * 3 + toward_msb + 2 * tile_scope_all)
+    stream = smear_stream(lane, toward_msb, tile_scope_all)
+    strides = doubling(lane - 1 if toward_msb else lane)
+    found = _smear_run(stream.ops, 2, 8, stream.obs_marks.get)
+    assert found == ((1, 2, strides) if len(strides) >= 2 else None)  # one round at lane 3
+    lsb, msb = _tile_edge_masks(cols - cols % lane, lane)
+    seeds = lsb if toward_msb else msb
+    colmask = (1 << cols) - 1
+    masks = [seeds, colmask]
+    masks += [seeds | 1 << j for j in range(cols) if not seeds >> j & 1]
+    masks += [(1 << j) for j in range(cols) if seeds >> j & 1]      # each seed alone
+    for mask in masks:
+        for x in (colmask, rng.getrandbits(cols)):
+            cells = [rng.getrandbits(cols) for _ in range(8)]
+            cells[5], cells[7] = x, mask
+            error, _, closed = check_stream(stream.ops, stream.obs_marks, cells,
+                                            rng.getrandbits(cols), (5,), cols, lane)
+            if found:
+                assert closed == (not x & mask & ~seeds), (mask, x)
+                assert error is None or not closed
+
+
+SMEAR_SHIFTS = st.one_of(
+    st.tuples(st.just(SHIFT), st.sampled_from([LEFT, RIGHT]), st.just(GLOBAL), st.just(0),
+              st.just(0)),
+    st.tuples(st.just(SHIFT), st.sampled_from([LEFT, RIGHT]), st.just(TILE),
+              st.sampled_from([2, 3, 4, 5, 8, 16]), st.sampled_from([0, 0, 1])))
+
+
+@given(st.sampled_from(LANES[:6]), SMEAR_SHIFTS, st.sampled_from([None, "msb", "lsb"]),
+       st.lists(st.integers(1, 3) | st.integers(1, 16), min_size=2, max_size=3),
+       st.integers(0, 2),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_hand_built_smears_run_like_the_executor(lane_cols, shift, edge, strides, kind, rng):
+    """Smears of any shift, tile geometry, mark and strides, wider than a
+    lane or not, at lanes 3-8 with a partial remainder tile, on a latch of
+    seed bits (some of them), of seed bits and one other, or of any bits:
+    found whole, and run as execute runs them."""
+    lane, cols = lane_cols
+    ops, marks = [(WRITEBACK, 1)], {}
+    for s in strides:
+        marks.update(dict.fromkeys(range(len(ops), len(ops) + s), edge))
+        ops += [shift] * s + [(WRITEBACK, 2), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 1)]
+    ops.append((WRITEBACK, 0))
+    marks = {i: e for i, e in marks.items() if e}
+    assert _smear_run(ops, 1, 8, marks.get) == (1, 2, strides)
+    lsb, msb = _tile_edge_masks(cols - cols % lane, lane)
+    seeds = lsb if shift[1] == LEFT else msb
+    latch = seeds & rng.getrandbits(cols)
+    if kind == 1:
+        latch |= 1 << rng.randrange(cols)
+    elif kind == 2:
+        latch = rng.getrandbits(cols)
+    check_stream(ops, marks, [rng.getrandbits(cols) for _ in range(8)], latch, (), cols, lane)
+
+
+@pytest.mark.parametrize("shift,strides,lane,cols,every,one", [
+    # right global rounds of 3 and 1 pulses: the offsets 0, 1, 3 and 4 do not
+    # fit a lane, and a lane-1 seed spreads into lane 0 as well
+    ((SHIFT, RIGHT, GLOBAL, 0, 0), (3, 1), 3, 6, 0b110110, 0b110),
+    # left rounds in tiles of 3 on lanes of 4: the lane-1 seed sits at offset 1
+    # of its tile, which cuts it a column sooner than the lane-0 seed
+    ((SHIFT, LEFT, TILE, 3, 0), (1, 1), 4, 10, 0b110111, 0b111),
+])
+def test_a_smear_whose_seeds_spread_unlike_the_first_lanes_stays_on_its_rounds(
+        shift, strides, lane, cols, every, one):
+    """Rounds whose lane-1 seed does not spread into the lane-0 seed's
+    pattern moved to its lane have no closed form: a lane-1 seed alone, the
+    two seeds and the lane-0 seed alone leave what execute leaves."""
+    ops = [(WRITEBACK, 1)]
+    for s in strides:
+        ops += [shift] * s + [(WRITEBACK, 2), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 1)]
+    seed0, seed1 = (1, 1 << lane) if shift[1] == LEFT else (1 << (lane - 1), 1 << (2 * lane - 1))
+
+    def settle(latch):
+        arr = Subarray(8, cols)
+        arr.latch = latch
+        execute(arr, ops)
+        return arr.latch
+    assert (settle(seed0), settle(seed0 | seed1)) == (one, every)
+    assert settle(seed1) != one << lane
+    for latch in (seed1, seed0 | seed1, seed0):
+        assert check_stream(ops, {}, [0] * 8, latch, (), cols, lane)[:2] == (None, len(ops))
+
 
 def test_single_op_methods_tally_what_they_record():
     """Each one-op method of Subarray tallies the op it records, and an op
