@@ -157,6 +157,10 @@ class CommandStream:
     function of it, made at its first run on an array; a trace logs each run
     as (stream, rows), bound only when read, and ``perf.counts_of_tally``
     counts the ops of a stream (hashed by identity) once, times its runs.
+    The streams of one array shape share one tuple per distinct op
+    (``Emitter.stream``), so an op-by-op recount of a trace
+    (``perf.counts_of_trace``) finds its ops in the Counter by identity
+    rather than by comparing equal tuples.
     A segment of a body with zero tests (``Emitter.block``) has `zero_test`
     set when a zero test follows it.
     """
@@ -245,8 +249,9 @@ def default_rowmap(arr_rows: int) -> RowMap:
 
 @lru_cache(maxsize=16)
 def _shared_programs(rm: RowMap, policy: ExecPolicy, word: int, lane: int,
-                     rows: int, cols: int) -> dict:
-    """The `programs` table every executing emitter on one array shape shares.
+                     rows: int, cols: int) -> tuple[dict, dict]:
+    """The `programs` table every executing emitter on one array shape
+    shares, and the `distinct` table of its streams' ops (``Emitter.stream``).
 
     Keyed on the word and the lane, not the whole context: no stream names
     the modulus (it lives in the constant rows), so every modulus of one
@@ -255,7 +260,7 @@ def _shared_programs(rm: RowMap, policy: ExecPolicy, word: int, lane: int,
     multiplication's prologue and at most 2^MODMUL_CHUNK +
     2^(word % MODMUL_CHUNK) chunk streams, however many constants run.
     """
-    return {}
+    return {}, {}
 
 
 class Emitter:
@@ -270,7 +275,9 @@ class Emitter:
     bodies are its prologue and each chunk value of A, ``emit_modmul``),
     compiled once with its operand rows as placeholders (``compiled``).
     Executing emitters of one row map, policy, word, lane and array shape
-    share one table, so a stream is compiled and generated once per shape.
+    share one table, so a stream is compiled and generated once per shape,
+    and one `distinct` table of their ops; a collecting emitter keeps its
+    own of each, and its segment compilers share its `distinct`.
 
     Without an array it collects: ``run`` appends a stream's bound ops and
     marks, and ``stream`` hands them over.  With one it executes: ``run``
@@ -281,7 +288,7 @@ class Emitter:
     """
 
     __slots__ = ("ctx", "rm", "policy", "arr", "ops", "obs_marks", "step_marks", "programs",
-                 "readouts")
+                 "distinct", "readouts")
 
     def __init__(self, ctx: MontgomeryContext, rm: RowMap, policy: ExecPolicy,
                  arr: Subarray | None = None):
@@ -292,7 +299,7 @@ class Emitter:
         self.ops: list[tuple] = []
         self.obs_marks: dict[int, str] = {}
         self.step_marks: list[tuple[int, int]] = []
-        self.programs = {} if arr is None else _shared_programs(
+        self.programs, self.distinct = ({}, {}) if arr is None else _shared_programs(
             rm, policy, ctx.width, ctx.lane_width, arr.rows, arr.cols)
         self.readouts = None
 
@@ -334,11 +341,15 @@ class Emitter:
         self.step_marks.append((len(self.ops) - 1, k))
 
     def stream(self) -> CommandStream:
-        """The ops collected so far, with the indices of those naming a placeholder."""
-        holes = [i for i, op in enumerate(self.ops)
+        """The ops collected so far, with the indices of those naming a
+        placeholder; each op is first replaced, in place, by the `distinct`
+        table's tuple of its value (see ``CommandStream``)."""
+        ops = self.ops
+        ops[:] = map(self.distinct.setdefault, ops, ops)
+        holes = [i for i, op in enumerate(ops)
                  if op[0] == WRITEBACK and op[1] < 0
                  or op[0] == ACTIVATE2 and (op[1] < 0 or op[2] < 0)]
-        return CommandStream(ops=self.ops, obs_marks=self.obs_marks,
+        return CommandStream(ops=ops, obs_marks=self.obs_marks,
                              step_marks=self.step_marks, holes=holes)
 
     def block(self, body, rows: tuple) -> None:
@@ -366,6 +377,7 @@ class Emitter:
         stream = self.programs.get((body, readouts))
         if stream is None:
             C = Emitter(self.ctx, self.rm, self.policy)
+            C.distinct = self.distinct
             C.readouts = iter(readouts)
             zero_test = False
             try:

@@ -226,6 +226,9 @@ def accumulate(trace, cost: CostModel, parallel: int = 1) -> SimStats:
     A recorded ``Trace`` is counted from its log (``counts_of_tally``);
     any other iterable of ops, such as a parsed trace or a chain of two, is
     recounted op by op (``counts_of_trace``).  Both give the same counts.
+    The recount hashes every op into a Counter; reading a recorded trace,
+    it finds most ops by identity, since the streams of one array shape
+    share one tuple per distinct op, so it does not compare tuples.
     """
     counts = counts_of_tally(trace) if isinstance(trace, Trace) else counts_of_trace(trace)
     return stats_from_counts(counts, cost, parallel)

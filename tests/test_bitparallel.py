@@ -34,7 +34,7 @@ from sramntt.errors import AddressError, ObservationError, ParameterError, SimEr
 from sramntt.oracle import oracle_montmul
 from sramntt.perf import CostModel, accumulate, counts_of_tally, counts_of_trace
 from sramntt.subarray import (
-    ACTIVATE2, GLOBAL, OR, SHIFT, WRITE_ROW, WRITEBACK, ZERO_TEST, Subarray, Trace, execute,
+    ACTIVATE2, AND, GLOBAL, OR, SHIFT, WRITE_ROW, WRITEBACK, ZERO_TEST, Subarray, Trace, execute,
     generate, parse_trace, serialize_trace,
 )
 
@@ -660,6 +660,42 @@ def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
     assert len({id(t) for t in tables}) == 4
     assert len(calls) == 20 + 3 * 13
     assert not Emitter(first.ctx, first.rm, ExecPolicy()).programs       # a collecting emitter's own
+
+
+def one_tuple_per_distinct_op(ops) -> bool:
+    """Each value among `ops`, all held alive by the caller, is one object."""
+    return len({id(op) for op in ops}) == len(set(ops))
+
+
+def test_a_shapes_streams_share_one_tuple_per_distinct_op(fresh_programs):
+    """Across all streams of a shape's table, after a product under the
+    deterministic policy and after a data-dependent roundtrip's segments,
+    each distinct op is one tuple, and the shape's `distinct` table holds
+    it; so does a twiddle's collected stream within itself, its bound
+    multiplicand ops included."""
+    from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
+
+    ring = RingParams.create(257, 8)
+    poly = [1, 2, 3, 4, 5, 6, 7, 8]
+    _, unit_a, _ = polymul_pipeline([poly], poly[::-1], ring, rows=64, cols=64)
+    data_dependent = TransformUnit(ring, rows=64, cols=64,
+                                   policy=ExecPolicy(deterministic=False))
+    data_dependent.load_polynomials([poly])
+    data_dependent.forward()
+    data_dependent.inverse()
+    for unit in (unit_a, data_dependent):
+        streams = list(unit.emitter.programs.values())
+        ops = [op for stream in streams for op in stream.ops]
+        # not vacuous: some op value recurs in more than one stream
+        assert len(set(ops)) < sum(len(set(stream.ops)) for stream in streams)
+        assert one_tuple_per_distinct_op(ops)
+        distinct = unit.emitter.distinct
+        assert all(distinct[op] is op for op in ops)
+    assert any(stream.zero_test for stream in data_dependent.emitter.programs.values())
+    stream = compile_twiddle_commands(unit_a.ctx.radix - 3, unit_a.ctx, unit_a.rm, B_ROW)
+    assert stream.ops.count((ACTIVATE2, unit_a.rm.sum_row, B_ROW, AND)) > 1
+    assert len(set(stream.ops)) < len(stream.ops)
+    assert one_tuple_per_distinct_op(stream.ops)
 
 
 def test_a_dropped_unit_frees_its_array_without_the_cycle_collector(fresh_programs):

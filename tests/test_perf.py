@@ -1,5 +1,6 @@
 """Cost accounting, analytic estimator exactness, sweeps, baseline ratio."""
 
+import itertools
 import json
 import math
 import random
@@ -199,6 +200,20 @@ def test_the_tally_counts_both_units_of_a_polymul():
     _, unit_a, unit_b = polymul_pipeline(a, b, ring, 64, 64)
     for unit in (unit_a, unit_b):
         assert_tallied(unit.arr.trace)
+
+
+def test_a_recount_of_both_units_chained_equals_their_tallies_summed():
+    """The op-by-op recount of a host-swapped product's two traces, chained
+    as the benchmark chains them, counts what the two logs count."""
+    rng = random.Random(6)
+    ring = RingParams.create(257, 64)
+    a = [[rng.randrange(257) for _ in range(64)] for _ in range(2)]
+    b = [rng.randrange(257) for _ in range(64)]
+    _, unit_a, unit_b = polymul_pipeline(a, b, ring, 64, 64)
+    assert unit_a.layout.swapped
+    tallied = counts_of_tally(unit_a.arr.trace)
+    add_counts(tallied, counts_of_tally(unit_b.arr.trace))
+    assert counts_of_trace(itertools.chain(unit_a.arr.trace, unit_b.arr.trace)) == tallied
 
 
 # `sramntt run` cycles at seed 0: the canonical ring's polymul and roundtrip,
