@@ -99,10 +99,9 @@ class MontgomeryContext:
 
 @dataclass(frozen=True)
 class ExecPolicy:
-    """Execution knobs: static worst-case loops vs. zero-test exits, shift scoping."""
+    """Execution knob: static worst-case loops vs. zero-test exits."""
 
     deterministic: bool = True
-    tile_scope_all: bool = False
 
 
 @dataclass(frozen=True)
@@ -310,17 +309,14 @@ class Emitter:
         self.ops.append((WRITEBACK, row))
 
     def shift_data(self, direction: str, obs: str | None = None) -> None:
-        """Arithmetic 1-bit shift; global unless the policy masks everything.
+        """Arithmetic 1-bit global shift.
 
         obs names the lane edge the carry-save invariants promise is zero in
         the latch; a live bit there raises ObservationError before the shift.
         """
         if obs is not None:
             self.obs_marks[len(self.ops)] = obs
-        if self.policy.tile_scope_all:
-            self.shift_mask(direction)
-        else:
-            self.ops.append((SHIFT, direction, GLOBAL, 0, 0))
+        self.ops.append((SHIFT, direction, GLOBAL, 0, 0))
 
     def shift_mask(self, direction: str) -> None:
         """Predication-mask smear shift; always tile-masked."""

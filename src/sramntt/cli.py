@@ -81,7 +81,6 @@ class RunConfig:
     mode: str
     verify: bool
     deterministic_latency: bool
-    tile_scope_shifts: bool
     stats_path: str | None = None
     trace_path: str | None = None
     state_path: str | None = None
@@ -160,8 +159,7 @@ def cmd_run(cfg: RunConfig) -> int:
         raise ParameterError(f"unknown mode {cfg.mode!r}")
     check_size(cfg.rows, cfg.cols)
     width = check_ring(cfg.q, cfg.order, cfg.width)
-    policy = ExecPolicy(deterministic=cfg.deterministic_latency,
-                        tile_scope_all=cfg.tile_scope_shifts)
+    policy = ExecPolicy(deterministic=cfg.deterministic_latency)
     cost = _cost_model(cfg.cost_model_path)
     lane = MontgomeryContext.for_ring(cfg.q, width).lane_width
     tiles = layout_plan(cfg.rows, cfg.cols, lane, cfg.order).tiles
@@ -305,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="check results against the reference oracles")
     run.add_argument("--data-dependent", dest="deterministic_latency", action="store_false",
                      help="carry loops exit on the zero test instead of worst-case unrolling")
-    run.add_argument("--tile-scope-shifts", action="store_true",
-                     help="mask every shift at tile boundaries")
     run.add_argument("--stats", dest="stats_path")
     run.add_argument("--trace", dest="trace_path")
     run.add_argument("--state", dest="state_path",

@@ -7,11 +7,15 @@ nothing with the in-array code paths they judge.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ParameterError
 
 
+@lru_cache(maxsize=64)
 def modinv(a: int, m: int) -> int:
-    """Inverse of a mod m."""
+    """Inverse of a mod m; cached, as the exhaustive multiplier checks ask
+    for (2^width)^-1 mod M millions of times on a few pairs."""
     try:
         return pow(a, -1, m)
     except ValueError:
@@ -22,8 +26,7 @@ def oracle_montmul(a: int, b: int, modulus: int, width: int) -> int:
     """Exact a * b * (2^width)^-1 mod modulus."""
     if modulus % 2 == 0:
         raise ParameterError("Montgomery modulus must be odd")
-    r_inv = modinv(1 << width, modulus)
-    return (a * b * r_inv) % modulus
+    return (a * b * modinv(1 << width, modulus)) % modulus
 
 
 def oracle_ntt(coeffs, q: int, psi: int) -> list[int]:

@@ -213,11 +213,15 @@ def stats_from_counts(counts: dict, cost: CostModel, parallel: int = 1) -> SimSt
         "tile": tile,
         "word_alignment": counts.get("SHIFT_ALIGN", 0),
     }
-    if cycles == int(cycles):
-        cycles = int(cycles)
-    return SimStats(counts=dict(counts), shifts=shifts, cycles=cycles,
-                    energy_nj=energy / 1e3, parallel=parallel,
-                    freq_mhz=cost.freq_mhz)
+    stats = SimStats(counts=dict(counts), shifts=shifts, cycles=cycles,
+                     energy_nj=energy / 1e3, parallel=parallel, freq_mhz=cost.freq_mhz)
+    # every cost is finite, but a total or a rate can overflow (inf cycles: inf latency)
+    if not all(map(math.isfinite, (energy, stats.latency_us, stats.throughput_knnt_s))):
+        raise ParameterError(f"the cost model's totals overflow: {cycles} cycles, "
+                             f"{energy} pJ, {cost.freq_mhz} MHz")
+    if cycles.is_integer():
+        stats.cycles = int(cycles)
+    return stats
 
 
 def accumulate(trace, cost: CostModel, parallel: int = 1) -> SimStats:

@@ -161,10 +161,6 @@ class Subarray:
 
     # -- addressing ------------------------------------------------------
 
-    def _check_addr(self, addr: int) -> None:
-        if not 0 <= addr < self.rows:
-            raise AddressError(f"row {addr} outside [0,{self.rows})")
-
     def tile_edges(self, width: int, origin: int = 0,
                    span: int | None = None) -> tuple[int, int]:
         """Edge masks of the tiles in the first `span` columns (default: all)."""
@@ -175,7 +171,7 @@ class Subarray:
             self._edge_cache[key] = masks
         return masks
 
-    # -- micro-ops -------------------------------------------------------
+    # -- host port -------------------------------------------------------
 
     def write_row(self, addr: int, bits: int) -> None:
         """Host write of a full row (normal cache store path)."""
@@ -183,26 +179,9 @@ class Subarray:
 
     def read_row(self, addr: int) -> int:
         """Host read; non-destructive and not traced (no array state changes)."""
-        self._check_addr(addr)
+        if not 0 <= addr < self.rows:
+            raise AddressError(f"row {addr} outside [0,{self.rows})")
         return self.cells[addr]
-
-    def activate_pair(self, a: int, b: int, mode: str) -> None:
-        """Activate rows a and b together; the latch captures mode(a, b) per column."""
-        execute(self, [(ACTIVATE2, a, b, mode)])
-
-    def shift_latch(
-        self,
-        direction: str,
-        scope: str = GLOBAL,
-        tile_width: int = 0,
-        tile_origin: int = 0,
-    ) -> None:
-        """Move every latch bit one column; zero fill at array (or tile) edges."""
-        execute(self, [(SHIFT, direction, scope, tile_width, tile_origin)])
-
-    def latch_writeback(self, addr: int) -> None:
-        """Drive the latch back into a row; the latch keeps its value."""
-        execute(self, [(WRITEBACK, addr)])
 
     def latch_is_zero(self) -> bool:
         """Wired-OR readout of the latch; used as a carry-loop termination test."""
@@ -338,7 +317,7 @@ def _bad_pair(nrows: int, a: int, b: int) -> None:
     for row in (a, b):
         if not 0 <= row < nrows:
             raise AddressError(f"row {row} outside [0,{nrows})")
-    raise AddressError(f"activate_pair needs two distinct rows, got {a} twice")
+    raise AddressError(f"ACTIVATE2 needs two distinct rows, got {a} twice")
 
 
 # -- straight-line programs ----------------------------------------------------
@@ -358,11 +337,8 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
     only on a failure: a program that returns logs (stream, rows).  Only
     ACTIVATE2, SHIFT and WRITEBACK can be generated.
 
-    Each ACTIVATE2 and WRITEBACK is one statement.  Each maximal run of s
-    equal SHIFT ops under one mark is one statement too, a shift by s with
-    the mask of the columns s pulses can leave set (``L >>= s`` for a global
-    right run): the latch never holds a bit above its columns, so this is
-    the s pulses exactly.
+    Each ACTIVATE2, WRITEBACK and SHIFT is one statement, and each maximal
+    run of s equal SHIFT ops under one mark a loop of s pulses.
 
     Two idioms, found from the ops alone, get a closed form behind a cheap
     runtime test; when the test fails, their straight-line statements run.
@@ -378,10 +354,8 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
     binding can run it, so every run goes to ``execute``.  At each run a
     bound row out of range, or a bound same-row pair, hands the bound ops to
     ``execute`` before any op runs, and that fallback always raises.  A
-    marked run first tests, in one AND, every latch bit that would reach its
-    lane edge before one of its pulses.  A live one replays the run pulse by
-    pulse, each pulse testing the edge first, so the pulse that finds it
-    stores the latch, logs the bound ops before that pulse and raises
+    marked pulse tests its lane edge first, so the pulse that finds a live
+    bit stores the latch, logs the bound ops before it and raises
     ObservationError, as ``execute`` does.
     """
     nrows = arr.rows
@@ -436,7 +410,7 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
             _, a, b, mode = op
             ra, rb = row(a), row(b)
             if a == b and a >= 0:
-                raise AddressError(f"activate_pair needs two distinct rows, got {a} twice")
+                raise AddressError(f"ACTIVATE2 needs two distinct rows, got {a} twice")
             if a == b:
                 # one placeholder twice: every binding is a same-row pair, which
                 # execute reports with the bound row before it reads the mode
@@ -470,8 +444,9 @@ def generate(arr: Subarray, stream, lane: int = 0, params: int = 0):
 
 def _shift_run(arr: Subarray, op: tuple, s: int, i: int, edge: str | None,
                obs: tuple[int, int] | None) -> list[str]:
-    """The statements of ops i .. i+s-1, s pulses of the shift `op`; under an
-    `edge` mark each pulse checks that edge of the full-lane masks `obs`."""
+    """The statements of ops i .. i+s-1, s pulses of the shift `op`: one pulse,
+    looped over k in [i, i+s) when s > 1.  Under an `edge` mark each pulse
+    first checks that edge of the full-lane masks `obs`: a live bit fails at op k."""
     _, direction, scope, width, origin = op
     if scope == GLOBAL:
         keep = arr.colmask
@@ -480,33 +455,19 @@ def _shift_run(arr: Subarray, op: tuple, s: int, i: int, edge: str | None,
         keep = arr.colmask & ~lsb if direction == LEFT else ~msb
     else:
         raise TileGeometryError(f"unknown shift scope {scope!r}")
-    if direction not in (LEFT, RIGHT):
-        raise TileGeometryError(f"unknown shift direction {direction!r}")
-    # masks[k]: the columns k pulses can leave set in a latch within colmask,
-    # so k pulses are one shift by k masked with masks[k]
-    masks = [arr.colmask]
-    for _ in range(s):
-        masks.append((masks[-1] << 1 if direction == LEFT else masks[-1] >> 1) & keep)
     if direction == RIGHT and scope == GLOBAL:
-        pulse, run = "L >>= 1", f"L >>= {s}"
+        pulse = ["L >>= 1"]
+    elif direction in (LEFT, RIGHT):
+        # the columns a pulse can leave set in a latch within colmask
+        sign, mask = ("<<", arr.colmask << 1) if direction == LEFT else (">>", arr.colmask >> 1)
+        pulse = [f"L = (L {sign} 1) & {mask & keep:#x}"]
     else:
-        sign = "<<" if direction == LEFT else ">>"
-        pulse = f"L = (L {sign} 1) & {masks[1]:#x}"
-        run = f"L = (L {sign} {s}) & {masks[s]:#x}"
-    if edge is None:
-        return [run]
-    live, fault = (obs[1], "_MSB") if edge == "msb" else (obs[0], "_LSB")
-    if s == 1:
-        return [f"if L & {live:#x}: fail(arr, stream.bind(rows), {i}, L, {fault})", run]
-    # the latch bits that k pulses carry into the edge, for every k < s
-    reach = 0
-    for k in range(s):
-        reach |= (live & masks[k]) >> k if direction == LEFT else (live & masks[k]) << k
-    return [f"if L & {reach:#x}:",
-            f"    for k in range({i}, {i + s}):",
-            f"        if L & {live:#x}: fail(arr, stream.bind(rows), k, L, {fault})",
-            f"        {pulse}",
-            run]
+        raise TileGeometryError(f"unknown shift direction {direction!r}")
+    if edge is not None:
+        live, fault = (obs[1], "_MSB") if edge == "msb" else (obs[0], "_LSB")
+        k = i if s == 1 else "k"
+        pulse.insert(0, f"if L & {live:#x}: fail(arr, stream.bind(rows), {k}, L, {fault})")
+    return pulse if s == 1 else [f"for k in range({i}, {i + s}):", *(f"    {p}" for p in pulse)]
 
 
 def _ripple_run(ops: list, i: int, nrows: int, edge_of) -> tuple[int, int, int, int, int] | None:

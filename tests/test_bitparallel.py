@@ -198,12 +198,12 @@ def test_observation_check_fires_on_live_carry_top_bit():
     ctx, arr, rm = fresh(7, 3)
     lane = ctx.lane_width
     arr.write_row(rm.carry_row, broadcast_word(1 << (lane - 1), lane, arr.cols))
-    arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
+    execute(arr, [(ACTIVATE2, rm.carry_row, rm.zeros, OR)])     # latch := Carry
     with pytest.raises(ObservationError):
         emit_resolve(Emitter(ctx, rm, ExecPolicy(), arr), rm.mask_row)
 
 
-@pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
+@pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(deterministic=False)])
 def test_observation_check_fires_on_live_half_sum_low_bit(policy):
     """An even modulus row leaves the half-sum odd before the halving shift."""
     ctx, arr, rm = fresh(7, 3)
@@ -234,8 +234,7 @@ def _butterfly_op_by_op(E, rm, width, a_row, b_row, twiddle):
     _modadd(E, a_row, rm.mask_row, a_row)
 
 
-@pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
-def test_compiled_primitives_run_the_emitted_ops(policy):
+def test_compiled_primitives_run_the_emitted_ops():
     """Programs compiled once and bound at run time execute exactly the ops
     the bodies emit one at a time with the real rows, aliased operands
     included, run through the executor."""
@@ -247,7 +246,7 @@ def test_compiled_primitives_run_the_emitted_ops(policy):
             arr.write_row(row, pack_words([rng.randrange(7681) for _ in range(4)],
                                           ctx.lane_width, arr.cols))
         compiled = butterfly is _butterfly_compiled
-        E = Emitter(ctx, rm, policy, arr if compiled else None)
+        E = Emitter(ctx, rm, ExecPolicy(), arr if compiled else None)
         for a_row, b_row, twiddle in ((1, 2, 0xB5A3), (3, 1, 0x0F0F), (2, 3, 0xB5A3)):
             butterfly(E, rm, ctx.width, a_row, b_row, twiddle)
         if not compiled:
@@ -257,9 +256,9 @@ def test_compiled_primitives_run_the_emitted_ops(policy):
     assert runs[0] == runs[1]
 
 
-POLICIES = [ExecPolicy(), ExecPolicy(tile_scope_all=True),
-            ExecPolicy(deterministic=False),
-            ExecPolicy(deterministic=False, tile_scope_all=True)]
+# ids policy1 and policy3 named the tile-scoped variants of these two
+POLICIES = [pytest.param(ExecPolicy(), id="policy0"),
+            pytest.param(ExecPolicy(deterministic=False), id="policy2")]
 
 
 def _smear_up(E, row: int, temp: int) -> None:
@@ -360,7 +359,7 @@ def test_block_multiplier_equals_the_compiled_stream(fresh_programs):
     assert len(values) == 7 and len(E.programs) == 1 + len(values)
 
 
-@pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(tile_scope_all=True)])
+@pytest.mark.parametrize("policy", [ExecPolicy(), ExecPolicy(deterministic=False)])
 def test_every_generated_block_runs_like_the_executor(policy, fresh_programs):
     """Each compiled block (a four-bit chunk of a multiplication among
     them), run as its generated function, leaves the array,
@@ -631,7 +630,7 @@ def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
     table: the first unit generates its 13 programs, a second unit none and
     the two units of a polymul pipeline only the inverse's park and the
     chunks of their twiddles the forward did not meet.  Another rows, cols
-    or policy value gets a table of its own."""
+    or policy value gets a table of its own, and generates its programs."""
     from sramntt import bitparallel
     from sramntt.ntt import RingParams, TransformUnit, polymul_pipeline
 
@@ -655,10 +654,12 @@ def test_units_of_one_shape_share_their_programs(fresh_programs, monkeypatch):
     _, unit_a, unit_b = polymul_pipeline([poly], poly, ring, rows=64, cols=64)
     assert unit_a.emitter.programs is unit_b.emitter.programs is first.emitter.programs
     assert len(calls) == len(first.emitter.programs) == 20
-    others = [unit(rows=72), unit(cols=72), unit(policy=ExecPolicy(tile_scope_all=True))]
+    others = [unit(rows=72), unit(cols=72), unit(policy=ExecPolicy(deterministic=False))]
     tables = [first.emitter.programs] + [u.emitter.programs for u in others]
     assert len({id(t) for t in tables}) == 4
-    assert len(calls) == 20 + 3 * 13
+    # the data-dependent forward's table holds its segments, each generated there
+    assert [len(t) for t in tables[1:3]] == [13, 13] and len(tables[3]) > 13
+    assert len(calls) == 20 + sum(map(len, tables[1:]))
     assert not Emitter(first.ctx, first.rm, ExecPolicy()).programs       # a collecting emitter's own
 
 
@@ -745,7 +746,7 @@ def test_resolve_examples_and_random():
     def resolve_pair(s, c):
         arr.write_row(rm.sum_row, broadcast_word(s, lane, arr.cols))
         arr.write_row(rm.carry_row, broadcast_word(c, lane, arr.cols))
-        arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
+        execute(arr, [(ACTIVATE2, rm.carry_row, rm.zeros, OR)])     # latch := Carry
         dest = rm.mask_row
         emit_resolve(E, dest)
         return unpack_word(arr.read_row(dest), 0, lane)
@@ -917,16 +918,6 @@ def test_a_warm_data_dependent_roundtrip_compiles_no_new_segment(fresh_programs,
     assert kinds == {WRITE_ROW, ZERO_TEST}
 
 
-def test_tile_scope_all_policy_still_correct():
-    bench = ModmulBench(7681, 16)
-    bench.policy = ExecPolicy(tile_scope_all=True)
-    bench.emitter = Emitter(bench.ctx, bench.rm, bench.policy, bench.arr)
-    rng = random.Random(3)
-    for _ in range(5):
-        a, b = rng.randrange(1 << 16), rng.randrange(7681)
-        assert bench.run(a, [b])[0] == oracle_montmul(a, b, 7681, 16)
-
-
 def test_cross_tile_injection_is_zero():
     """Replaying a modmul trace, every global shift moves a 0 across lane edges."""
     bench = ModmulBench(251, 8, cols=64)
@@ -964,21 +955,16 @@ def test_tail_shift_scopes(modulus, width):
     assert w == width
     rm = default_rowmap(64)
     want = {"resolve": (2 * w, w), "modadd": (2 * w - 1, w), "modsub": (w - 1, 2 * w)}
-    for policy in (ExecPolicy(), ExecPolicy(tile_scope_all=True)):
-        for name, emit in (("resolve", lambda E: emit_resolve(E, rm.mask_row)),
-                           ("modadd", lambda E: emit_modadd(E, 0, rm.mask_row, 0)),
-                           ("modsub", lambda E: emit_modsub(E, 0, rm.mask_row, 1))):
-            E = Emitter(ctx, rm, policy)
-            emit(E)
-            counts = counts_of_trace(E.ops)
-            shifts = (counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"])
-            if policy.tile_scope_all:
-                assert shifts == (0, sum(want[name])), name
-            else:
-                assert shifts == want[name], name
-            # every global shift carries an edge mark that execute checks live
-            marked = {i for i, op in enumerate(E.ops) if op[0] == SHIFT and op[2] == GLOBAL}
-            assert marked <= set(E.obs_marks)
+    for name, emit in (("resolve", lambda E: emit_resolve(E, rm.mask_row)),
+                       ("modadd", lambda E: emit_modadd(E, 0, rm.mask_row, 0)),
+                       ("modsub", lambda E: emit_modsub(E, 0, rm.mask_row, 1))):
+        E = Emitter(ctx, rm, ExecPolicy())
+        emit(E)
+        counts = counts_of_trace(E.ops)
+        assert (counts["SHIFT_GLOBAL"], counts["SHIFT_TILE"]) == want[name], name
+        # every global shift carries an edge mark that execute checks live
+        marked = {i for i, op in enumerate(E.ops) if op[0] == SHIFT and op[2] == GLOBAL}
+        assert marked <= set(E.obs_marks)
 
 
 def test_mask_select_is_three_activations():
@@ -1026,7 +1012,7 @@ def test_modadd_modsub_resolve_exhaustive(policy, modulus, width):
     for batch in _residue_batches(pairs, tiles):
         arr.write_row(rm.sum_row, pack_words([s for s, _ in batch], lane, arr.cols))
         arr.write_row(rm.carry_row, pack_words([c for _, c in batch], lane, arr.cols))
-        arr.activate_pair(rm.carry_row, rm.zeros, OR)     # latch := Carry
+        execute(arr, [(ACTIVATE2, rm.carry_row, rm.zeros, OR)])     # latch := Carry
         emit_resolve(E, 5)
         bits = arr.read_row(5)
         for t, (s, c) in enumerate(batch):

@@ -317,7 +317,7 @@ def test_trace_ops_key_counts_the_trace_file_in_every_mode(tmp_path):
     assert both > payloads["polymul"]["trace_ops"]
 
 
-@pytest.mark.parametrize("flags", [[], ["--data-dependent"], ["--tile-scope-shifts"]])
+@pytest.mark.parametrize("flags", [[], ["--data-dependent"]])
 @pytest.mark.parametrize("mode", ["forward", "roundtrip"])
 def test_stats_counts_equal_a_recount_of_the_trace_file(tmp_path, mode, flags):
     """The counts `run` takes from the array's tally are those of its trace file."""
@@ -395,15 +395,6 @@ def test_run_data_dependent_mode(tmp_path):
     assert config["deterministic_latency"] is False
 
 
-def test_run_tile_scope_shifts(tmp_path):
-    stats = tmp_path / "s.json"
-    assert run_cli(["run", "--order", "8", "--q", "257", "--rows", "64",
-                    "--cols", "64", "--mode", "roundtrip", "--verify",
-                    "--tile-scope-shifts", "--stats", str(stats)]) == 0
-    payload = json.loads(stats.read_text())
-    assert payload["shifts"]["global"] == 0            # everything masked
-
-
 def test_cost_model_file(tmp_path):
     model = tmp_path / "cost.txt"
     model.write_text("freq_mhz=1000\ncycles.ACTIVATE2=2\n")
@@ -438,6 +429,28 @@ def test_cost_model_file_rejects_unknown_kinds_and_non_finite_values(
                               str(tmp_path / "out")]) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    (["run", "--order", "8", "--q", "257", "--rows", "64", "--cols", "64", "--mode", "forward",
+      "--stats"], "cycles.SHIFT=1e308\n"),
+    (["sweep", "--vary", "bitwidth", "--out"], "cycles.SHIFT=1e308\ncycles.ACTIVATE2=1e308\n"),
+    (["run", "--order", "8", "--q", "257", "--rows", "64", "--cols", "64", "--mode", "forward",
+      "--stats"], "energy_pj.SHIFT=1e308\n"),
+    (["sweep", "--vary", "order", "--out"], "freq_mhz=1e308\n"),
+], ids=["run-cycles", "sweep-cycles", "run-energy", "sweep-throughput"])
+def test_finite_costs_whose_totals_overflow_are_parameter_errors(tmp_path, capsys, command,
+                                                                 text):
+    """Each cost is finite, but a run's or a sweep's total or rate is not:
+    exit 2 with an error line, and no stats file or CSV, which would have to
+    spell Infinity."""
+    model = tmp_path / "cost.txt"
+    model.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(command + [str(out), "--cost-model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag,content", [

@@ -370,7 +370,7 @@ def small_configurations(draw):
     rows = draw(st.integers(15, order + 11) if swap else st.integers(order + 12, order + 16))
     tiles = -(-order // (rows - 6)) + draw(st.integers(0, 1))
     cols = tiles * lane + draw(st.integers(0, lane - 1))
-    policy = ExecPolicy(deterministic=draw(st.booleans()), tile_scope_all=draw(st.booleans()))
+    policy = ExecPolicy(deterministic=draw(st.booleans()))
     return ring, rows, cols, policy, swap
 
 

@@ -18,7 +18,9 @@ REMOVED = ("bp_modmul", "run_stream", "MicroOp", "microop_view", "counts_of_ops"
            "select_m", "resolve_carry_save", "bp_add", "to_text",
            "bp_modadd", "bp_modsub", "_headroom_or_raise", "primitive_counts",
            "butterfly_counts", "swap_write_count", "_forward_schedule", "_inverse_schedule",
-           "_scale_rows", "_pool_for", "_free_scratch", "sweep_path", "flush")
+           "_scale_rows", "_pool_for", "_free_scratch", "sweep_path", "flush",
+           "activate_pair", "shift_latch", "latch_writeback", "tile_scope_all",
+           "tile_scope_shifts")
 
 
 def test_all_names_resolve():

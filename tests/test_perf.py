@@ -54,7 +54,8 @@ from sramntt.perf import (
     sweep_order,
     sweep_to_csv,
 )
-from sramntt.subarray import ACTIVATE2, GLOBAL, SHIFT, TILE, WRITE_ROW, Subarray, Trace, replay
+from sramntt.subarray import (ACTIVATE2, GLOBAL, SHIFT, TILE, WRITE_ROW, WRITEBACK, ZERO_TEST,
+                              Subarray, Trace, execute, replay)
 
 
 def small_forward_unit(order=8, q=257, rows=64, cols=64, seed=0, policy=ExecPolicy(),
@@ -80,8 +81,7 @@ def test_accumulate_empty_and_simple():
     arr = Subarray(8, 8)
     arr.write_row(0, 1)
     arr.write_row(1, 2)
-    for _ in range(10):
-        arr.activate_pair(0, 1, "AND")
+    execute(arr, [(ACTIVATE2, 0, 1, "AND")] * 10)
     stats = accumulate(arr.trace, cost)
     assert stats.counts[ACTIVATE2] == 10
     assert stats.cycles == 12                      # 10 activations + 2 host writes
@@ -98,8 +98,7 @@ def test_accumulate_deterministic_across_replays():
 def test_tile_shift_surcharge():
     cost = CostModel()
     arr = Subarray(8, 8)
-    arr.shift_latch("LEFT", "GLOBAL")
-    arr.shift_latch("LEFT", "TILE", 4, 0)
+    execute(arr, [(SHIFT, "LEFT", GLOBAL, 0, 0), (SHIFT, "LEFT", TILE, 4, 0)])
     stats = accumulate(arr.trace, cost)
     assert stats.cycles == 3                       # 1 + (1+1)
     assert stats.shifts == {"global": 1, "tile": 1, "word_alignment": 0}
@@ -174,11 +173,10 @@ def assert_tallied(trace):
 
 
 @pytest.mark.parametrize("deterministic", [True, False])
-@pytest.mark.parametrize("tile_scope_all", [False, True])
-def test_the_tally_counts_the_trace_under_every_policy(deterministic, tile_scope_all):
+def test_the_tally_counts_the_trace_under_every_policy(deterministic):
     """A roundtrip's tally equals the recount under each policy; the
-    data-dependent ones record zero tests with their readouts."""
-    unit = small_forward_unit(policy=ExecPolicy(deterministic, tile_scope_all))
+    data-dependent one records zero tests with their readouts."""
+    unit = small_forward_unit(policy=ExecPolicy(deterministic))
     unit.inverse()
     assert_tallied(unit.arr.trace)
     zero_tests = counts_of_tally(unit.arr.trace)["ZERO_TEST"]
@@ -228,8 +226,7 @@ CLI_CYCLES = {
     "data-dependent-roundtrip": (["--order", "16", "--q", "257", "--rows", "64", "--cols", "64",
                                   "--mode", "roundtrip", "--data-dependent"], 57_701),
     "data-dependent-polymul": (["--order", "16", "--q", "257", "--rows", "64", "--cols", "64",
-                                "--mode", "polymul", "--data-dependent", "--tile-scope-shifts"],
-                               87_412),
+                                "--mode", "polymul", "--data-dependent"], 82_632),
 }
 
 
@@ -507,31 +504,24 @@ def test_sweep_csv_columns():
 
 
 def test_paper_steps_rule_clauses():
-    def steps_of(build):
+    def steps_of(*ops):
         arr = Subarray(8, 8)
-        build(arr)
+        execute(arr, list(ops))
         return paper_steps(arr.trace)
 
-    def half_adder(arr, *modes):
-        for mode in modes:
-            arr.activate_pair(0, 1, mode)
-            arr.latch_writeback(2)
+    def half_adder(*modes):
+        return [op for mode in modes for op in ((ACTIVATE2, 0, 1, mode), (WRITEBACK, 2))]
 
-    assert steps_of(lambda a: half_adder(a, "AND", "XOR")) == 1
-    assert steps_of(lambda a: half_adder(a, "AND", "XOR", "OR")) == 2
-    assert steps_of(lambda a: (half_adder(a, "AND"), a.activate_pair(0, 3, "XOR"))) == 2
-    assert steps_of(lambda a: (a.activate_pair(1, 0, "AND"), a.activate_pair(0, 1, "XOR"))) == 1
-
-    def shifted(arr):
-        arr.activate_pair(0, 1, "AND")
-        arr.shift_latch("LEFT", "GLOBAL")
-        arr.shift_latch("RIGHT", "TILE", 4, 0)
-        arr.latch_writeback(2)
-        arr.activate_pair(0, 1, "XOR")           # the shift closed the first step
-    assert steps_of(shifted) == 2
-    assert steps_of(lambda a: (a.shift_latch("LEFT", "GLOBAL"), a.latch_writeback(2))) == 0
-    assert steps_of(lambda a: a.write_row(0, 1)) == 1
-    assert steps_of(lambda a: a.latch_is_zero()) == 1
+    assert steps_of(*half_adder("AND", "XOR")) == 1
+    assert steps_of(*half_adder("AND", "XOR", "OR")) == 2
+    assert steps_of(*half_adder("AND"), (ACTIVATE2, 0, 3, "XOR")) == 2
+    assert steps_of((ACTIVATE2, 1, 0, "AND"), (ACTIVATE2, 0, 1, "XOR")) == 1
+    assert steps_of((ACTIVATE2, 0, 1, "AND"), (SHIFT, "LEFT", GLOBAL, 0, 0),
+                    (SHIFT, "RIGHT", TILE, 4, 0), (WRITEBACK, 2),
+                    (ACTIVATE2, 0, 1, "XOR")) == 2          # the shift closed the first step
+    assert steps_of((SHIFT, "LEFT", GLOBAL, 0, 0), (WRITEBACK, 2)) == 0
+    assert steps_of((WRITE_ROW, 0, 1)) == 1
+    assert steps_of((ZERO_TEST, 1)) == 1
 
 
 @pytest.mark.parametrize("width", [3, 4, 8, 16, 24])

@@ -121,22 +121,22 @@ def test_activate_truth_tables():
     arr = Subarray(8, 4)
     arr.write_row(1, 0b1100)
     arr.write_row(2, 0b1010)
-    arr.activate_pair(1, 2, AND)
+    execute(arr, [(ACTIVATE2, 1, 2, AND)])
     assert arr.latch == 0b1000
-    arr.activate_pair(1, 2, XOR)
+    execute(arr, [(ACTIVATE2, 1, 2, XOR)])
     assert arr.latch == 0b0110
-    arr.activate_pair(1, 2, NOR)
+    execute(arr, [(ACTIVATE2, 1, 2, NOR)])
     assert arr.latch == 0b0001
-    arr.activate_pair(1, 2, OR)
+    execute(arr, [(ACTIVATE2, 1, 2, OR)])
     assert arr.latch == 0b1110
 
 
 def test_activate_rejects_same_row():
     arr = Subarray(8, 4)
     with pytest.raises(AddressError):
-        arr.activate_pair(3, 3, AND)
+        execute(arr, [(ACTIVATE2, 3, 3, AND)])
     with pytest.raises(AddressError):
-        arr.activate_pair(0, 9, AND)
+        execute(arr, [(ACTIVATE2, 0, 9, AND)])
 
 
 def test_activate_non_destructive():
@@ -145,48 +145,48 @@ def test_activate_non_destructive():
     arr.write_row(1, 0b1011)
     before = list(arr.cells)
     for mode in (AND, NOR, OR, XOR):
-        arr.activate_pair(0, 1, mode)
+        execute(arr, [(ACTIVATE2, 0, 1, mode)])
     assert arr.cells == before
 
 
 def test_shift_semantics():
     arr = Subarray(8, 4)
     arr.latch = 0b0011
-    arr.shift_latch(LEFT, TILE, 4, 0)
+    execute(arr, [(SHIFT, LEFT, TILE, 4, 0)])
     assert arr.latch == 0b0110
     arr.latch = 0b1000
-    arr.shift_latch(RIGHT, GLOBAL)
+    execute(arr, [(SHIFT, RIGHT, GLOBAL, 0, 0)])
     assert arr.latch == 0b0100
     # two 2-bit tiles: no cross-tile leakage on tile-scoped left
     arr.latch = 0b0011            # tile0 = 11, tile1 = 00
-    arr.shift_latch(LEFT, TILE, 2, 0)
+    execute(arr, [(SHIFT, LEFT, TILE, 2, 0)])
     assert arr.latch == 0b0010    # tile0 = 10, tile1 = 00
     with pytest.raises(TileGeometryError):
-        arr.shift_latch(LEFT, TILE, 1, 0)
+        execute(arr, [(SHIFT, LEFT, TILE, 1, 0)])
 
 
 def test_global_edges_zero_fill():
     arr = Subarray(8, 4)
     arr.latch = 0b1001
-    arr.shift_latch(LEFT, GLOBAL)
+    execute(arr, [(SHIFT, LEFT, GLOBAL, 0, 0)])
     assert arr.latch == 0b0010
     arr.latch = 0b1001
-    arr.shift_latch(RIGHT, GLOBAL)
+    execute(arr, [(SHIFT, RIGHT, GLOBAL, 0, 0)])
     assert arr.latch == 0b0100
 
 
 def test_writeback_and_zero_test():
     arr = Subarray(8, 4)
     arr.latch = 0b1010
-    arr.latch_writeback(3)
+    execute(arr, [(WRITEBACK, 3)])
     assert arr.read_row(3) == 0b1010 and arr.latch == 0b1010
-    arr.latch_writeback(4)
+    execute(arr, [(WRITEBACK, 4)])
     assert arr.read_row(4) == 0b1010
     arr.write_row(5, 0b0101)
-    arr.activate_pair(3, 5, OR)
+    execute(arr, [(ACTIVATE2, 3, 5, OR)])
     assert arr.latch == 0b1111
     assert not arr.latch_is_zero()
-    arr.activate_pair(3, 5, AND)
+    execute(arr, [(ACTIVATE2, 3, 5, AND)])
     assert arr.latch == 0
     assert arr.latch_is_zero()
     assert Subarray(8, 4).latch_is_zero()
@@ -199,13 +199,13 @@ def test_de_morgan_consistency(a, b):
     arr.write_row(0, a)
     arr.write_row(1, b)
     mask = arr.colmask
-    arr.activate_pair(0, 1, NOR)
+    execute(arr, [(ACTIVATE2, 0, 1, NOR)])
     nor = arr.latch
-    arr.activate_pair(0, 1, OR)
+    execute(arr, [(ACTIVATE2, 0, 1, OR)])
     assert arr.latch == (~nor) & mask
-    arr.activate_pair(0, 1, AND)
+    execute(arr, [(ACTIVATE2, 0, 1, AND)])
     nand = (~arr.latch) & mask
-    arr.activate_pair(0, 1, XOR)
+    execute(arr, [(ACTIVATE2, 0, 1, XOR)])
     assert arr.latch == ((a | b) & nand) & mask
 
 
@@ -214,8 +214,8 @@ def test_de_morgan_consistency(a, b):
 def test_shift_left_right_restores_interior(v):
     arr = Subarray(8, 12)
     arr.latch = v
-    arr.shift_latch(LEFT, GLOBAL)
-    arr.shift_latch(RIGHT, GLOBAL)
+    execute(arr, [(SHIFT, LEFT, GLOBAL, 0, 0)])
+    execute(arr, [(SHIFT, RIGHT, GLOBAL, 0, 0)])
     top = 1 << 11
     assert arr.latch == v & ~top       # only the edge bit is zero-filled away
 
@@ -231,11 +231,11 @@ def test_trace_replay_closure(script):
         elif sel == 1:
             a = val % 8
             b = (a + 1 + val // 8 % 7) % 8
-            arr.activate_pair(a, b, (AND, OR, XOR, NOR)[val % 4])
+            execute(arr, [(ACTIVATE2, a, b, (AND, OR, XOR, NOR)[val % 4])])
         elif sel == 2:
-            arr.shift_latch((LEFT, RIGHT)[val % 2], (GLOBAL, TILE)[(val >> 1) % 2], 4, 0)
+            execute(arr, [(SHIFT, (LEFT, RIGHT)[val % 2], (GLOBAL, TILE)[(val >> 1) % 2], 4, 0)])
         else:
-            arr.latch_writeback(val % 8)
+            execute(arr, [(WRITEBACK, val % 8)])
     twin = replay(arr.trace, 8, 8)
     assert twin.same_state(arr)
 
@@ -255,10 +255,10 @@ def test_trace_grammar_roundtrip():
     arr = Subarray(8, 8)
     arr.write_row(2, 0xA5)
     arr.write_row(3, 0x3C)
-    arr.activate_pair(2, 3, XOR)
-    arr.shift_latch(LEFT, GLOBAL)
-    arr.shift_latch(RIGHT, TILE, 4, 0)
-    arr.latch_writeback(1)
+    execute(arr, [(ACTIVATE2, 2, 3, XOR)])
+    execute(arr, [(SHIFT, LEFT, GLOBAL, 0, 0)])
+    execute(arr, [(SHIFT, RIGHT, TILE, 4, 0)])
+    execute(arr, [(WRITEBACK, 1)])
     arr.latch_is_zero()
     text = serialized(arr.trace, arr.cols)
     assert text == joined_serializer(arr.trace, arr.cols)
@@ -845,23 +845,17 @@ def test_generated_program_fails_like_the_executor(ops, marks, binding, error):
     assert tallied(gen.trace) and tallied(twin.trace)
 
 
-@pytest.mark.parametrize("direction,edge,tile_scope_all", [
+@pytest.mark.parametrize("direction,edge,tile_masked", [
     (RIGHT, "lsb", False), (LEFT, "msb", False), (RIGHT, "lsb", True), (LEFT, "msb", True)])
 def test_a_marked_run_fails_at_the_pulse_that_first_finds_a_live_edge_bit(
-        direction, edge, tile_scope_all):
+        direction, edge, tile_masked):
     """For each pulse k of a marked run of 8 data shifts, global or
     tile-masked, a latch bit that k pulses carry to the lane edge makes the
     generated program raise before pulse k, leaving what execute leaves."""
     lane, cols = 16, 64
-    C = Emitter(MontgomeryContext.create(7681, 15, lane_width=lane), default_rowmap(32),
-                ExecPolicy(tile_scope_all=tile_scope_all))
-    C.wb(1)
-    for _ in range(8):
-        C.shift_data(direction, edge)
-    C.wb(2)
-    stream = C.stream()
-    pulse = (SHIFT, direction, TILE, lane, 0) if tile_scope_all else (SHIFT, direction, GLOBAL, 0, 0)
-    assert stream.ops[1:9] == [pulse] * 8 and stream.obs_marks == dict.fromkeys(range(1, 9), edge)
+    pulse = (SHIFT, direction, TILE, lane, 0) if tile_masked else (SHIFT, direction, GLOBAL, 0, 0)
+    stream = Stream([(WRITEBACK, 1)] + [pulse] * 8 + [(WRITEBACK, 2)],
+                    dict.fromkeys(range(1, 9), edge))
     program = generate(Subarray(8, cols), stream, lane)
     # edges at columns 0, 16, 32, 48 ("lsb") or 15, 31, 47, 63 ("msb"); eight
     # pulses carry column 40 right, or 36 left, past none of them
@@ -1182,16 +1176,21 @@ def test_a_ripple_of_a_120_column_lane_compiles_and_runs():
                 None, len(ops), closed)
 
 
-def smear_stream(lane, toward_msb, tile_scope_all):
+def smear_stream(lane, toward_msb, tile_masked):
     """emit_smear's ops on row 1 with temp row 2, after the seed isolation
-    L := x & c[7] of a placeholder row x, then a writeback."""
+    L := x & c[7] of a placeholder row x, then a writeback; a tile-masked
+    stream has each global shift tile-masked instead, under the same marks."""
     E = Emitter(MontgomeryContext.create(3, lane - 1, lane_width=lane), default_rowmap(16),
-                ExecPolicy(tile_scope_all=tile_scope_all))
+                ExecPolicy())
     E.act(-1, 7, AND)
     E.wb(1)
     emit_smear(E, 1, 2, toward_msb)
     E.wb(0)
-    return E.stream()
+    stream = E.stream()
+    if not tile_masked:
+        return stream
+    return Stream([(SHIFT, op[1], TILE, lane, 0) if op[0] == SHIFT and op[2] == GLOBAL else op
+                   for op in stream.ops], stream.obs_marks)
 
 
 def doubling(width):
@@ -1203,17 +1202,17 @@ def doubling(width):
 
 
 @pytest.mark.parametrize("lane,cols", LANES)
-@pytest.mark.parametrize("toward_msb,tile_scope_all", [(True, False), (False, False),
-                                                       (False, True)])
+@pytest.mark.parametrize("toward_msb,tile_masked", [(True, False), (False, False),
+                                                    (False, True)])
 def test_a_smear_closed_form_holds_at_every_lane_and_shift_form(lane, cols, toward_msb,
-                                                                tile_scope_all):
+                                                                tile_masked):
     """emit_smear's doubling rounds, toward the MSB tile-masked, toward the
     LSB global or tile-masked under "lsb" marks, leave what execute leaves,
     and take the closed form exactly when the latch holds seed bits only:
     lane bottoms toward the MSB, lane tops toward the LSB, with or without
     a bit in the partial remainder tile or elsewhere."""
-    rng = random.Random(lane * 3 + toward_msb + 2 * tile_scope_all)
-    stream = smear_stream(lane, toward_msb, tile_scope_all)
+    rng = random.Random(lane * 3 + toward_msb + 2 * tile_masked)
+    stream = smear_stream(lane, toward_msb, tile_masked)
     strides = doubling(lane - 1 if toward_msb else lane)
     found = _smear_run(stream.ops, 2, 8, stream.obs_marks.get)
     assert found == ((1, 2, strides) if len(strides) >= 2 else None)  # one round at lane 3
@@ -1299,17 +1298,17 @@ def test_a_smear_whose_seeds_spread_unlike_the_first_lanes_stays_on_its_rounds(
 
 
 def test_single_op_methods_tally_what_they_record():
-    """Each one-op method of Subarray tallies the op it records, and an op
-    that raises records and tallies nothing."""
+    """Each one-op batch, run by execute or by a host-port method of
+    Subarray, tallies the op it records, and an op that raises records and
+    tallies nothing."""
     arr = Subarray(ROWS, COLS)
     arr.write_row(1, 5)
-    arr.activate_pair(1, 2, OR)
-    arr.latch_writeback(3)
-    arr.shift_latch(LEFT)
-    arr.shift_latch(RIGHT, TILE, LANE, 0)
+    for op in ((ACTIVATE2, 1, 2, OR), (WRITEBACK, 3), (SHIFT, LEFT, GLOBAL, 0, 0),
+               (SHIFT, RIGHT, TILE, LANE, 0)):
+        execute(arr, [op])
     assert not arr.latch_is_zero()
-    with pytest.raises(AddressError):
-        arr.activate_pair(2, 2, AND)
+    with pytest.raises(AddressError, match="ACTIVATE2 needs two distinct rows"):
+        execute(arr, [(ACTIVATE2, 2, 2, AND)])
     with pytest.raises(AddressError):
         arr.write_row(ROWS, 0)
     assert list(arr.trace) == [(WRITE_ROW, 1, 5), (ACTIVATE2, 1, 2, OR), (WRITEBACK, 3),
@@ -1334,7 +1333,7 @@ def test_executor_records_the_same_tuples_and_the_readout():
     assert len(arr.trace) == 5
     # the latch's own zero test logs the readout it reads
     assert not arr.latch_is_zero() and arr.trace[-1] == (ZERO_TEST, 0)
-    arr.activate_pair(0, 2, AND)
+    execute(arr, [(ACTIVATE2, 0, 2, AND)])
     assert arr.latch_is_zero() and arr.trace[-1] == (ZERO_TEST, 1)
     assert tallied(arr.trace)
 
